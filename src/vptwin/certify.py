@@ -76,16 +76,15 @@ def compute_Q(ens_a, ens_b) -> float:
     )
 
 
-def compute_T1_T2(ens_a, ens_b, field_a, field_b):
+def compute_T1_T2(ens_a, ens_b, fa_at_a, fb_at_b, field_b):
     """T1 = sum w |F_B(X_A) - F_B(X_B)|^2, T2 = sum w |F_B(X_A) - F_A(X_A)|^2.
 
-    field_a / field_b are callables points -> (n, 3) evaluating the two
-    solutions' force fields (grad Psi_1, grad Psi_2).
+    fa_at_a = F_A(X_A) and fb_at_b = F_B(X_B) are (n, 3) arrays, the flows'
+    own accelerations; field_b is a callable points -> (n, 3) evaluating
+    grad Psi_2, called once for the cross term F_B(X_A).
     """
     _check_aligned(ens_a, ens_b)
     fb_at_a = np.asarray(field_b(ens_a.x))
-    fb_at_b = np.asarray(field_b(ens_b.x))
-    fa_at_a = np.asarray(field_a(ens_a.x))
     d1 = fb_at_a - fb_at_b
     d2 = fb_at_a - fa_at_a
     t1 = float(np.sum(ens_a.w * np.einsum("ij,ij->i", d1, d1)))

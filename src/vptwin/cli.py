@@ -2,15 +2,14 @@
 
 Subcommands: simulate, twin, ot, certify, report. Exit codes:
 0 = pass, 1 = certification check failure, 2 = usage/config error,
-3 = numerical divergence or particle escape. The VPTWIN_THREADS
-environment variable caps worker threads; on one machine and library
-build, results are byte-identical for any value.
+3 = numerical divergence or particle escape. On one machine and library
+build, results are byte-identical at any thread count, because the FFT
+(pocketfft), cdist and linear_sum_assignment all run single-threaded.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 from . import harness, presets, transport
@@ -119,7 +118,6 @@ def build_parser():
     pc.add_argument("records")
     pc.add_argument("--out", default="out_certify")
     pc.add_argument("--prop31-tol", type=float, default=0.05)
-    pc.add_argument("--fit-constants", action="store_true", default=True)
     pc.add_argument("--window", nargs=2, type=float, metavar=("T0", "T1"))
     pc.set_defaults(fn=_cmd_certify)
 
@@ -131,7 +129,6 @@ def build_parser():
 
 
 def main(argv=None) -> int:
-    os.environ.setdefault("VPTWIN_THREADS", "1")
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -175,13 +175,13 @@ class FlowState:
     dt: float
     step_count: int = 0
     label: str = ""
-    _accel: np.ndarray = field(default=None, repr=False)
+    accel: np.ndarray = field(default=None, repr=False)
 
     def __post_init__(self):
         if self.dt == 0:
             raise ValueError("dt must be nonzero")
         self.evaluator.refresh(self.ensemble)
-        self._accel = self.evaluator.accel(self.ensemble.x)
+        self.accel = self.evaluator.accel(self.ensemble.x)
 
 
 def step_leapfrog(state: FlowState) -> FlowState:
@@ -193,7 +193,7 @@ def step_leapfrog(state: FlowState) -> FlowState:
     """
     ens = state.ensemble
     dt = state.dt
-    v_half = ens.v + 0.5 * dt * state._accel
+    v_half = ens.v + 0.5 * dt * state.accel
     ens.x += dt * v_half
     ens.t += dt
     try:
@@ -202,7 +202,7 @@ def step_leapfrog(state: FlowState) -> FlowState:
         raise EscapeError(err.indices, label=state.label or err.label) from err
     accel = state.evaluator.accel(ens.x)
     ens.v = v_half + 0.5 * dt * accel
-    state._accel = accel
+    state.accel = accel
     state.step_count += 1
     if not (np.all(np.isfinite(ens.x)) and np.all(np.isfinite(ens.v))):
         raise DivergenceError(state.step_count, label=state.label)

@@ -38,12 +38,7 @@ def _parse_vec3(s):
 
 def _parse_softening(s):
     s = str(s).strip()
-    if s == "auto":
-        return "auto"
-    v = float(s)
-    if v < 0:
-        raise ValueError("softening must be >= 0 or 'auto'")
-    return v
+    return "auto" if s == "auto" else float(s)
 
 
 @dataclass
@@ -79,6 +74,11 @@ class ScenarioConfig:
     approach_speed: float = 0.0
 
     def validate(self):
+        for f in dc_fields(self):
+            v = getattr(self, f.name)
+            if any(isinstance(c, float) and not math.isfinite(c)
+                   for c in (v if isinstance(v, tuple) else (v,))):
+                raise ConfigError(f"{f.name} must be finite")
         if self.scenario not in scenarios.SCENARIO_NAMES:
             raise ConfigError(f"unknown scenario {self.scenario!r}")
         if self.dim != 3:
@@ -89,6 +89,10 @@ class ScenarioConfig:
             raise ConfigError("n_particles must be >= 2")
         if self.dt <= 0 or self.t_final <= 0 or not self.dt < self.t_final:
             raise ConfigError("need 0 < dt < t_final")
+        if self.box_edge <= 0:
+            raise ConfigError("box_edge must be positive")
+        if self.softening != "auto" and self.softening < 0:
+            raise ConfigError("softening must be >= 0 or 'auto'")
         if self.field_mode not in ("grid", "direct", "none"):
             raise ConfigError("field_mode must be grid, direct or none")
         if self.twin_kind not in ("none", "velocity-shift", "resolution", "softening"):
@@ -220,16 +224,23 @@ def read_records(path):
         if header != RECORD_COLUMNS:
             raise ValueError(f"{path}: unexpected record columns {header}")
         records = []
-        for line in fh:
+        for lineno, line in enumerate(fh, start=2):
             cells = line.rstrip("\n").split(",")
+            if len(cells) != len(header):
+                raise ValueError(
+                    f"{path}: line {lineno}: {len(cells)} cells, expected {len(header)}"
+                )
             kwargs = {}
             for col, cell in zip(header, cells):
-                if cell == "":
-                    kwargs[col] = None
-                elif col == "step":
-                    kwargs[col] = int(cell)
-                else:
-                    kwargs[col] = float(cell)
+                try:
+                    if cell == "":
+                        kwargs[col] = None
+                    elif col == "step":
+                        kwargs[col] = int(cell)
+                    else:
+                        kwargs[col] = float(cell)
+                except ValueError as err:
+                    raise ValueError(f"{path}: line {lineno}: column {col}: {err}") from err
             records.append(StabilityRecord(**kwargs))
     return records
 
@@ -308,8 +319,8 @@ class _TwinObserver:
             max_gap=float(np.sqrt(gap2.max(initial=0.0))),
         )
 
-        rho_a = dynamics.deposit(ens_a, self.spec, label="A")
-        rho_b = dynamics.deposit(ens_b, self.spec, label="B")
+        rho_a = self._density(flow_a, "A")
+        rho_b = self._density(flow_b, "B")
         rec.sup_rho1 = rho_a.sup_norm
         rec.sup_rho2 = rho_b.sup_norm
         if cfg.sup_rho_ceiling > 0 and max(rec.sup_rho1, rec.sup_rho2) > cfg.sup_rho_ceiling:
@@ -317,7 +328,7 @@ class _TwinObserver:
 
         if cfg.field_mode != "none":
             rec.T1, rec.T2 = certify.compute_T1_T2(
-                ens_a, ens_b, flow_a.evaluator.accel, flow_b.evaluator.accel
+                ens_a, ens_b, flow_a.accel, flow_b.accel, flow_b.evaluator.accel
             )
 
         stride = cfg.ot_stride
@@ -329,6 +340,14 @@ class _TwinObserver:
         if cfg.snapshot_stride > 0 and step % cfg.snapshot_stride == 0:
             self.snapshots[step] = (ens_a.copy(), ens_b.copy())
         self.records.append(rec)
+
+    def _density(self, flow, label):
+        """The flow's density on the diagnostics grid: the evaluator's own
+        deposit of this step when it has one on that grid, else a new one."""
+        rho = getattr(flow.evaluator, "density", None)
+        if rho is not None and rho.spec == self.spec:
+            return rho
+        return dynamics.deposit(flow.ensemble, self.spec, label=label)
 
     def _stride_extras(self, rec, ens_a, ens_b, rho_a, rho_b):
         idx, scale = self.sub_idx, self.sub_scale
@@ -497,7 +516,7 @@ def emit_twin(cfg: ScenarioConfig, outdir) -> str:
     return write_manifest(outdir, cfg, written)
 
 
-def emit_certification(records, outdir, prop31_tol=0.05, fit_constants=True):
+def emit_certification(records, outdir, prop31_tol=0.05):
     """cli certify: certification CSV (records + flags) and summary text."""
     os.makedirs(outdir, exist_ok=True)
     result = certify.certify_records(records, prop31_tolerance=prop31_tol)

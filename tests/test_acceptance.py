@@ -342,7 +342,6 @@ class TestAcceptance:
         env = dict(os.environ)
         env.update(
             OMP_NUM_THREADS="2", OPENBLAS_NUM_THREADS="2", MKL_NUM_THREADS="2",
-            VPTWIN_THREADS="2",
         )
         d3 = subprocess.run(
             [sys.executable, "-c", script], env=env, capture_output=True, text=True,

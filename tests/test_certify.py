@@ -24,7 +24,7 @@ from vptwin.certify import (
     osgood_envelope,
     vanishing_perturbation_study,
 )
-from vptwin.dynamics import ParticleEnsemble
+from vptwin.dynamics import DirectSumEvaluator, ParticleEnsemble
 from vptwin.errors import CheckFailure
 from vptwin.fields import GridDensity, GridSpec, deposit_cic, solve_field_grid
 from vptwin.transport import WeightedCloud
@@ -82,14 +82,14 @@ class TestT1T2:
         rng = np.random.default_rng(RNG_SEED)
         a, _ = paired_ensembles(rng)
         f = lambda p: 0.3 * np.atleast_2d(p)
-        t1, t2 = compute_T1_T2(a, a.copy(), f, f)
+        t1, t2 = compute_T1_T2(a, a.copy(), f(a.x), f(a.x), f)
         assert t1 == 0.0 and t2 == 0.0
 
     def test_same_field_different_positions(self):
         rng = np.random.default_rng(RNG_SEED)
         a, b = paired_ensembles(rng)
         f = lambda p: 0.3 * np.atleast_2d(p)
-        t1, t2 = compute_T1_T2(a, b, f, f)
+        t1, t2 = compute_T1_T2(a, b, f(a.x), f(b.x), f)
         assert t2 == 0.0
         assert t1 > 0.0
 
@@ -108,13 +108,47 @@ class TestT1T2:
         f2 = solve_field_grid(rho2)
         ens1 = ParticleEnsemble(x1, np.zeros_like(x1), w)
         ens2 = ParticleEnsemble(x2, np.zeros_like(x2), w)
-        _, t2 = compute_T1_T2(ens1, ens2, f1.interpolate, f2.interpolate)
+        _, t2 = compute_T1_T2(
+            ens1, ens2, f1.interpolate(x1), f2.interpolate(x2), f2.interpolate
+        )
         diff = f1.values - f2.values
         quad = float(
             np.sum(rho1.values * np.einsum("...k,...k->...", diff, diff))
             * spec.cell_volume
         )
         assert t2 == pytest.approx(quad, rel=0.05)
+
+    @staticmethod
+    def three_evaluations(ens_a, ens_b, field_a, field_b):
+        # the definition, evaluating all three field values at their points
+        d1 = field_b(ens_a.x) - field_b(ens_b.x)
+        d2 = field_b(ens_a.x) - field_a(ens_a.x)
+        w = ens_a.w
+        return (
+            float(np.sum(w * np.einsum("ij,ij->i", d1, d1))),
+            float(np.sum(w * np.einsum("ij,ij->i", d2, d2))),
+        )
+
+    def test_cached_values_bitwise_equal_grid_interpolation(self):
+        rng = np.random.default_rng(RNG_SEED)
+        a, b = paired_ensembles(rng, n=256)
+        spec = GridSpec((0, 0, 0), 10.0, 16)
+        fa = solve_field_grid(GridDensity(spec, deposit_cic(a.x, a.w, spec)))
+        fb = solve_field_grid(GridDensity(spec, deposit_cic(b.x, b.w, spec)))
+        got = compute_T1_T2(a, b, fa.interpolate(a.x), fb.interpolate(b.x), fb.interpolate)
+        assert got == self.three_evaluations(a, b, fa.interpolate, fb.interpolate)
+        assert got[0] > 0.0 and got[1] > 0.0
+
+    def test_cached_values_bitwise_equal_direct_sum(self):
+        rng = np.random.default_rng(RNG_SEED)
+        a, b = paired_ensembles(rng, n=256)
+        ev_a = DirectSumEvaluator(0.1)
+        ev_b = DirectSumEvaluator(0.2)
+        ev_a.refresh(a)
+        ev_b.refresh(b)
+        got = compute_T1_T2(a, b, ev_a.accel(a.x), ev_b.accel(b.x), ev_b.accel)
+        assert got == self.three_evaluations(a, b, ev_a.accel, ev_b.accel)
+        assert got[0] > 0.0 and got[1] > 0.0
 
 
 class TestProp31:

@@ -11,7 +11,7 @@ import math
 import numpy as np
 import pytest
 
-from vptwin import cli, harness, presets, transport
+from vptwin import cli, dynamics, fields, harness, presets, transport
 from vptwin.certify import RECORD_COLUMNS, StabilityRecord
 from vptwin.errors import ConfigError
 from vptwin.harness import (
@@ -78,6 +78,22 @@ class TestConfigParsing:
         with pytest.raises(ConfigError):
             ScenarioConfig(n_particles=1).validate()
 
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "box_edge = 0",
+            "box_edge = -8",
+            "box_edge = nan",
+            "box_edge = inf",
+            "softening = nan",
+            "softening = inf",
+            "t_final = inf",
+        ],
+    )
+    def test_non_finite_or_non_positive_rejected(self, line):
+        with pytest.raises(ConfigError, match=line.split()[0]):
+            parse_config(line + "\n")
+
     def test_vector_box_center(self):
         cfg = parse_config("box_center = 1.0 2.0 3.0\n")
         assert cfg.box_center == (1.0, 2.0, 3.0)
@@ -118,6 +134,19 @@ class TestRecordsCSV:
         recs[1].Q = math.nan
         with pytest.raises(ValueError, match="non-finite"):
             write_records(tmp_path / "bad.csv", recs)
+
+    @pytest.mark.parametrize(
+        "row", ["0,0.0,1.5", "1,0.05,0.6" + "," * 15, "1,0.05,abc" + "," * 14]
+    )
+    def test_malformed_row_rejected(self, tmp_path, row):
+        # a short, long or non-numeric row is never read as default values
+        p = tmp_path / "records.csv"
+        write_records(p, self.make_records())
+        text = p.read_text().splitlines()
+        text[2] = row
+        p.write_text("\n".join(text) + "\n")
+        with pytest.raises(ValueError, match=r"records\.csv: line 3"):
+            read_records(p)
 
     def test_wrong_header_rejected(self, tmp_path):
         p = tmp_path / "weird.csv"
@@ -185,6 +214,31 @@ class TestTwinRuns:
         for r in strided:
             assert r.W2_phase**2 <= 2.0 * r.Q_sub + 1e-9
             assert r.W2_rho**2 <= r.S_sub + 1e-9
+
+    def test_observer_reuses_flow_fields_and_densities(self, monkeypatch):
+        # per recorded step: each flow solves and deposits once, and T1/T2
+        # adds the one cross evaluation F_B(X_A); nothing else re-solves
+        counts = {"solve": 0, "deposit": 0}
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(
+            fields, "solve_field_direct", counting("solve", fields.solve_field_direct)
+        )
+        monkeypatch.setattr(dynamics, "deposit", counting("deposit", dynamics.deposit))
+        cfg = small_config(
+            field_mode="direct", n_particles=64, twin_kind="velocity-shift", twin_delta=1e-2
+        )
+        result = run_twin_config(cfg)
+        steps = len(result.records)
+        assert steps == cfg.n_steps + 1
+        assert counts == {"solve": 3 * steps, "deposit": 2 * steps}
+        assert all(r.T1 > 0.0 for r in result.records[1:])
 
     def test_sup_rho_ceiling_flag(self):
         cfg = small_config(sup_rho_ceiling=1e-6, twin_kind="none")
