@@ -106,9 +106,7 @@ def build_parser():
     po = sub.add_parser("ot", help="Wasserstein-2 distance between cloud files")
     po.add_argument("cloud_a")
     po.add_argument("cloud_b")
-    mode = po.add_mutually_exclusive_group()
-    mode.add_argument("--exact", action="store_true", default=True)
-    mode.add_argument("--sinkhorn", action="store_true")
+    po.add_argument("--sinkhorn", action="store_true", help="entropic W2 instead of exact")
     po.add_argument("--reg", type=float, default=1e-2)
     po.add_argument("--tol", type=float, default=1e-9)
     po.add_argument("--plan-out")

@@ -26,6 +26,8 @@ from .errors import ConfigError
 # --------------------------------------------------------------------------
 # configuration schema
 
+MAX_STEPS = 1_000_000  # t_final / dt beyond this is a config error, not a run
+
 
 def _parse_vec3(s):
     parts = [float(p) for p in str(s).replace(",", " ").split()]
@@ -102,6 +104,17 @@ class ScenarioConfig:
                 raise ConfigError(f"{name} must be positive")
         if self.ot_stride < 0 or self.ot_subsample < 1:
             raise ConfigError("ot_stride must be >= 0 and ot_subsample >= 1")
+        side = min(self.ot_subsample, self.n_particles)
+        if self.ot_stride > 0 and side > transport.MAX_ASSIGNMENT_SIDE:
+            raise ConfigError(
+                f"ot_subsample: {side} OT points exceed the exact-solver guard "
+                f"{transport.MAX_ASSIGNMENT_SIDE}"
+            )
+        # the ratio, not n_steps: round() overflows when dt is subnormal
+        if self.t_final / self.dt > MAX_STEPS:
+            raise ConfigError(
+                f"t_final / dt = {self.t_final / self.dt:.3g} steps, more than {MAX_STEPS}"
+            )
         return self
 
     @property

@@ -245,6 +245,32 @@ class TestGridSolver:
         assert errs[2] < errs[1] < errs[0]
         assert errs[2] < 0.02
 
+    @pytest.mark.parametrize("dims", [(12, 9, 16), (33, 33, 33)])
+    @pytest.mark.parametrize("eps", [1, -1])
+    @pytest.mark.parametrize("softening", [0.0, None])
+    def test_pruned_solve_bitwise_equals_full_domain_transform(self, dims, eps, softening):
+        rng = np.random.default_rng(RNG_SEED)
+        spec = GridSpec((0, 0, 0), (6.0, 5.0, 7.0), dims)
+        vals = np.zeros(dims)
+        vals[1:-1, 1:-1, 1:-1] = rng.random(tuple(n - 2 for n in dims))
+        rho = GridDensity(spec, vals, epsilon_sign=eps)
+        before = rho.values.copy()
+        got = solve_field_grid(rho, softening).values
+        np.testing.assert_array_equal(rho.values, before)
+
+        # reference: the full doubled-domain transforms, as numpy walks them
+        soft = 0.5 * float(np.min(spec.h)) if softening is None else softening
+        mass = vals * spec.cell_volume
+        pad = tuple(2 * n for n in dims)
+        nx, ny, nz = dims
+        mf = np.fft.rfftn(mass, s=pad, axes=(0, 1, 2))
+        comps = [
+            np.fft.irfftn(mf * kf, s=pad, axes=(0, 1, 2))[:nx, :ny, :nz]
+            for kf in fields._kernel_fft(spec, soft)
+        ]
+        want = eps * np.stack(comps, axis=-1)
+        assert np.array_equal(got, want)
+
     def test_truncation_warning_on_boundary_support(self):
         spec = GridSpec((0, 0, 0), 2.0, 8)
         vals = np.zeros(spec.dims)

@@ -94,6 +94,24 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match=line.split()[0]):
             parse_config(line + "\n")
 
+    @pytest.mark.parametrize(
+        "text, key",
+        [
+            ("dt = 1e-300\n", "dt"),
+            ("dt = 1e-320\n", "dt"),
+            ("n_particles = 4100\not_subsample = 5000\not_stride = 1\n", "ot_subsample"),
+        ],
+    )
+    def test_unrunnable_size_rejected(self, text, key):
+        with pytest.raises(ConfigError, match=key):
+            parse_config(text)
+
+    def test_size_guards_admit_their_limits(self):
+        limit = transport.MAX_ASSIGNMENT_SIDE
+        small_config(n_particles=limit + 4, ot_subsample=limit, ot_stride=1)
+        small_config(n_particles=limit + 4, ot_subsample=limit + 4, ot_stride=0)
+        small_config(dt=2.0 / harness.MAX_STEPS, t_final=2.0)
+
     def test_vector_box_center(self):
         cfg = parse_config("box_center = 1.0 2.0 3.0\n")
         assert cfg.box_center == (1.0, 2.0, 3.0)
@@ -291,6 +309,25 @@ class TestCLI:
         cfg = self.write_cfg(tmp_path, "bogus_key = 1\n")
         assert cli.main(["simulate", cfg]) == cli.EXIT_USAGE
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "text",
+        ["dt = 1e-300\n", "n_particles = 4100\not_subsample = 5000\not_stride = 1\n"],
+    )
+    def test_unrunnable_size_exits_usage(self, tmp_path, capsys, text):
+        cfg = self.write_cfg(tmp_path, text)
+        assert cli.main(["twin", cfg, "--out", str(tmp_path / "o")]) == cli.EXIT_USAGE
+        assert "config error" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_ot_parser_modes(self, tmp_path, capsys):
+        parser = cli.build_parser()
+        assert parser.parse_args(["ot", "a", "b", "--sinkhorn"]).sinkhorn
+        assert not parser.parse_args(["ot", "a", "b"]).sinkhorn
+        pa = tmp_path / "a.txt"
+        transport.save_cloud(transport.WeightedCloud([[0, 0, 0], [1, 0, 0]], [0.5, 0.5]), pa)
+        assert cli.main(["ot", str(pa), str(pa), "--exact"]) == cli.EXIT_USAGE
+        assert "--exact" in capsys.readouterr().err
 
     def test_missing_subcommand_exits_usage(self):
         assert cli.main([]) == cli.EXIT_USAGE
