@@ -1,10 +1,12 @@
 """Command-line entry points.
 
 Subcommands: simulate, twin, ot, certify, report. Exit codes:
-0 = pass, 1 = certification check failure, 2 = usage/config error,
-3 = numerical divergence or particle escape. On one machine and library
-build, results are byte-identical at any thread count, because the FFT
-(pocketfft), cdist and linear_sum_assignment all run single-threaded.
+0 = pass, 1 = certification check failure, 2 = usage/config error or bad
+input (including an OT solver refusing its input: unequal masses, size
+guards), 3 = numerical divergence, particle escape or a non-converging
+Sinkhorn solve. On one machine and library build, results are
+byte-identical at any thread count, because the FFT (pocketfft), cdist,
+the KD-tree query and linear_sum_assignment all run single-threaded.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from .errors import (
     ConfigError,
     DivergenceError,
     EscapeError,
+    SinkhornError,
     TransportError,
     VptwinError,
 )
@@ -140,16 +143,16 @@ def main(argv=None) -> int:
     except (OSError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
-    except (DivergenceError, EscapeError) as err:
+    except (DivergenceError, EscapeError, SinkhornError, TwinError) as err:
         print(f"numerical failure: {err}", file=sys.stderr)
         return EXIT_DIVERGED
-    except TwinError as err:
-        print(f"numerical failure: {err}", file=sys.stderr)
-        return EXIT_DIVERGED
+    except TransportError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return EXIT_USAGE
     except CheckFailure as err:
         print(f"check failure: {err}", file=sys.stderr)
         return EXIT_CHECK
-    except (TransportError, VptwinError) as err:
+    except VptwinError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_CHECK
 

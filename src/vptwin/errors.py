@@ -1,7 +1,8 @@
 """Shared exception types.
 
-The CLI maps these onto exit codes: config problems -> 2, failed
-certification checks -> 1, numerical divergence / escapes -> 3.
+The CLI maps these onto exit codes: config problems and other transport
+errors (MassMismatchError, size guards) -> 2, failed certification checks
+-> 1, numerical divergence / escapes / SinkhornError -> 3.
 """
 
 

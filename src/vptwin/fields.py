@@ -160,10 +160,6 @@ class GridField:
                     ]
         return out
 
-    @property
-    def l2_norm(self):
-        return float(np.sqrt(np.sum(self.values**2) * self.spec.cell_volume))
-
 
 @dataclass(frozen=True)
 class SofteningSpec:
@@ -279,10 +275,16 @@ def _kernel_fft(spec, softening_length):
         coords.append(c * spec.h[a])
     rx, ry, rz = np.meshgrid(*coords, indexing="ij", sparse=True)
     r2 = rx**2 + ry**2 + rz**2 + softening_length**2
-    with np.errstate(divide="ignore", invalid="ignore"):
-        denom = FOUR_PI * r2 * np.sqrt(r2)
-        kern = [np.where(denom > 0, rc / denom, 0.0) for rc in (rx + 0 * r2, ry + 0 * r2, rz + 0 * r2)]
-    kfft = [np.fft.rfftn(k) for k in kern]
+    denom = FOUR_PI * r2
+    denom *= np.sqrt(r2)
+    del r2
+    nonzero = denom > 0  # 0 only unsoftened, where all offsets are 0
+    kfft = []
+    # one full-size real component at a time, so at most one is live
+    for rc in (rx, ry, rz):
+        kern = np.divide(rc, denom, out=np.zeros(pad), where=nonzero)
+        kfft.append(np.fft.rfftn(kern))
+        del kern
     _KERNEL_CACHE[key] = kfft
     return kfft
 

@@ -1,8 +1,10 @@
 """Discrete quadratic-cost optimal transport between weighted point clouds.
 
 Exact solve uses the assignment algorithm when both clouds have equal size
-and uniform weights, and a transportation LP (HiGHS) otherwise. A
-log-domain entropic solver covers larger inputs approximately.
+and uniform weights, and a transportation LP (HiGHS) otherwise. The
+assignment path first tries a certified nearest-neighbour shortcut that
+builds no n x n cost matrix (see w2_exact). A log-domain entropic solver
+covers larger inputs approximately.
 Displacement interpolation moves mass along straight lines of the plan;
 its kinetic energy is the plan cost for every interpolation parameter by
 construction.
@@ -16,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 from scipy.optimize import linear_sum_assignment, linprog
+from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist
 from scipy.special import logsumexp
 
@@ -25,6 +28,10 @@ from .errors import MassMismatchError, SinkhornError, TransportError
 MAX_ASSIGNMENT_SIDE = 4096  # dense n x n cost matrix guard
 MAX_LP_ENTRIES = 400_000  # n*m guard for the general transportation LP
 MASS_RTOL = 1e-9
+# nearest-neighbour shortcut of w2_exact: relative margin between first and
+# second squared neighbour distance, and the floor of the second one
+NN_MARGIN = 1e-9
+NN_FLOOR = 1e-300
 
 
 # --------------------------------------------------------------------------
@@ -149,13 +156,46 @@ def _uniform_equal_weights(a, b):
     )
 
 
+def _nearest_neighbour_permutation(a, b):
+    """The strict nearest-neighbour map of a into b if it is a permutation.
+
+    Returns the target index of every source point, or None when some
+    source point has no clear nearest target (second neighbour within the
+    margin) or two source points share their nearest target.
+    """
+    dist, idx = cKDTree(b.points).query(a.points, k=2)
+    sq = dist * dist  # a one-point target reports its missing second as inf
+    nearest = idx[:, 0]
+    clear = np.all((sq[:, 0] * (1.0 + NN_MARGIN) < sq[:, 1]) & (sq[:, 1] >= NN_FLOOR))
+    if clear and np.unique(nearest).size == a.n:
+        return nearest
+    return None
+
+
 def w2_exact(a: WeightedCloud, b: WeightedCloud):
     """Exact Wasserstein-2 distance and optimal plan.
 
-    Returns (distance, plan) with distance**2 == plan.cost. Minimality is
-    certified against brute-force enumeration on small instances in the
-    test suite. Raises MassMismatchError / TransportError instead of ever
-    returning a silent approximation.
+    Returns (distance, plan) with distance**2 == plan.cost. Raises
+    MassMismatchError / TransportError instead of ever returning a silent
+    approximation.
+
+    Equal-size uniform-weight clouds take the assignment path. It first
+    asks a KD-tree for the two nearest targets of every source point. If
+    each nearest target is strictly nearer than the second one, by a
+    relative margin NN_MARGIN on squared distance, and the nearest targets
+    are pairwise distinct, the nearest-neighbour map sigma is returned
+    without building the n x n cost matrix. Every row of that matrix then
+    has its strict minimum at sigma(i), so sigma is its unique optimal
+    assignment, certified by the feasible duals u_i = c_{i sigma(i)},
+    v_j = 0 (c_ij - u_i - v_j >= 0, with equality on the plan), and it is
+    the permutation linear_sum_assignment returns: the plan and its cost
+    are bitwise the dense path's. The margin covers the rounding gap
+    between KD-tree and cdist squared distances, at most about (d + 2)
+    eps relative, i.e. below 1e-14 for d <= 6; NN_FLOOR keeps the second
+    distance clear of underflow, where relative bounds fail. Otherwise
+    the dense cdist + linear_sum_assignment path runs. Unequal or
+    non-uniform weights take the transportation LP. Minimality on both
+    paths is also checked against brute-force enumeration in the tests.
     """
     _check_mass(a, b)
     if _uniform_equal_weights(a, b):
@@ -163,8 +203,11 @@ def w2_exact(a: WeightedCloud, b: WeightedCloud):
             raise TransportError(
                 f"cloud sides {a.n} exceed the exact-solver guard {MAX_ASSIGNMENT_SIDE}"
             )
-        cost_matrix = cdist(a.points, b.points, "sqeuclidean")
-        rows, cols = linear_sum_assignment(cost_matrix)
+        cols = _nearest_neighbour_permutation(a, b)
+        if cols is not None:
+            rows = np.arange(a.n)
+        else:
+            rows, cols = linear_sum_assignment(cdist(a.points, b.points, "sqeuclidean"))
         plan = TransportPlan(rows, cols, a.weights[rows], a, b)
     else:
         plan = _lp_plan(a, b)

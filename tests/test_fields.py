@@ -271,6 +271,34 @@ class TestGridSolver:
         want = eps * np.stack(comps, axis=-1)
         assert np.array_equal(got, want)
 
+    @pytest.mark.parametrize("softening", [0.0, 0.15625, 0.3])
+    def test_kernel_spectra_bitwise_equal_full_array_formula(self, softening):
+        # softening 0 leaves denom = 0 where every offset is 0 (the origin
+        # and the zeroed +-n offsets), and the kernel is 0 there
+        spec = GridSpec((0, 0, 0), (5.0, 5.0, 5.0), (32, 32, 32))
+        fields._KERNEL_CACHE.clear()
+        got = fields._kernel_fft(spec, softening)
+        fields._KERNEL_CACHE.clear()
+
+        # reference: all three real kernels built at once as full arrays
+        coords = []
+        for a in range(3):
+            k = np.arange(64)
+            c = np.where(k <= 32, k, k - 64).astype(np.float64)
+            c[32] = 0.0
+            coords.append(c * spec.h[a])
+        rx, ry, rz = np.meshgrid(*coords, indexing="ij", sparse=True)
+        r2 = rx**2 + ry**2 + rz**2 + softening**2
+        with np.errstate(divide="ignore", invalid="ignore"):
+            denom = fields.FOUR_PI * r2 * np.sqrt(r2)
+            kern = [
+                np.where(denom > 0, rc / denom, 0.0)
+                for rc in (rx + 0 * r2, ry + 0 * r2, rz + 0 * r2)
+            ]
+        assert (denom == 0).sum() == (8 if softening == 0 else 0)
+        for g, k in zip(got, kern):
+            assert np.array_equal(g, np.fft.rfftn(k))
+
     def test_truncation_warning_on_boundary_support(self):
         spec = GridSpec((0, 0, 0), 2.0, 8)
         vals = np.zeros(spec.dims)

@@ -408,6 +408,28 @@ class TestCLI:
         plan = transport.load_plan(plan_path, a, b)
         assert plan.cost == pytest.approx(0.01, rel=1e-12)
 
+    def test_ot_mass_mismatch_exits_usage(self, tmp_path, capsys):
+        pa, pb = tmp_path / "a.txt", tmp_path / "b.txt"
+        transport.save_cloud(transport.WeightedCloud([[0, 0, 0], [1, 0, 0]], [0.5, 0.5]), pa)
+        transport.save_cloud(transport.WeightedCloud([[0, 0, 0], [1, 0, 0]], [0.5, 0.6]), pb)
+        assert cli.main(["ot", str(pa), str(pb)]) == cli.EXIT_USAGE
+        assert "total masses differ" in capsys.readouterr().err
+
+    def test_ot_sinkhorn_non_convergence_exits_diverged(self, tmp_path, capsys, monkeypatch):
+        rng = np.random.default_rng(64)
+        c = transport.WeightedCloud(rng.normal(size=(16, 3)), np.full(16, 1.0 / 16))
+        d = transport.WeightedCloud(rng.normal(size=(16, 3)) + 5.0, c.weights)
+        pa, pb = tmp_path / "a.txt", tmp_path / "b.txt"
+        transport.save_cloud(c, pa)
+        transport.save_cloud(d, pb)
+        sinkhorn = transport.w2_sinkhorn
+        monkeypatch.setattr(
+            transport, "w2_sinkhorn", lambda *args, **kw: sinkhorn(*args, max_iters=2, **kw)
+        )
+        code = cli.main(["ot", str(pa), str(pb), "--sinkhorn", "--reg", "1e-4"])
+        assert code == cli.EXIT_DIVERGED
+        assert "no convergence" in capsys.readouterr().err
+
     def test_report_from_twin_manifest(self, tmp_path, capsys):
         cfg = self.write_cfg(
             tmp_path,

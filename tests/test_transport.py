@@ -7,9 +7,15 @@ translation argument (shifting a cloud by v moves every unit of mass by
 """
 
 import itertools
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+from scipy.optimize import linear_sum_assignment
+from scipy.spatial.distance import cdist
 
 from vptwin import fields, transport
 from vptwin.errors import MassMismatchError, SinkhornError, TransportError
@@ -29,14 +35,10 @@ def brute_force_w2(a: WeightedCloud, b: WeightedCloud) -> float:
     """Minimum over all permutations for equal-count equal-weight clouds."""
     assert a.n == b.n <= 8
     assert np.allclose(a.weights, a.weights[0]) and np.allclose(b.weights, a.weights[0])
-    w = a.weights[0]
-    best = np.inf
-    for perm in itertools.permutations(range(b.n)):
-        cost = w * sum(
-            np.sum((a.points[i] - b.points[p]) ** 2) for i, p in enumerate(perm)
-        )
-        best = min(best, cost)
-    return np.sqrt(best)
+    perms = np.array(list(itertools.permutations(range(b.n))))
+    diff = a.points[:, None, :] - b.points[None, :, :]
+    pair = (diff * diff).sum(axis=2)
+    return float(np.sqrt(a.weights[0] * pair[np.arange(a.n), perms].sum(axis=1).min()))
 
 
 def random_cloud(rng, n, d=3, mass=1.0, uniform=True):
@@ -142,6 +144,154 @@ class TestW2Exact:
         b = random_cloud(rng, n - 1)
         with pytest.raises(TransportError):
             w2_exact(a, b)
+
+
+def dense_w2(a: WeightedCloud, b: WeightedCloud):
+    """The dense assignment path alone: cdist + linear_sum_assignment."""
+    rows, cols = linear_sum_assignment(cdist(a.points, b.points, "sqeuclidean"))
+    plan = transport.TransportPlan(rows, cols, a.weights[rows], a, b)
+    return math.sqrt(max(plan.cost, 0.0)), plan
+
+
+def assert_same_bits(got, want):
+    (d_got, p_got), (d_want, p_want) = got, want
+    assert np.array_equal(p_got.src, p_want.src)
+    assert np.array_equal(p_got.tgt, p_want.tgt)
+    assert np.array_equal(p_got.mass, p_want.mass)
+    assert d_got == d_want
+
+
+@pytest.fixture
+def lsa_calls(monkeypatch):
+    """Records every linear_sum_assignment call w2_exact makes."""
+    calls = []
+
+    def counting(cost_matrix):
+        calls.append(cost_matrix.shape)
+        return linear_sum_assignment(cost_matrix)
+
+    monkeypatch.setattr(transport, "linear_sum_assignment", counting)
+    return calls
+
+
+def uniform(points):
+    points = np.asarray(points, dtype=np.float64)
+    return WeightedCloud(points, np.full(points.shape[0], 1.0 / points.shape[0]))
+
+
+class TestNearestNeighbourShortcut:
+    @pytest.mark.parametrize("d", [3, 6])
+    @pytest.mark.parametrize("shuffle", [False, True])
+    def test_near_translation_bitwise_equals_dense(self, lsa_calls, d, shuffle):
+        rng = np.random.default_rng(RNG_SEED)
+        n = 2048
+        x = rng.normal(size=(n, d))
+        y = x + 1e-3 * rng.normal(size=d) + 1e-5 * rng.normal(size=(n, d))
+        if shuffle:
+            y = y[rng.permutation(n)]
+        a, b = uniform(x), uniform(y)
+        got = w2_exact(a, b)
+        assert lsa_calls == []
+        if shuffle:
+            assert not np.array_equal(got[1].tgt, np.arange(n))
+        assert_same_bits(got, dense_w2(a, b))
+
+    def test_colliding_nearest_neighbours_fall_back(self, lsa_calls):
+        # both source points are nearest to target 0
+        a = uniform([[0, 0, 0], [1, 0, 0]])
+        b = uniform([[0.9, 0, 0], [5, 0, 0]])
+        got = w2_exact(a, b)
+        assert lsa_calls == [(2, 2)]
+        assert_same_bits(got, dense_w2(a, b))
+        assert got[0] == pytest.approx(brute_force_w2(a, b), rel=1e-12)
+
+    def test_exact_tie_falls_back(self, lsa_calls):
+        # every interior point of the line is equidistant from two targets
+        line = np.zeros((6, 3))
+        line[:, 0] = np.arange(6)
+        a = uniform(line)
+        b = a.translate([0.5, 0, 0])
+        got = w2_exact(a, b)
+        assert lsa_calls == [(6, 6)]
+        assert_same_bits(got, dense_w2(a, b))
+        assert got[0] == pytest.approx(0.5, rel=1e-12)
+
+    @pytest.mark.parametrize("gap, dense_calls", [(1e-12, [(2, 2)]), (1e-6, [])])
+    def test_near_tie_inside_margin_falls_back(self, lsa_calls, gap, dense_calls):
+        # source 0 is nearest to target 0, target 1 only `gap` farther; the
+        # map is a permutation either way, the margin alone decides
+        a = uniform([[0, 0, 0], [1, 0, 0]])
+        b = uniform([[-0.4, 0, 0], [0.4 + gap, 0, 0]])
+        got = w2_exact(a, b)
+        assert lsa_calls == dense_calls
+        assert_same_bits(got, dense_w2(a, b))
+
+    def test_underflowing_distances_fall_back(self, lsa_calls):
+        # squared distances near 1e-320 are subnormal: clear by the margin,
+        # but too coarse for a relative rounding bound
+        a = uniform([[0, 0, 0], [4e-160, 0, 0]])
+        b = uniform([[1e-160, 0, 0], [3e-160, 0, 0]])
+        got = w2_exact(a, b)
+        assert lsa_calls == [(2, 2)]
+        assert_same_bits(got, dense_w2(a, b))
+
+    def test_duplicate_source_points_fall_back(self, lsa_calls):
+        a = uniform([[0, 0, 0], [0, 0, 0], [3, 0, 0]])
+        b = uniform([[0.1, 0, 0], [0, 0.3, 0], [3, 0, 0]])
+        got = w2_exact(a, b)
+        assert lsa_calls == [(3, 3)]
+        assert_same_bits(got, dense_w2(a, b))
+        assert got[0] == pytest.approx(brute_force_w2(a, b), rel=1e-12)
+
+    def test_single_point(self, lsa_calls):
+        a = uniform([[1.0, 2.0, 3.0]])
+        b = a.translate([0.5, 0, 0])
+        got = w2_exact(a, b)
+        assert lsa_calls == []
+        assert got[0] == 0.5
+        assert_same_bits(got, dense_w2(a, b))
+
+    def test_size_guard_before_any_tree(self, monkeypatch):
+        def no_tree(*args, **kwargs):
+            raise AssertionError("KD-tree built past the size guard")
+
+        monkeypatch.setattr(transport, "cKDTree", no_tree)
+        n = transport.MAX_ASSIGNMENT_SIDE + 1
+        pts = np.zeros((n, 3))
+        pts[:, 0] = np.arange(n)
+        a = uniform(pts)
+        with pytest.raises(TransportError, match="exact-solver guard"):
+            w2_exact(a, a.translate([0.5, 0, 0]))
+
+
+_COORD = st.floats(-10, 10, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def equal_weight_pairs(draw):
+    n = draw(st.integers(1, 8))
+    d = draw(st.sampled_from([3, 6]))
+    x = draw(arrays(np.float64, (n, d), elements=_COORD))
+    kind = draw(st.sampled_from(["independent", "translate", "duplicates"]))
+    if kind == "independent":
+        y = draw(arrays(np.float64, (n, d), elements=_COORD))
+    else:
+        y = x + draw(arrays(np.float64, (d,), elements=st.floats(-1, 1)))
+        if kind == "duplicates":
+            x[draw(st.integers(0, n - 1))] = x[0]
+            y[draw(st.integers(0, n - 1))] = y[-1]
+    y = y[draw(st.permutations(range(n)))]
+    return uniform(x), uniform(y)
+
+
+class TestW2ExactProperties:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(equal_weight_pairs())
+    def test_minimal_and_bitwise_equal_to_dense(self, pair):
+        a, b = pair
+        got = w2_exact(a, b)
+        assert_same_bits(got, dense_w2(a, b))
+        assert got[0] == pytest.approx(brute_force_w2(a, b), rel=1e-12, abs=1e-12)
 
 
 class TestSinkhorn:
