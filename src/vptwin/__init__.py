@@ -31,7 +31,6 @@ from .fields import (
     GridDensity,
     GridField,
     GridSpec,
-    SofteningSpec,
     field_l2_diff,
     loglip_modulus,
     solve_field_direct,

@@ -21,9 +21,15 @@ from scipy.integrate import solve_ivp
 
 from .errors import CheckFailure
 from .fields import GridDensity, field_l2_diff, solve_field_grid
-from .transport import WeightedCloud, w2_exact
+from .transport import WeightedCloud, coupling_cost, squared_norms, w2_exact
 
 E = math.e
+PROP31_ZERO_TOL = 1e-12  # a field difference above this with W2 = 0 is inconsistent
+INEQ_TOL = 1e-9  # solver round-off allowed in the W2 <= feasible-plan checks
+GRONWALL_MIN_FRACTION = 0.99  # share of checked steps the dQ/dt check must hold at
+SPACING_RTOL = 1e-9  # relative spread of record time steps still called uniform
+CONTAIN_RTOL = 1e-9  # Q / y - 1 still counted as contained by the envelope
+DECAY_FRACTION = 0.5  # sup Q at the smallest delta over that at the largest
 
 
 # --------------------------------------------------------------------------
@@ -69,11 +75,20 @@ def _check_aligned(ens_a, ens_b):
 def compute_Q(ens_a, ens_b) -> float:
     """Half the weighted squared phase-space gap between the twin flows."""
     _check_aligned(ens_a, ens_b)
-    dx = ens_a.x - ens_b.x
-    dv = ens_a.v - ens_b.v
-    return 0.5 * float(
-        np.sum(ens_a.w * (np.einsum("ij,ij->i", dx, dx) + np.einsum("ij,ij->i", dv, dv)))
-    )
+    return 0.5 * coupling_cost(ens_a.w, ens_a.x - ens_b.x, ens_a.v - ens_b.v)
+
+
+def compute_S(ens_a, ens_b) -> float:
+    """The weighted squared position gap, the cost of the index pairing."""
+    _check_aligned(ens_a, ens_b)
+    return coupling_cost(ens_a.w, ens_a.x - ens_b.x)
+
+
+def compute_max_gap(ens_a, ens_b) -> float:
+    """max_i |Xi_1,i - Xi_2,i|, the largest phase-space gap of a pair."""
+    _check_aligned(ens_a, ens_b)
+    gap2 = squared_norms(ens_a.x - ens_b.x, ens_a.v - ens_b.v)
+    return float(np.sqrt(gap2.max(initial=0.0)))
 
 
 def compute_T1_T2(ens_a, ens_b, fa_at_a, fb_at_b, field_b):
@@ -85,10 +100,8 @@ def compute_T1_T2(ens_a, ens_b, fa_at_a, fb_at_b, field_b):
     """
     _check_aligned(ens_a, ens_b)
     fb_at_a = np.asarray(field_b(ens_a.x))
-    d1 = fb_at_a - fb_at_b
-    d2 = fb_at_a - fa_at_a
-    t1 = float(np.sum(ens_a.w * np.einsum("ij,ij->i", d1, d1)))
-    t2 = float(np.sum(ens_a.w * np.einsum("ij,ij->i", d2, d2)))
+    t1 = coupling_cost(ens_a.w, fb_at_a - fb_at_b)
+    t2 = coupling_cost(ens_a.w, fb_at_a - fa_at_a)
     return t1, t2
 
 
@@ -105,32 +118,39 @@ class Prop31Report:
     tolerance: float
 
 
+def prop31_sides(rho1: GridDensity, rho2: GridDensity, field1, field2, w2):
+    """(lhs, rhs) of the field-stability estimate: lhs = ||field1 -
+    field2||_L2 over the box, rhs = max(sup rho1, sup rho2)^{1/2} * w2."""
+    return field_l2_diff(field1, field2), math.sqrt(max(rho1.sup_norm, rho2.sup_norm)) * w2
+
+
+def prop31_ratio(lhs, rhs):
+    """lhs / rhs; with rhs = 0 it is 0 if lhs <= PROP31_ZERO_TOL, else inf."""
+    if rhs > 0:
+        return lhs / rhs
+    return math.inf if lhs > PROP31_ZERO_TOL else 0.0
+
+
 def check_prop31(
     rho1: GridDensity,
     rho2: GridDensity,
     cloud1: WeightedCloud,
     cloud2: WeightedCloud,
     tolerance: float = 0.05,
-    zero_tol: float = 1e-12,
 ) -> Prop31Report:
     """Field-difference L2 norm vs sup-norm-weighted Wasserstein distance.
 
-    lhs = ||grad Psi_1 - grad Psi_2||_L2 over the box, rhs =
-    max(sup rho)^{1/2} W2(cloud1, cloud2); passes iff lhs <= (1 + tol) rhs.
-    rhs = 0 with lhs above zero_tol flags an inconsistency.
+    lhs and rhs are prop31_sides of the two grid fields and W2(cloud1,
+    cloud2); passes iff lhs <= (1 + tol) rhs. rhs = 0 with lhs above
+    PROP31_ZERO_TOL flags an inconsistency.
     """
     if not rho1.spec.same_geometry(rho2.spec):
         raise ValueError("densities must share a common grid")
-    lhs = field_l2_diff(solve_field_grid(rho1), solve_field_grid(rho2))
     w2, _ = w2_exact(cloud1, cloud2)
-    rhs = math.sqrt(max(rho1.sup_norm, rho2.sup_norm)) * w2
-    if rhs == 0.0:
-        if lhs > zero_tol:
-            raise CheckFailure(
-                f"identical densities (W2 = 0) but field difference {lhs:.3e}"
-            )
-        return Prop31Report(lhs, rhs, 0.0, True, tolerance)
-    ratio = lhs / rhs
+    lhs, rhs = prop31_sides(rho1, rho2, solve_field_grid(rho1), solve_field_grid(rho2), w2)
+    ratio = prop31_ratio(lhs, rhs)
+    if rhs == 0.0 and ratio > 0.0:
+        raise CheckFailure(f"identical densities (W2 = 0) but field difference {lhs:.3e}")
     return Prop31Report(lhs, rhs, ratio, ratio <= 1.0 + tolerance, tolerance)
 
 
@@ -142,17 +162,15 @@ class LemmaW2Report:
     passed: bool
 
 
-def check_lemma_w2(ens_a, ens_b, tol=1e-9) -> LemmaW2Report:
+def check_lemma_w2(ens_a, ens_b) -> LemmaW2Report:
     """W2 of the position clouds never exceeds the paired position gap.
 
     The index pairing is itself a feasible plan, so the exact inequality
-    lhs <= rhs holds up to solver round-off.
+    lhs <= rhs holds up to solver round-off, INEQ_TOL.
     """
-    _check_aligned(ens_a, ens_b)
+    rhs = math.sqrt(compute_S(ens_a, ens_b))
     lhs, _ = w2_exact(ens_a.position_cloud(), ens_b.position_cloud())
-    dx = ens_a.x - ens_b.x
-    rhs = math.sqrt(float(np.sum(ens_a.w * np.einsum("ij,ij->i", dx, dx))))
-    return LemmaW2Report(lhs, rhs, rhs - lhs, lhs <= rhs + tol)
+    return LemmaW2Report(lhs, rhs, rhs - lhs, lhs <= rhs + INEQ_TOL)
 
 
 # --------------------------------------------------------------------------
@@ -198,7 +216,7 @@ class GronwallReport:
     skipped_steps: list
 
 
-def check_gronwall(records, spacing_rtol=1e-9) -> GronwallReport:
+def check_gronwall(records) -> GronwallReport:
     """Verify dQ/dt <= Q + sqrt(Q (T1 + T2)) + FD tolerance per step and fit
     the empirical envelope constants on the small-gap window.
 
@@ -210,7 +228,7 @@ def check_gronwall(records, spacing_rtol=1e-9) -> GronwallReport:
         raise ValueError("need at least 3 uniformly spaced records")
     t = np.array([r.t for r in records])
     dts = np.diff(t)
-    if np.any(np.abs(dts - dts[0]) > spacing_rtol * abs(dts[0])):
+    if np.any(np.abs(dts - dts[0]) > SPACING_RTOL * abs(dts[0])):
         raise ValueError("records are not uniformly spaced in time")
     fill_dQdt(records)
     q = np.array([r.Q for r in records])
@@ -322,7 +340,7 @@ class OsgoodContainReport:
     max_excess: float  # max over steps of Q / y - 1
 
 
-def osgood_contain(records, C, rtol=1e-9) -> OsgoodContainReport:
+def osgood_contain(records, C) -> OsgoodContainReport:
     """Check measured Q(t) <= y(t) for the envelope anchored at the first
     positive-Q record. Comparison-principle containment: if the fitted C
     dominates dQ/dt / (Q (1 + log 1/Q)) pointwise, Q stays under y."""
@@ -338,7 +356,7 @@ def osgood_contain(records, C, rtol=1e-9) -> OsgoodContainReport:
         y = float(env(r.t - t0))
         excess = r.Q / y - 1.0
         max_excess = max(max_excess, excess)
-        n_ok += excess <= rtol
+        n_ok += excess <= CONTAIN_RTOL
     return OsgoodContainReport(C, q0, t0, len(pos), n_ok, n_ok == len(pos), max_excess)
 
 
@@ -355,11 +373,9 @@ class VanishingPerturbationReport:
     passed: bool
 
 
-def vanishing_perturbation_study(
-    run, deltas, decay_fraction=0.5
-) -> VanishingPerturbationReport:
+def vanishing_perturbation_study(run, deltas) -> VanishingPerturbationReport:
     """sup_t Q(t) per perturbation magnitude; passes iff nonincreasing in
-    delta and the smallest delta lands below decay_fraction of the largest.
+    delta and the smallest delta lands below DECAY_FRACTION of the largest.
 
     ``run`` maps a perturbation magnitude to a list of StabilityRecords.
     """
@@ -374,7 +390,7 @@ def vanishing_perturbation_study(
     monotone = bool(np.all(diffs >= -1e-15 * max(sup_q)))
     ratio = sup_q[0] / sup_q[-1] if sup_q[-1] > 0 else 0.0
     return VanishingPerturbationReport(
-        deltas, sup_q, monotone, ratio, monotone and ratio <= decay_fraction
+        deltas, sup_q, monotone, ratio, monotone and ratio <= DECAY_FRACTION
     )
 
 
@@ -394,12 +410,7 @@ class CertificationResult:
     passed: bool
 
 
-def certify_records(
-    records,
-    prop31_tolerance=0.05,
-    ineq_tol=1e-9,
-    gronwall_min_fraction=0.99,
-) -> CertificationResult:
+def certify_records(records, prop31_tolerance=0.05) -> CertificationResult:
     """Run the full inequality-chain certification over a record series.
 
     The feasible-plan checks (W2_rho^2 <= 2Q, W2_phase^2 <= 2Q) compare the
@@ -420,13 +431,10 @@ def certify_records(
         if r.W2_phase is not None:
             remark_excess = max(remark_excess, r.W2_phase**2 - q2)
         if r.prop31_rhs is not None and r.field_l2_diff is not None:
-            if r.prop31_rhs > 0:
-                prop_ratio = max(prop_ratio, r.field_l2_diff / r.prop31_rhs)
-            elif r.field_l2_diff > 1e-12:
-                prop_ratio = np.inf
+            prop_ratio = max(prop_ratio, prop31_ratio(r.field_l2_diff, r.prop31_rhs))
     if ot_rows:
-        verdicts["lemma_w2"] = bool(lemma_excess <= ineq_tol)
-        verdicts["remark_phase"] = bool(remark_excess <= ineq_tol)
+        verdicts["lemma_w2"] = bool(lemma_excess <= INEQ_TOL)
+        verdicts["remark_phase"] = bool(remark_excess <= INEQ_TOL)
         verdicts["prop31"] = bool(prop_ratio <= 1.0 + prop31_tolerance)
         lines.append(
             f"lemma_w2: W2_rho^2 - 2Q max excess {lemma_excess:.3e} "
@@ -445,11 +453,11 @@ def certify_records(
         lines.append("no exact-OT rows recorded; transport checks skipped")
 
     gron = check_gronwall(records)
-    verdicts["gronwall"] = bool(gron.fraction_satisfied >= gronwall_min_fraction)
+    verdicts["gronwall"] = bool(gron.fraction_satisfied >= GRONWALL_MIN_FRACTION)
     lines.append(
         f"gronwall: dQ/dt <= Q + sqrt(Q(T1+T2)) at "
         f"{gron.n_satisfied}/{gron.n_checked} checked steps "
-        f"({100 * gron.fraction_satisfied:.1f}%, need >= {100 * gronwall_min_fraction:.0f}%) "
+        f"({100 * gron.fraction_satisfied:.1f}%, need >= {100 * GRONWALL_MIN_FRACTION:.0f}%) "
         f"-> {'PASS' if verdicts['gronwall'] else 'FAIL'}"
     )
     lines.append(

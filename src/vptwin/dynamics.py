@@ -15,8 +15,8 @@ import numpy as np
 
 from . import fields
 from .errors import DivergenceError, EscapeError, VptwinError
-from .fields import GridDensity, GridSpec, SofteningSpec, deposit_cic
-from .transport import WeightedCloud
+from .fields import GridDensity, GridSpec, deposit_cic
+from .transport import WeightedCloud, coupling_cost
 
 
 @dataclass
@@ -71,8 +71,6 @@ def deposit(ensemble: ParticleEnsemble, spec: GridSpec, label="") -> GridDensity
 class ZeroFieldEvaluator:
     """Free streaming: grad Psi identically zero."""
 
-    kind = "none"
-
     def refresh(self, ensemble):
         pass
 
@@ -82,8 +80,6 @@ class ZeroFieldEvaluator:
 
 class FrozenFieldEvaluator:
     """Fixed external field from a callable points -> (n, 3) values."""
-
-    kind = "frozen"
 
     def __init__(self, fn):
         self.fn = fn
@@ -98,15 +94,9 @@ class FrozenFieldEvaluator:
 class GridFieldEvaluator:
     """Deposit -> free-space grid solve -> trilinear force interpolation."""
 
-    kind = "grid"
-
     def __init__(self, spec: GridSpec, softening=None, label=""):
         self.spec = spec
-        if softening is None:
-            softening = 0.5 * float(np.min(spec.h))
-        elif isinstance(softening, SofteningSpec):
-            softening = softening.length
-        self.softening = float(softening)
+        self.softening = fields.resolve_softening(spec, softening)
         self.label = label
         self.density = None
         self.field = None
@@ -118,22 +108,14 @@ class GridFieldEvaluator:
     def accel(self, points):
         return self.field.interpolate(points)
 
-    @property
-    def sup_rho(self):
-        return self.density.sup_norm if self.density is not None else 0.0
-
 
 class DirectSumEvaluator:
     """Softened pairwise summation over the ensemble itself (no mesh)."""
 
-    kind = "direct"
-
     def __init__(self, softening, diagnostics_spec: GridSpec | None = None, label=""):
-        if isinstance(softening, SofteningSpec):
-            softening = softening.length
-        if softening <= 0:
+        self.softening = fields.check_softening(softening)
+        if self.softening == 0.0:
             raise ValueError("direct self-field needs positive softening")
-        self.softening = float(softening)
         self.diagnostics_spec = diagnostics_spec
         self.label = label
         self._sources = None
@@ -153,13 +135,9 @@ class DirectSumEvaluator:
             self._sources,
             self._weights,
             points,
-            softening=SofteningSpec(self.softening),
+            softening=self.softening,
             epsilon_sign=self._epsilon,
         )
-
-    @property
-    def sup_rho(self):
-        return self.density.sup_norm if self.density is not None else 0.0
 
 
 # --------------------------------------------------------------------------
@@ -212,24 +190,6 @@ def step_leapfrog(state: FlowState) -> FlowState:
 def reverse_dt(state: FlowState):
     """Flip the integration direction in place (for reversibility tests)."""
     state.dt = -state.dt
-
-
-def suggest_dt(grid_field: fields.GridField, cap: float) -> float:
-    """Stability rule dt <= 0.1 / sqrt(max field gradient), hard-capped.
-
-    The gradient is estimated by one-sided grid differences; the rule keeps
-    the fastest local oscillation resolved by ~60 steps.
-    """
-    vals = grid_field.values
-    h = grid_field.spec.h
-    gmax = 0.0
-    for a in range(3):
-        d = np.diff(vals, axis=a) / h[a]
-        if d.size:
-            gmax = max(gmax, float(np.abs(d).max()))
-    if gmax <= 0:
-        return cap
-    return min(cap, 0.1 / np.sqrt(gmax))
 
 
 # --------------------------------------------------------------------------
@@ -359,7 +319,7 @@ class CrossingDetector:
         if self._disabled or self.crossing_time is not None:
             return
         disp = cell_velocity_dispersion(ensemble, self.spec)
-        rms = float(np.sqrt(np.sum(ensemble.w * np.sum(ensemble.v**2, axis=1)) / ensemble.total_mass))
+        rms = float(np.sqrt(coupling_cost(ensemble.w, ensemble.v) / ensemble.total_mass))
         triggered = rms > 0 and disp > self.threshold_factor * rms
         if self._first:
             self._first = False
@@ -376,7 +336,7 @@ class CrossingDetector:
 
 
 def kinetic_energy(ensemble: ParticleEnsemble) -> float:
-    return 0.5 * float(np.sum(ensemble.w * np.sum(ensemble.v**2, axis=1)))
+    return 0.5 * coupling_cost(ensemble.w, ensemble.v)
 
 
 def potential_energy_direct(ensemble: ParticleEnsemble, softening) -> float:
@@ -385,8 +345,6 @@ def potential_energy_direct(ensemble: ParticleEnsemble, softening) -> float:
     U = (eps/2) sum_{i != j} w_i w_j / (4 pi sqrt(r_ij^2 + s^2)); the total
     H = kinetic + U is conserved by the softened direct-sum dynamics.
     """
-    if isinstance(softening, SofteningSpec):
-        softening = softening.length
     x = ensemble.x
     w = ensemble.w
     diff = x[:, None, :] - x[None, :, :]

@@ -18,7 +18,7 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.fft as sfft
@@ -26,6 +26,7 @@ import scipy.fft as sfft
 from .errors import EscapeError, OutOfDomainError, SingularityError
 
 FOUR_PI = 4.0 * np.pi
+DIRECT_BLOCK = 2048  # targets per pairwise block of solve_field_direct
 
 
 class TruncationWarning(UserWarning):
@@ -161,15 +162,24 @@ class GridField:
         return out
 
 
-@dataclass(frozen=True)
-class SofteningSpec:
-    """Plummer softening |x-y|^2 -> |x-y|^2 + length^2; 0 is the exact kernel."""
+# --------------------------------------------------------------------------
+# Plummer softening |x-y|^2 -> |x-y|^2 + s^2; s = 0 is the exact kernel
 
-    length: float = 0.0
 
-    def __post_init__(self):
-        if not np.isfinite(self.length) or self.length < 0:
-            raise ValueError("softening length must be finite and >= 0")
+def check_softening(length):
+    """``length`` as a float; ValueError unless it is finite and >= 0."""
+    length = float(length)
+    if not (math.isfinite(length) and length >= 0.0):
+        raise ValueError(f"softening length must be finite and >= 0, got {length!r}")
+    return length
+
+
+def resolve_softening(spec, softening=None):
+    """The softening length on ``spec``: half its smallest cell size (the
+    deposition scale) when ``softening`` is None, else check_softening."""
+    if softening is None:
+        return 0.5 * float(np.min(spec.h))
+    return check_softening(softening)
 
 
 # --------------------------------------------------------------------------
@@ -220,26 +230,22 @@ def deposit_cic(points, weights, spec, label=""):
 # direct-sum solver
 
 
-def solve_field_direct(
-    points, weights, targets, softening=SofteningSpec(0.0), epsilon_sign=1, block=2048
-):
+def solve_field_direct(points, weights, targets, softening=0.0, epsilon_sign=1):
     """Exact pairwise grad Psi at target points (no mesh error).
 
     Summation order is fixed (source order), so results are deterministic.
     With zero softening a target sitting exactly on a source raises
     SingularityError.
     """
-    if isinstance(softening, (int, float)):
-        softening = SofteningSpec(float(softening))
+    s2 = check_softening(softening) ** 2
     points = np.atleast_2d(np.asarray(points, dtype=np.float64))
     weights = np.asarray(weights, dtype=np.float64)
     targets = np.atleast_2d(np.asarray(targets, dtype=np.float64))
     if not (np.all(np.isfinite(points)) and np.all(np.isfinite(targets))):
         raise ValueError("non-finite source or target coordinates")
-    s2 = softening.length**2
     out = np.empty((targets.shape[0], 3))
-    for a in range(0, targets.shape[0], block):
-        t = targets[a : a + block]
+    for a in range(0, targets.shape[0], DIRECT_BLOCK):
+        t = targets[a : a + DIRECT_BLOCK]
         diff = t[:, None, :] - points[None, :, :]
         r2 = np.einsum("ijk,ijk->ij", diff, diff) + s2
         if s2 == 0.0:
@@ -251,7 +257,7 @@ def solve_field_direct(
         inv = weights / (FOUR_PI * r2 * np.sqrt(r2))
         # the j == i term of a self-field has zero numerator, so softened
         # self-interaction vanishes automatically
-        out[a : a + block] = epsilon_sign * np.einsum("ij,ijk->ik", inv, diff)
+        out[a : a + DIRECT_BLOCK] = epsilon_sign * np.einsum("ij,ijk->ik", inv, diff)
     return out
 
 
@@ -292,9 +298,9 @@ def _kernel_fft(spec, softening_length):
 def solve_field_grid(rho: GridDensity, softening=None) -> GridField:
     """grad Psi from a grid density via zero-padded kernel convolution.
 
-    Default softening is half the smallest cell size, matching the
-    deposition scale. Free-space boundaries; if the density support
-    touches the outer cell layer a TruncationWarning is issued.
+    The softening is resolve_softening(rho.spec, softening), by default
+    half the smallest cell size. Free-space boundaries; if the density
+    support touches the outer cell layer a TruncationWarning is issued.
 
     The doubled-domain convolution runs one axis at a time and skips the
     zero half on input and the cropped half on output. The axis order is
@@ -305,10 +311,7 @@ def solve_field_grid(rho: GridDensity, softening=None) -> GridField:
     (numpy >= 2).
     """
     spec = rho.spec
-    if softening is None:
-        softening = 0.5 * float(np.min(spec.h))
-    elif isinstance(softening, SofteningSpec):
-        softening = softening.length
+    softening = resolve_softening(spec, softening)
     if _support_touches_boundary(rho.values):
         warnings.warn(
             "density support touches the box boundary; free-space truncation "
@@ -366,9 +369,6 @@ def field_l2_diff(f1: GridField, f2: GridField) -> float:
 @dataclass(frozen=True)
 class LoglipReport:
     constant: float
-    pair: tuple
-    separations: np.ndarray = field(repr=False, default=None)
-    ratios: np.ndarray = field(repr=False, default=None)
 
 
 def loglip_modulus(
@@ -396,27 +396,21 @@ def loglip_modulus(
     rng = np.random.default_rng(seed)
     seps = np.geomspace(s_min, s_max, n_separations)
     best = -1.0
-    best_pair = None
-    all_ratios = np.empty((n_separations, pairs_per_separation))
-    for i, s in enumerate(seps):
+    for s in seps:
         x = rng.uniform(region_lo + s_max, region_hi - s_max, size=(pairs_per_separation, 3))
         d = rng.normal(size=(pairs_per_separation, 3))
         d /= np.linalg.norm(d, axis=1, keepdims=True)
         y = x + s * d
         num = np.linalg.norm(evaluate(x) - evaluate(y), axis=1)
         ratios = num / (s * np.log(1.0 / s))
-        all_ratios[i] = ratios
-        j = int(np.argmax(ratios))
-        if ratios[j] > best:
-            best = float(ratios[j])
-            best_pair = (x[j].copy(), y[j].copy())
-    if best_pair is None:
+        best = max(best, float(ratios.max()))  # a NaN ratio drops its separation
+    if best < 0.0:
         raise ValueError("no valid sample pairs")
-    return LoglipReport(best, best_pair, seps, all_ratios)
+    return LoglipReport(best)
 
 
 # --------------------------------------------------------------------------
-# grid I/O: flat little-endian float64 binary + JSON sidecar, CSV slices
+# grid I/O: flat little-endian float64 binary + JSON sidecar
 
 
 def save_grid(obj, basepath):
@@ -452,13 +446,3 @@ def load_grid(basepath):
     if side["kind"] == "density":
         return GridDensity(spec, raw.reshape(spec.dims), side["epsilon_sign"])
     return GridField(spec, raw.reshape(spec.dims + (3,)))
-
-
-def export_slice(obj, axis, index, path):
-    """CSV export of one grid slice (density scalar or field components)."""
-    vals = np.take(obj.values, index, axis=axis)
-    if vals.ndim == 2:
-        np.savetxt(path, vals, delimiter=",", fmt="%.17g")
-    else:
-        flat = vals.reshape(-1, vals.shape[-1])
-        np.savetxt(path, flat, delimiter=",", fmt="%.17g")

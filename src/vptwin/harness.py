@@ -3,10 +3,12 @@
 Config files are plain "key = value" text ('#' comments allowed); unknown
 keys are rejected with their line number. Output contains no timestamps,
 so reruns of one config + seed are byte-identical on the same machine and
-library build, at any thread count. Across builds the bytes may move: the
-FFT output bits and the np.sum reductions (Q, S, T1, T2, the W2 costs)
-follow numpy's and pocketfft's order of operations. Only field_l2_diff
-is summed correctly rounded, so it depends on the field bits alone.
+library build, at any thread count. Across builds the bytes may move
+where two computations follow the library's order of operations: the FFT
+of the grid solve (pocketfft), and the one coupling-cost sum,
+transport.coupling_cost, an np.sum behind Q, S, Q_sub, S_sub, T1, T2, the
+W2 costs and the crossing detector's rms speed. Only field_l2_diff is
+summed correctly rounded, so it depends on the field bits alone.
 """
 
 from __future__ import annotations
@@ -46,7 +48,6 @@ def _parse_softening(s):
 @dataclass
 class ScenarioConfig:
     scenario: str = "gaussian-blob"
-    dim: int = 3
     epsilon: int = 1
     n_particles: int = 4096
     grid_dims: int = 32
@@ -54,7 +55,7 @@ class ScenarioConfig:
     box_edge: float = 8.0
     dt: float = 0.02
     t_final: float = 2.0
-    softening: object = "auto"  # 'auto' -> h/2
+    softening: object = "auto"  # 'auto' -> h/2 (fields.resolve_softening)
     seed: int = 1
     field_mode: str = "grid"  # grid | direct | none
     twin_kind: str = "none"  # none | velocity-shift | resolution | softening
@@ -65,8 +66,6 @@ class ScenarioConfig:
     snapshot_stride: int = 0  # 0 -> endpoints only
     crossing_threshold: float = 0.3
     sup_rho_ceiling: float = 0.0  # 0 disables the bounded-density flag
-    prop31_tol: float = 0.05
-    geodesic_tol: float = 0.10
     sigma_x: float = 0.6
     sigma_v: float = 0.3
     ball_radius: float = 1.0
@@ -83,8 +82,6 @@ class ScenarioConfig:
                 raise ConfigError(f"{f.name} must be finite")
         if self.scenario not in scenarios.SCENARIO_NAMES:
             raise ConfigError(f"unknown scenario {self.scenario!r}")
-        if self.dim != 3:
-            raise ConfigError("only dim = 3 is supported")
         if self.epsilon not in (1, -1):
             raise ConfigError("epsilon must be 1 or -1")
         if self.n_particles < 2:
@@ -93,15 +90,24 @@ class ScenarioConfig:
             raise ConfigError("need 0 < dt < t_final")
         if self.box_edge <= 0:
             raise ConfigError("box_edge must be positive")
-        if self.softening != "auto" and self.softening < 0:
-            raise ConfigError("softening must be >= 0 or 'auto'")
         if self.field_mode not in ("grid", "direct", "none"):
             raise ConfigError("field_mode must be grid, direct or none")
         if self.twin_kind not in ("none", "velocity-shift", "resolution", "softening"):
             raise ConfigError(f"unknown twin_kind {self.twin_kind!r}")
-        for name in ("prop31_tol", "geodesic_tol", "crossing_threshold"):
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"{name} must be positive")
+        # one rule for the softening of both flows; a softening twin runs B
+        # at twin_delta
+        softenings = [("softening", self.softening)]
+        if self.twin_kind == "softening":
+            softenings.append(("twin_delta", self.twin_delta))
+        direct = self.field_mode == "direct"
+        for name, length in softenings:
+            if length != "auto" and (length < 0 or (direct and length == 0)):
+                raise ConfigError(
+                    f"{name} = {length!r}: a softening length must be "
+                    + ("> 0 with field_mode = direct" if direct else ">= 0")
+                )
+        if self.crossing_threshold <= 0:
+            raise ConfigError("crossing_threshold must be positive")
         if self.ot_stride < 0 or self.ot_subsample < 1:
             raise ConfigError("ot_stride must be >= 0 and ot_subsample >= 1")
         side = min(self.ot_subsample, self.n_particles)
@@ -126,14 +132,12 @@ class ScenarioConfig:
         return int(round(self.t_final / self.dt))
 
     def softening_length(self, spec):
-        if self.softening == "auto":
-            return 0.5 * float(np.min(spec.h))
-        return float(self.softening)
+        auto = self.softening == "auto"
+        return fields.resolve_softening(spec, None if auto else self.softening)
 
 
 _SCHEMA = {
     "scenario": str,
-    "dim": int,
     "epsilon": int,
     "n_particles": int,
     "grid_dims": int,
@@ -152,8 +156,6 @@ _SCHEMA = {
     "snapshot_stride": int,
     "crossing_threshold": float,
     "sup_rho_ceiling": float,
-    "prop31_tol": float,
-    "geodesic_tol": float,
     "sigma_x": float,
     "sigma_v": float,
     "ball_radius": float,
@@ -318,18 +320,12 @@ class _TwinObserver:
     def __call__(self, step, flow_a, flow_b):
         cfg = self.cfg
         ens_a, ens_b = flow_a.ensemble, flow_b.ensemble
-        dx = ens_a.x - ens_b.x
-        dv = ens_a.v - ens_b.v
-        w = ens_a.w
-        gap2 = np.einsum("ij,ij->i", dx, dx) + np.einsum("ij,ij->i", dv, dv)
-        s = float(np.sum(w * np.einsum("ij,ij->i", dx, dx)))
-        q = 0.5 * float(np.sum(w * gap2))
         rec = StabilityRecord(
             step=step,
             t=ens_a.t,
-            Q=q,
-            S=s,
-            max_gap=float(np.sqrt(gap2.max(initial=0.0))),
+            Q=certify.compute_Q(ens_a, ens_b),
+            S=certify.compute_S(ens_a, ens_b),
+            max_gap=certify.compute_max_gap(ens_a, ens_b),
         )
 
         rho_a = self._density(flow_a, "A")
@@ -362,26 +358,27 @@ class _TwinObserver:
             return rho
         return dynamics.deposit(flow.ensemble, self.spec, label=label)
 
-    def _stride_extras(self, rec, ens_a, ens_b, rho_a, rho_b):
-        idx, scale = self.sub_idx, self.sub_scale
-        w_sub = ens_a.w[idx] * scale
-        dx = ens_a.x[idx] - ens_b.x[idx]
-        dv = ens_a.v[idx] - ens_b.v[idx]
-        rec.S_sub = float(np.sum(w_sub * np.einsum("ij,ij->i", dx, dx)))
-        rec.Q_sub = 0.5 * (
-            rec.S_sub + float(np.sum(w_sub * np.einsum("ij,ij->i", dv, dv)))
+    def _subsample(self, ens):
+        """The flow's OT subsample, its weights scaled to keep the mass M."""
+        idx = self.sub_idx
+        return dynamics.ParticleEnsemble(
+            ens.x[idx], ens.v[idx], ens.w[idx] * self.sub_scale, ens.t, ens.epsilon_sign
         )
-        pos_a = transport.WeightedCloud(ens_a.x[idx], w_sub)
-        pos_b = transport.WeightedCloud(ens_b.x[idx], w_sub)
-        rec.W2_rho, _ = transport.w2_exact(pos_a, pos_b)
-        ph_a = transport.WeightedCloud(np.hstack([ens_a.x[idx], ens_a.v[idx]]), w_sub)
-        ph_b = transport.WeightedCloud(np.hstack([ens_b.x[idx], ens_b.v[idx]]), w_sub)
-        rec.W2_phase, _ = transport.w2_exact(ph_a, ph_b)
+
+    def _stride_extras(self, rec, ens_a, ens_b, rho_a, rho_b):
+        # one subsampled pair gives both the paired costs and the W2 clouds,
+        # so every feasible-plan check compares like with like
+        sub_a, sub_b = self._subsample(ens_a), self._subsample(ens_b)
+        rec.Q_sub = certify.compute_Q(sub_a, sub_b)
+        rec.S_sub = certify.compute_S(sub_a, sub_b)
+        rec.W2_rho, _ = transport.w2_exact(sub_a.position_cloud(), sub_b.position_cloud())
+        rec.W2_phase, _ = transport.w2_exact(sub_a.phase_cloud(), sub_b.phase_cloud())
 
         field_a = fields.solve_field_grid(rho_a)
         field_b = fields.solve_field_grid(rho_b)
-        rec.field_l2_diff = fields.field_l2_diff(field_a, field_b)
-        rec.prop31_rhs = math.sqrt(max(rec.sup_rho1, rec.sup_rho2)) * rec.W2_rho
+        rec.field_l2_diff, rec.prop31_rhs = certify.prop31_sides(
+            rho_a, rho_b, field_a, field_b, rec.W2_rho
+        )
 
         h_min = float(np.min(self.spec.h))
         try:

@@ -9,7 +9,7 @@ dynamics.
 import numpy as np
 import pytest
 
-from vptwin import dynamics, fields
+from vptwin import dynamics
 from vptwin.dynamics import (
     CrossingDetector,
     DirectSumEvaluator,
@@ -331,18 +331,6 @@ class TestTwinRuns:
 
 
 class TestStepMechanics:
-    def test_suggest_dt_cap(self):
-        spec = GridSpec((0, 0, 0), 4.0, 8)
-        f = fields.GridField(spec, np.zeros(spec.dims + (3,)))
-        assert dynamics.suggest_dt(f, cap=0.5) == 0.5
-
-    def test_suggest_dt_scales_with_gradient(self):
-        spec = GridSpec((0, 0, 0), 4.0, 8)
-        centers = spec.points()
-        vals = np.stack([4.0 * centers[..., 0], 0 * centers[..., 0], 0 * centers[..., 0]], axis=-1)
-        f = fields.GridField(spec, vals)
-        assert dynamics.suggest_dt(f, cap=1.0) == pytest.approx(0.05, rel=1e-6)
-
     def test_zero_dt_rejected(self):
         rng = np.random.default_rng(RNG_SEED)
         with pytest.raises(ValueError):

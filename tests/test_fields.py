@@ -12,7 +12,7 @@ import math
 import numpy as np
 import pytest
 
-from vptwin import fields
+from vptwin import dynamics, fields
 from vptwin.errors import OutOfDomainError, SingularityError
 from vptwin.fields import (
     FOUR_PI,
@@ -434,14 +434,37 @@ class TestGridIO:
         got = fields.load_grid(tmp_path / "f")
         np.testing.assert_array_equal(got.values, f.values)
 
-    def test_slice_export(self, tmp_path):
-        spec = GridSpec((0, 0, 0), 4.0, 4)
-        vals = np.arange(64, dtype=float).reshape(4, 4, 4)
-        rho = GridDensity(spec, vals)
-        p = tmp_path / "slice.csv"
-        fields.export_slice(rho, 0, 2, p)
-        got = np.loadtxt(p, delimiter=",")
-        np.testing.assert_array_equal(got, vals[2])
+
+class TestSofteningValidation:
+    """One check, fields.check_softening, guards both solvers and evaluators."""
+
+    BAD = [math.nan, math.inf, -math.inf, -0.1]
+
+    @pytest.mark.parametrize("softening", BAD)
+    def test_grid_solver_rejects(self, softening):
+        spec = GridSpec((0, 0, 0), 4.0, 8)
+        rho = GridDensity(spec, np.full(spec.dims, 1.0))
+        with pytest.raises(ValueError, match="softening"):
+            solve_field_grid(rho, softening)
+
+    @pytest.mark.parametrize("softening", BAD)
+    def test_direct_solver_rejects(self, softening):
+        src = np.zeros((1, 3))
+        with pytest.raises(ValueError, match="softening"):
+            solve_field_direct(src, [1.0], src + 1.0, softening=softening)
+
+    @pytest.mark.parametrize("softening", BAD)
+    def test_evaluators_reject(self, softening):
+        with pytest.raises(ValueError, match="softening"):
+            dynamics.GridFieldEvaluator(GridSpec((0, 0, 0), 4.0, 8), softening=softening)
+        with pytest.raises(ValueError, match="softening"):
+            dynamics.DirectSumEvaluator(softening)
+
+    def test_default_is_half_the_smallest_cell(self):
+        spec = GridSpec((0, 0, 0), (4.0, 2.0, 3.0), 8)
+        assert fields.resolve_softening(spec) == 0.125
+        assert dynamics.GridFieldEvaluator(spec).softening == 0.125
+        assert fields.resolve_softening(spec, 0) == 0.0
 
 
 class TestGridSpecValidation:

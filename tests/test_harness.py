@@ -11,7 +11,7 @@ import math
 import numpy as np
 import pytest
 
-from vptwin import cli, dynamics, fields, harness, presets, transport
+from vptwin import certify, cli, dynamics, fields, harness, presets, transport
 from vptwin.certify import RECORD_COLUMNS, StabilityRecord
 from vptwin.errors import ConfigError
 from vptwin.harness import (
@@ -111,6 +111,30 @@ class TestConfigParsing:
         small_config(n_particles=limit + 4, ot_subsample=limit, ot_stride=1)
         small_config(n_particles=limit + 4, ot_subsample=limit + 4, ot_stride=0)
         small_config(dt=2.0 / harness.MAX_STEPS, t_final=2.0)
+
+    @pytest.mark.parametrize("key", ["dim", "prop31_tol", "geodesic_tol"])
+    def test_removed_keys_are_unknown(self, key):
+        with pytest.raises(ConfigError, match=f"line 1: unknown key {key!r}"):
+            parse_config(f"{key} = 3\n")
+
+    @pytest.mark.parametrize(
+        "text, key",
+        [
+            ("softening = -0.5\n", "softening"),
+            ("field_mode = direct\nsoftening = 0\n", "softening"),
+            ("twin_kind = softening\ntwin_delta = -0.5\n", "twin_delta"),
+            ("field_mode = direct\ntwin_kind = softening\ntwin_delta = 0\n", "twin_delta"),
+        ],
+    )
+    def test_softening_rule_covers_both_flows(self, text, key):
+        with pytest.raises(ConfigError, match=f"{key} = .*softening length must be"):
+            parse_config(text)
+
+    def test_softening_rule_admits_its_limits(self):
+        parse_config("softening = 0\ntwin_kind = softening\ntwin_delta = 0\n")
+        parse_config("field_mode = direct\ntwin_kind = softening\ntwin_delta = 0.1\n")
+        # a velocity-shift twin reads twin_delta as a velocity, of any sign
+        parse_config("field_mode = direct\ntwin_kind = velocity-shift\ntwin_delta = -0.5\n")
 
     def test_vector_box_center(self):
         cfg = parse_config("box_center = 1.0 2.0 3.0\n")
@@ -263,6 +287,68 @@ class TestTwinRuns:
         assert run_twin_config(cfg).sup_rho_flagged
 
 
+class TestLedgerConsistency:
+    """Every ledger column equals certify's function of the step's ensembles."""
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            dict(scenario="free-streaming", field_mode="none", box_edge=16.0, seed=1),
+            dict(
+                scenario="two-blob",
+                epsilon=-1,
+                field_mode="direct",
+                sigma_x=0.35,
+                t_final=0.5,
+                seed=3,
+            ),
+        ],
+        ids=["free-streaming", "direct-two-blob"],
+    )
+    def test_whole_ensemble_subsample_gives_q_and_s(self, overrides):
+        cfg = small_config(
+            n_particles=256,
+            twin_kind="velocity-shift",
+            twin_delta=1e-2,
+            ot_stride=1,
+            ot_subsample=256,
+            **overrides,
+        )
+        records = run_twin_config(cfg).records
+        assert all(r.W2_rho is not None for r in records)
+        for r in records:
+            assert (r.Q_sub, r.S_sub) == (r.Q, r.S), f"step {r.step}"
+
+    def test_columns_equal_certify_functions_of_snapshots(self):
+        cfg = small_config(
+            n_particles=256,
+            twin_kind="resolution",
+            twin_grid_dims_b=24,
+            t_final=0.5,
+            ot_stride=5,
+            ot_subsample=64,
+            snapshot_stride=5,
+        )
+        result = run_twin_config(cfg)
+        idx = np.linspace(0, cfg.n_particles - 1, cfg.ot_subsample).astype(np.int64)
+        scale = cfg.n_particles / cfg.ot_subsample
+        assert sorted(result.snapshots) == [0, 5, 10]
+        for step, (ens_a, ens_b) in result.snapshots.items():
+            r = result.records[step]
+            assert r.Q == certify.compute_Q(ens_a, ens_b)
+            assert r.S == certify.compute_S(ens_a, ens_b)
+            assert r.max_gap == certify.compute_max_gap(ens_a, ens_b)
+            sub_a, sub_b = (
+                dynamics.ParticleEnsemble(e.x[idx], e.v[idx], e.w[idx] * scale)
+                for e in (ens_a, ens_b)
+            )
+            assert r.Q_sub == certify.compute_Q(sub_a, sub_b)
+            assert r.S_sub == certify.compute_S(sub_a, sub_b)
+            w2_rho, _ = transport.w2_exact(sub_a.position_cloud(), sub_b.position_cloud())
+            w2_phase, _ = transport.w2_exact(sub_a.phase_cloud(), sub_b.phase_cloud())
+            assert (r.W2_rho, r.W2_phase) == (w2_rho, w2_phase)
+
+
 class TestEmission:
     def test_simulation_emits_manifested_files(self, tmp_path):
         cfg = small_config(snapshot_stride=2)
@@ -318,6 +404,19 @@ class TestCLI:
         cfg = self.write_cfg(tmp_path, text)
         assert cli.main(["twin", cfg, "--out", str(tmp_path / "o")]) == cli.EXIT_USAGE
         assert "config error" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "field_mode = direct\nsoftening = 0\n",
+            "twin_kind = softening\ntwin_delta = -0.5\n",
+        ],
+    )
+    def test_bad_softening_exits_usage_before_writing(self, tmp_path, capsys, text):
+        cfg = self.write_cfg(tmp_path, text)
+        assert cli.main(["twin", cfg, "--out", str(tmp_path / "o")]) == cli.EXIT_USAGE
+        assert "softening length must be" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     def test_ot_parser_modes(self, tmp_path, capsys):
