@@ -8,7 +8,6 @@ envelope) are certified numerically at desk scale.
 """
 
 from .certify import (
-    OsgoodEnvelope,
     StabilityRecord,
     check_gronwall,
     check_lemma_w2,

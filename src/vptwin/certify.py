@@ -9,6 +9,9 @@ Checks, per recorded step of a twin run:
   - a fitted envelope  dQ/dt <= C Q (1 + log(1/Q))  and its closed-form
     solution  y(t) = exp(1 - (1 - log Q0) e^{-Ct}),  the uniqueness
     witness (y -> 0 pointwise as Q0 -> 0).
+
+osgood_envelope is the one evaluation of that envelope: the containment
+check and the envelope column of the certification file both call it.
 """
 
 from __future__ import annotations
@@ -17,7 +20,6 @@ import math
 from dataclasses import dataclass, fields as dc_fields
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .errors import CheckFailure
 from .fields import GridDensity, field_l2_diff, solve_field_grid
@@ -61,6 +63,8 @@ class StabilityRecord:
 
 
 RECORD_COLUMNS = [f.name for f in dc_fields(StabilityRecord)]
+# written with W2_rho on every exact-OT row (harness._TwinObserver._stride_extras)
+OT_ROW_COLUMNS = ("W2_phase", "Q_sub", "S_sub", "field_l2_diff", "prop31_rhs")
 
 
 # --------------------------------------------------------------------------
@@ -165,12 +169,14 @@ class LemmaW2Report:
 def check_lemma_w2(ens_a, ens_b) -> LemmaW2Report:
     """W2 of the position clouds never exceeds the paired position gap.
 
-    The index pairing is itself a feasible plan, so the exact inequality
-    lhs <= rhs holds up to solver round-off, INEQ_TOL.
+    The index pairing is itself a feasible plan, so W2^2 <= S holds up to
+    solver round-off; passes iff W2^2 - S <= INEQ_TOL, the rule
+    certify_records applies. lhs = W2, rhs = S^{1/2}.
     """
-    rhs = math.sqrt(compute_S(ens_a, ens_b))
+    s = compute_S(ens_a, ens_b)
     lhs, _ = w2_exact(ens_a.position_cloud(), ens_b.position_cloud())
-    return LemmaW2Report(lhs, rhs, rhs - lhs, lhs <= rhs + INEQ_TOL)
+    rhs = math.sqrt(s)
+    return LemmaW2Report(lhs, rhs, rhs - lhs, lhs**2 - s <= INEQ_TOL)
 
 
 # --------------------------------------------------------------------------
@@ -274,59 +280,23 @@ def check_gronwall(records) -> GronwallReport:
 # Osgood envelope
 
 
-@dataclass(frozen=True)
-class OsgoodEnvelope:
-    """Closed-form solution of y' = C y (1 + log(1/y)) from y(0) = Q0.
-
-    For 0 < Q0 <= e:  y(t) = exp(1 - (1 - log Q0) e^{-Ct});  Q0 = e is the
-    fixed point. Q0 = 0 gives the identically-zero solution (uniqueness).
-    """
-
-    C: float
-    Q0: float
-
-    def __post_init__(self):
-        if self.C < 0:
-            raise ValueError("C must be nonnegative")
-        if self.Q0 < 0:
-            raise ValueError("Q0 must be nonnegative")
-
-    def __call__(self, t):
-        return osgood_envelope(self.C, self.Q0, t)
-
-
 def osgood_envelope(C, Q0, t):
-    """Evaluate the Osgood comparison solution at times t.
+    """The solution y(t) = exp(1 - (1 - log Q0) e^{-Ct}) of y' = C y (1 +
+    log(1/y)), y(0) = Q0, at times t (scalar or array).
 
-    Uses the closed form for Q0 <= e; above the fixed point the closed
-    form branch is invalid and a high-accuracy numerical integration is
-    used instead (with a notice via the returned values only).
+    With z = log y the ODE is linear, z' = C (1 - z), so the closed form is
+    exact for every Q0 > 0: it rises toward the fixed point e from below,
+    stays at e, and decays toward it from above. Q0 = 0 gives the
+    identically-zero solution (uniqueness).
     """
+    if C < 0:
+        raise ValueError("C must be nonnegative")
+    if Q0 < 0:
+        raise ValueError("Q0 must be nonnegative")
     t = np.asarray(t, dtype=np.float64)
     if Q0 == 0.0:
         return np.zeros_like(t)
-    if Q0 <= E:
-        return np.exp(1.0 - (1.0 - math.log(Q0)) * np.exp(-C * t))
-    return _osgood_numeric(C, Q0, t)
-
-
-def _osgood_numeric(C, Q0, t):
-    scalar = np.ndim(t) == 0
-    t = np.atleast_1d(np.asarray(t, dtype=np.float64))
-    order = np.argsort(t)
-    ts = t[order]
-    sol = solve_ivp(
-        lambda _, y: C * y * (1.0 + np.log(1.0 / np.maximum(y, 1e-300))),
-        (0.0, max(float(ts[-1]), 1e-30)),
-        [Q0],
-        t_eval=ts,
-        rtol=1e-10,
-        atol=1e-14,
-        method="RK45",
-    )
-    res = np.empty_like(ts)
-    res[order] = sol.y[0]
-    return float(res[0]) if scalar else res
+    return np.exp(1.0 - (1.0 - math.log(Q0)) * np.exp(-C * t))
 
 
 @dataclass
@@ -349,11 +319,10 @@ def osgood_contain(records, C) -> OsgoodContainReport:
         return OsgoodContainReport(C, 0.0, 0.0, 0, 0, True, 0.0)
     t0 = pos[0].t
     q0 = pos[0].Q
-    env = OsgoodEnvelope(C, q0)
     n_ok = 0
     max_excess = -np.inf
     for r in pos:
-        y = float(env(r.t - t0))
+        y = float(osgood_envelope(C, q0, r.t - t0))
         excess = r.Q / y - 1.0
         max_excess = max(max_excess, excess)
         n_ok += excess <= CONTAIN_RTOL
@@ -413,25 +382,31 @@ class CertificationResult:
 def certify_records(records, prop31_tolerance=0.05) -> CertificationResult:
     """Run the full inequality-chain certification over a record series.
 
-    The feasible-plan checks (W2_rho^2 <= 2Q, W2_phase^2 <= 2Q) compare the
-    exact-OT columns against Q and S restricted to the same subsample, so
-    they are exact inequalities up to solver round-off.
+    A row with W2_rho set is an exact-OT row and must carry every column in
+    OT_ROW_COLUMNS, else ValueError names the step and the missing columns.
+    The feasible-plan checks (W2_rho^2 <= S_sub, W2_rho^2 <= 2 Q_sub,
+    W2_phase^2 <= 2 Q_sub) compare the exact-OT columns against the paired
+    costs of the same subsample, so they are exact inequalities up to
+    solver round-off.
     """
     verdicts = {}
     lines = []
 
     ot_rows = [r for r in records if r.W2_rho is not None]
+    for r in ot_rows:
+        missing = [c for c in OT_ROW_COLUMNS if getattr(r, c) is None]
+        if missing:
+            raise ValueError(
+                f"step {r.step}: exact-OT row (W2_rho set) lacks {', '.join(missing)}"
+            )
     prop_ratio = 0.0
     lemma_excess = -np.inf
     remark_excess = -np.inf
     for r in ot_rows:
-        q2 = 2.0 * r.Q_sub if r.Q_sub is not None else 2.0 * r.Q
-        s = r.S_sub if r.S_sub is not None else r.S
-        lemma_excess = max(lemma_excess, r.W2_rho**2 - s, r.W2_rho**2 - q2)
-        if r.W2_phase is not None:
-            remark_excess = max(remark_excess, r.W2_phase**2 - q2)
-        if r.prop31_rhs is not None and r.field_l2_diff is not None:
-            prop_ratio = max(prop_ratio, prop31_ratio(r.field_l2_diff, r.prop31_rhs))
+        q2 = 2.0 * r.Q_sub
+        lemma_excess = max(lemma_excess, r.W2_rho**2 - r.S_sub, r.W2_rho**2 - q2)
+        remark_excess = max(remark_excess, r.W2_phase**2 - q2)
+        prop_ratio = max(prop_ratio, prop31_ratio(r.field_l2_diff, r.prop31_rhs))
     if ot_rows:
         verdicts["lemma_w2"] = bool(lemma_excess <= INEQ_TOL)
         verdicts["remark_phase"] = bool(remark_excess <= INEQ_TOL)

@@ -366,11 +366,6 @@ def field_l2_diff(f1: GridField, f2: GridField) -> float:
 # log-Lipschitz modulus
 
 
-@dataclass(frozen=True)
-class LoglipReport:
-    constant: float
-
-
 def loglip_modulus(
     evaluate,
     region_lo,
@@ -406,7 +401,7 @@ def loglip_modulus(
         best = max(best, float(ratios.max()))  # a NaN ratio drops its separation
     if best < 0.0:
         raise ValueError("no valid sample pairs")
-    return LoglipReport(best)
+    return best
 
 
 # --------------------------------------------------------------------------

@@ -86,6 +86,10 @@ class ScenarioConfig:
             raise ConfigError("epsilon must be 1 or -1")
         if self.n_particles < 2:
             raise ConfigError("n_particles must be >= 2")
+        if self.grid_dims < 2:
+            raise ConfigError("grid_dims must be >= 2")
+        if self.twin_kind == "resolution" and self.twin_grid_dims_b < 2:
+            raise ConfigError("twin_grid_dims_b must be >= 2 with twin_kind = resolution")
         if self.dt <= 0 or self.t_final <= 0 or not self.dt < self.t_final:
             raise ConfigError("need 0 < dt < t_final")
         if self.box_edge <= 0:
@@ -383,14 +387,13 @@ class _TwinObserver:
         h_min = float(np.min(self.spec.h))
         try:
             # trilinear interpolation is only defined on the cell-center hull
-            rep = fields.loglip_modulus(
+            rec.loglip_C = fields.loglip_modulus(
                 field_a.interpolate,
                 self.spec.lo + 0.5 * self.spec.h,
                 self.spec.hi - 0.5 * self.spec.h,
                 s_min=h_min,
                 seed=self.cfg.seed,
             )
-            rec.loglip_C = rep.constant
         except ValueError:
             rec.loglip_C = None
 
@@ -528,16 +531,17 @@ def emit_twin(cfg: ScenarioConfig, outdir) -> str:
 
 def emit_certification(records, outdir, prop31_tol=0.05):
     """cli certify: certification CSV (records + flags) and summary text."""
-    os.makedirs(outdir, exist_ok=True)
     result = certify.certify_records(records, prop31_tolerance=prop31_tol)
+    contain = result.containment
+    os.makedirs(outdir, exist_ok=True)
     cert_path = os.path.join(outdir, "certification.csv")
-    env = certify.OsgoodEnvelope(max(result.gronwall.C_final, 1e-12), max(result.containment.Q0, 0.0))
     with open(cert_path, "w") as fh:
         fh.write(",".join(RECORD_COLUMNS + ["gronwall_ok", "envelope"]) + "\n")
         for r, ok in zip(records, result.gronwall.per_step_ok):
             y = ""
-            if result.containment.Q0 > 0:
-                y = _fmt(float(env(r.t - result.containment.t0)))
+            if contain.Q0 > 0:
+                env = certify.osgood_envelope(contain.C, contain.Q0, r.t - contain.t0)
+                y = _fmt(float(env))
             fh.write(
                 ",".join(_fmt(getattr(r, col)) for col in RECORD_COLUMNS)
                 + f",{'' if ok is None else int(ok)},{y}\n"

@@ -7,13 +7,15 @@ T2 integral, and translation optimality for the field-stability sweep.
 """
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from vptwin import certify
 from vptwin.certify import (
-    OsgoodEnvelope,
     StabilityRecord,
     check_gronwall,
     check_lemma_w2,
@@ -303,14 +305,12 @@ class TestOsgoodEnvelope:
             assert osgood_envelope(1.0, q0, 0.0) == pytest.approx(q0, rel=1e-14)
 
     def test_fixed_point_at_e(self):
-        env = OsgoodEnvelope(C=1.3, Q0=E)
         for t in np.linspace(0, 5, 11):
-            assert env(t) == pytest.approx(E, rel=1e-12)
+            assert osgood_envelope(1.3, E, t) == pytest.approx(E, rel=1e-12)
 
     def test_frozen_dynamics_at_c_zero(self):
-        env = OsgoodEnvelope(C=0.0, Q0=0.37)
         for t in (0.0, 1.0, 4.0):
-            assert env(t) == pytest.approx(0.37, rel=1e-14)
+            assert osgood_envelope(0.0, 0.37, t) == pytest.approx(0.37, rel=1e-14)
 
     def test_zero_initial_condition_stays_zero(self):
         np.testing.assert_array_equal(
@@ -355,8 +355,15 @@ class TestOsgoodEnvelope:
             assert np.all(np.diff(vals) < 0)
             assert vals[-1] < floor
 
-    def test_above_fixed_point_numeric_branch(self):
-        # for Q0 > e the drift is negative: the solution decays toward e
+    def test_above_fixed_point_matches_rk4(self):
+        # z = log y solves the linear z' = C (1 - z), so the closed form
+        # also holds for Q0 > e, where the drift is negative
+        for C in (0.5, 2.0):
+            for q0 in (5.0, 1e3):
+                for t in (1.0, 5.0):
+                    y = osgood_envelope(C, q0, t)
+                    y_rk = rk4_osgood(C, q0, t, 20000)
+                    assert y == pytest.approx(y_rk, rel=1e-12), (C, q0, t)
         q0 = 5.0
         vals = osgood_envelope(1.0, q0, np.linspace(0, 5, 6))
         assert vals[0] == pytest.approx(q0, rel=1e-8)
@@ -365,9 +372,26 @@ class TestOsgoodEnvelope:
 
     def test_invalid_parameters_rejected(self):
         with pytest.raises(ValueError):
-            OsgoodEnvelope(C=-1.0, Q0=0.5)
+            osgood_envelope(-1.0, 0.5, 0.0)
         with pytest.raises(ValueError):
-            OsgoodEnvelope(C=1.0, Q0=-0.5)
+            osgood_envelope(1.0, -0.5, 0.0)
+
+    def test_cli_import_does_not_load_an_integrator(self):
+        code = (
+            "import sys, vptwin.cli, vptwin.harness; "
+            "print('scipy.integrate' in sys.modules)"
+        )
+        # the child imports the vptwin package this test run imports
+        src = os.path.dirname(os.path.dirname(certify.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            check=True,
+            env={**os.environ, "PYTHONPATH": path},
+        )
+        assert out.stdout.strip() == "False"
 
 
 class TestOsgoodContain:
@@ -430,3 +454,15 @@ class TestCertifyRecords:
         recs = [StabilityRecord(step=k, t=0.05 * k, Q=0.0) for k in range(10)]
         result = certify.certify_records(recs)
         assert result.passed
+
+    @pytest.mark.parametrize("column", certify.OT_ROW_COLUMNS)
+    def test_ot_row_missing_column_rejected(self, column):
+        # a complete exact-OT row on step 0 of free streaming, less one column
+        recs = free_streaming_records(1e-3)
+        r = recs[0]
+        r.W2_rho, r.W2_phase = 0.0, 1e-3
+        r.Q_sub, r.S_sub = r.Q, r.S
+        r.field_l2_diff, r.prop31_rhs = 0.0, 0.0
+        setattr(r, column, None)
+        with pytest.raises(ValueError, match=f"step 0: exact-OT row .* {column}"):
+            certify.certify_records(recs)

@@ -390,16 +390,16 @@ class TestInterpolation:
 
 class TestLoglip:
     def test_zero_field(self):
-        rep = loglip_modulus(
+        const = loglip_modulus(
             lambda x: np.zeros_like(x), [-1, -1, -1], [3, 3, 3], s_min=1e-3
         )
-        assert rep.constant == 0.0
+        assert const == 0.0
 
     def test_linear_field_exact_value(self):
         # |F(x)-F(y)| = |x-y| for the identity field, so the ratio is
         # 1/log(1/s), maximized at the largest separation
-        rep = loglip_modulus(lambda x: x, [-2, -2, -2], [2, 2, 2], s_min=1e-3, s_max=0.5)
-        assert rep.constant == pytest.approx(1.0 / np.log(2.0), rel=1e-12)
+        const = loglip_modulus(lambda x: x, [-2, -2, -2], [2, 2, 2], s_min=1e-3, s_max=0.5)
+        assert const == pytest.approx(1.0 / np.log(2.0), rel=1e-12)
 
     def test_stable_under_more_samples(self):
         def f(x):
@@ -408,7 +408,7 @@ class TestLoglip:
         lo, hi = [-2, -2, -2], [2, 2, 2]
         base = loglip_modulus(f, lo, hi, s_min=1e-3, pairs_per_separation=64, seed=1)
         dense = loglip_modulus(f, lo, hi, s_min=1e-3, pairs_per_separation=256, seed=2)
-        assert dense.constant == pytest.approx(base.constant, rel=0.2)
+        assert dense == pytest.approx(base, rel=0.2)
 
     def test_rejects_bad_separation_range(self):
         with pytest.raises(ValueError):

@@ -100,6 +100,8 @@ class TestConfigParsing:
             ("dt = 1e-300\n", "dt"),
             ("dt = 1e-320\n", "dt"),
             ("n_particles = 4100\not_subsample = 5000\not_stride = 1\n", "ot_subsample"),
+            ("grid_dims = 1\n", "grid_dims"),
+            ("twin_kind = resolution\ntwin_grid_dims_b = 1\n", "twin_grid_dims_b"),
         ],
     )
     def test_unrunnable_size_rejected(self, text, key):
@@ -111,6 +113,9 @@ class TestConfigParsing:
         small_config(n_particles=limit + 4, ot_subsample=limit, ot_stride=1)
         small_config(n_particles=limit + 4, ot_subsample=limit + 4, ot_stride=0)
         small_config(dt=2.0 / harness.MAX_STEPS, t_final=2.0)
+        small_config(grid_dims=2, twin_kind="resolution", twin_grid_dims_b=2)
+        # only a resolution twin runs B on twin_grid_dims_b
+        small_config(twin_kind="velocity-shift", twin_grid_dims_b=1)
 
     @pytest.mark.parametrize("key", ["dim", "prop31_tol", "geodesic_tol"])
     def test_removed_keys_are_unknown(self, key):
@@ -398,7 +403,12 @@ class TestCLI:
 
     @pytest.mark.parametrize(
         "text",
-        ["dt = 1e-300\n", "n_particles = 4100\not_subsample = 5000\not_stride = 1\n"],
+        [
+            "dt = 1e-300\n",
+            "n_particles = 4100\not_subsample = 5000\not_stride = 1\n",
+            "grid_dims = 1\n",
+            "twin_kind = resolution\ntwin_grid_dims_b = 1\n",
+        ],
     )
     def test_unrunnable_size_exits_usage(self, tmp_path, capsys, text):
         cfg = self.write_cfg(tmp_path, text)
@@ -470,6 +480,18 @@ class TestCLI:
         p = tmp_path / "records.csv"
         write_records(p, recs)
         assert cli.main(["certify", str(p), "--out", str(tmp_path / "c")]) == cli.EXIT_CHECK
+
+    def test_certify_incomplete_ot_row_exits_usage(self, tmp_path, capsys):
+        # W2_rho without its subsample columns: certifying it against the
+        # full ensemble's Q would compare different measures
+        recs = [StabilityRecord(step=k, t=0.05 * k, Q=1e-4, S=1e-4) for k in range(6)]
+        recs[0].W2_rho = 1e-3
+        p = tmp_path / "records.csv"
+        write_records(p, recs)
+        out = tmp_path / "c"
+        assert cli.main(["certify", str(p), "--out", str(out)]) == cli.EXIT_USAGE
+        assert "step 0: exact-OT row" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_ot_identical_and_fixture(self, tmp_path, capsys):
         a = transport.WeightedCloud([[0, 0, 0], [1, 0, 0]], [0.5, 0.5])
