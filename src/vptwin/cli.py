@@ -3,7 +3,8 @@
 Subcommands: simulate, twin, ot, certify, report. Exit codes:
 0 = pass, 1 = certification check failure, 2 = usage/config error or bad
 input (including an OT solver refusing its input: unequal masses, size
-guards), 3 = numerical divergence, particle escape or a non-converging
+guards), 3 = numerical failure: divergence, particle escape, a field
+evaluated outside its box or on an unsoftened source, or a non-converging
 Sinkhorn solve. On one machine and library build, results are
 byte-identical at any thread count, because the FFT (pocketfft), cdist,
 the KD-tree query and linear_sum_assignment all run single-threaded.
@@ -21,6 +22,8 @@ from .errors import (
     ConfigError,
     DivergenceError,
     EscapeError,
+    OutOfDomainError,
+    SingularityError,
     SinkhornError,
     TransportError,
     VptwinError,
@@ -143,7 +146,14 @@ def main(argv=None) -> int:
     except (OSError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
-    except (DivergenceError, EscapeError, SinkhornError, TwinError) as err:
+    except (
+        DivergenceError,
+        EscapeError,
+        OutOfDomainError,
+        SingularityError,
+        SinkhornError,
+        TwinError,
+    ) as err:
         print(f"numerical failure: {err}", file=sys.stderr)
         return EXIT_DIVERGED
     except TransportError as err:

@@ -2,7 +2,8 @@
 
 The CLI maps these onto exit codes: config problems and other transport
 errors (MassMismatchError, size guards) -> 2, failed certification checks
--> 1, numerical divergence / escapes / SinkhornError -> 3.
+-> 1, numerical failures (DivergenceError, EscapeError, OutOfDomainError,
+SingularityError, SinkhornError) -> 3.
 """
 
 

@@ -487,8 +487,8 @@ def _save_snapshot(outdir, tag, step, ens, written):
 
 def emit_simulation(cfg: ScenarioConfig, outdir) -> str:
     """cli simulate: snapshots plus final density/field dumps + manifest."""
-    os.makedirs(outdir, exist_ok=True)
     result = run_simulation(cfg)
+    os.makedirs(outdir, exist_ok=True)
     written = ["config.txt"]
     with open(os.path.join(outdir, "config.txt"), "w") as fh:
         fh.write(serialize_config(cfg))
@@ -507,8 +507,8 @@ def emit_simulation(cfg: ScenarioConfig, outdir) -> str:
 
 def emit_twin(cfg: ScenarioConfig, outdir) -> str:
     """cli twin: paired snapshots + the StabilityRecord CSV + manifest."""
-    os.makedirs(outdir, exist_ok=True)
     result = run_twin_config(cfg)
+    os.makedirs(outdir, exist_ok=True)
     written = ["config.txt", "records.csv"]
     with open(os.path.join(outdir, "config.txt"), "w") as fh:
         fh.write(serialize_config(cfg))
@@ -555,7 +555,6 @@ def emit_certification(records, outdir, prop31_tol=0.05):
 
 def emit_report(manifest_path, outdir):
     """cli report: consolidated text report + plot-ready CSV tables."""
-    os.makedirs(outdir, exist_ok=True)
     with open(manifest_path) as fh:
         manifest = json.load(fh)
     srcdir = os.path.dirname(os.path.abspath(manifest_path))
@@ -563,20 +562,19 @@ def emit_report(manifest_path, outdir):
     for entry in manifest["files"]:
         lines.append(f"  {entry['name']}  {entry['bytes']} B  sha256 {entry['sha256']}")
     rec_path = os.path.join(srcdir, "records.csv")
+    table = None
     if os.path.exists(rec_path):
         records = read_records(rec_path)
         result = certify.certify_records(records)
         lines += ["", "certification:"] + ["  " + ln for ln in result.summary_lines]
-        table = os.path.join(outdir, "q_table.csv")
-        with open(table, "w") as fh:
-            fh.write("t,Q,T1,T2,W2_rho,W2_phase\n")
-            for r in records:
-                fh.write(
-                    ",".join(
-                        _fmt(v) for v in (r.t, r.Q, r.T1, r.T2, r.W2_rho, r.W2_phase)
-                    )
-                    + "\n"
-                )
+        table = ["t,Q,T1,T2,W2_rho,W2_phase"] + [
+            ",".join(_fmt(v) for v in (r.t, r.Q, r.T1, r.T2, r.W2_rho, r.W2_phase))
+            for r in records
+        ]
+    os.makedirs(outdir, exist_ok=True)
+    if table is not None:
+        with open(os.path.join(outdir, "q_table.csv"), "w") as fh:
+            fh.write("\n".join(table) + "\n")
     report_path = os.path.join(outdir, "report.txt")
     with open(report_path, "w") as fh:
         fh.write("\n".join(lines) + "\n")

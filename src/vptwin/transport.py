@@ -2,8 +2,17 @@
 
 Exact solve uses the assignment algorithm when both clouds have equal size
 and uniform weights, and a transportation LP (HiGHS) otherwise. The
-assignment path first tries a certified nearest-neighbour shortcut that
-builds no n x n cost matrix (see w2_exact). A log-domain entropic solver
+assignment path has three tiers, each returning the permutation
+linear_sum_assignment would return (see w2_exact):
+
+- nearest: every source point's strict nearest target, when these form a
+  permutation (certified by the duals u_i = c_{i sigma(i)}, v = 0);
+- sparse: a min-weight matching on the k-nearest-target graph, certified
+  optimal over all n^2 pairs by column duals and one lifted KD-tree query,
+  and unique by a strong-component test on the near-tight edges;
+- dense: cdist + linear_sum_assignment, when neither certificate holds.
+
+The first two build no n x n cost matrix. A log-domain entropic solver
 covers larger inputs approximately.
 Displacement interpolation moves mass along straight lines of the plan;
 its kinetic energy is the plan cost for every interpolation parameter by
@@ -18,6 +27,11 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 from scipy.optimize import linear_sum_assignment, linprog
+from scipy.sparse.csgraph import (
+    connected_components,
+    maximum_bipartite_matching,
+    min_weight_full_bipartite_matching,
+)
 from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist
 from scipy.special import logsumexp
@@ -32,6 +46,11 @@ MASS_RTOL = 1e-9
 # second squared neighbour distance, and the floor of the second one
 NN_MARGIN = 1e-9
 NN_FLOOR = 1e-300
+# sparse tier of w2_exact: candidate targets per source point (also the
+# lifted neighbours its dual check examines), and the dual tolerance eta in
+# units of n * eps * (dual scale)
+SPARSE_NEIGHBOURS = 8
+ETA_ULPS = 64
 # geodesic_linf_check: an endpoint sup-norm moving by more than this
 # fraction under 2x grid refinement makes the check inconclusive
 STABILITY_RTOL = 0.5
@@ -104,6 +123,9 @@ class TransportPlan:
     source: WeightedCloud
     target: WeightedCloud
     marginal_rtol: float = 1e-9
+    # the solver path that produced the plan: "nearest", "sparse", "dense",
+    # "lp" or "sinkhorn"; None for plans built or loaded by hand
+    solver: str | None = None
 
     def __post_init__(self):
         src = np.ascontiguousarray(self.src, dtype=np.int64)
@@ -173,14 +195,14 @@ def _uniform_equal_weights(a, b):
     )
 
 
-def _nearest_neighbour_permutation(a, b):
-    """The strict nearest-neighbour map of a into b if it is a permutation.
+def _nearest_neighbour_permutation(a, tree):
+    """The strict nearest-neighbour map of a into tree's points if it is a permutation.
 
     Returns the target index of every source point, or None when some
     source point has no clear nearest target (second neighbour within the
     margin) or two source points share their nearest target.
     """
-    dist, idx = cKDTree(b.points).query(a.points, k=2)
+    dist, idx = tree.query(a.points, k=2)
     sq = dist * dist  # a one-point target reports its missing second as inf
     nearest = idx[:, 0]
     clear = np.all((sq[:, 0] * (1.0 + NN_MARGIN) < sq[:, 1]) & (sq[:, 1] >= NN_FLOOR))
@@ -189,47 +211,174 @@ def _nearest_neighbour_permutation(a, b):
     return None
 
 
+def _pair_costs(x, y, rows, cols):
+    return squared_norms(x[rows] - y[cols])
+
+
+def _column_duals(src, dst, weight, n):
+    """Column duals v <= 0 by Bellman-Ford, or None on a negative cycle.
+
+    The source is virtual, joined to every column by a zero arc, and each
+    (src, dst, weight) is an arc between columns, so v_dst <= v_src +
+    weight on every arc. Relaxation still moving after n sweeps means a
+    negative cycle.
+    """
+    v = np.zeros(n)
+    for _ in range(n):
+        relaxed = v.copy()
+        np.minimum.at(relaxed, dst, v[src] + weight)
+        if np.array_equal(relaxed, v):
+            return v
+        v = relaxed
+    return None
+
+
+def _sparse_permutation(a, b, tree):
+    """The unique optimal permutation of a into b, certified without the n x n matrix.
+
+    Returns sigma, or None when any step of the certificate (see w2_exact)
+    fails: the neighbour edges admit no full matching, the duals do not
+    settle, the scale is below NN_FLOOR, a pair still violates dual
+    feasibility after the second round, a source point has more near-tight
+    targets than the lifted query sees, or the near-tight pairs close an
+    alternating cycle.
+    """
+    x, y, n = a.points, b.points, a.n
+    k = min(SPARSE_NEIGHBOURS, n)
+    idx = tree.query(x, k=k)[1].reshape(n, k)
+    knn = sparse.csr_matrix((np.ones(n * k), idx.ravel(), np.arange(0, n * k + 1, k)), (n, n))
+    if np.any(maximum_bipartite_matching(knn, perm_type="column") < 0):
+        return None
+    row_of = np.repeat(np.arange(n), k)  # source index of each of the k per row
+    own = np.flatnonzero(~np.any(idx == np.arange(n)[:, None], axis=1))
+    rows = np.concatenate([row_of, own])
+    cols = np.concatenate([idx.ravel(), own])
+    x_lift = np.column_stack([x, np.zeros(n)])
+    for second_round in (False, True):
+        cost = _pair_costs(x, y, rows, cols)
+        if not cost.max() > 0:
+            return None
+        # the matching needs nonzero weights; the shift is common to all
+        # full matchings
+        graph = sparse.csr_matrix((cost + cost.max(), (rows, cols)), (n, n))
+        sigma = min_weight_full_bipartite_matching(graph)[1]
+        # each candidate edge (i, j) off the plan is the column arc
+        # sigma(i) -> j of weight c_ij - c_{i sigma(i)}
+        on_plan = cols == sigma[rows]
+        plan_cost = np.empty(n)
+        plan_cost[rows[on_plan]] = cost[on_plan]
+        off = ~on_plan
+        v = _column_duals(sigma[rows[off]], cols[off], cost[off] - plan_cost[rows[off]], n)
+        if v is None:
+            return None
+        u = plan_cost - v[sigma]
+        scale = u.max() - v.min()
+        if scale < NN_FLOOR:
+            return None
+        eta = ETA_ULPS * n * np.finfo(np.float64).eps * scale
+        theta = 2 * n * eta
+        # |(x_i, 0) - (y_j, sqrt(-v_j))|^2 = c_ij - v_j: the k lifted
+        # neighbours of x_i are the pairs of least reduced cost c_ij - u_i - v_j
+        near = cKDTree(np.column_stack([y, np.sqrt(-v)])).query(x_lift, k=k)[1].ravel()
+        reduced = _pair_costs(x, y, row_of, near) - u[row_of] - v[near]
+        if k < n and np.any(reduced.reshape(n, k)[:, -1] <= theta):
+            return None
+        bad = reduced < -eta
+        if not bad.any():
+            break
+        if second_round:
+            return None
+        rows = np.concatenate([rows, row_of[bad]])
+        cols = np.concatenate([cols, near[bad]])
+    tight = (reduced <= theta) & (near != sigma[row_of])
+    owner = np.empty(n, dtype=np.int64)
+    owner[sigma] = np.arange(n)
+    arcs = sparse.csr_matrix(
+        (np.ones(np.count_nonzero(tight)), (row_of[tight], owner[near[tight]])), (n, n)
+    )
+    if connected_components(arcs, directed=True, connection="strong")[0] != n:
+        return None
+    return sigma
+
+
 def w2_exact(a: WeightedCloud, b: WeightedCloud):
     """Exact Wasserstein-2 distance and optimal plan.
 
-    Returns (distance, plan) with distance**2 == plan.cost. Raises
-    MassMismatchError / TransportError instead of ever returning a silent
-    approximation.
+    Returns (distance, plan) with distance**2 == plan.cost; plan.solver
+    names the path that ran. Raises MassMismatchError / TransportError
+    instead of ever returning a silent approximation.
 
-    Equal-size uniform-weight clouds take the assignment path. It first
-    asks a KD-tree for the two nearest targets of every source point. If
-    each nearest target is strictly nearer than the second one, by a
-    relative margin NN_MARGIN on squared distance, and the nearest targets
-    are pairwise distinct, the nearest-neighbour map sigma is returned
-    without building the n x n cost matrix. Every row of that matrix then
-    has its strict minimum at sigma(i), so sigma is its unique optimal
-    assignment, certified by the feasible duals u_i = c_{i sigma(i)},
-    v_j = 0 (c_ij - u_i - v_j >= 0, with equality on the plan), and it is
-    the permutation linear_sum_assignment returns: the plan and its cost
-    are bitwise the dense path's. The margin covers the rounding gap
-    between KD-tree and cdist squared distances, at most about (d + 2)
-    eps relative, i.e. below 1e-14 for d <= 6; NN_FLOOR keeps the second
-    distance clear of underflow, where relative bounds fail. Otherwise
-    the dense cdist + linear_sum_assignment path runs. Unequal or
-    non-uniform weights take the transportation LP. Minimality on both
-    paths is also checked against brute-force enumeration in the tests.
+    Equal-size uniform-weight clouds take the assignment path, whose tiers
+    all return the permutation linear_sum_assignment returns on the cdist
+    matrix C, so plan and cost are bitwise the dense path's.
+
+    nearest: a KD-tree gives the two nearest targets of every source
+    point. If each nearest target is strictly nearer than the second one,
+    by a relative margin NN_MARGIN on squared distance, and the nearest
+    targets are pairwise distinct, the nearest-neighbour map sigma is
+    returned. Every row of C then has its strict minimum at sigma(i), so
+    sigma is its unique optimal assignment, certified by the feasible
+    duals u_i = c_{i sigma(i)}, v_j = 0 (c_ij - u_i - v_j >= 0, with
+    equality on the plan), and it is the permutation linear_sum_assignment
+    returns. The margin covers the rounding gap between KD-tree and cdist
+    squared distances, at most about (d + 2) eps relative, i.e. below
+    1e-14 for d <= 6; NN_FLOOR keeps the second distance clear of
+    underflow, where relative bounds fail.
+
+    sparse: the candidate graph holds the SPARSE_NEIGHBOURS nearest targets
+    of every source point plus the index pairing i -> i; it is used only
+    if the neighbour edges alone admit a full matching (otherwise the
+    matching must run through long index-pairing edges, which is slower
+    than the dense solve). min_weight_full_bipartite_matching gives sigma
+    on the graph, Bellman-Ford the column duals v <= 0, and u_i = c_{i
+    sigma(i)} - v_{sigma(i)}. Dual feasibility c_ij - u_i - v_j >= -eta
+    is checked over all n^2 pairs by one KD-tree query in d + 1 dimensions
+    against the lifted targets (y_j, sqrt(-v_j)), whose squared distance
+    to (x_i, 0) is c_ij - v_j; pairs that violate it join the graph for
+    one more round. sigma is accepted only if the near-tight pairs off the
+    plan (reduced cost <= theta) close no alternating cycle: the arcs
+    i -> sigma^-1(j) must have n singleton strong components.
+    Rounding: let s = max(u) + max(-v). It bounds u_i, -v_j and every
+    c_ij whose reduced cost is near theta, so with eta = ETA_ULPS n eps s
+    and theta = 2 n eta the rounding of the computed costs and of the
+    lifted distances, within (d + 3) eps s of exact, is far below eta
+    (the Bellman-Ford sums, up to n eps s, are why eta grows with n). Any
+    other permutation tau differs from sigma on alternating cycles; each
+    cycle holds a pair of reduced cost above theta, and every other pair
+    costs at least -eta. The duals cancel over both permutations, so on C
+    cost(tau) - cost(sigma) >= theta - n eta = ETA_ULPS n^2 eps s. The
+    shortest augmenting paths of linear_sum_assignment compare reduced
+    costs of that same size, so their double-precision error is
+    O(n^2 eps s) on the total cost, well inside that gap, and they cannot
+    return tau. Ties and near-ties inside theta, duplicate points and a
+    scale s below NN_FLOOR therefore fall through to the dense solve.
+
+    dense: cdist + linear_sum_assignment. Unequal or non-uniform weights
+    take the transportation LP. Minimality on every path is also checked
+    against brute-force enumeration in the tests.
     """
     _check_mass(a, b)
     if _uniform_equal_weights(a, b):
-        if a.n > MAX_ASSIGNMENT_SIDE:
-            raise TransportError(
-                f"cloud sides {a.n} exceed the exact-solver guard {MAX_ASSIGNMENT_SIDE}"
-            )
-        cols = _nearest_neighbour_permutation(a, b)
-        if cols is not None:
-            rows = np.arange(a.n)
-        else:
-            rows, cols = linear_sum_assignment(cdist(a.points, b.points, "sqeuclidean"))
-        plan = TransportPlan(rows, cols, a.weights[rows], a, b)
+        plan = _assignment_plan(a, b)
     else:
         plan = _lp_plan(a, b)
-    cost = plan.cost
-    return math.sqrt(max(cost, 0.0)), plan
+    return math.sqrt(max(plan.cost, 0.0)), plan
+
+
+def _assignment_plan(a, b):
+    if a.n > MAX_ASSIGNMENT_SIDE:
+        raise TransportError(
+            f"cloud sides {a.n} exceed the exact-solver guard {MAX_ASSIGNMENT_SIDE}"
+        )
+    tree = cKDTree(b.points)
+    rows = np.arange(a.n)
+    solver, cols = "nearest", _nearest_neighbour_permutation(a, tree)
+    if cols is None:
+        solver, cols = "sparse", _sparse_permutation(a, b, tree)
+    if cols is None:
+        solver = "dense"
+        rows, cols = linear_sum_assignment(cdist(a.points, b.points, "sqeuclidean"))
+    return TransportPlan(rows, cols, a.weights[rows], a, b, solver=solver)
 
 
 def _lp_plan(a, b):
@@ -259,7 +408,7 @@ def _lp_plan(a, b):
         raise TransportError(f"transportation LP failed: {res.message}")
     x = res.x.reshape(n, m)
     src, tgt = np.nonzero(x > 0)
-    return TransportPlan(src, tgt, x[src, tgt], a, b, marginal_rtol=1e-9)
+    return TransportPlan(src, tgt, x[src, tgt], a, b, marginal_rtol=1e-9, solver="lp")
 
 
 # --------------------------------------------------------------------------
@@ -328,6 +477,7 @@ def w2_sinkhorn(
         a,
         b,
         marginal_rtol=max(tol, 1e-9),
+        solver="sinkhorn",
     )
     return math.sqrt(max(plan.cost, 0.0)), plan
 

@@ -44,7 +44,8 @@ def report(criterion, passed, detail):
 
 class TestAcceptance:
     def test_criterion_01_ot_oracle_equivalence(self):
-        t0 = time.perf_counter()
+        # the 10 s budget is the solver's: the brute-force oracle is not timed
+        elapsed = 0.0
         rng = np.random.default_rng(1001)
         worst = 0.0
         for _ in range(50):
@@ -52,7 +53,9 @@ class TestAcceptance:
             w = np.full(n, 1.0 / n)
             a = WeightedCloud(rng.normal(size=(n, 3)), w)
             b = WeightedCloud(rng.normal(size=(n, 3)), w)
+            t0 = time.perf_counter()
             d, _ = transport.w2_exact(a, b)
+            elapsed += time.perf_counter() - t0
             best = min(
                 float(
                     np.sum(w[:, None] * (a.points - b.points[list(p)]) ** 2)
@@ -60,7 +63,6 @@ class TestAcceptance:
                 for p in itertools.permutations(range(n))
             )
             worst = max(worst, abs(d - math.sqrt(best)))
-        elapsed = time.perf_counter() - t0
         report(
             "1 (OT oracle equivalence)",
             worst <= 1e-12 and elapsed < 10.0,

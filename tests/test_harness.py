@@ -13,7 +13,7 @@ import pytest
 
 from vptwin import certify, cli, dynamics, fields, harness, presets, transport
 from vptwin.certify import RECORD_COLUMNS, StabilityRecord
-from vptwin.errors import ConfigError
+from vptwin.errors import ConfigError, OutOfDomainError, SingularityError
 from vptwin.harness import (
     ScenarioConfig,
     parse_config,
@@ -449,6 +449,46 @@ class TestCLI:
             "box_edge = 0.5\ndt = 0.01\nt_final = 0.1\n",
         )
         assert cli.main(["simulate", cfg, "--out", str(tmp_path / "o")]) == cli.EXIT_DIVERGED
+        assert not (tmp_path / "o").exists()
+
+    def test_report_on_missing_manifest_leaves_no_directory(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert cli.main(["report", str(tmp_path / "manifest.json"), "--out", str(out)]) == (
+            cli.EXIT_USAGE
+        )
+        assert not out.exists()
+
+    def test_failed_twin_leaves_no_directory(self, tmp_path, capsys):
+        # the blob escapes the 0.5-wide box at once: exit 3 before any file
+        cfg = self.write_cfg(
+            tmp_path,
+            "scenario = gaussian-blob\nn_particles = 64\ngrid_dims = 8\n"
+            "box_edge = 0.5\ndt = 0.01\nt_final = 0.1\n"
+            "twin_kind = velocity-shift\ntwin_delta = 0.01\n",
+        )
+        out = tmp_path / "o"
+        assert cli.main(["twin", cfg, "--out", str(out)]) == cli.EXIT_DIVERGED
+        assert "outside the grid box" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "error",
+        [
+            OutOfDomainError([[9.0, 0.0, 0.0]]),
+            SingularityError("1 target(s) coincide with unsoftened sources"),
+        ],
+        ids=["out-of-domain", "singularity"],
+    )
+    def test_field_errors_exit_diverged(self, tmp_path, capsys, monkeypatch, error):
+        def failing(cfg):
+            raise error
+
+        monkeypatch.setattr(harness, "run_twin_config", failing)
+        cfg = self.write_cfg(tmp_path, "scenario = free-streaming\nfield_mode = none\n")
+        out = tmp_path / "o"
+        assert cli.main(["twin", cfg, "--out", str(out)]) == cli.EXIT_DIVERGED
+        assert f"numerical failure: {error}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_twin_and_certify_pipeline(self, tmp_path, capsys):
         cfg = self.write_cfg(

@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.optimize import linear_sum_assignment
+from scipy.sparse.csgraph import min_weight_full_bipartite_matching
 from scipy.spatial.distance import cdist
 
 from vptwin import fields, transport
@@ -99,6 +100,7 @@ class TestW2Exact:
         d_eq, _ = w2_exact(a_eq, b)
         assert d_lp == pytest.approx(d_eq, rel=1e-9)
         assert np.all(plan.mass >= 0)
+        assert plan.solver == "lp"
 
     def test_metric_properties(self):
         rng = np.random.default_rng(RNG_SEED)
@@ -192,37 +194,48 @@ class TestNearestNeighbourShortcut:
         a, b = uniform(x), uniform(y)
         got = w2_exact(a, b)
         assert lsa_calls == []
+        assert got[1].solver == "nearest"
         if shuffle:
             assert not np.array_equal(got[1].tgt, np.arange(n))
         assert_same_bits(got, dense_w2(a, b))
 
     def test_colliding_nearest_neighbours_fall_back(self, lsa_calls):
-        # both source points are nearest to target 0
+        # both source points are nearest to target 0; the optimum is unique,
+        # so the sparse tier serves it
         a = uniform([[0, 0, 0], [1, 0, 0]])
         b = uniform([[0.9, 0, 0], [5, 0, 0]])
         got = w2_exact(a, b)
-        assert lsa_calls == [(2, 2)]
+        assert got[1].solver == "sparse"
+        assert lsa_calls == []
         assert_same_bits(got, dense_w2(a, b))
         assert got[0] == pytest.approx(brute_force_w2(a, b), rel=1e-12)
 
     def test_exact_tie_falls_back(self, lsa_calls):
-        # every interior point of the line is equidistant from two targets
+        # every interior point of the line is equidistant from two targets,
+        # but the translation is the unique optimal plan
         line = np.zeros((6, 3))
         line[:, 0] = np.arange(6)
         a = uniform(line)
         b = a.translate([0.5, 0, 0])
         got = w2_exact(a, b)
-        assert lsa_calls == [(6, 6)]
+        assert got[1].solver == "sparse"
+        assert lsa_calls == []
+        assert np.array_equal(got[1].tgt, np.arange(6))
         assert_same_bits(got, dense_w2(a, b))
         assert got[0] == pytest.approx(0.5, rel=1e-12)
 
-    @pytest.mark.parametrize("gap, dense_calls", [(1e-12, [(2, 2)]), (1e-6, [])])
-    def test_near_tie_inside_margin_falls_back(self, lsa_calls, gap, dense_calls):
+    @pytest.mark.parametrize(
+        "gap, dense_calls, solver", [(1e-12, [], "sparse"), (1e-6, [], "nearest")]
+    )
+    def test_near_tie_inside_margin_falls_back(self, lsa_calls, gap, dense_calls, solver):
         # source 0 is nearest to target 0, target 1 only `gap` farther; the
-        # map is a permutation either way, the margin alone decides
+        # map is a permutation either way, the margin alone decides whether
+        # the shortcut serves it (the optimum is unique, so the sparse tier
+        # serves it otherwise)
         a = uniform([[0, 0, 0], [1, 0, 0]])
         b = uniform([[-0.4, 0, 0], [0.4 + gap, 0, 0]])
         got = w2_exact(a, b)
+        assert got[1].solver == solver
         assert lsa_calls == dense_calls
         assert_same_bits(got, dense_w2(a, b))
 
@@ -233,13 +246,16 @@ class TestNearestNeighbourShortcut:
         b = uniform([[1e-160, 0, 0], [3e-160, 0, 0]])
         got = w2_exact(a, b)
         assert lsa_calls == [(2, 2)]
+        assert got[1].solver == "dense"
         assert_same_bits(got, dense_w2(a, b))
 
     def test_duplicate_source_points_fall_back(self, lsa_calls):
+        # the two coincident sources can swap targets at equal cost: a tie
         a = uniform([[0, 0, 0], [0, 0, 0], [3, 0, 0]])
         b = uniform([[0.1, 0, 0], [0, 0.3, 0], [3, 0, 0]])
         got = w2_exact(a, b)
         assert lsa_calls == [(3, 3)]
+        assert got[1].solver == "dense"
         assert_same_bits(got, dense_w2(a, b))
         assert got[0] == pytest.approx(brute_force_w2(a, b), rel=1e-12)
 
@@ -248,6 +264,7 @@ class TestNearestNeighbourShortcut:
         b = a.translate([0.5, 0, 0])
         got = w2_exact(a, b)
         assert lsa_calls == []
+        assert got[1].solver == "nearest"
         assert got[0] == 0.5
         assert_same_bits(got, dense_w2(a, b))
 
@@ -264,23 +281,158 @@ class TestNearestNeighbourShortcut:
             w2_exact(a, a.translate([0.5, 0, 0]))
 
 
+class TestSparseTier:
+    """The certified sparse tier between the shortcut and the dense solve."""
+
+    def test_exact_tie_reaches_dense(self, lsa_calls):
+        # both pairings of these unit-square corners cost 2
+        a = uniform([[0, 0, 0], [1, 1, 0]])
+        b = uniform([[1, 0, 0], [0, 1, 0]])
+        got = w2_exact(a, b)
+        assert lsa_calls == [(2, 2)]
+        assert got[1].solver == "dense"
+        assert_same_bits(got, dense_w2(a, b))
+        assert got[0] == pytest.approx(brute_force_w2(a, b), rel=1e-12)
+
+    def test_near_tie_inside_theta_reaches_dense(self, lsa_calls):
+        # the two pairings differ by 2e-14 in cost, inside the margin theta
+        a = uniform([[0, 0, 0], [1, 1, 0]])
+        b = uniform([[1, 0, 0], [0, 1 + 1e-14, 0]])
+        got = w2_exact(a, b)
+        assert lsa_calls == [(2, 2)]
+        assert got[1].solver == "dense"
+        assert_same_bits(got, dense_w2(a, b))
+
+    def test_duplicate_points_reach_dense(self, lsa_calls):
+        # coincident pairs in both clouds: their targets can swap at no cost
+        a = uniform([[0, 0, 0], [2, 0, 0], [2, 0, 0], [5, 0, 0]])
+        b = uniform([[0.2, 0, 0], [2.5, 0, 0], [2.5, 0, 0], [5.1, 0, 0]])
+        got = w2_exact(a, b)
+        assert lsa_calls == [(4, 4)]
+        assert got[1].solver == "dense"
+        assert_same_bits(got, dense_w2(a, b))
+        assert got[0] == pytest.approx(brute_force_w2(a, b), rel=1e-12)
+
+    def test_coincident_clouds_reach_dense(self, lsa_calls):
+        # every candidate pair costs 0: no nonzero weight for the matching
+        a = uniform(np.ones((3, 3)))
+        got = w2_exact(a, a)
+        assert lsa_calls == [(3, 3)]
+        assert got[1].solver == "dense"
+        assert got[0] == 0.0
+
+    def test_jittered_translation_builds_no_cost_matrix(self, monkeypatch, lsa_calls):
+        def no_cdist(*args, **kwargs):
+            raise AssertionError("n x n cost matrix built")
+
+        monkeypatch.setattr(transport, "cdist", no_cdist)
+        rng = np.random.default_rng(RNG_SEED)
+        n = 2048
+        x = rng.normal(size=(n, 3))
+        a, b = uniform(x), uniform(x + 0.01 * rng.normal(size=(n, 3)))
+        got = w2_exact(a, b)
+        assert got[1].solver == "sparse"
+        assert lsa_calls == []
+        monkeypatch.undo()
+        assert_same_bits(got, dense_w2(a, b))
+
+    def test_violated_pairs_join_a_second_round(self, monkeypatch, lsa_calls):
+        # an optimal pair outside the 8 nearest targets: the first round's
+        # duals violate it, the second round's graph holds it
+        solves = []
+
+        def counting(graph):
+            solves.append(graph.nnz)
+            return min_weight_full_bipartite_matching(graph)
+
+        monkeypatch.setattr(transport, "min_weight_full_bipartite_matching", counting)
+        rng = np.random.default_rng(162)
+        x = rng.normal(size=(24, 3))
+        a, b = uniform(x), uniform(x + 0.3 * rng.normal(size=(24, 3)))
+        got = w2_exact(a, b)
+        assert got[1].solver == "sparse"
+        assert len(solves) == 2 and solves[1] > solves[0]
+        assert lsa_calls == []
+        assert_same_bits(got, dense_w2(a, b))
+
+    def test_no_full_matching_on_neighbours_reaches_dense(self, monkeypatch, lsa_calls):
+        # independent samples: the nearest-target graph has no full matching
+        def no_solve(graph):
+            raise AssertionError("sparse matching solved")
+
+        monkeypatch.setattr(transport, "min_weight_full_bipartite_matching", no_solve)
+        rng = np.random.default_rng(RNG_SEED)
+        a, b = uniform(rng.normal(size=(64, 3))), uniform(rng.normal(size=(64, 3)))
+        got = w2_exact(a, b)
+        assert lsa_calls == [(64, 64)]
+        assert got[1].solver == "dense"
+
+    def test_non_optimal_candidate_is_refused(self, monkeypatch, lsa_calls):
+        # a matching solver returning the worse pairing: its duals have a
+        # negative cycle, so the certificate fails
+        monkeypatch.setattr(
+            transport, "min_weight_full_bipartite_matching", lambda g: (np.arange(2), np.array([1, 0]))
+        )
+        a = uniform([[0, 0, 0], [1, 0, 0]])
+        b = uniform([[0.9, 0, 0], [5, 0, 0]])
+        got = w2_exact(a, b)
+        assert lsa_calls == [(2, 2)]
+        assert got[1].solver == "dense"
+        assert np.array_equal(got[1].tgt, [0, 1])
+
+    def test_infeasible_duals_are_refused(self, monkeypatch, lsa_calls):
+        # zero column duals are feasible only for the nearest-neighbour map;
+        # the lifted check finds the violated pair in both rounds
+        monkeypatch.setattr(transport, "_column_duals", lambda src, dst, weight, n: np.zeros(n))
+        a = uniform([[0, 0, 0], [1, 0, 0]])
+        b = uniform([[0.9, 0, 0], [5, 0, 0]])
+        got = w2_exact(a, b)
+        assert lsa_calls == [(2, 2)]
+        assert got[1].solver == "dense"
+
+    def test_sinkhorn_plan_names_its_solver(self):
+        a = uniform([[0, 0, 0], [1, 0, 0]])
+        _, plan = w2_sinkhorn(a, a.translate([0.1, 0, 0]), regularization=1e-2)
+        assert plan.solver == "sinkhorn"
+
+
 _COORD = st.floats(-10, 10, allow_nan=False, allow_infinity=False)
 
 
 @st.composite
 def equal_weight_pairs(draw):
-    n = draw(st.integers(1, 8))
+    """Small pairs with hypothesis-drawn coordinates (brute force applies),
+    and pairs of 16-256 points, more than the sparse tier's neighbours,
+    drawn from a seeded generator."""
     d = draw(st.sampled_from([3, 6]))
-    x = draw(arrays(np.float64, (n, d), elements=_COORD))
-    kind = draw(st.sampled_from(["independent", "translate", "duplicates"]))
-    if kind == "independent":
-        y = draw(arrays(np.float64, (n, d), elements=_COORD))
+    if draw(st.booleans()):
+        n = draw(st.integers(1, 8))
+        x = draw(arrays(np.float64, (n, d), elements=_COORD))
+        kind = draw(st.sampled_from(["independent", "translate", "duplicates"]))
+        if kind == "independent":
+            y = draw(arrays(np.float64, (n, d), elements=_COORD))
+        else:
+            y = x + draw(arrays(np.float64, (d,), elements=st.floats(-1, 1)))
+            if kind == "duplicates":
+                x[draw(st.integers(0, n - 1))] = x[0]
+                y[draw(st.integers(0, n - 1))] = y[-1]
+        y = y[draw(st.permutations(range(n)))]
+        return uniform(x), uniform(y)
+    n = draw(st.integers(16, 256))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["jitter", "lattice", "duplicates"]))
+    if kind == "lattice":
+        # integer points moved by half a spacing: many exact ties
+        x = rng.integers(0, 6, size=(n, d)).astype(np.float64)
+        y = x + 0.5 * rng.integers(-1, 2, size=d)
     else:
-        y = x + draw(arrays(np.float64, (d,), elements=st.floats(-1, 1)))
+        x = rng.normal(size=(n, d))
+        shift = draw(st.sampled_from([0.0, 0.1, 0.3, 1.0])) * rng.normal(size=d)
+        y = x + shift + draw(st.sampled_from([0.0, 1e-3, 1e-2, 0.1])) * rng.normal(size=(n, d))
         if kind == "duplicates":
-            x[draw(st.integers(0, n - 1))] = x[0]
-            y[draw(st.integers(0, n - 1))] = y[-1]
-    y = y[draw(st.permutations(range(n)))]
+            x[rng.integers(0, n, size=n // 8)] = x[0]
+    if draw(st.booleans()):
+        y = y[rng.permutation(n)]
     return uniform(x), uniform(y)
 
 
@@ -291,7 +443,8 @@ class TestW2ExactProperties:
         a, b = pair
         got = w2_exact(a, b)
         assert_same_bits(got, dense_w2(a, b))
-        assert got[0] == pytest.approx(brute_force_w2(a, b), rel=1e-12, abs=1e-12)
+        if a.n <= 8:
+            assert got[0] == pytest.approx(brute_force_w2(a, b), rel=1e-12, abs=1e-12)
 
 
 class TestSinkhorn:
