@@ -3,9 +3,10 @@
 Checks, per recorded step of a twin run:
   - Q(t) = 1/2 sum_i w_i |Xi_1,i - Xi_2,i|^2 and its measured dQ/dt,
   - the field-stability estimate  ||grad Psi_1 - grad Psi_2||_L2
-      <= max(sup rho_1, sup rho_2)^(1/2) * W2(rho_1, rho_2),
+      <= max(sup rho_1, sup rho_2)^(1/2) * W2(rho_1, rho_2), up to the
+      factor 1 + PROP31_TOL,
   - the feasible-plan bounds  W2_rho^2 <= S <= 2Q and W2_phase^2 <= 2Q,
-  - the differential inequality  dQ/dt <= Q + sqrt(Q (T1 + T2)),
+  - the differential inequality  dQ/dt <= Q + sqrt(2Q) (sqrt(T1) + sqrt(T2)),
   - a fitted envelope  dQ/dt <= C Q (1 + log(1/Q))  and its closed-form
     solution  y(t) = exp(1 - (1 - log Q0) e^{-Ct}),  the uniqueness
     witness (y -> 0 pointwise as Q0 -> 0).
@@ -26,6 +27,7 @@ from .fields import GridDensity, field_l2_diff, solve_field_grid
 from .transport import WeightedCloud, coupling_cost, squared_norms, w2_exact
 
 E = math.e
+PROP31_TOL = 0.05  # Prop. 3.1 passes while lhs <= (1 + PROP31_TOL) rhs
 PROP31_ZERO_TOL = 1e-12  # a field difference above this with W2 = 0 is inconsistent
 INEQ_TOL = 1e-9  # solver round-off allowed in the W2 <= feasible-plan checks
 GRONWALL_MIN_FRACTION = 0.99  # share of checked steps the dQ/dt check must hold at
@@ -119,7 +121,6 @@ class Prop31Report:
     rhs: float
     ratio: float
     passed: bool
-    tolerance: float
 
 
 def prop31_sides(rho1: GridDensity, rho2: GridDensity, field1, field2, w2):
@@ -140,22 +141,21 @@ def check_prop31(
     rho2: GridDensity,
     cloud1: WeightedCloud,
     cloud2: WeightedCloud,
-    tolerance: float = 0.05,
 ) -> Prop31Report:
     """Field-difference L2 norm vs sup-norm-weighted Wasserstein distance.
 
     lhs and rhs are prop31_sides of the two grid fields and W2(cloud1,
-    cloud2); passes iff lhs <= (1 + tol) rhs. rhs = 0 with lhs above
-    PROP31_ZERO_TOL flags an inconsistency.
+    cloud2); passes iff lhs <= (1 + PROP31_TOL) rhs. rhs = 0 with lhs
+    above PROP31_ZERO_TOL flags an inconsistency.
     """
-    if not rho1.spec.same_geometry(rho2.spec):
+    if rho1.spec != rho2.spec:
         raise ValueError("densities must share a common grid")
     w2, _ = w2_exact(cloud1, cloud2)
     lhs, rhs = prop31_sides(rho1, rho2, solve_field_grid(rho1), solve_field_grid(rho2), w2)
     ratio = prop31_ratio(lhs, rhs)
     if rhs == 0.0 and ratio > 0.0:
         raise CheckFailure(f"identical densities (W2 = 0) but field difference {lhs:.3e}")
-    return Prop31Report(lhs, rhs, ratio, ratio <= 1.0 + tolerance, tolerance)
+    return Prop31Report(lhs, rhs, ratio, ratio <= 1.0 + PROP31_TOL)
 
 
 @dataclass(frozen=True)
@@ -223,8 +223,14 @@ class GronwallReport:
 
 
 def check_gronwall(records) -> GronwallReport:
-    """Verify dQ/dt <= Q + sqrt(Q (T1 + T2)) + FD tolerance per step and fit
-    the empirical envelope constants on the small-gap window.
+    """Verify dQ/dt <= Q + sqrt(2Q) (sqrt(T1) + sqrt(T2)) + FD tolerance per
+    step and fit the empirical envelope constants on the small-gap window.
+
+    The bound is the one the argument proves. With dx, dv the twin gaps,
+    dQ/dt = sum w (dx.dv + dv.(F_A(X_A) - F_B(X_B))). AM-GM bounds the
+    first term by Q. Split F_A(X_A) - F_B(X_B) = d1 - d2 with d1 = F_B(X_A)
+    - F_B(X_B) and d2 = F_B(X_A) - F_A(X_A) (compute_T1_T2); Cauchy-Schwarz
+    and Minkowski bound the second term by sqrt(2Q) (sqrt(T1) + sqrt(T2)).
 
     Requires uniformly spaced records. Steps with Q = 0 are skipped and
     listed. The validity window is where the max particle gap stays <= 1/e
@@ -248,7 +254,7 @@ def check_gronwall(records) -> GronwallReport:
             skipped.append(r.step)
             per_ok.append(None)
             continue
-        bound = r.Q + math.sqrt(r.Q * (r.T1 + r.T2)) + tol[i]
+        bound = r.Q + math.sqrt(2.0 * r.Q) * (math.sqrt(r.T1) + math.sqrt(r.T2)) + tol[i]
         ok = r.dQdt <= bound
         per_ok.append(ok)
         n_checked += 1
@@ -379,7 +385,7 @@ class CertificationResult:
     passed: bool
 
 
-def certify_records(records, prop31_tolerance=0.05) -> CertificationResult:
+def certify_records(records) -> CertificationResult:
     """Run the full inequality-chain certification over a record series.
 
     A row with W2_rho set is an exact-OT row and must carry every column in
@@ -410,17 +416,17 @@ def certify_records(records, prop31_tolerance=0.05) -> CertificationResult:
     if ot_rows:
         verdicts["lemma_w2"] = bool(lemma_excess <= INEQ_TOL)
         verdicts["remark_phase"] = bool(remark_excess <= INEQ_TOL)
-        verdicts["prop31"] = bool(prop_ratio <= 1.0 + prop31_tolerance)
+        verdicts["prop31"] = bool(prop_ratio <= 1.0 + PROP31_TOL)
         lines.append(
-            f"lemma_w2: W2_rho^2 - 2Q max excess {lemma_excess:.3e} "
+            f"lemma_w2: W2_rho^2 - min(S_sub, 2Q_sub) max excess {lemma_excess:.3e} "
             f"-> {'PASS' if verdicts['lemma_w2'] else 'FAIL'}"
         )
         lines.append(
-            f"remark_phase: W2_phase^2 - 2Q max excess {remark_excess:.3e} "
+            f"remark_phase: W2_phase^2 - 2Q_sub max excess {remark_excess:.3e} "
             f"-> {'PASS' if verdicts['remark_phase'] else 'FAIL'}"
         )
         lines.append(
-            f"prop31: max ratio {prop_ratio:.4f} (tol 1 + {prop31_tolerance}) "
+            f"prop31: max ratio {prop_ratio:.4f} (tol 1 + {PROP31_TOL}) "
             f"-> {'PASS' if verdicts['prop31'] else 'FAIL'}"
         )
     else:
@@ -430,7 +436,7 @@ def certify_records(records, prop31_tolerance=0.05) -> CertificationResult:
     gron = check_gronwall(records)
     verdicts["gronwall"] = bool(gron.fraction_satisfied >= GRONWALL_MIN_FRACTION)
     lines.append(
-        f"gronwall: dQ/dt <= Q + sqrt(Q(T1+T2)) at "
+        f"gronwall: dQ/dt <= Q + sqrt(2Q)(sqrt(T1)+sqrt(T2)) at "
         f"{gron.n_satisfied}/{gron.n_checked} checked steps "
         f"({100 * gron.fraction_satisfied:.1f}%, need >= {100 * GRONWALL_MIN_FRACTION:.0f}%) "
         f"-> {'PASS' if verdicts['gronwall'] else 'FAIL'}"

@@ -1,13 +1,12 @@
 """Command-line entry points.
 
-Subcommands: simulate, twin, ot, certify, report. Exit codes:
-0 = pass, 1 = certification check failure, 2 = usage/config error or bad
-input (including an OT solver refusing its input: unequal masses, size
-guards), 3 = numerical failure: divergence, particle escape, a field
-evaluated outside its box or on an unsoftened source, or a non-converging
-Sinkhorn solve. On one machine and library build, results are
-byte-identical at any thread count, because the FFT (pocketfft), cdist,
-the KD-tree query and linear_sum_assignment all run single-threaded.
+Subcommands: simulate, twin, ot, certify, report. Exit codes: 0 = pass,
+1 = certification check failure, 2 = usage/config error or bad input,
+3 = numerical failure. Every package error carries its own code and
+stderr prefix (see errors.py); OSError and ValueError exit 2. On one
+machine and library build, results are byte-identical at any thread
+count, because the FFT (pocketfft), cdist, the KD-tree query and
+linear_sum_assignment all run single-threaded.
 """
 
 from __future__ import annotations
@@ -16,23 +15,8 @@ import argparse
 import sys
 
 from . import harness, presets, transport
-from .dynamics import TwinError
-from .errors import (
-    CheckFailure,
-    ConfigError,
-    DivergenceError,
-    EscapeError,
-    OutOfDomainError,
-    SingularityError,
-    SinkhornError,
-    TransportError,
-    VptwinError,
-)
-
-EXIT_PASS = 0
-EXIT_CHECK = 1
-EXIT_USAGE = 2
-EXIT_DIVERGED = 3
+# all four codes stay importable as cli.EXIT_*
+from .errors import EXIT_CHECK, EXIT_DIVERGED, EXIT_PASS, EXIT_USAGE, ConfigError, VptwinError
 
 
 def _load_config(arg):
@@ -73,12 +57,7 @@ def _cmd_ot(args):
 
 def _cmd_certify(args):
     records = harness.read_records(args.records)
-    if args.window:
-        t0, t1 = args.window
-        records = [r for r in records if t0 <= r.t <= t1]
-    result, cert_path, summary_path = harness.emit_certification(
-        records, args.out, prop31_tol=args.prop31_tol
-    )
+    result, cert_path, summary_path = harness.emit_certification(records, args.out)
     for line in result.summary_lines:
         print(line)
     print(f"wrote {cert_path} and {summary_path}")
@@ -121,8 +100,6 @@ def build_parser():
     pc = sub.add_parser("certify", help="certify a records CSV")
     pc.add_argument("records")
     pc.add_argument("--out", default="out_certify")
-    pc.add_argument("--prop31-tol", type=float, default=0.05)
-    pc.add_argument("--window", nargs=2, type=float, metavar=("T0", "T1"))
     pc.set_defaults(fn=_cmd_certify)
 
     pr = sub.add_parser("report", help="consolidated report from a manifest")
@@ -140,31 +117,12 @@ def main(argv=None) -> int:
         return EXIT_USAGE if err.code not in (0, None) else 0
     try:
         return args.fn(args)
-    except ConfigError as err:
-        print(f"config error: {err}", file=sys.stderr)
-        return EXIT_USAGE
+    except VptwinError as err:
+        print(f"{err.prefix}: {err}", file=sys.stderr)
+        return err.exit_code
     except (OSError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
-    except (
-        DivergenceError,
-        EscapeError,
-        OutOfDomainError,
-        SingularityError,
-        SinkhornError,
-        TwinError,
-    ) as err:
-        print(f"numerical failure: {err}", file=sys.stderr)
-        return EXIT_DIVERGED
-    except TransportError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_USAGE
-    except CheckFailure as err:
-        print(f"check failure: {err}", file=sys.stderr)
-        return EXIT_CHECK
-    except VptwinError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_CHECK
 
 
 def entry():

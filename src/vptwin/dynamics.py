@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import fields
-from .errors import DivergenceError, EscapeError, VptwinError
+from .errors import DivergenceError, TwinError, VptwinError
 from .fields import GridDensity, GridSpec, deposit_cic
 from .transport import WeightedCloud, coupling_cost
 
@@ -58,9 +58,9 @@ class ParticleEnsemble:
         return WeightedCloud(np.hstack([self.x, self.v]), self.w)
 
 
-def deposit(ensemble: ParticleEnsemble, spec: GridSpec, label="") -> GridDensity:
+def deposit(ensemble: ParticleEnsemble, spec: GridSpec) -> GridDensity:
     """CIC deposit of the ensemble; realizes the position push-forward of f0."""
-    values = deposit_cic(ensemble.x, ensemble.w, spec, label=label)
+    values = deposit_cic(ensemble.x, ensemble.w, spec)
     return GridDensity(spec, values, ensemble.epsilon_sign)
 
 
@@ -94,15 +94,14 @@ class FrozenFieldEvaluator:
 class GridFieldEvaluator:
     """Deposit -> free-space grid solve -> trilinear force interpolation."""
 
-    def __init__(self, spec: GridSpec, softening=None, label=""):
+    def __init__(self, spec: GridSpec, softening=None):
         self.spec = spec
         self.softening = fields.resolve_softening(spec, softening)
-        self.label = label
         self.density = None
         self.field = None
 
     def refresh(self, ensemble):
-        self.density = deposit(ensemble, self.spec, label=self.label)
+        self.density = deposit(ensemble, self.spec)
         self.field = fields.solve_field_grid(self.density, softening=self.softening)
 
     def accel(self, points):
@@ -112,23 +111,18 @@ class GridFieldEvaluator:
 class DirectSumEvaluator:
     """Softened pairwise summation over the ensemble itself (no mesh)."""
 
-    def __init__(self, softening, diagnostics_spec: GridSpec | None = None, label=""):
+    def __init__(self, softening):
         self.softening = fields.check_softening(softening)
         if self.softening == 0.0:
             raise ValueError("direct self-field needs positive softening")
-        self.diagnostics_spec = diagnostics_spec
-        self.label = label
         self._sources = None
         self._weights = None
         self._epsilon = 1
-        self.density = None
 
     def refresh(self, ensemble):
         self._sources = ensemble.x.copy()
         self._weights = ensemble.w
         self._epsilon = ensemble.epsilon_sign
-        if self.diagnostics_spec is not None:
-            self.density = deposit(ensemble, self.diagnostics_spec, label=self.label)
 
     def accel(self, points):
         return fields.solve_field_direct(
@@ -152,7 +146,6 @@ class FlowState:
     evaluator: object
     dt: float
     step_count: int = 0
-    label: str = ""
     accel: np.ndarray = field(default=None, repr=False)
 
     def __post_init__(self):
@@ -167,23 +160,20 @@ def step_leapfrog(state: FlowState) -> FlowState:
 
     Time-reversible: with a frozen (or zero) field, negating dt undoes the
     step exactly up to round-off. Raises DivergenceError on non-finite
-    coordinates and propagates EscapeError from the deposit.
+    coordinates; an EscapeError of the field refresh propagates.
     """
     ens = state.ensemble
     dt = state.dt
     v_half = ens.v + 0.5 * dt * state.accel
     ens.x += dt * v_half
     ens.t += dt
-    try:
-        state.evaluator.refresh(ens)
-    except EscapeError as err:
-        raise EscapeError(err.indices, label=state.label or err.label) from err
+    state.evaluator.refresh(ens)
     accel = state.evaluator.accel(ens.x)
     ens.v = v_half + 0.5 * dt * accel
     state.accel = accel
     state.step_count += 1
     if not (np.all(np.isfinite(ens.x)) and np.all(np.isfinite(ens.v))):
-        raise DivergenceError(state.step_count, label=state.label)
+        raise DivergenceError(state.step_count)
     return state
 
 
@@ -194,15 +184,6 @@ def reverse_dt(state: FlowState):
 
 # --------------------------------------------------------------------------
 # twin runs
-
-
-class TwinError(VptwinError):
-    """Failure inside one branch of a twin run, labeled A or B."""
-
-    def __init__(self, branch, cause):
-        self.branch = branch
-        self.cause = cause
-        super().__init__(f"twin branch {branch} failed: {cause}")
 
 
 def run_twin(
@@ -219,34 +200,26 @@ def run_twin(
     perturb_b, if given, mutates branch B's copy of the sample at t = 0
     (e.g. a velocity shift). observer(step, flow_a, flow_b) is called after
     initialization (step 0) and after every step. Identical evaluators and
-    no perturbation give bitwise-identical trajectories.
+    no perturbation give bitwise-identical trajectories. A package error
+    in a branch's set-up or steps is raised as TwinError naming the branch.
     """
-    ens_a = sample.copy()
-    ens_b = sample.copy()
+    ens_a, ens_b = sample.copy(), sample.copy()
     if perturb_b is not None:
         perturb_b(ens_b)
-    try:
-        flow_a = FlowState(ens_a, evaluator_a, dt, label="A")
-    except VptwinError as err:
-        raise TwinError("A", err) from err
-    try:
-        flow_b = FlowState(ens_b, evaluator_b, dt, label="B")
-    except VptwinError as err:
-        raise TwinError("B", err) from err
-    if observer is not None:
-        observer(0, flow_a, flow_b)
-    for k in range(1, n_steps + 1):
-        try:
-            step_leapfrog(flow_a)
-        except VptwinError as err:
-            raise TwinError("A", err) from err
-        try:
-            step_leapfrog(flow_b)
-        except VptwinError as err:
-            raise TwinError("B", err) from err
+    branches = (("A", ens_a, evaluator_a), ("B", ens_b, evaluator_b))
+    flows = [None, None]
+    for k in range(n_steps + 1):
+        for i, (branch, ens, evaluator) in enumerate(branches):
+            try:
+                if k == 0:
+                    flows[i] = FlowState(ens, evaluator, dt)
+                else:
+                    step_leapfrog(flows[i])
+            except VptwinError as err:
+                raise TwinError(branch, err) from err
         if observer is not None:
-            observer(k, flow_a, flow_b)
-    return flow_a, flow_b
+            observer(k, *flows)
+    return tuple(flows)
 
 
 # --------------------------------------------------------------------------

@@ -95,13 +95,6 @@ class GridSpec:
     def refine(self, factor=2):
         return GridSpec(self.center, self.edge, tuple(n * factor for n in self.dims))
 
-    def same_geometry(self, other):
-        return (
-            self.dims == other.dims
-            and np.allclose(self.center, other.center, rtol=0, atol=1e-12)
-            and np.allclose(self.edge, other.edge, rtol=0, atol=1e-12)
-        )
-
 
 @dataclass(frozen=True)
 class GridDensity:
@@ -198,7 +191,7 @@ def _cic_coords(points, spec):
     return i0, frac, outside
 
 
-def deposit_cic(points, weights, spec, label=""):
+def deposit_cic(points, weights, spec):
     """Cloud-in-cell deposit of a weighted point set onto a GridSpec.
 
     Mass is conserved exactly (partition of unity); a point exactly at a
@@ -209,7 +202,7 @@ def deposit_cic(points, weights, spec, label=""):
     weights = np.asarray(weights, dtype=np.float64)
     idx, frac, outside = _cic_coords(points, spec)
     if outside.size:
-        raise EscapeError(outside.tolist(), label=label)
+        raise EscapeError(outside.tolist())
     values = np.zeros(spec.dims)
     for cx in (0, 1):
         wx = (1.0 - frac[:, 0]) if cx == 0 else frac[:, 0]
@@ -356,7 +349,7 @@ def field_l2_diff(f1: GridField, f2: GridField) -> float:
     depends only on the field values, not on the order in which numpy
     happens to reduce a 4-d array on a given build or SIMD path.
     """
-    if not f1.spec.same_geometry(f2.spec):
+    if f1.spec != f2.spec:
         raise ValueError("field grids have different geometry")
     d = f1.values - f2.values
     return math.sqrt(math.fsum((d * d).ravel()) * f1.spec.cell_volume)

@@ -1,7 +1,8 @@
 """Scenario configuration, twin-run orchestration, and file emission.
 
-Config files are plain "key = value" text ('#' comments allowed); unknown
-keys are rejected with their line number. Output contains no timestamps,
+Config files are plain "key = value" text ('#' comments allowed). The keys
+and their parsers are read off the ScenarioConfig fields; unknown keys are
+rejected with their line number. Output contains no timestamps,
 so reruns of one config + seed are byte-identical on the same machine and
 library build, at any thread count. Across builds the bytes may move
 where two computations follow the library's order of operations: the FFT
@@ -23,7 +24,7 @@ import numpy as np
 
 from . import certify, dynamics, fields, scenarios, transport
 from .certify import RECORD_COLUMNS, StabilityRecord
-from .errors import ConfigError
+from .errors import ConfigError, EscapeError, TwinError
 
 # --------------------------------------------------------------------------
 # configuration schema
@@ -140,33 +141,12 @@ class ScenarioConfig:
         return fields.resolve_softening(spec, None if auto else self.softening)
 
 
+# one parser per config key, read off the ScenarioConfig annotations
+# (strings under `from __future__ import annotations`)
+_PARSERS = {"int": int, "float": float, "str": str, "tuple": _parse_vec3}
 _SCHEMA = {
-    "scenario": str,
-    "epsilon": int,
-    "n_particles": int,
-    "grid_dims": int,
-    "box_center": _parse_vec3,
-    "box_edge": float,
-    "dt": float,
-    "t_final": float,
-    "softening": _parse_softening,
-    "seed": int,
-    "field_mode": str,
-    "twin_kind": str,
-    "twin_delta": float,
-    "twin_grid_dims_b": int,
-    "ot_stride": int,
-    "ot_subsample": int,
-    "snapshot_stride": int,
-    "crossing_threshold": float,
-    "sup_rho_ceiling": float,
-    "sigma_x": float,
-    "sigma_v": float,
-    "ball_radius": float,
-    "blob_separation": float,
-    "hubble_rate": float,
-    "beam_speed": float,
-    "approach_speed": float,
+    f.name: _parse_softening if f.name == "softening" else _PARSERS[f.type]
+    for f in dc_fields(ScenarioConfig)
 }
 
 
@@ -268,7 +248,7 @@ def read_records(path):
 # evaluators and twin observer
 
 
-def _make_evaluator(cfg, label, variant_b=False):
+def _make_evaluator(cfg, variant_b=False):
     spec = cfg.grid_spec
     mode = cfg.field_mode
     softening = cfg.softening_length(spec)
@@ -280,8 +260,8 @@ def _make_evaluator(cfg, label, variant_b=False):
     if mode == "none":
         return dynamics.ZeroFieldEvaluator()
     if mode == "direct":
-        return dynamics.DirectSumEvaluator(softening, diagnostics_spec=spec, label=label)
-    return dynamics.GridFieldEvaluator(spec, softening=softening, label=label)
+        return dynamics.DirectSumEvaluator(softening)
+    return dynamics.GridFieldEvaluator(spec, softening=softening)
 
 
 def _perturbation(cfg):
@@ -354,13 +334,17 @@ class _TwinObserver:
             self.snapshots[step] = (ens_a.copy(), ens_b.copy())
         self.records.append(rec)
 
-    def _density(self, flow, label):
+    def _density(self, flow, branch):
         """The flow's density on the diagnostics grid: the evaluator's own
-        deposit of this step when it has one on that grid, else a new one."""
+        deposit of this step when it has one on that grid, else a new one.
+        A particle outside that grid fails the twin run in this branch."""
         rho = getattr(flow.evaluator, "density", None)
         if rho is not None and rho.spec == self.spec:
             return rho
-        return dynamics.deposit(flow.ensemble, self.spec, label=label)
+        try:
+            return dynamics.deposit(flow.ensemble, self.spec)
+        except EscapeError as err:
+            raise TwinError(branch, err) from err
 
     def _subsample(self, ens):
         """The flow's OT subsample, its weights scaled to keep the mass M."""
@@ -402,8 +386,8 @@ def run_twin_config(cfg: ScenarioConfig) -> TwinResult:
     """Sample f0, build both twin variants, run, and post-process dQ/dt."""
     cfg.validate()
     sample = scenarios.sample_initial(cfg)
-    eval_a = _make_evaluator(cfg, "A")
-    eval_b = _make_evaluator(cfg, "B", variant_b=True)
+    eval_a = _make_evaluator(cfg)
+    eval_b = _make_evaluator(cfg, variant_b=True)
     obs = _TwinObserver(cfg)
     dynamics.run_twin(
         sample,
@@ -440,7 +424,7 @@ class SimResult:
 def run_simulation(cfg: ScenarioConfig) -> SimResult:
     cfg.validate()
     ens = scenarios.sample_initial(cfg)
-    evaluator = _make_evaluator(cfg, "")
+    evaluator = _make_evaluator(cfg)
     flow = dynamics.FlowState(ens, evaluator, cfg.dt)
     crossing = dynamics.CrossingDetector(cfg.grid_spec, cfg.crossing_threshold)
     snapshots = {0: ens.copy()}
@@ -529,9 +513,12 @@ def emit_twin(cfg: ScenarioConfig, outdir) -> str:
     return write_manifest(outdir, cfg, written)
 
 
-def emit_certification(records, outdir, prop31_tol=0.05):
-    """cli certify: certification CSV (records + flags) and summary text."""
-    result = certify.certify_records(records, prop31_tolerance=prop31_tol)
+def emit_certification(records, outdir):
+    """cli certify: certification CSV (records + flags) and summary text.
+
+    The verdict depends on the records alone: the Prop. 3.1 threshold is
+    certify.PROP31_TOL and every record is certified."""
+    result = certify.certify_records(records)
     contain = result.containment
     os.makedirs(outdir, exist_ok=True)
     cert_path = os.path.join(outdir, "certification.csv")

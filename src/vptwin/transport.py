@@ -258,9 +258,14 @@ def _sparse_permutation(a, b, tree):
         cost = _pair_costs(x, y, rows, cols)
         if not cost.max() > 0:
             return None
-        # the matching needs nonzero weights; the shift is common to all
-        # full matchings
-        graph = sparse.csr_matrix((cost + cost.max(), (rows, cols)), (n, n))
+        # the matching runs on integer weights in [top, 2 top], so each of
+        # its sums of at most n weights is exact: on the float costs,
+        # scipy's LAPJVsp can cycle forever when two rows tie to within an
+        # ulp. The shift keeps weights nonzero and is common to all full
+        # matchings; sigma is only a candidate, certified below on the costs
+        top = math.floor(2.0**51 / n)
+        weight = np.rint(cost / cost.max() * top) + top
+        graph = sparse.csr_matrix((weight, (rows, cols)), (n, n))
         sigma = min_weight_full_bipartite_matching(graph)[1]
         # each candidate edge (i, j) off the plan is the column arc
         # sigma(i) -> j of weight c_ij - c_{i sigma(i)}
@@ -329,15 +334,17 @@ def w2_exact(a: WeightedCloud, b: WeightedCloud):
     of every source point plus the index pairing i -> i; it is used only
     if the neighbour edges alone admit a full matching (otherwise the
     matching must run through long index-pairing edges, which is slower
-    than the dense solve). min_weight_full_bipartite_matching gives sigma
-    on the graph, Bellman-Ford the column duals v <= 0, and u_i = c_{i
-    sigma(i)} - v_{sigma(i)}. Dual feasibility c_ij - u_i - v_j >= -eta
-    is checked over all n^2 pairs by one KD-tree query in d + 1 dimensions
-    against the lifted targets (y_j, sqrt(-v_j)), whose squared distance
-    to (x_i, 0) is c_ij - v_j; pairs that violate it join the graph for
-    one more round. sigma is accepted only if the near-tight pairs off the
-    plan (reduced cost <= theta) close no alternating cycle: the arcs
-    i -> sigma^-1(j) must have n singleton strong components.
+    than the dense solve). min_weight_full_bipartite_matching gives a
+    candidate sigma on the graph from the costs rounded to integers, whose
+    sums are exact (on float costs with rows tied to an ulp it can cycle
+    forever), Bellman-Ford the column duals v <= 0 on the true costs, and
+    u_i = c_{i sigma(i)} - v_{sigma(i)}. Dual feasibility c_ij - u_i - v_j
+    >= -eta is checked over all n^2 pairs by one KD-tree query in d + 1
+    dimensions against the lifted targets (y_j, sqrt(-v_j)), whose squared
+    distance to (x_i, 0) is c_ij - v_j; pairs that violate it join the
+    graph for one more round. sigma is accepted only if the near-tight
+    pairs off the plan (reduced cost <= theta) close no alternating cycle:
+    the arcs i -> sigma^-1(j) must have n singleton strong components.
     Rounding: let s = max(u) + max(-v). It bounds u_i, -v_j and every
     c_ij whose reduced cost is near theta, so with eta = ETA_ULPS n eps s
     and theta = 2 n eta the rounding of the computed costs and of the

@@ -253,6 +253,24 @@ class TestGronwall:
         assert rep.n_checked == rep.n_steps
         assert rep.fraction_satisfied == 1.0
 
+    def test_uniform_field_difference_within_proved_bound(self):
+        # F_A - F_B = c everywhere, F_B uniform: dv = c t, dx = c t^2 / 2,
+        # T1 = 0 and T2 = M |c|^2. Early on dQ/dt ~ sqrt(2Q) sqrt(T2), the
+        # equality case of Cauchy-Schwarz: the bound cannot be any tighter,
+        # and the unproved form Q + sqrt(Q (T1 + T2)) fails here
+        c2, dt = 1e-4, 0.05
+        recs = []
+        for k in range(41):
+            t = k * dt
+            recs.append(StabilityRecord(
+                step=k, t=t, Q=0.5 * c2 * (t**4 / 4 + t**2), T2=c2,
+                S=c2 * t**4 / 4, max_gap=math.sqrt(c2) * t * math.hypot(1, t / 2),
+            ))
+        rep = check_gronwall(recs)
+        assert rep.n_checked == 40 and rep.fraction_satisfied == 1.0
+        # every centered difference breaks it (the last, one-sided, does not)
+        assert not any(r.dQdt <= r.Q + math.sqrt(r.Q * r.T2) for r in recs[1:-1])
+
     def test_identical_twins_all_skipped(self):
         recs = [StabilityRecord(step=k, t=0.05 * k, Q=0.0) for k in range(10)]
         rep = check_gronwall(recs)
@@ -454,6 +472,22 @@ class TestCertifyRecords:
         recs = [StabilityRecord(step=k, t=0.05 * k, Q=0.0) for k in range(10)]
         result = certify.certify_records(recs)
         assert result.passed
+
+    def test_summary_labels_name_their_numbers(self):
+        # W2_rho^2 - S_sub = -0.09 and W2_rho^2 - 2 Q_sub = -1.84: the
+        # lemma line prints the larger, the excess over min(S_sub, 2Q_sub)
+        recs = free_streaming_records(1e-3)
+        r = recs[2]
+        r.W2_rho, r.W2_phase, r.Q_sub, r.S_sub = 0.4, 1.0, 1.0, 0.25
+        r.field_l2_diff, r.prop31_rhs = 0.1, 0.2
+        lines = certify.certify_records(recs).summary_lines
+        assert lines[:4] == [
+            "lemma_w2: W2_rho^2 - min(S_sub, 2Q_sub) max excess -9.000e-02 -> PASS",
+            "remark_phase: W2_phase^2 - 2Q_sub max excess -1.000e+00 -> PASS",
+            "prop31: max ratio 0.5000 (tol 1 + 0.05) -> PASS",
+            "gronwall: dQ/dt <= Q + sqrt(2Q)(sqrt(T1)+sqrt(T2)) at 41/41 checked steps "
+            "(100.0%, need >= 99%) -> PASS",
+        ]
 
     @pytest.mark.parametrize("column", certify.OT_ROW_COLUMNS)
     def test_ot_row_missing_column_rejected(self, column):

@@ -187,7 +187,7 @@ class TestDeposit:
         spec = GridSpec((0, 0, 0), 2.0, 4)
         pts = np.array([[0.0, 0.0, 0.0], [5.0, 0.0, 0.0], [0.0, -9.0, 0.0]])
         with pytest.raises(fields.EscapeError) as exc:
-            deposit_cic(pts, np.ones(3), spec, label="test")
+            deposit_cic(pts, np.ones(3), spec)
         assert exc.value.indices == [1, 2]
 
 
@@ -422,7 +422,7 @@ class TestGridIO:
         rho = GridDensity(spec, rng.random(spec.dims), epsilon_sign=-1)
         fields.save_grid(rho, tmp_path / "rho")
         got = fields.load_grid(tmp_path / "rho")
-        assert got.spec.same_geometry(spec)
+        assert got.spec == spec
         assert got.epsilon_sign == -1
         np.testing.assert_array_equal(got.values, rho.values)
 

@@ -11,7 +11,7 @@ import math
 import numpy as np
 import pytest
 
-from vptwin import certify, cli, dynamics, fields, harness, presets, transport
+from vptwin import certify, cli, dynamics, errors, fields, harness, presets, transport
 from vptwin.certify import RECORD_COLUMNS, StabilityRecord
 from vptwin.errors import ConfigError, OutOfDomainError, SingularityError
 from vptwin.harness import (
@@ -390,6 +390,24 @@ class TestEmission:
         np.testing.assert_allclose(end.x, start.x + 0.5 * start.v, atol=1e-14)
 
 
+# every package error class, with the exit code and stderr prefix the CLI
+# gives it
+EXIT_TABLE = [
+    (errors.VptwinError("x"), cli.EXIT_CHECK, "error"),
+    (errors.ConfigError("x"), cli.EXIT_USAGE, "config error"),
+    (errors.CheckFailure("x"), cli.EXIT_CHECK, "check failure"),
+    (errors.TransportError("x"), cli.EXIT_USAGE, "error"),
+    (errors.MassMismatchError("x"), cli.EXIT_USAGE, "error"),
+    (errors.SinkhornError("x", 1.0), cli.EXIT_DIVERGED, "numerical failure"),
+    (errors.NumericalFailure("x"), cli.EXIT_DIVERGED, "numerical failure"),
+    (errors.EscapeError([3]), cli.EXIT_DIVERGED, "numerical failure"),
+    (errors.OutOfDomainError([[9.0, 0.0, 0.0]]), cli.EXIT_DIVERGED, "numerical failure"),
+    (errors.SingularityError("x"), cli.EXIT_DIVERGED, "numerical failure"),
+    (errors.DivergenceError(4), cli.EXIT_DIVERGED, "numerical failure"),
+    (errors.TwinError("B", errors.DivergenceError(4)), cli.EXIT_DIVERGED, "numerical failure"),
+]
+
+
 class TestCLI:
     def write_cfg(self, tmp_path, text):
         p = tmp_path / "run.cfg"
@@ -488,6 +506,55 @@ class TestCLI:
         out = tmp_path / "o"
         assert cli.main(["twin", cfg, "--out", str(out)]) == cli.EXIT_DIVERGED
         assert f"numerical failure: {error}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "error, code, prefix", EXIT_TABLE, ids=[type(row[0]).__name__ for row in EXIT_TABLE]
+    )
+    def test_each_error_class_owns_its_exit_code(
+        self, tmp_path, capsys, monkeypatch, error, code, prefix
+    ):
+        def failing(cfg):
+            raise error
+
+        monkeypatch.setattr(harness, "run_twin_config", failing)
+        cfg = self.write_cfg(tmp_path, "scenario = free-streaming\nfield_mode = none\n")
+        assert cli.main(["twin", cfg, "--out", str(tmp_path / "o")]) == code
+        assert capsys.readouterr().err == f"{prefix}: {error}\n"
+
+    def test_exit_table_covers_every_error_class(self):
+        def subclasses(cls):
+            for sub in cls.__subclasses__():
+                yield sub
+                yield from subclasses(sub)
+
+        want = {errors.VptwinError, *subclasses(errors.VptwinError)}
+        assert {type(row[0]) for row in EXIT_TABLE} == want
+
+    @pytest.mark.parametrize("flag", [["--prop31-tol", "0.5"], ["--window", "0", "1"]])
+    def test_certify_has_no_tuning_flags(self, tmp_path, capsys, flag):
+        recs = [StabilityRecord(step=k, t=0.05 * k, Q=0.0) for k in range(6)]
+        p = tmp_path / "records.csv"
+        write_records(p, recs)
+        out = tmp_path / "c"
+        assert cli.main(["certify", str(p), "--out", str(out)] + flag) == cli.EXIT_USAGE
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_escape_without_field_names_its_branch(self, tmp_path, capsys):
+        # no evaluator deposits with field_mode = none: the observer's
+        # deposit on the diagnostics grid is the one that sees the escape
+        cfg = self.write_cfg(
+            tmp_path,
+            "scenario = free-streaming\nfield_mode = none\nn_particles = 64\n"
+            "grid_dims = 8\nbox_edge = 0.5\ndt = 0.01\nt_final = 0.1\n"
+            "twin_kind = velocity-shift\ntwin_delta = 0.01\n",
+        )
+        out = tmp_path / "o"
+        assert cli.main(["twin", cfg, "--out", str(out)]) == cli.EXIT_DIVERGED
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: twin branch A failed: ")
+        assert "outside the grid box" in err
         assert not out.exists()
 
     def test_twin_and_certify_pipeline(self, tmp_path, capsys):
@@ -612,6 +679,36 @@ class TestCLI:
             assert presets.bundled(name).scenario in name or name == "hubble"
         with pytest.raises(KeyError):
             presets.bundled("not-a-preset")
+
+
+# two-blob twins whose flows differ in the field itself, not in a velocity
+# shift: the unproved form dQ/dt <= Q + sqrt(Q (T1 + T2)) is broken at all
+# 50 steps with Q > 0, the proved bound holds at all 50
+FIELD_TWINS = {
+    "resolution": dict(
+        twin_kind="resolution", n_particles=512, grid_dims=16, twin_grid_dims_b=24
+    ),
+    "softening": dict(twin_kind="softening", twin_delta=0.5, n_particles=1024),
+}
+
+
+class TestProvedGronwallBound:
+    @pytest.mark.parametrize("name", sorted(FIELD_TWINS))
+    def test_field_twin_certifies(self, name, tmp_path, capsys):
+        cfg = with_overrides(
+            presets.bundled("two-blob"), ot_stride=0, t_final=1.0, **FIELD_TWINS[name]
+        )
+        harness.emit_twin(cfg, tmp_path / "twin")
+        records = str(tmp_path / "twin" / "records.csv")
+        assert cli.main(["certify", records, "--out", str(tmp_path / "cert")]) == cli.EXIT_PASS
+        assert "gronwall: dQ/dt <= Q + sqrt(2Q)(sqrt(T1)+sqrt(T2)) at 50/50 " in (
+            capsys.readouterr().out
+        )
+        assert not any(
+            r.dQdt <= r.Q + math.sqrt(r.Q * (r.T1 + r.T2))
+            for r in read_records(records)
+            if r.Q > 0
+        )
 
 
 GOLDEN_FIXTURES = {

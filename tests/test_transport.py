@@ -8,6 +8,9 @@ translation argument (shifting a cloud by v moves every unit of mass by
 
 import itertools
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -399,6 +402,14 @@ class TestSparseTier:
 _COORD = st.floats(-10, 10, allow_nan=False, allow_infinity=False)
 
 
+def jittered_pair(rng, n, d):
+    """A Gaussian cloud and its shuffled, jittered translate."""
+    x = rng.normal(size=(n, d))
+    shift = rng.choice([0.0, 0.3, 1.0]) * rng.normal(size=d)
+    y = x + shift + rng.choice([1e-3, 1e-2, 0.1, 0.5]) * rng.normal(size=(n, d))
+    return x, y[rng.permutation(n)]
+
+
 @st.composite
 def equal_weight_pairs(draw):
     """Small pairs with hypothesis-drawn coordinates (brute force applies),
@@ -408,7 +419,13 @@ def equal_weight_pairs(draw):
     if draw(st.booleans()):
         n = draw(st.integers(1, 8))
         x = draw(arrays(np.float64, (n, d), elements=_COORD))
-        kind = draw(st.sampled_from(["independent", "translate", "duplicates"]))
+        kind = draw(st.sampled_from(["independent", "translate", "duplicates", "seeded"]))
+        if kind == "seeded":
+            # continuous draws, free of the simple floats' exact ties, so
+            # the nearest and sparse certificates get small inputs too
+            rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+            x, y = jittered_pair(rng, n, d)
+            return uniform(x), uniform(y)
         if kind == "independent":
             y = draw(arrays(np.float64, (n, d), elements=_COORD))
         else:
@@ -445,6 +462,75 @@ class TestW2ExactProperties:
         assert_same_bits(got, dense_w2(a, b))
         if a.n <= 8:
             assert got[0] == pytest.approx(brute_force_w2(a, b), rel=1e-12, abs=1e-12)
+
+
+# two coincident sources (rows 0 and 7): on the shifted float costs of the
+# sparse tier's complete 8-point graph, scipy's LAPJVsp once cycled forever
+TIED_ROWS_X = [
+    [0.6823056332801525, -0.05178315946440964, 0.6983104279019247],
+    [1.1775635949170362, -0.5806565709799528, -0.6225126752730572],
+    [1.6979164082116558, -0.11233238071222634, -0.49478670076888653],
+    [0.34622401906746525, 0.15530362550111151, 1.758027928237901],
+    [-0.855477014195624, 1.1251478182552408, 1.3316468376946873],
+    [0.2240618317695799, -0.1628059932106169, 1.533348888227754],
+    [2.541987856126637, -1.1809831518372602, 0.9273383616943175],
+    [0.6823056332801525, -0.05178315946440964, 0.6983104279019247],
+]
+TIED_ROWS_Y = [
+    [1.908209967746969, -1.2541903242430688, 0.05943299785746148],
+    [1.6307504909910142, -0.4551321128753618, -1.0660890720919545],
+    [-1.1469296131785494, -1.1649346033738295, -0.12566253674146088],
+    [-0.3870159774336502, 0.7503985664118092, 1.2552653577206585],
+    [3.762792516549832, -1.7867234769296596, 1.62317350132948],
+    [0.5072605229856614, -0.43442133642536396, 2.3783149645218464],
+    [0.19530763405809745, 0.3314453949425439, 1.4017963877690482],
+    [2.5744806684258044, 0.46449637489714446, -0.13794565635403888],
+]
+
+
+class TestSmallPairs:
+    @pytest.mark.parametrize("nudge", [False, True], ids=["coincident", "one-ulp-apart"])
+    def test_tied_rows_end_the_matching(self, nudge):
+        # in a child process, so a matching that never returns fails the
+        # test at the timeout instead of stalling the suite
+        code = (
+            "import numpy as np\n"
+            "from vptwin.transport import WeightedCloud, w2_exact\n"
+            f"x = np.array({TIED_ROWS_X!r})\n"
+            f"y = np.array({TIED_ROWS_Y!r})\n"
+            f"if {nudge}: x[7] = np.nextafter(x[7], 10.0)\n"
+            "w = np.full(8, 1 / 8)\n"
+            "d, plan = w2_exact(WeightedCloud(x, w), WeightedCloud(y, w))\n"
+            "print(d.hex(), plan.solver, *plan.tgt)\n"
+        )
+        src = os.path.dirname(os.path.dirname(transport.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+            timeout=60, env={**os.environ, "PYTHONPATH": path},
+        )
+        a, b = uniform(TIED_ROWS_X), uniform(TIED_ROWS_Y)
+        if nudge:
+            a.points[7] = np.nextafter(a.points[7], 10.0)
+        d, plan = dense_w2(a, b)
+        assert out.stdout.split() == [d.hex(), "dense", *map(str, plan.tgt)]
+
+    def test_seeded_sweep_reaches_every_tier(self):
+        rng = np.random.default_rng(RNG_SEED)
+        served = {"nearest": 0, "sparse": 0, "dense": 0}
+        for k in range(120):
+            n, d = int(rng.integers(1, 9)), int(rng.choice([3, 6]))
+            x, y = jittered_pair(rng, n, d)
+            if k % 3 == 1:
+                x[rng.integers(0, n)] = x[0]  # coincident sources: a tie
+            elif k % 3 == 2:
+                y[rng.integers(0, n)] = np.nextafter(y[-1], 10.0)  # a near-tie
+            a, b = uniform(x), uniform(y)
+            got = w2_exact(a, b)
+            served[got[1].solver] += 1
+            assert_same_bits(got, dense_w2(a, b))
+            assert got[0] == pytest.approx(brute_force_w2(a, b), rel=1e-12, abs=1e-12)
+        assert min(served.values()) >= 1, served
 
 
 class TestSinkhorn:
