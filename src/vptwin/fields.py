@@ -11,12 +11,23 @@ zero-padded (domain-doubled) FFTs, so boundaries are free-space. The
 doubled-domain transforms are pruned axis by axis (Hockney & Eastwood,
 Computer Simulation Using Particles, 1988, sec. 6-5): no 1-D line that is
 all zeros on input or cropped away on output is transformed.
+
+The per-step kernels avoid fresh scratch memory: a new multi-megabyte
+temporary is faulted in page by page on every call, which cost about as
+much as the transforms. The grid solve transforms in place in a
+per-thread workspace that stays mapped, 2 (2n)^2 (n+1) x 16 bytes per n^3
+grid shape (4.4 MB at 32^3, 35 MB at 64^3; each solve used to allocate
+as much afresh). The CIC deposit is one ordered bincount, interpolation
+gathers through flat cell indices, and the direct sum works on
+cache-sized blocks of target-source pairs in one reused buffer. No
+output bit depends on any of this.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import threading
 import warnings
 from dataclasses import dataclass
 
@@ -26,7 +37,7 @@ import scipy.fft as sfft
 from .errors import EscapeError, OutOfDomainError, SingularityError
 
 FOUR_PI = 4.0 * np.pi
-DIRECT_BLOCK = 2048  # targets per pairwise block of solve_field_direct
+DIRECT_PAIRS = 1 << 15  # target-source pairs per block of solve_field_direct
 
 
 class TruncationWarning(UserWarning):
@@ -142,16 +153,10 @@ class GridField:
         idx, frac, outside = _cic_coords(points, self.spec)
         if outside.size:
             raise OutOfDomainError(points[outside].tolist())
+        rows = self.values.reshape(-1, 3)
         out = np.zeros((points.shape[0], 3))
-        for cx in (0, 1):
-            wx = (1.0 - frac[:, 0]) if cx == 0 else frac[:, 0]
-            for cy in (0, 1):
-                wy = (1.0 - frac[:, 1]) if cy == 0 else frac[:, 1]
-                for cz in (0, 1):
-                    wz = (1.0 - frac[:, 2]) if cz == 0 else frac[:, 2]
-                    out += (wx * wy * wz)[:, None] * self.values[
-                        idx[:, 0] + cx, idx[:, 1] + cy, idx[:, 2] + cz
-                    ]
+        for flat, wx, wy, wz in _cic_corners(idx, frac, self.spec):
+            out += (wx * wy * wz)[:, None] * rows.take(flat, axis=0)
         return out
 
 
@@ -191,6 +196,28 @@ def _cic_coords(points, spec):
     return i0, frac, outside
 
 
+def check_in_box(points, spec):
+    """Raise EscapeError naming the rows of ``points`` that deposit_cic
+    would refuse: those outside the cell-center lattice of ``spec``."""
+    outside = _cic_coords(np.atleast_2d(points), spec)[2]
+    if outside.size:
+        raise EscapeError(outside.tolist())
+
+
+def _cic_corners(idx, frac, spec):
+    """The 8 CIC corners of each point, x-major: for each, the flat C-order
+    cell index and the three per-axis weights (wx, wy, wz)."""
+    _, ny, nz = spec.dims
+    base = (idx[:, 0] * ny + idx[:, 1]) * nz + idx[:, 2]
+    for cx in (0, 1):
+        wx = (1.0 - frac[:, 0]) if cx == 0 else frac[:, 0]
+        for cy in (0, 1):
+            wy = (1.0 - frac[:, 1]) if cy == 0 else frac[:, 1]
+            for cz in (0, 1):
+                wz = (1.0 - frac[:, 2]) if cz == 0 else frac[:, 2]
+                yield base + ((cx * ny + cy) * nz + cz), wx, wy, wz
+
+
 def deposit_cic(points, weights, spec):
     """Cloud-in-cell deposit of a weighted point set onto a GridSpec.
 
@@ -203,18 +230,14 @@ def deposit_cic(points, weights, spec):
     idx, frac, outside = _cic_coords(points, spec)
     if outside.size:
         raise EscapeError(outside.tolist())
-    values = np.zeros(spec.dims)
-    for cx in (0, 1):
-        wx = (1.0 - frac[:, 0]) if cx == 0 else frac[:, 0]
-        for cy in (0, 1):
-            wy = (1.0 - frac[:, 1]) if cy == 0 else frac[:, 1]
-            for cz in (0, 1):
-                wz = (1.0 - frac[:, 2]) if cz == 0 else frac[:, 2]
-                np.add.at(
-                    values,
-                    (idx[:, 0] + cx, idx[:, 1] + cy, idx[:, 2] + cz),
-                    weights * wx * wy * wz,
-                )
+    corners = list(_cic_corners(idx, frac, spec))
+    # bincount adds in input order, so each cell sums its corner shares in
+    # the same sequence as one scatter-add per corner would
+    values = np.bincount(
+        np.concatenate([flat for flat, *_ in corners]),
+        np.concatenate([weights * wx * wy * wz for _, wx, wy, wz in corners]),
+        minlength=math.prod(spec.dims),
+    ).reshape(spec.dims)
     values /= spec.cell_volume
     return values
 
@@ -237,9 +260,18 @@ def solve_field_direct(points, weights, targets, softening=0.0, epsilon_sign=1):
     if not (np.all(np.isfinite(points)) and np.all(np.isfinite(targets))):
         raise ValueError("non-finite source or target coordinates")
     out = np.empty((targets.shape[0], 3))
-    for a in range(0, targets.shape[0], DIRECT_BLOCK):
-        t = targets[a : a + DIRECT_BLOCK]
-        diff = t[:, None, :] - points[None, :, :]
+    # a block of targets whose pair arrays stay cache-sized; each target's
+    # sum over the sources is the same whatever the block
+    block = max(1, DIRECT_PAIRS // max(1, points.shape[0]))
+    pairs = np.empty((min(block, targets.shape[0]),) + points.shape)
+    for a in range(0, targets.shape[0], block):
+        t = targets[a : a + block]
+        diff = pairs[: t.shape[0]]
+        # one coordinate at a time: a broadcast over the length-3 axis runs
+        # numpy's inner loop 3 elements long, about 3x slower, and each
+        # difference is exact whichever loop computes it
+        for k in range(points.shape[1]):
+            np.subtract(t[:, k, None], points[None, :, k], out=diff[..., k])
         r2 = np.einsum("ijk,ijk->ij", diff, diff) + s2
         if s2 == 0.0:
             sing = r2 == 0.0
@@ -250,7 +282,7 @@ def solve_field_direct(points, weights, targets, softening=0.0, epsilon_sign=1):
         inv = weights / (FOUR_PI * r2 * np.sqrt(r2))
         # the j == i term of a self-field has zero numerator, so softened
         # self-interaction vanishes automatically
-        out[a : a + DIRECT_BLOCK] = epsilon_sign * np.einsum("ij,ijk->ik", inv, diff)
+        out[a : a + block] = epsilon_sign * np.einsum("ij,ijk->ik", inv, diff)
     return out
 
 
@@ -302,6 +334,12 @@ def solve_field_grid(rho: GridDensity, softening=None) -> GridField:
     the full-domain transform, so the output bits equal numpy's full
     rfftn/irfftn wherever numpy.fft and scipy.fft run the same pocketfft
     (numpy >= 2).
+
+    The transforms run in place in this thread's workspace for the grid
+    shape, 2 (2nx)(2ny)(nz+1) x 16 bytes kept mapped between calls (4.4 MB
+    at 32^3, 35 MB at 64^3): fresh buffers re-fault every page on every
+    call, which took about as long as the transforms. The returned field
+    never shares memory with the workspace.
     """
     spec = rho.spec
     softening = resolve_softening(spec, softening)
@@ -312,26 +350,47 @@ def solve_field_grid(rho: GridDensity, softening=None) -> GridField:
             TruncationWarning,
             stacklevel=2,
         )
-    # fetch (on a first call, build) the kernel before allocating this
-    # call's buffers: built with them live, it left peak RSS ~3 MB higher
+    # fetch (on a first call, build) the kernel before the workspace: built
+    # with this call's buffers live, it left peak RSS ~3 MB higher
     kfft = _kernel_fft(spec, softening)
     nx, ny, nz = spec.dims
-    # forward: only the nx*ny lines of the mass are non-zero along axis 2,
-    # only nx*(nz+1) along axis 1 after that
-    mf = sfft.rfft(rho.values * spec.cell_volume, 2 * nz, axis=2, overwrite_x=True)
-    mf = sfft.fft(mf, 2 * ny, axis=1, overwrite_x=True)
-    mf = sfft.fft(mf, 2 * nx, axis=0, overwrite_x=True)
+    mf, prod = _workspace(spec.dims)
+    # forward, in place in mf: only the nx*ny lines of the mass are non-zero
+    # along axis 2, only nx*(nz+1) along axis 1 after that. scipy.fft writes
+    # a c2c transform of an aligned complex input with overwrite_x into it.
+    mf[:nx, :ny] = sfft.rfft(rho.values * spec.cell_volume, 2 * nz, axis=2)
+    mf[:nx, ny:] = 0
+    sfft.fft(mf[:nx], axis=1, overwrite_x=True)
+    mf[nx:] = 0
+    sfft.fft(mf, axis=0, overwrite_x=True)
     values = np.empty(spec.dims + (3,))
-    prod = np.empty_like(mf)
     for c, kf in enumerate(kfft):
-        # inverse: crop after each axis, so later axes transform only
-        # the lines that survive into the physical box
+        # inverse, in place in prod: crop after each axis, so later axes
+        # transform only the lines that survive into the physical box
         np.multiply(mf, kf, out=prod)
-        g = sfft.ifft(prod, axis=0, overwrite_x=True)[:nx]
-        g = sfft.ifft(g, axis=1, overwrite_x=True)[:, :ny]
-        values[..., c] = sfft.irfft(g, 2 * nz, axis=2, overwrite_x=True)[..., :nz]
+        sfft.ifft(prod, axis=0, overwrite_x=True)
+        g = sfft.ifft(prod[:nx], axis=1, overwrite_x=True)[:, :ny]
+        values[..., c] = sfft.irfft(g, 2 * nz, axis=2)[..., :nz]
     values *= rho.epsilon_sign
     return GridField(spec, values)
+
+
+_WORKSPACES = threading.local()
+
+
+def _workspace(dims):
+    """This thread's two complex doubled-domain spectra (mf, prod) for a
+    grid of ``dims``, kept between solves so that each solve writes into
+    pages already mapped instead of faulting in fresh ones."""
+    by_dims = getattr(_WORKSPACES, "by_dims", None)
+    if by_dims is None:
+        by_dims = _WORKSPACES.by_dims = {}
+    buffers = by_dims.get(dims)
+    if buffers is None:
+        nx, ny, nz = dims
+        shape = (2 * nx, 2 * ny, nz + 1)
+        buffers = by_dims[dims] = (np.empty(shape, complex), np.empty(shape, complex))
+    return buffers
 
 
 def _support_touches_boundary(values):

@@ -8,6 +8,7 @@ pairwise sum as ground truth for the grid solver.
 
 import itertools
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -78,6 +79,50 @@ def ball_lattice(spacing, radius=1.0):
     return pts, w
 
 
+def cic_corner_weights(frac):
+    """The 8 (cx, cy, cz) CIC corners, x-major, with their per-axis weights."""
+    for cx, cy, cz in itertools.product((0, 1), repeat=3):
+        yield (cx, cy, cz), [frac[:, a] if c else 1.0 - frac[:, a]
+                             for a, c in enumerate((cx, cy, cz))]
+
+
+def deposit_scatter_reference(points, weights, spec):
+    """CIC deposit as one scatter-add (np.add.at) per corner, x-major."""
+    idx, frac, _ = fields._cic_coords(points, spec)
+    values = np.zeros(spec.dims)
+    for (cx, cy, cz), (wx, wy, wz) in cic_corner_weights(frac):
+        cell = (idx[:, 0] + cx, idx[:, 1] + cy, idx[:, 2] + cz)
+        np.add.at(values, cell, weights * wx * wy * wz)
+    return values / spec.cell_volume
+
+
+def interpolate_fancy_reference(field, points):
+    """Trilinear interpolation gathering through three index arrays."""
+    idx, frac, _ = fields._cic_coords(points, field.spec)
+    out = np.zeros((points.shape[0], 3))
+    for (cx, cy, cz), (wx, wy, wz) in cic_corner_weights(frac):
+        cell = (idx[:, 0] + cx, idx[:, 1] + cy, idx[:, 2] + cz)
+        out += (wx * wy * wz)[:, None] * field.values[cell]
+    return out
+
+
+def reordering_probe(n=3001):
+    """A non-cubic grid with non-dyadic cell sizes and a point set that
+    exposes summation-order changes: non-dyadic random weights, points
+    exactly on cell centers and points on the last cell-center plane of
+    each axis."""
+    rng = np.random.default_rng(RNG_SEED)
+    spec = GridSpec((0.1, -0.2, 0.3), (1.3, 2.1, 2.7), (5, 7, 9))
+    first, last = spec.lo + 0.5 * spec.h, spec.hi - 0.5 * spec.h
+    pts = rng.uniform(first, last, size=(n, 3))
+    on_center = rng.integers(0, spec.dims, size=(200, 3))
+    pts[:200] = spec.lo + (on_center + 0.5) * spec.h
+    for a in range(3):
+        pts[200 + 100 * a : 300 + 100 * a, a] = last[a]
+    w = rng.random(n) / n
+    return spec, pts, w
+
+
 class TestDirectSum:
     def test_point_mass_kernel(self):
         src = np.array([[0.3, -0.2, 0.1]])
@@ -138,6 +183,27 @@ class TestDirectSum:
         soft = solve_field_direct(src, [1.0], t, softening=0.3)
         assert np.linalg.norm(soft) < np.linalg.norm(hard)
 
+    @pytest.mark.parametrize("n_sources", [3, 300])
+    @pytest.mark.parametrize("pairs", [1, 7, 1 << 15, 1 << 22])
+    def test_blocking_leaves_bits_unchanged(self, monkeypatch, n_sources, pairs):
+        rng = np.random.default_rng(RNG_SEED)
+        src = rng.normal(size=(n_sources, 3))
+        w = rng.random(n_sources) / 7.0
+        t = rng.normal(size=(401, 3))
+        want = solve_field_direct(src, w, t, softening=0.05, epsilon_sign=-1)
+        monkeypatch.setattr(fields, "DIRECT_PAIRS", pairs)
+        got = solve_field_direct(src, w, t, softening=0.05, epsilon_sign=-1)
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("pairs", [7, 1 << 15])
+    def test_singularity_in_last_block_raises(self, monkeypatch, pairs):
+        rng = np.random.default_rng(RNG_SEED)
+        src = rng.normal(size=(5, 3))
+        t = np.vstack([rng.normal(size=(10, 3)) + 9.0, src[2:3]])
+        monkeypatch.setattr(fields, "DIRECT_PAIRS", pairs)
+        with pytest.raises(SingularityError):
+            solve_field_direct(src, np.ones(5), t)
+
 
 class TestBallInterior:
     def test_quadrature_confirms_enclosed_mass_formula(self):
@@ -189,6 +255,24 @@ class TestDeposit:
         with pytest.raises(fields.EscapeError) as exc:
             deposit_cic(pts, np.ones(3), spec)
         assert exc.value.indices == [1, 2]
+
+    def test_bitwise_equals_one_scatter_add_per_corner(self):
+        # non-dyadic weights round differently under any other summation
+        # order or weight grouping, and a wrong flat stride moves mass
+        spec, pts, w = reordering_probe()
+        got = deposit_cic(pts, w, spec)
+        assert np.array_equal(got, deposit_scatter_reference(pts, w, spec))
+
+    def test_check_in_box_matches_deposit(self):
+        spec, pts, w = reordering_probe()
+        fields.check_in_box(pts, spec)
+        pts[[7, 40]] += spec.h
+        pts[40, 1] = spec.lo[1]
+        with pytest.raises(fields.EscapeError) as box:
+            fields.check_in_box(pts, spec)
+        with pytest.raises(fields.EscapeError) as dep:
+            deposit_cic(pts, w, spec)
+        assert box.value.indices == dep.value.indices != []
 
 
 class TestGridSolver:
@@ -317,6 +401,68 @@ class TestGridSolver:
             solve_field_grid(GridDensity(spec, vals))
 
 
+def interior_density(spec, seed):
+    rng = np.random.default_rng(seed)
+    vals = np.zeros(spec.dims)
+    vals[1:-1, 1:-1, 1:-1] = rng.random(tuple(n - 2 for n in spec.dims))
+    return GridDensity(spec, vals)
+
+
+class TestSolveWorkspace:
+    """solve_field_grid reuses one set of transform buffers per thread and
+    grid shape; no result may depend on, or share memory with, them."""
+
+    CUBE = GridSpec((0, 0, 0), 4.0, 32)
+    BRICK = GridSpec((0.5, 0, -0.5), (3.0, 4.0, 5.0), (12, 16, 20))
+
+    def test_c2c_overwrite_transforms_in_place(self):
+        # the forward pass relies on scipy.fft writing a c2c transform of an
+        # aligned complex input with overwrite_x into that input
+        buf = np.zeros((8, 6, 5), complex)
+        buf[:4, :3] = 1.0 + 2.0j
+        view = buf[:4]
+        out = fields.sfft.fft(view, axis=1, overwrite_x=True)
+        assert np.shares_memory(out, view)
+
+    def test_field_survives_later_solves(self):
+        first = solve_field_grid(interior_density(self.CUBE, 1))
+        kept = first.values.copy()
+        solve_field_grid(interior_density(self.CUBE, 2))
+        assert np.array_equal(first.values, kept)
+        for buf in fields._workspace(self.CUBE.dims):
+            assert not np.shares_memory(first.values, buf)
+
+    def test_interleaved_grids_repeat_first_call_bits(self):
+        rho_c, rho_b = interior_density(self.CUBE, 3), interior_density(self.BRICK, 4)
+        want_c = solve_field_grid(rho_c).values.copy()
+        want_b = solve_field_grid(rho_b).values.copy()
+        for _ in range(2):
+            assert np.array_equal(solve_field_grid(rho_c).values, want_c)
+            assert np.array_equal(solve_field_grid(rho_b).values, want_b)
+
+    def test_concurrent_threads_equal_sequential_bits(self):
+        rhos = [interior_density(self.CUBE, 5), interior_density(self.CUBE, 6)]
+        want = [solve_field_grid(rho).values for rho in rhos]
+        got = [[], []]
+        start = threading.Barrier(2)
+
+        def solve(k):
+            start.wait(timeout=60)
+            for _ in range(3):
+                got[k].append(solve_field_grid(rhos[k]).values)
+
+        # two threads only: each gets its own workspace
+        threads = [threading.Thread(target=solve, args=(k,)) for k in (0, 1)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+            assert not th.is_alive()
+        for k in (0, 1):
+            assert len(got[k]) == 3
+            assert all(np.array_equal(v, want[k]) for v in got[k])
+
+
 class TestFieldDiff:
     def test_identical_fields(self):
         spec = GridSpec((0, 0, 0), 4.0, 8)
@@ -386,6 +532,12 @@ class TestInterpolation:
         f = GridField(spec, np.zeros(spec.dims + (3,)))
         with pytest.raises(OutOfDomainError):
             f.interpolate([[2.1, 0.0, 0.0]])
+
+    def test_bitwise_equals_fancy_index_reference(self):
+        spec, pts, _ = reordering_probe()
+        rng = np.random.default_rng(RNG_SEED + 1)
+        f = GridField(spec, rng.normal(size=spec.dims + (3,)))
+        assert np.array_equal(f.interpolate(pts), interpolate_fancy_reference(f, pts))
 
 
 class TestLoglip:

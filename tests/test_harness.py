@@ -389,6 +389,39 @@ class TestEmission:
         end = result.snapshots[cfg.n_steps]
         np.testing.assert_allclose(end.x, start.x + 0.5 * start.v, atol=1e-14)
 
+    def test_direct_simulation_stops_at_the_escape_step(self, monkeypatch):
+        # fast counter-streaming beams leave the box part-way through; the
+        # direct field deposits nothing, so only the per-step check stops it
+        cfg = ScenarioConfig(
+            scenario="two-stream",
+            field_mode="direct",
+            softening=0.1,
+            n_particles=32,
+            grid_dims=8,
+            box_edge=4.0,
+            sigma_x=0.2,
+            beam_speed=5.0,
+            dt=0.05,
+            t_final=1.0,
+            seed=3,
+        ).validate()
+        spec = cfg.grid_spec
+        half_lattice = 0.5 * (np.asarray(spec.edge) - spec.h)
+        inside_after = []
+        real_step = dynamics.step_leapfrog
+
+        def counting_step(state):
+            real_step(state)
+            offset = np.abs(state.ensemble.x - np.asarray(spec.center))
+            inside_after.append(bool(np.all(offset <= half_lattice)))
+            return state
+
+        monkeypatch.setattr(dynamics, "step_leapfrog", counting_step)
+        with pytest.raises(errors.EscapeError):
+            harness.run_simulation(cfg)
+        assert 1 < len(inside_after) < cfg.n_steps
+        assert all(inside_after[:-1]) and not inside_after[-1]
+
 
 # every package error class, with the exit code and stderr prefix the CLI
 # gives it
