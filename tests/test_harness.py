@@ -786,6 +786,25 @@ GOLDEN_FIXTURES = {
         snapshot_stride=5,
         seed=103,
     ),
+    # the softened direct sum: its bytes pin the summation order of
+    # fields.solve_field_direct and of the direct-mode T1/T2 fields
+    "direct": dict(
+        scenario="two-blob",
+        epsilon=-1,
+        field_mode="direct",
+        n_particles=256,
+        grid_dims=16,
+        box_edge=10.0,
+        sigma_x=0.35,
+        dt=0.05,
+        t_final=0.5,
+        twin_kind="velocity-shift",
+        twin_delta=1e-2,
+        ot_stride=5,
+        ot_subsample=128,
+        snapshot_stride=5,
+        seed=104,
+    ),
 }
 
 
