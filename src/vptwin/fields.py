@@ -19,8 +19,14 @@ per-thread workspace that stays mapped, 2 (2n)^2 (n+1) x 16 bytes per n^3
 grid shape (4.4 MB at 32^3, 35 MB at 64^3; each solve used to allocate
 as much afresh). The CIC deposit is one ordered bincount, interpolation
 gathers through flat cell indices, and the direct sum works on
-cache-sized blocks of target-source pairs in one reused buffer. No
+cache-sized blocks of (source, target) planes in one reused buffer. No
 output bit depends on any of this.
+
+The two reductions whose order numpy would otherwise choose are written
+out. The direct sum forms r^2 = (dx dx + dz dz) + dy dy + s^2 and adds
+each target's terms one by one in source order, starting from +0.0.
+field_l2_diff sums exactly (exponent buckets, one correctly rounded
+division), so it returns math.fsum's bits at vector speed.
 """
 
 from __future__ import annotations
@@ -249,8 +255,12 @@ def deposit_cic(points, weights, spec):
 def solve_field_direct(points, weights, targets, softening=0.0, epsilon_sign=1):
     """Exact pairwise grad Psi at target points (no mesh error).
 
-    Summation order is fixed (source order), so results are deterministic.
-    With zero softening a target sitting exactly on a source raises
+    The order of every sum is fixed: r^2 = (dx dx + dz dz) + dy dy + s^2
+    per pair, and each component of a target's field adds its source
+    terms w (4 pi r^2 r)^-1 d one by one in source order from +0.0. This
+    is the order numpy's einsum took on two-lane (SSE) builds, so
+    the bits are those it gave; the blocking does not change them. With
+    zero softening a target sitting exactly on a source raises
     SingularityError.
     """
     s2 = check_softening(softening) ** 2
@@ -259,30 +269,46 @@ def solve_field_direct(points, weights, targets, softening=0.0, epsilon_sign=1):
     targets = np.atleast_2d(np.asarray(targets, dtype=np.float64))
     if not (np.all(np.isfinite(points)) and np.all(np.isfinite(targets))):
         raise ValueError("non-finite source or target coordinates")
+    n = points.shape[0]
     out = np.empty((targets.shape[0], 3))
-    # a block of targets whose pair arrays stay cache-sized; each target's
+    # a block of targets whose pair planes stay cache-sized; each target's
     # sum over the sources is the same whatever the block
-    block = max(1, DIRECT_PAIRS // max(1, points.shape[0]))
-    pairs = np.empty((min(block, targets.shape[0]),) + points.shape)
+    block = max(1, DIRECT_PAIRS // max(1, n))
+    planes = np.empty((5, min(block, targets.shape[0]) * n))
     for a in range(0, targets.shape[0], block):
         t = targets[a : a + block]
-        diff = pairs[: t.shape[0]]
-        # one coordinate at a time: a broadcast over the length-3 axis runs
-        # numpy's inner loop 3 elements long, about 3x slower, and each
-        # difference is exact whichever loop computes it
-        for k in range(points.shape[1]):
-            np.subtract(t[:, k, None], points[None, :, k], out=diff[..., k])
-        r2 = np.einsum("ijk,ijk->ij", diff, diff) + s2
+        m = t.shape[0]
+        # (source, target) planes: the differences, r^2, and scratch
+        dx, dy, dz, r2, tmp = (p[: n * m].reshape(n, m) for p in planes)
+        diff = (dx, dy, dz)
+        for k, d in enumerate(diff):
+            np.subtract(t[:, k], points[:, k, None], out=d)
+        np.multiply(dx, dx, out=r2)
+        r2 += np.multiply(dz, dz, out=tmp)
+        r2 += np.multiply(dy, dy, out=tmp)
+        r2 += s2
         if s2 == 0.0:
             sing = r2 == 0.0
             if np.any(sing):
                 raise SingularityError(
                     f"{int(sing.sum())} target(s) coincide with unsoftened sources"
                 )
-        inv = weights / (FOUR_PI * r2 * np.sqrt(r2))
+        # w / ((4 pi r^2) r), left in r2
+        np.sqrt(r2, out=tmp)
+        r2 *= FOUR_PI
+        r2 *= tmp
+        np.divide(weights[:, None], r2, out=r2)
         # the j == i term of a self-field has zero numerator, so softened
         # self-interaction vanishes automatically
-        out[a : a + block] = epsilon_sign * np.einsum("ij,ijk->ik", inv, diff)
+        for k, d in enumerate(diff):
+            d *= r2
+            if m > 1:
+                # row after row from +0.0: sequential in source order
+                out[a : a + m, k] = np.add.reduce(d, axis=0)
+            else:
+                # one column would reduce pairwise; accumulate is sequential
+                out[a, k] = np.add.accumulate(np.concatenate(([0.0], d[:, 0])))[-1]
+    out *= epsilon_sign
     return out
 
 
@@ -404,14 +430,57 @@ def _support_touches_boundary(values):
 def field_l2_diff(f1: GridField, f2: GridField) -> float:
     """L2 norm over the box of the field difference, (sum |d|^2 h^3)^{1/2}.
 
-    The sum of squares is correctly rounded (math.fsum), so the result
-    depends only on the field values, not on the order in which numpy
-    happens to reduce a 4-d array on a given build or SIMD path.
+    The sum of squares is correctly rounded (_exact_sum, bit for bit
+    math.fsum), so the result depends only on the field values, not on
+    the order in which numpy happens to reduce a 4-d array on a given
+    build or SIMD path.
     """
     if f1.spec != f2.spec:
         raise ValueError("field grids have different geometry")
     d = f1.values - f2.values
-    return math.sqrt(math.fsum((d * d).ravel()) * f1.spec.cell_volume)
+    return math.sqrt(_exact_sum(np.square(d, out=d)) * f1.spec.cell_volume)
+
+
+_SUM_CHUNK = 1 << 14  # terms per bucketing pass of _exact_sum
+_SUM_BUCKETS = 2098  # frexp exponents of finite doubles, -1073 .. 1024
+
+
+def _exact_sum(terms):
+    """The correctly rounded sum of a float64 array: math.fsum(terms).
+
+    Each term is m 2^e with frexp's 0.5 <= |m| < 1, and m 2^53 splits
+    into two integer-valued halves hi 2^27 + lo with |hi| < 2^26 and
+    |lo| < 2^27. bincount adds the halves of a chunk into one bucket per
+    exponent; those float sums are integers below 2^41, so exact, and
+    int64 carries them across chunks. The buckets then combine as one
+    Python int, and a single correctly rounded division scales it
+    (Neal, arXiv:1505.05571, uses the same exponent bucketing). An exact
+    zero is +0.0, as fsum returns, and a non-finite term leaves the work
+    to math.fsum itself. The int64 bucket sums hold below 2^36 terms.
+    """
+    terms = terms.ravel()
+    hi_sum = np.zeros(_SUM_BUCKETS, np.int64)
+    lo_sum = np.zeros(_SUM_BUCKETS, np.int64)
+    for a in range(0, terms.size, _SUM_CHUNK):
+        m, e = np.frexp(terms[a : a + _SUM_CHUNK])
+        lo, hi = np.modf(np.ldexp(m, 26, out=m))
+        bucket = e + 1073
+        hi_b = np.bincount(bucket, hi, _SUM_BUCKETS)
+        lo_b = np.bincount(bucket, np.ldexp(lo, 27, out=lo), _SUM_BUCKETS)
+        if not (np.isfinite(hi_b).all() and np.isfinite(lo_b).all()):
+            return math.fsum(terms)
+        hi_sum += hi_b.astype(np.int64)
+        lo_sum += lo_b.astype(np.int64)
+    used = np.flatnonzero(hi_sum | lo_sum).tolist()
+    if not used:
+        return 0.0
+    low = used[0]
+    total = sum(
+        ((int(hi_sum[b]) << 27) + int(lo_sum[b])) << (b - low) for b in used
+    )
+    # a unit of the lowest bucket is 2^(e - 53) with e = low - 1073
+    shift = low - 1073 - 53
+    return float(total << shift) if shift >= 0 else total / (1 << -shift)
 
 
 # --------------------------------------------------------------------------

@@ -8,8 +8,10 @@ library build, at any thread count. Across builds the bytes may move
 where two computations follow the library's order of operations: the FFT
 of the grid solve (pocketfft), and the one coupling-cost sum,
 transport.coupling_cost, an np.sum behind Q, S, Q_sub, S_sub, T1, T2, the
-W2 costs and the crossing detector's rms speed. Only field_l2_diff is
-summed correctly rounded, so it depends on the field bits alone.
+W2 costs and the crossing detector's rms speed. The other sums state
+their order in the code: the direct sum and the per-row squared norms
+add in a written-out order, and field_l2_diff is summed correctly
+rounded, so it depends on the field bits alone.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from .errors import ConfigError, EscapeError, TwinError
 # configuration schema
 
 MAX_STEPS = 1_000_000  # t_final / dt beyond this is a config error, not a run
+MAX_GRID_SOLVE_BYTES = 1 << 30  # the same for the memory of one grid solve
 
 
 def _parse_vec3(s):
@@ -91,6 +94,19 @@ class ScenarioConfig:
             raise ConfigError("grid_dims must be >= 2")
         if self.twin_kind == "resolution" and self.twin_grid_dims_b < 2:
             raise ConfigError("twin_grid_dims_b must be >= 2 with twin_kind = resolution")
+        grids = ["grid_dims"]
+        if self.twin_kind == "resolution":
+            grids.append("twin_grid_dims_b")
+        for name in grids:
+            n = getattr(self, name)
+            # the solve's workspace and kernel: five (2n)^2 (n+1) complex spectra
+            need = 5 * (2 * n) ** 2 * (n + 1) * 16
+            if need > MAX_GRID_SOLVE_BYTES:
+                raise ConfigError(
+                    f"{name} = {n}: a grid solve needs about "
+                    f"{need / 2**20:.0f} MiB, more than the "
+                    f"{MAX_GRID_SOLVE_BYTES >> 20} MiB cap"
+                )
         if self.dt <= 0 or self.t_final <= 0 or not self.dt < self.t_final:
             raise ConfigError("need 0 < dt < t_final")
         if self.box_edge <= 0:

@@ -96,10 +96,29 @@ class WeightedCloud:
 
 
 def squared_norms(*gaps):
-    """Per row sum_k |d_k,i|^2 over one or more (n, d) gap arrays."""
-    sq = np.einsum("ij,ij->i", gaps[0], gaps[0])
-    for d in gaps[1:]:
-        sq = sq + np.einsum("ij,ij->i", d, d)
+    """Per row sum_k |d_k,i|^2 over one or more (n, d) gap arrays.
+
+    Each gap's row sum runs in two lanes that add at the end, one over
+    the even and one over the odd columns: (c0 + c2) + c1 for d = 3,
+    ((c0 + c2) + c4) + ((c1 + c3) + c5) for d = 6. A lane takes each
+    whole group of eight columns back to front, the rest front to back.
+    This is the order of numpy's einsum("ij,ij->i") on two-lane (SSE)
+    builds, whose bits it keeps; the gaps then add in argument order.
+    """
+    sq = None
+    for gap in gaps:
+        d = gap.shape[1]
+        whole = d - d % 8
+        even = [j + k for j in range(0, whole, 8) for k in (6, 4, 2, 0)]
+        even += range(whole, d, 2)
+        row = None
+        for lane in (even, [k + 1 for k in even if k + 1 < d]):
+            if lane:
+                acc = gap[:, lane[0]] * gap[:, lane[0]]
+                for k in lane[1:]:
+                    acc += gap[:, k] * gap[:, k]
+                row = acc if row is None else row + acc
+        sq = row if sq is None else sq + row
     return sq
 
 

@@ -9,9 +9,12 @@ pairwise sum as ground truth for the grid solver.
 import itertools
 import math
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from vptwin import dynamics, fields
 from vptwin.errors import OutOfDomainError, SingularityError
@@ -65,6 +68,23 @@ def ball_field_quadrature(r_target, n_quad=96):
         integrand = rho * S**2 * dz / (FOUR_PI * np.maximum(d2, 1e-300) ** 1.5)
         total += float(2.0 * np.pi * np.sum(WS * WM * integrand))
     return total
+
+
+def direct_sum_loop(points, weights, targets, softening, eps):
+    """solve_field_direct in its documented order, one target at a time:
+    r^2 = (dx dx + dz dz) + dy dy + s^2, then each component summed from
+    +0.0 over the sources in source order."""
+    out = np.empty((len(targets), 3))
+    for i, t in enumerate(targets):
+        d = t - points
+        r2 = (d[:, 0] * d[:, 0] + d[:, 2] * d[:, 2]) + d[:, 1] * d[:, 1] + softening**2
+        inv = weights / (FOUR_PI * r2 * np.sqrt(r2))
+        for k in range(3):
+            acc = 0.0
+            for term in (inv * d[:, k]).tolist():
+                acc += term
+            out[i, k] = eps * acc
+    return out
 
 
 def ball_lattice(spacing, radius=1.0):
@@ -194,6 +214,25 @@ class TestDirectSum:
         monkeypatch.setattr(fields, "DIRECT_PAIRS", pairs)
         got = solve_field_direct(src, w, t, softening=0.05, epsilon_sign=-1)
         assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("n_sources", [1, 3, 300])
+    @pytest.mark.parametrize("pairs", [1, 7, 1 << 15])
+    def test_matches_sequential_loop(self, monkeypatch, n_sources, pairs):
+        # pairs = 1 makes every block one target, pairs = 7 leaves a
+        # one-target last block for 3 sources and blocks of one for 300
+        rng = np.random.default_rng(RNG_SEED)
+        src = rng.normal(size=(n_sources, 3))
+        src[:, 0] = 0.0
+        t = np.vstack([rng.normal(size=(6, 3)), src[:4]])  # self-field rows last
+        # x-differences -0.0 - 0.0: every x term is -0.0, and the sum is +0.0
+        t[:2, 0] = -0.0
+        t[2, 1] = -0.0
+        w = rng.random(n_sources) / 3.0
+        monkeypatch.setattr(fields, "DIRECT_PAIRS", pairs)
+        got = solve_field_direct(src, w, t, softening=0.05, epsilon_sign=-1)
+        want = direct_sum_loop(src, w, t, 0.05, -1)
+        assert got.tobytes() == want.tobytes()
+        assert np.all(np.signbit(got[:2, 0]))  # -(+0.0) under epsilon = -1
 
     @pytest.mark.parametrize("pairs", [7, 1 << 15])
     def test_singularity_in_last_block_raises(self, monkeypatch, pairs):
@@ -497,11 +536,63 @@ class TestFieldDiff:
             )
             assert got == want, axes
 
+    def test_no_per_element_list(self):
+        # a float list of the terms alone takes 4x the field's bytes (an
+        # 8-byte pointer and a 24-byte float per element)
+        spec = GridSpec((0, 0, 0), 8.0, 32)
+        f = GridField(spec, np.random.default_rng(RNG_SEED).normal(size=spec.dims + (3,)))
+        g = GridField(spec, f.values.copy())
+        tracemalloc.start()
+        try:
+            assert field_l2_diff(f, g) == 0.0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * f.values.nbytes
+
     def test_geometry_mismatch_rejected(self):
         a = GridField(GridSpec((0, 0, 0), 4.0, 8), np.zeros((8, 8, 8, 3)))
         b = GridField(GridSpec((0, 0, 0), 5.0, 8), np.zeros((8, 8, 8, 3)))
         with pytest.raises(ValueError):
             field_l2_diff(a, b)
+
+
+SUM_LENGTHS = [0, 1, 2, 3, 17] + [
+    fields._SUM_CHUNK + k for k in (-1, 0, 1)
+] + [2 * fields._SUM_CHUNK + 5]
+SUM_TERMS = st.one_of(
+    st.floats(-1e300, 1e300),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-300, 1e300]),
+)
+
+
+class TestExactSum:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        values=st.lists(SUM_TERMS, min_size=1, max_size=40),
+        length=st.sampled_from(SUM_LENGTHS),
+        cancel=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(values=[-0.0], length=3, cancel=False, seed=0)  # fsum gives +0.0
+    @example(values=[1e300, 1e-300, 5e-324], length=17, cancel=True, seed=1)
+    def test_equals_fsum_bit_for_bit(self, values, length, cancel, seed):
+        rng = np.random.default_rng(seed)
+        # the drawn values repeat to the drawn length, each scaled by a
+        # power of two (exact) so that chunks differ
+        x = np.resize(np.array(values), length)
+        x = np.ldexp(x, rng.integers(-4, 5, size=length))
+        if cancel:  # every term with its negation: the exact sum is 0
+            x = rng.permutation(np.concatenate([x, -x]))
+        want = math.fsum(x.tolist())
+        got = fields._exact_sum(x)
+        assert (got, math.copysign(1.0, got)) == (want, math.copysign(1.0, want))
+
+    def test_non_finite_terms_follow_fsum(self):
+        assert fields._exact_sum(np.array([1.0, np.inf])) == math.inf
+        assert math.isnan(fields._exact_sum(np.array([np.nan, 1.0])))
+        with pytest.raises(ValueError):
+            fields._exact_sum(np.array([np.inf, -np.inf]))
 
 
 class TestInterpolation:

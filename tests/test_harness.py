@@ -102,6 +102,8 @@ class TestConfigParsing:
             ("n_particles = 4100\not_subsample = 5000\not_stride = 1\n", "ot_subsample"),
             ("grid_dims = 1\n", "grid_dims"),
             ("twin_kind = resolution\ntwin_grid_dims_b = 1\n", "twin_grid_dims_b"),
+            ("grid_dims = 256\n", "grid_dims"),
+            ("twin_kind = resolution\ntwin_grid_dims_b = 256\n", "twin_grid_dims_b"),
         ],
     )
     def test_unrunnable_size_rejected(self, text, key):
@@ -116,6 +118,21 @@ class TestConfigParsing:
         small_config(grid_dims=2, twin_kind="resolution", twin_grid_dims_b=2)
         # only a resolution twin runs B on twin_grid_dims_b
         small_config(twin_kind="velocity-shift", twin_grid_dims_b=1)
+        small_config(twin_kind="velocity-shift", twin_grid_dims_b=10_000)
+
+    def test_grid_memory_guard_states_the_estimate(self):
+        # workspace (2 spectra) + kernel (3 spectra), each (2n)^2 (n+1) complex
+        def solve_bytes(n):
+            return 5 * (2 * n) ** 2 * (n + 1) * 16
+
+        cap = harness.MAX_GRID_SOLVE_BYTES
+        largest = max(n for n in range(2, 400) if solve_bytes(n) <= cap)
+        small_config(grid_dims=largest)
+        small_config(grid_dims=8, twin_kind="resolution", twin_grid_dims_b=largest)
+        mib = f"{solve_bytes(largest + 1) / 2**20:.0f} MiB"
+        for key in ("grid_dims", "twin_grid_dims_b"):
+            with pytest.raises(ConfigError, match=f"{key} = {largest + 1}: .*{mib}"):
+                small_config(**{key: largest + 1, "twin_kind": "resolution"})
 
     @pytest.mark.parametrize("key", ["dim", "prop31_tol", "geodesic_tol"])
     def test_removed_keys_are_unknown(self, key):
@@ -459,6 +476,8 @@ class TestCLI:
             "n_particles = 4100\not_subsample = 5000\not_stride = 1\n",
             "grid_dims = 1\n",
             "twin_kind = resolution\ntwin_grid_dims_b = 1\n",
+            "grid_dims = 256\n",
+            "twin_kind = resolution\ntwin_grid_dims_b = 256\n",
         ],
     )
     def test_unrunnable_size_exits_usage(self, tmp_path, capsys, text):

@@ -28,6 +28,7 @@ from vptwin.transport import (
     displacement_interpolate,
     geodesic_linf_check,
     merge_coincident,
+    squared_norms,
     w2_exact,
     w2_sinkhorn,
 )
@@ -53,6 +54,47 @@ def random_cloud(rng, n, d=3, mass=1.0, uniform=True):
         w = rng.random(n) + 0.1
         w *= mass / w.sum()
     return WeightedCloud(pts, w)
+
+
+# the two lanes of squared_norms for d columns, each summed in list order:
+# whole groups of eight back to front, the rest front to back
+SQUARED_NORM_LANES = {
+    1: ([0], []),
+    2: ([0], [1]),
+    3: ([0, 2], [1]),
+    6: ([0, 2, 4], [1, 3, 5]),
+    8: ([6, 4, 2, 0], [7, 5, 3, 1]),
+    11: ([6, 4, 2, 0, 8, 10], [7, 5, 3, 1, 9]),
+    17: ([6, 4, 2, 0, 14, 12, 10, 8, 16], [7, 5, 3, 1, 15, 13, 11, 9]),
+}
+
+
+def row_sum_loop(gap):
+    """Per row: the even lane plus the odd lane, each summed from 0.0."""
+    even, odd = SQUARED_NORM_LANES[gap.shape[1]]
+    out = []
+    for row in gap.tolist():
+        lanes = [0.0, 0.0]
+        for lane, cols in enumerate((even, odd)):
+            for k in cols:
+                lanes[lane] += row[k] * row[k]
+        out.append(lanes[0] + lanes[1])
+    return np.array(out)
+
+
+class TestSquaredNorms:
+    @pytest.mark.parametrize("d", sorted(SQUARED_NORM_LANES))
+    def test_matches_documented_order(self, d):
+        rng = np.random.default_rng(RNG_SEED + d)
+        gap = rng.normal(size=(64, d)) * np.exp(8.0 * rng.normal(size=(64, d)))
+        gap[::5, 0] = -0.0
+        assert squared_norms(gap).tobytes() == row_sum_loop(gap).tobytes()
+
+    def test_gaps_add_in_argument_order(self):
+        rng = np.random.default_rng(RNG_SEED)
+        x, v = rng.normal(size=(2, 50, 3)) * np.exp(6.0 * rng.normal(size=(2, 50, 3)))
+        want = row_sum_loop(x) + row_sum_loop(v)
+        assert squared_norms(x, v).tobytes() == want.tobytes()
 
 
 class TestW2Exact:
