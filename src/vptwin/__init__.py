@@ -10,13 +10,10 @@ envelope) are certified numerically at desk scale.
 from .certify import (
     StabilityRecord,
     check_gronwall,
-    check_lemma_w2,
-    check_prop31,
     compute_Q,
     compute_T1_T2,
     osgood_contain,
     osgood_envelope,
-    vanishing_perturbation_study,
 )
 from .dynamics import (
     FlowState,
@@ -42,7 +39,6 @@ from .transport import (
     displacement_interpolate,
     geodesic_linf_check,
     w2_exact,
-    w2_sinkhorn,
 )
 
 __version__ = "0.1.0"

@@ -22,9 +22,10 @@ from dataclasses import dataclass, fields as dc_fields
 
 import numpy as np
 
-from .errors import CheckFailure
+# nothing here calls solve_field_grid; the import stays because
+# perfbench/tracer.py wraps certify.solve_field_grid by name
 from .fields import GridDensity, field_l2_diff, solve_field_grid
-from .transport import WeightedCloud, coupling_cost, squared_norms, w2_exact
+from .transport import coupling_cost, squared_norms
 
 E = math.e
 PROP31_TOL = 0.05  # Prop. 3.1 passes while lhs <= (1 + PROP31_TOL) rhs
@@ -33,7 +34,6 @@ INEQ_TOL = 1e-9  # solver round-off allowed in the W2 <= feasible-plan checks
 GRONWALL_MIN_FRACTION = 0.99  # share of checked steps the dQ/dt check must hold at
 SPACING_RTOL = 1e-9  # relative spread of record time steps still called uniform
 CONTAIN_RTOL = 1e-9  # Q / y - 1 still counted as contained by the envelope
-DECAY_FRACTION = 0.5  # sup Q at the smallest delta over that at the largest
 
 
 # --------------------------------------------------------------------------
@@ -115,14 +115,6 @@ def compute_T1_T2(ens_a, ens_b, fa_at_a, fb_at_b, field_b):
 # field stability check
 
 
-@dataclass(frozen=True)
-class Prop31Report:
-    lhs: float
-    rhs: float
-    ratio: float
-    passed: bool
-
-
 def prop31_sides(rho1: GridDensity, rho2: GridDensity, field1, field2, w2):
     """(lhs, rhs) of the field-stability estimate: lhs = ||field1 -
     field2||_L2 over the box, rhs = max(sup rho1, sup rho2)^{1/2} * w2."""
@@ -134,49 +126,6 @@ def prop31_ratio(lhs, rhs):
     if rhs > 0:
         return lhs / rhs
     return math.inf if lhs > PROP31_ZERO_TOL else 0.0
-
-
-def check_prop31(
-    rho1: GridDensity,
-    rho2: GridDensity,
-    cloud1: WeightedCloud,
-    cloud2: WeightedCloud,
-) -> Prop31Report:
-    """Field-difference L2 norm vs sup-norm-weighted Wasserstein distance.
-
-    lhs and rhs are prop31_sides of the two grid fields and W2(cloud1,
-    cloud2); passes iff lhs <= (1 + PROP31_TOL) rhs. rhs = 0 with lhs
-    above PROP31_ZERO_TOL flags an inconsistency.
-    """
-    if rho1.spec != rho2.spec:
-        raise ValueError("densities must share a common grid")
-    w2, _ = w2_exact(cloud1, cloud2)
-    lhs, rhs = prop31_sides(rho1, rho2, solve_field_grid(rho1), solve_field_grid(rho2), w2)
-    ratio = prop31_ratio(lhs, rhs)
-    if rhs == 0.0 and ratio > 0.0:
-        raise CheckFailure(f"identical densities (W2 = 0) but field difference {lhs:.3e}")
-    return Prop31Report(lhs, rhs, ratio, ratio <= 1.0 + PROP31_TOL)
-
-
-@dataclass(frozen=True)
-class LemmaW2Report:
-    lhs: float
-    rhs: float
-    slack: float
-    passed: bool
-
-
-def check_lemma_w2(ens_a, ens_b) -> LemmaW2Report:
-    """W2 of the position clouds never exceeds the paired position gap.
-
-    The index pairing is itself a feasible plan, so W2^2 <= S holds up to
-    solver round-off; passes iff W2^2 - S <= INEQ_TOL, the rule
-    certify_records applies. lhs = W2, rhs = S^{1/2}.
-    """
-    s = compute_S(ens_a, ens_b)
-    lhs, _ = w2_exact(ens_a.position_cloud(), ens_b.position_cloud())
-    rhs = math.sqrt(s)
-    return LemmaW2Report(lhs, rhs, rhs - lhs, lhs**2 - s <= INEQ_TOL)
 
 
 # --------------------------------------------------------------------------
@@ -333,40 +282,6 @@ def osgood_contain(records, C) -> OsgoodContainReport:
         max_excess = max(max_excess, excess)
         n_ok += excess <= CONTAIN_RTOL
     return OsgoodContainReport(C, q0, t0, len(pos), n_ok, n_ok == len(pos), max_excess)
-
-
-# --------------------------------------------------------------------------
-# vanishing-perturbation uniqueness witness
-
-
-@dataclass
-class VanishingPerturbationReport:
-    deltas: list
-    sup_Q: list
-    monotone: bool
-    decay_ratio: float  # sup_Q at the smallest delta over sup_Q at the largest
-    passed: bool
-
-
-def vanishing_perturbation_study(run, deltas) -> VanishingPerturbationReport:
-    """sup_t Q(t) per perturbation magnitude; passes iff nonincreasing in
-    delta and the smallest delta lands below DECAY_FRACTION of the largest.
-
-    ``run`` maps a perturbation magnitude to a list of StabilityRecords.
-    """
-    deltas = sorted(float(d) for d in deltas)
-    if len(deltas) < 2 or (deltas[0] > 0 and deltas[-1] / deltas[0] < 2.0):
-        raise ValueError("need a sweep of >= 2 deltas spanning at least a factor 2")
-    sup_q = []
-    for d in deltas:
-        records = run(d)
-        sup_q.append(max((r.Q for r in records), default=0.0))
-    diffs = np.diff(sup_q)
-    monotone = bool(np.all(diffs >= -1e-15 * max(sup_q)))
-    ratio = sup_q[0] / sup_q[-1] if sup_q[-1] > 0 else 0.0
-    return VanishingPerturbationReport(
-        deltas, sup_q, monotone, ratio, monotone and ratio <= DECAY_FRACTION
-    )
 
 
 # --------------------------------------------------------------------------

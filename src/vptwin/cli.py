@@ -1,12 +1,13 @@
 """Command-line entry points.
 
-Subcommands: simulate, twin, ot, certify, report. Exit codes: 0 = pass,
-1 = certification check failure, 2 = usage/config error or bad input,
-3 = numerical failure. Every package error carries its own code and
-stderr prefix (see errors.py); OSError and ValueError exit 2. On one
-machine and library build, results are byte-identical at any thread
-count, because the FFT (pocketfft), cdist, the KD-tree query and
-linear_sum_assignment all run single-threaded.
+Subcommands: simulate, twin, ot (exact W2 only: an entropic solve has no
+optimality certificate), certify, report. Exit codes: 0 = pass, 1 = a
+FAIL verdict from certify, 2 = usage/config error or bad input (an
+unknown option included), 3 = numerical failure. Every package error
+carries its own code and stderr prefix (see errors.py); OSError and
+ValueError exit 2. On one machine and library build, results are
+byte-identical at any thread count, because the FFT (pocketfft), cdist,
+the KD-tree query and linear_sum_assignment all run single-threaded.
 """
 
 from __future__ import annotations
@@ -45,10 +46,7 @@ def _cmd_twin(args):
 def _cmd_ot(args):
     a = transport.load_cloud(args.cloud_a)
     b = transport.load_cloud(args.cloud_b)
-    if args.sinkhorn:
-        dist, plan = transport.w2_sinkhorn(a, b, args.reg, tol=args.tol)
-    else:
-        dist, plan = transport.w2_exact(a, b)
+    dist, plan = transport.w2_exact(a, b)
     print(f"{dist:.17g}")
     if args.plan_out:
         transport.save_plan(plan, args.plan_out)
@@ -88,12 +86,9 @@ def build_parser():
     pt.add_argument("--out", default="out_twin")
     pt.set_defaults(fn=_cmd_twin)
 
-    po = sub.add_parser("ot", help="Wasserstein-2 distance between cloud files")
+    po = sub.add_parser("ot", help="exact Wasserstein-2 distance between cloud files")
     po.add_argument("cloud_a")
     po.add_argument("cloud_b")
-    po.add_argument("--sinkhorn", action="store_true", help="entropic W2 instead of exact")
-    po.add_argument("--reg", type=float, default=1e-2)
-    po.add_argument("--tol", type=float, default=1e-9)
     po.add_argument("--plan-out")
     po.set_defaults(fn=_cmd_ot)
 

@@ -1,10 +1,11 @@
 """Shared exception types, each with its CLI exit code and stderr prefix.
 
 cli.main prints "<prefix>: <message>" and exits with the class's
-exit_code: EXIT_CHECK for a failed certification check and any other
-package error, EXIT_USAGE for a bad config or OT input (ConfigError,
+exit_code: EXIT_USAGE for a bad config or OT input (ConfigError,
 TransportError), EXIT_DIVERGED for a numerical failure (NumericalFailure
-and its subclasses, SinkhornError).
+and its subclasses), EXIT_CHECK for any other package error. A failed
+certification check is not an exception: `vptwin certify` returns
+EXIT_CHECK when the verdict is FAIL.
 """
 
 EXIT_PASS = 0
@@ -27,12 +28,6 @@ class ConfigError(VptwinError):
     prefix = "config error"
 
 
-class CheckFailure(VptwinError):
-    """A certification check failed."""
-
-    prefix = "check failure"
-
-
 class TransportError(VptwinError):
     """Optimal-transport solver failure (infeasibility, size guard, ...)."""
 
@@ -48,17 +43,6 @@ class NumericalFailure(VptwinError):
 
     exit_code = EXIT_DIVERGED
     prefix = "numerical failure"
-
-
-class SinkhornError(TransportError):
-    """Entropic solver did not reach the marginal tolerance."""
-
-    exit_code = EXIT_DIVERGED
-    prefix = "numerical failure"
-
-    def __init__(self, message, marginal_violation):
-        super().__init__(message)
-        self.marginal_violation = marginal_violation
 
 
 class EscapeError(NumericalFailure):

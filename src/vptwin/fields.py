@@ -100,15 +100,6 @@ class GridSpec:
     def cell_volume(self):
         return float(np.prod(self.h))
 
-    def axis_centers(self, axis):
-        return self.lo[axis] + (np.arange(self.dims[axis]) + 0.5) * self.h[axis]
-
-    def points(self):
-        """Cell-center coordinates, shape dims + (3,)."""
-        ax = [self.axis_centers(a) for a in range(3)]
-        g = np.meshgrid(*ax, indexing="ij")
-        return np.stack(g, axis=-1)
-
     def refine(self, factor=2):
         return GridSpec(self.center, self.edge, tuple(n * factor for n in self.dims))
 
@@ -551,14 +542,3 @@ def save_grid(obj, basepath):
     with open(basepath + ".json", "w") as fh:
         json.dump(sidecar, fh, sort_keys=True, indent=1)
         fh.write("\n")
-
-
-def load_grid(basepath):
-    basepath = str(basepath)
-    with open(basepath + ".json") as fh:
-        side = json.load(fh)
-    spec = GridSpec(tuple(side["box_center"]), tuple(side["box_edge"]), tuple(side["dims"]))
-    raw = np.fromfile(basepath + ".bin", dtype="<f8")
-    if side["kind"] == "density":
-        return GridDensity(spec, raw.reshape(spec.dims), side["epsilon_sign"])
-    return GridField(spec, raw.reshape(spec.dims + (3,)))

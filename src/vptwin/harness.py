@@ -99,13 +99,17 @@ class ScenarioConfig:
             grids.append("twin_grid_dims_b")
         for name in grids:
             n = getattr(self, name)
-            # the solve's workspace and kernel: five (2n)^2 (n+1) complex spectra
-            need = 5 * (2 * n) ** 2 * (n + 1) * 16
+            # the peak is the first solve's kernel build (fields._kernel_fft):
+            # full (2n)^3 arrays denom (float64), the nonzero mask (bool) and
+            # one kernel component (float64), beside four (2n)^2 (n+1)
+            # complex spectra: two built, one being built and its rfftn
+            # intermediate. The five spectra a solve keeps take less.
+            need = 17 * (2 * n) ** 3 + 4 * (2 * n) ** 2 * (n + 1) * 16
             if need > MAX_GRID_SOLVE_BYTES:
                 raise ConfigError(
-                    f"{name} = {n}: a grid solve needs about "
-                    f"{need / 2**20:.0f} MiB, more than the "
-                    f"{MAX_GRID_SOLVE_BYTES >> 20} MiB cap"
+                    f"{name} = {n}: a grid solve peaks at about "
+                    f"{need / 2**20:.0f} MiB while building its kernel, more "
+                    f"than the {MAX_GRID_SOLVE_BYTES >> 20} MiB cap"
                 )
         if self.dt <= 0 or self.t_final <= 0 or not self.dt < self.t_final:
             raise ConfigError("need 0 < dt < t_final")
@@ -234,6 +238,8 @@ def write_records(path, records):
 
 
 def read_records(path):
+    """The records of a write_records CSV; a malformed or non-finite cell
+    raises ValueError naming its line and column."""
     with open(path) as fh:
         header = fh.readline().strip().split(",")
         if header != RECORD_COLUMNS:
@@ -254,6 +260,9 @@ def read_records(path):
                         kwargs[col] = int(cell)
                     else:
                         kwargs[col] = float(cell)
+                        # a nan would slip past the verdict's max()
+                        if not math.isfinite(kwargs[col]):
+                            raise ValueError(f"non-finite value {cell!r}")
                 except ValueError as err:
                     raise ValueError(f"{path}: line {lineno}: column {col}: {err}") from err
             records.append(StabilityRecord(**kwargs))

@@ -12,8 +12,7 @@ linear_sum_assignment would return (see w2_exact):
   and unique by a strong-component test on the near-tight edges;
 - dense: cdist + linear_sum_assignment, when neither certificate holds.
 
-The first two build no n x n cost matrix. A log-domain entropic solver
-covers larger inputs approximately.
+The first two build no n x n cost matrix.
 Displacement interpolation moves mass along straight lines of the plan;
 its kinetic energy is the plan cost for every interpolation parameter by
 construction.
@@ -34,14 +33,14 @@ from scipy.sparse.csgraph import (
 )
 from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist
-from scipy.special import logsumexp
 
 from . import fields
-from .errors import MassMismatchError, SinkhornError, TransportError
+from .errors import MassMismatchError, TransportError
 
 MAX_ASSIGNMENT_SIDE = 4096  # dense n x n cost matrix guard
 MAX_LP_ENTRIES = 400_000  # n*m guard for the general transportation LP
 MASS_RTOL = 1e-9
+MARGINAL_RTOL = 1e-9  # plan marginal error allowed, relative to the total mass
 # nearest-neighbour shortcut of w2_exact: relative margin between first and
 # second squared neighbour distance, and the floor of the second one
 NN_MARGIN = 1e-9
@@ -141,9 +140,8 @@ class TransportPlan:
     mass: np.ndarray
     source: WeightedCloud
     target: WeightedCloud
-    marginal_rtol: float = 1e-9
-    # the solver path that produced the plan: "nearest", "sparse", "dense",
-    # "lp" or "sinkhorn"; None for plans built or loaded by hand
+    # the solver path that produced the plan: "nearest", "sparse", "dense"
+    # or "lp"; None for plans built or loaded by hand
     solver: str | None = None
 
     def __post_init__(self):
@@ -163,10 +161,10 @@ class TransportPlan:
             np.abs(row - self.source.weights).max(initial=0.0),
             np.abs(col - self.target.weights).max(initial=0.0),
         )
-        if err > self.marginal_rtol * scale:
+        if err > MARGINAL_RTOL * scale:
             raise ValueError(
                 f"plan marginals violate cloud weights: max error {err:.3e} "
-                f"(allowed {self.marginal_rtol * scale:.3e})"
+                f"(allowed {MARGINAL_RTOL * scale:.3e})"
             )
 
     def marginals(self):
@@ -434,78 +432,7 @@ def _lp_plan(a, b):
         raise TransportError(f"transportation LP failed: {res.message}")
     x = res.x.reshape(n, m)
     src, tgt = np.nonzero(x > 0)
-    return TransportPlan(src, tgt, x[src, tgt], a, b, marginal_rtol=1e-9, solver="lp")
-
-
-# --------------------------------------------------------------------------
-# entropic solver
-
-
-def w2_sinkhorn(
-    a: WeightedCloud,
-    b: WeightedCloud,
-    regularization: float,
-    max_iters: int = 5000,
-    tol: float = 1e-9,
-):
-    """Entropic approximation of w2_exact (log-domain Sinkhorn).
-
-    The regularization is annealed geometrically from the cost scale down
-    to the requested value, warm-starting the dual potentials at each stage
-    (plain cold-started iteration stalls badly for regularizations small
-    compared to the cost spread). Convergence criterion: relative L1
-    violation of the source marginal (the target marginal is exact after
-    each column update). On failure raises SinkhornError carrying the
-    final violation.
-    """
-    _check_mass(a, b)
-    if regularization <= 0:
-        raise ValueError("regularization must be positive")
-    total = a.total_mass
-    cost_matrix = cdist(a.points, b.points, "sqeuclidean")
-    la = np.log(a.weights / total)
-    lb = np.log(b.weights / total)
-    reg_final = float(regularization)
-    scale = max(float(cost_matrix.max()), reg_final)
-    stages = [scale]
-    while stages[-1] > reg_final * 1.0001:
-        stages.append(max(stages[-1] / 2.0, reg_final))
-    f = np.zeros(a.n)
-    g = np.zeros(b.n)
-    violation = np.inf
-    iters_left = int(max_iters)
-    converged = False
-    for reg in stages:
-        stage_tol = tol if reg == stages[-1] else max(tol, 1e-4)
-        converged = False
-        while iters_left > 0:
-            iters_left -= 1
-            f = reg * (la - logsumexp((g[None, :] - cost_matrix) / reg, axis=1))
-            g = reg * (lb - logsumexp((f[:, None] - cost_matrix) / reg, axis=0))
-            log_plan = (f[:, None] + g[None, :] - cost_matrix) / reg
-            row = np.exp(logsumexp(log_plan, axis=1))
-            violation = float(np.abs(row - a.weights / total).sum())
-            if violation <= stage_tol:
-                converged = True
-                break
-    if not converged or violation > tol:
-        raise SinkhornError(
-            f"no convergence in {max_iters} iterations "
-            f"(marginal violation {violation:.3e} > tol {tol:.3e})",
-            violation,
-        )
-    plan_matrix = total * np.exp(log_plan)
-    src, tgt = np.nonzero(plan_matrix > 1e-18 * total)
-    plan = TransportPlan(
-        src,
-        tgt,
-        plan_matrix[src, tgt],
-        a,
-        b,
-        marginal_rtol=max(tol, 1e-9),
-        solver="sinkhorn",
-    )
-    return math.sqrt(max(plan.cost, 0.0)), plan
+    return TransportPlan(src, tgt, x[src, tgt], a, b, solver="lp")
 
 
 # --------------------------------------------------------------------------
@@ -524,14 +451,6 @@ def displacement_interpolate(plan: TransportPlan, theta: float) -> GeodesicSampl
         plan.tgt
     ]
     return GeodesicSample(float(theta), WeightedCloud(pts, plan.mass.copy()), plan.cost)
-
-
-def merge_coincident(cloud: WeightedCloud, decimals=12) -> WeightedCloud:
-    """Sum weights of points equal after rounding; canonical lexicographic order."""
-    key = np.round(cloud.points, decimals)
-    uniq, inv = np.unique(key, axis=0, return_inverse=True)
-    w = np.bincount(inv, weights=cloud.weights, minlength=uniq.shape[0])
-    return WeightedCloud(uniq, w)
 
 
 # --------------------------------------------------------------------------
@@ -632,14 +551,3 @@ def save_plan(plan: TransportPlan, path):
         fh.write(f"{plan.src.size}\n")
         for i, j, m in zip(plan.src, plan.tgt, plan.mass):
             fh.write(f"{i} {j} {m:.17g}\n")
-
-
-def load_plan(path, source: WeightedCloud, target: WeightedCloud) -> TransportPlan:
-    with open(path) as fh:
-        n = int(fh.readline())
-        data = np.loadtxt(fh, ndmin=2)
-    if data.shape[0] != n:
-        raise ValueError(f"{path}: expected {n} entries, got {data.shape[0]}")
-    return TransportPlan(
-        data[:, 0].astype(np.int64), data[:, 1].astype(np.int64), data[:, 2], source, target
-    )

@@ -18,18 +18,17 @@ from vptwin import certify
 from vptwin.certify import (
     StabilityRecord,
     check_gronwall,
-    check_lemma_w2,
-    check_prop31,
     compute_Q,
+    compute_S,
     compute_T1_T2,
     osgood_contain,
     osgood_envelope,
-    vanishing_perturbation_study,
+    prop31_ratio,
+    prop31_sides,
 )
 from vptwin.dynamics import DirectSumEvaluator, ParticleEnsemble
-from vptwin.errors import CheckFailure
 from vptwin.fields import GridDensity, GridSpec, deposit_cic, solve_field_grid
-from vptwin.transport import WeightedCloud
+from vptwin.transport import WeightedCloud, w2_exact
 
 RNG_SEED = 90210
 E = math.e
@@ -154,6 +153,9 @@ class TestT1T2:
 
 
 class TestProp31:
+    """prop31_sides and prop31_ratio, the two functionals the twin ledger
+    and certify_records apply, over fields solved from known densities."""
+
     def ball_cloud(self, rng, n=2048):
         u = rng.random(n)
         d = rng.normal(size=(n, 3))
@@ -161,13 +163,20 @@ class TestProp31:
         pts = u[:, None] ** (1.0 / 3.0) * d
         return WeightedCloud(pts, np.full(n, 1.0 / n))
 
+    @staticmethod
+    def density(cloud, spec):
+        return GridDensity(spec, deposit_cic(cloud.points, cloud.weights, spec))
+
     def test_identical_densities(self):
         rng = np.random.default_rng(RNG_SEED)
         spec = GridSpec((0, 0, 0), 6.0, 24)
         c = self.ball_cloud(rng)
-        rho = GridDensity(spec, deposit_cic(c.points, c.weights, spec))
-        rep = check_prop31(rho, rho, c, c)
-        assert rep.passed and rep.ratio == 0.0
+        rho = self.density(c, spec)
+        w2, _ = w2_exact(c, c)
+        field = solve_field_grid(rho)
+        lhs, rhs = prop31_sides(rho, rho, field, field, w2)
+        assert (lhs, rhs) == (0.0, 0.0)
+        assert prop31_ratio(lhs, rhs) == 0.0
 
     def test_translate_sweep(self):
         # W2 between a cloud and its translate is exactly |delta|, so the
@@ -175,59 +184,83 @@ class TestProp31:
         rng = np.random.default_rng(RNG_SEED)
         spec = GridSpec((0, 0, 0), 6.0, 32)
         c = self.ball_cloud(rng)
-        rho1 = GridDensity(spec, deposit_cic(c.points, c.weights, spec))
+        rho1 = self.density(c, spec)
+        field1 = solve_field_grid(rho1)
         slopes = []
         for delta in (0.4, 0.2, 0.1, 0.05):
-            c2 = c.translate([delta, 0.0, 0.0])
-            rho2 = GridDensity(spec, deposit_cic(c2.points, c2.weights, spec))
-            rep = check_prop31(rho1, rho2, c, c2)
-            assert rep.passed, f"delta={delta}: ratio {rep.ratio}"
-            slopes.append(rep.lhs / delta)
+            rho2 = self.density(c.translate([delta, 0.0, 0.0]), spec)
+            lhs, rhs = prop31_sides(rho1, rho2, field1, solve_field_grid(rho2), delta)
+            ratio = prop31_ratio(lhs, rhs)
+            assert ratio <= 1.0 + certify.PROP31_TOL, f"delta={delta}: ratio {ratio}"
+            slopes.append(lhs / delta)
         slopes = np.array(slopes)
         assert np.ptp(slopes) <= 0.25 * slopes.mean()
 
     def test_zero_rhs_with_nonzero_lhs_flagged(self):
-        spec = GridSpec((0, 0, 0), 4.0, 8)
-        vals1 = np.zeros(spec.dims)
-        vals1[4, 4, 4] = 1.0
-        vals2 = np.zeros(spec.dims)
-        vals2[3, 3, 3] = 1.0
-        c = WeightedCloud([[0.0, 0.0, 0.0]], [1.0])
-        with pytest.raises(CheckFailure):
-            check_prop31(GridDensity(spec, vals1), GridDensity(spec, vals2), c, c)
+        # W2 = 0 with a field difference is inconsistent: the ratio is inf
+        # and the prop31 verdict FAILs, whatever the other rows say
+        assert prop31_ratio(certify.PROP31_ZERO_TOL, 0.0) == 0.0
+        assert prop31_ratio(2 * certify.PROP31_ZERO_TOL, 0.0) == math.inf
+        recs = free_streaming_records(1e-3)
+        for r, diff, rhs in ((recs[0], 1e-3, 0.0), (recs[10], 0.1, 0.2)):
+            r.W2_rho, r.W2_phase = 0.0, 0.0
+            r.Q_sub, r.S_sub = r.Q, r.S
+            r.field_l2_diff, r.prop31_rhs = diff, rhs
+        result = certify.certify_records(recs)
+        assert result.prop31_max_ratio == math.inf
+        assert result.verdicts["prop31"] is False and not result.passed
+        assert result.verdicts["lemma_w2"] and result.verdicts["gronwall"]
 
-    def test_grid_mismatch_rejected(self):
-        c = WeightedCloud([[0.0, 0.0, 0.0]], [1.0])
-        r1 = GridDensity(GridSpec((0, 0, 0), 4.0, 8), np.zeros((8, 8, 8)))
-        r2 = GridDensity(GridSpec((0, 0, 0), 5.0, 8), np.zeros((8, 8, 8)))
-        with pytest.raises(ValueError):
-            check_prop31(r1, r2, c, c)
+
+def ledger_row(ens_a, ens_b, step=0, t=0.0):
+    """An exact-OT ledger row of a twin pair, as the twin observer builds it
+    (the whole pair is the subsample; no field columns are needed here)."""
+    w2_rho, _ = w2_exact(ens_a.position_cloud(), ens_b.position_cloud())
+    w2_phase, _ = w2_exact(ens_a.phase_cloud(), ens_b.phase_cloud())
+    q, s = compute_Q(ens_a, ens_b), compute_S(ens_a, ens_b)
+    return StabilityRecord(
+        step=step, t=t, Q=q, S=s, W2_rho=w2_rho, W2_phase=w2_phase, Q_sub=q, S_sub=s,
+        field_l2_diff=0.0, prop31_rhs=0.0,
+    )
+
+
+def certify_pair(ens_a, ens_b):
+    """certify_records over three uniformly spaced copies of one pair's row."""
+    recs = [ledger_row(ens_a, ens_b, step=k, t=0.1 * k) for k in range(3)]
+    return recs[0], certify.certify_records(recs)
 
 
 class TestLemmaW2:
+    """The feasible-plan bounds W2_rho^2 <= S and W2_phase^2 <= 2Q, as
+    certify_records applies them to rows built from w2_exact and the
+    paired costs."""
+
     def test_identical_positions(self):
         rng = np.random.default_rng(RNG_SEED)
         a, _ = paired_ensembles(rng)
-        rep = check_lemma_w2(a, a.copy())
-        assert rep.passed and rep.lhs == 0.0 and rep.rhs == 0.0
+        row, result = certify_pair(a, a.copy())
+        assert row.W2_rho == 0.0 and row.S == 0.0 and row.Q == 0.0
+        assert result.verdicts["lemma_w2"] and result.verdicts["remark_phase"]
+        assert result.lemma_max_w2rho_excess == 0.0
 
     def test_swapped_pair_strict_inequality(self):
         # twins swap two particles: the identity pairing pays the swap cost
-        # but the optimal plan re-pairs, so lhs < rhs strictly
+        # but the optimal plan re-pairs, so W2_rho^2 < S strictly
         x = np.array([[0.0, 0, 0], [1.0, 0, 0]])
         a = ParticleEnsemble(x, np.zeros((2, 3)), np.array([0.5, 0.5]))
         b = ParticleEnsemble(x[::-1].copy(), np.zeros((2, 3)), np.array([0.5, 0.5]))
-        rep = check_lemma_w2(a, b)
-        assert rep.passed
-        assert rep.lhs == pytest.approx(0.0, abs=1e-12)
-        assert rep.rhs == pytest.approx(1.0, rel=1e-12)
+        row, result = certify_pair(a, b)
+        assert row.W2_rho == pytest.approx(0.0, abs=1e-12)
+        assert row.S == pytest.approx(1.0, rel=1e-12)
+        assert result.verdicts["lemma_w2"] and result.verdicts["remark_phase"]
+        assert result.lemma_max_w2rho_excess == pytest.approx(-1.0, rel=1e-12)
 
     def test_random_snapshot(self):
         rng = np.random.default_rng(RNG_SEED)
         a, b = paired_ensembles(rng, n=256)
-        rep = check_lemma_w2(a, b)
-        assert rep.passed
-        assert rep.slack >= -1e-9
+        row, result = certify_pair(a, b)
+        assert result.verdicts["lemma_w2"] and result.verdicts["remark_phase"]
+        assert result.lemma_max_w2rho_excess == row.W2_rho**2 - row.S < 0.0
 
 
 def free_streaming_records(delta, t_final=2.0, dt=0.05, mass=1.0):
@@ -429,32 +462,6 @@ class TestOsgoodContain:
     def test_all_zero_series_trivially_contained(self):
         recs = [StabilityRecord(step=k, t=0.1 * k, Q=0.0) for k in range(5)]
         assert osgood_contain(recs, C=1.0).passed
-
-
-class TestVanishingPerturbation:
-    def test_free_streaming_quadratic_decay(self):
-        rep = vanishing_perturbation_study(
-            lambda d: free_streaming_records(d),
-            [1e-2, 5e-3, 2.5e-3, 1.25e-3],
-        )
-        assert rep.passed and rep.monotone
-        # sup Q = 1/2 d^2 (1 + T^2): exactly quadratic in delta
-        assert rep.decay_ratio == pytest.approx((1.25e-3 / 1e-2) ** 2, rel=1e-9)
-
-    def test_non_monotone_flagged(self):
-        table = {0.001: 5.0, 0.002: 1.0, 0.004: 2.0}
-
-        def run(d):
-            return [StabilityRecord(step=0, t=0.0, Q=table[d])]
-
-        rep = vanishing_perturbation_study(run, list(table))
-        assert not rep.monotone and not rep.passed
-
-    def test_narrow_sweep_rejected(self):
-        with pytest.raises(ValueError):
-            vanishing_perturbation_study(
-                lambda d: free_streaming_records(d), [1e-3, 1.5e-3]
-            )
 
 
 class TestCertifyRecords:

