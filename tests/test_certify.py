@@ -211,6 +211,14 @@ class TestProp31:
         assert result.verdicts["prop31"] is False and not result.passed
         assert result.verdicts["lemma_w2"] and result.verdicts["gronwall"]
 
+    def test_grid_mismatch_rejected(self):
+        # fields solved on boxes of different geometry have no common L2
+        # norm to compare; prop31_sides refuses them rather than guessing
+        r1 = GridDensity(GridSpec((0, 0, 0), 4.0, 8), np.zeros((8, 8, 8)))
+        r2 = GridDensity(GridSpec((0, 0, 0), 5.0, 8), np.zeros((8, 8, 8)))
+        with pytest.raises(ValueError, match="different geometry"):
+            prop31_sides(r1, r2, solve_field_grid(r1), solve_field_grid(r2), 0.0)
+
 
 def ledger_row(ens_a, ens_b, step=0, t=0.0):
     """An exact-OT ledger row of a twin pair, as the twin observer builds it
