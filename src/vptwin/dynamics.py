@@ -4,11 +4,12 @@ Particles follow dX/dt = xi, dxi/dt = grad Psi(t, X) with a kick-drift-kick
 leapfrog; the field is refreshed from a cloud-in-cell deposit after each
 drift (grid mode), from softened direct summation (direct mode), or held
 at zero / frozen for control runs. Twin runs advance two flows from the
-identical initial sample.
+identical initial sample, branch B on a helper thread beside branch A.
 """
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -185,6 +186,42 @@ def reverse_dt(state: FlowState):
 # --------------------------------------------------------------------------
 # twin runs
 
+# one helper thread for the life of the process, so the grid workspaces
+# it keeps (fields._workspace is per thread) are mapped once, not per run
+_HELPER = ThreadPoolExecutor(max_workers=1, thread_name_prefix="vptwin-branch-b")
+
+
+def run_pair(work_a, work_b):
+    """(work_a(), work_b()), with work_b on the helper thread while this
+    thread runs work_a.
+
+    If the helper has not started work_b by the time work_a is done, this
+    thread runs it: on a loaded machine the helper can take milliseconds
+    to wake, and the result is the same on either thread. Both have
+    finished when this returns or raises. If both raise, work_a's error
+    is raised, as if the two had run one after the other. The two must
+    share no mutable state; pocketfft, numpy's ufuncs and cKDTree release
+    the GIL, so two independent branches overlap on two cores.
+    """
+    future = _HELPER.submit(work_b)
+    try:
+        a = work_a()
+    except BaseException:
+        if not future.cancel():
+            future.exception()  # waits for work_b without raising its error
+        raise
+    if future.cancel():
+        return a, work_b()
+    return a, future.result()
+
+
+def _in_branch(branch, work, *args):
+    """work(*args), a package error re-raised as TwinError naming branch."""
+    try:
+        return work(*args)
+    except VptwinError as err:
+        raise TwinError(branch, err) from err
+
 
 def run_twin(
     sample: ParticleEnsemble,
@@ -201,25 +238,32 @@ def run_twin(
     (e.g. a velocity shift). observer(step, flow_a, flow_b) is called after
     initialization (step 0) and after every step. Identical evaluators and
     no perturbation give bitwise-identical trajectories. A package error
-    in a branch's set-up or steps is raised as TwinError naming the branch.
+    in a branch's set-up or steps is raised as TwinError naming the branch
+    (branch A when both fail in one step), and the observer is not called
+    for that step.
+
+    Branch B's set-up and steps run on the helper thread beside branch
+    A's (run_pair); the observer runs once both are done. Each branch does
+    the same arithmetic on whichever thread runs it, so every result bit
+    is the same whatever the thread scheduling.
     """
     ens_a, ens_b = sample.copy(), sample.copy()
     if perturb_b is not None:
         perturb_b(ens_b)
-    branches = (("A", ens_a, evaluator_a), ("B", ens_b, evaluator_b))
-    flows = [None, None]
-    for k in range(n_steps + 1):
-        for i, (branch, ens, evaluator) in enumerate(branches):
-            try:
-                if k == 0:
-                    flows[i] = FlowState(ens, evaluator, dt)
-                else:
-                    step_leapfrog(flows[i])
-            except VptwinError as err:
-                raise TwinError(branch, err) from err
+    flows = run_pair(
+        lambda: _in_branch("A", FlowState, ens_a, evaluator_a, dt),
+        lambda: _in_branch("B", FlowState, ens_b, evaluator_b, dt),
+    )
+    if observer is not None:
+        observer(0, *flows)
+    for k in range(1, n_steps + 1):
+        run_pair(
+            lambda: _in_branch("A", step_leapfrog, flows[0]),
+            lambda: _in_branch("B", step_leapfrog, flows[1]),
+        )
         if observer is not None:
             observer(k, *flows)
-    return tuple(flows)
+    return flows
 
 
 # --------------------------------------------------------------------------

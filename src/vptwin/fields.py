@@ -17,10 +17,12 @@ temporary is faulted in page by page on every call, which cost about as
 much as the transforms. The grid solve transforms in place in a
 per-thread workspace that stays mapped, 2 (2n)^2 (n+1) x 16 bytes per n^3
 grid shape (4.4 MB at 32^3, 35 MB at 64^3; each solve used to allocate
-as much afresh). The CIC deposit is one ordered bincount, interpolation
+as much afresh). A twin solves on two threads, one per branch, so it
+keeps two workspaces per grid shape; the kernel spectra are shared and
+built once. The CIC deposit is one ordered bincount, interpolation
 gathers through flat cell indices, and the direct sum works on
 cache-sized blocks of (source, target) planes in one reused buffer. No
-output bit depends on any of this.
+output bit depends on any of this, nor on which thread runs a solve.
 
 The two reductions whose order numpy would otherwise choose are written
 out. The direct sum forms r^2 = (dx dx + dz dz) + dy dy + s^2 and adds
@@ -307,13 +309,23 @@ def solve_field_direct(points, weights, targets, softening=0.0, epsilon_sign=1):
 # grid solver (Hockney domain doubling)
 
 _KERNEL_CACHE = {}
+_KERNEL_LOCK = threading.Lock()
 
 
 def _kernel_fft(spec, softening_length):
+    """The cached kernel spectra for (grid, softening). Built once: a thread
+    that asks while another builds waits for that build, and builds of
+    different kernels never overlap, so only one build's scratch is live."""
     key = (spec.dims, tuple(spec.h.tolist()), float(softening_length))
-    hit = _KERNEL_CACHE.get(key)
-    if hit is not None:
-        return hit
+    with _KERNEL_LOCK:
+        kfft = _KERNEL_CACHE.get(key)
+        if kfft is None:
+            kfft = _KERNEL_CACHE[key] = _build_kernel(spec, softening_length)
+    return kfft
+
+
+def _build_kernel(spec, softening_length):
+    """The three rfftn spectra of the doubled-domain softened kernel."""
     pad = tuple(2 * n for n in spec.dims)
     coords = []
     for a in range(3):
@@ -333,7 +345,6 @@ def _kernel_fft(spec, softening_length):
         kern = np.divide(rc, denom, out=np.zeros(pad), where=nonzero)
         kfft.append(np.fft.rfftn(kern))
         del kern
-    _KERNEL_CACHE[key] = kfft
     return kfft
 
 

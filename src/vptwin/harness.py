@@ -4,11 +4,13 @@ Config files are plain "key = value" text ('#' comments allowed). The keys
 and their parsers are read off the ScenarioConfig fields; unknown keys are
 rejected with their line number. Output contains no timestamps,
 so reruns of one config + seed are byte-identical on the same machine and
-library build, at any thread count. Across builds the bytes may move
-where two computations follow the library's order of operations: the FFT
-of the grid solve (pocketfft), and the one coupling-cost sum,
-transport.coupling_cost, an np.sum behind Q, S, Q_sub, S_sub, T1, T2, the
-W2 costs and the crossing detector's rms speed. The other sums state
+library build, at any thread count. A twin runs branch B on a helper
+thread beside branch A (dynamics.run_pair); each branch does the same
+arithmetic as alone, so no byte depends on thread scheduling. Across
+builds the bytes may move where two computations follow the library's
+order of operations: the FFT of the grid solve (pocketfft), and the one
+coupling-cost sum, transport.coupling_cost, an np.sum behind Q, S, Q_sub,
+S_sub, T1, T2, the W2 costs and the crossing detector's rms speed. The other sums state
 their order in the code: the direct sum and the per-row squared norms
 add in a written-out order, and field_l2_diff is summed correctly
 rounded, so it depends on the field bits alone.
@@ -32,7 +34,7 @@ from .errors import ConfigError, EscapeError, TwinError
 # configuration schema
 
 MAX_STEPS = 1_000_000  # t_final / dt beyond this is a config error, not a run
-MAX_GRID_SOLVE_BYTES = 1 << 30  # the same for the memory of one grid solve
+MAX_GRID_SOLVE_BYTES = 1 << 30  # the same for the memory of a run's grid solves
 
 
 def _parse_vec3(s):
@@ -94,23 +96,6 @@ class ScenarioConfig:
             raise ConfigError("grid_dims must be >= 2")
         if self.twin_kind == "resolution" and self.twin_grid_dims_b < 2:
             raise ConfigError("twin_grid_dims_b must be >= 2 with twin_kind = resolution")
-        grids = ["grid_dims"]
-        if self.twin_kind == "resolution":
-            grids.append("twin_grid_dims_b")
-        for name in grids:
-            n = getattr(self, name)
-            # the peak is the first solve's kernel build (fields._kernel_fft):
-            # full (2n)^3 arrays denom (float64), the nonzero mask (bool) and
-            # one kernel component (float64), beside four (2n)^2 (n+1)
-            # complex spectra: two built, one being built and its rfftn
-            # intermediate. The five spectra a solve keeps take less.
-            need = 17 * (2 * n) ** 3 + 4 * (2 * n) ** 2 * (n + 1) * 16
-            if need > MAX_GRID_SOLVE_BYTES:
-                raise ConfigError(
-                    f"{name} = {n}: a grid solve peaks at about "
-                    f"{need / 2**20:.0f} MiB while building its kernel, more "
-                    f"than the {MAX_GRID_SOLVE_BYTES >> 20} MiB cap"
-                )
         if self.dt <= 0 or self.t_final <= 0 or not self.dt < self.t_final:
             raise ConfigError("need 0 < dt < t_final")
         if self.box_edge <= 0:
@@ -131,6 +116,16 @@ class ScenarioConfig:
                     f"{name} = {length!r}: a softening length must be "
                     + ("> 0 with field_mode = direct" if direct else ">= 0")
                 )
+        need, kernels = self._grid_memory()
+        if need > MAX_GRID_SOLVE_BYTES:
+            sizes = [f"grid_dims = {self.grid_dims}"]
+            if self.twin_kind == "resolution":
+                sizes.append(f"twin_grid_dims_b = {self.twin_grid_dims_b}")
+            raise ConfigError(
+                f"{', '.join(sizes)}: the grid solves of a run, with {kernels} "
+                f"kernel(s) and two threads, need about {need / 2**20:.0f} MiB, "
+                f"more than the {MAX_GRID_SOLVE_BYTES >> 20} MiB cap"
+            )
         if self.crossing_threshold <= 0:
             raise ConfigError("crossing_threshold must be positive")
         if self.ot_stride < 0 or self.ot_subsample < 1:
@@ -147,6 +142,44 @@ class ScenarioConfig:
                 f"t_final / dt = {self.t_final / self.dt:.3g} steps, more than {MAX_STEPS}"
             )
         return self
+
+    def _grid_memory(self):
+        """(bytes, kernels): the most a run holds for its grid solves, and
+        how many kernels it keeps.
+
+        A kernel (fields._kernel_fft) is three (2n)^2 (n+1) complex spectra
+        per distinct (grid, softening), kept for the run; the diagnostic
+        solves use h/2 on grid_dims whatever the flows use. Per grid shape,
+        each of a twin's two threads keeps a workspace of two spectra and
+        has one solve in flight: the scaled mass (8 n^3 B), the rfft output
+        (a quarter spectrum), the irfft output (16 n^3 B) and the field
+        (24 n^3 B). The run also keeps the two flows' fields and densities
+        and the two diagnostic fields, 112 n^3 B. A kernel build's scratch,
+        full (2n)^3 arrays denom (float64), mask (bool) and one kernel
+        (float64) plus one spectrum's rfftn intermediate, adds to what the
+        run keeps by then: two spectra of its own for the first build,
+        everything for a later one (builds never overlap).
+        """
+
+        def spectrum(n):
+            return (2 * n) ** 2 * (n + 1) * 16
+
+        spec = self.grid_spec
+        kernels = {(self.grid_dims, fields.resolve_softening(spec))}
+        if self.field_mode == "grid":
+            kernels.add((self.grid_dims, self.softening_length(spec)))
+            if self.twin_kind == "resolution":
+                spec_b = fields.GridSpec(self.box_center, self.box_edge, self.twin_grid_dims_b)
+                kernels.add((self.twin_grid_dims_b, self.softening_length(spec_b)))
+            elif self.twin_kind == "softening":
+                kernels.add((self.grid_dims, float(self.twin_delta)))
+        shapes = {n for n, _ in kernels}
+        keep = sum(3 * spectrum(n) for n, _ in kernels) + sum(
+            9 * spectrum(n) // 2 + 208 * n**3 for n in shapes
+        )
+        scratch = max(17 * (2 * n) ** 3 + spectrum(n) for n, _ in kernels)
+        before = keep if len(kernels) > 1 else 3 * spectrum(self.grid_dims)
+        return max(keep, before + scratch), len(kernels)
 
     @property
     def grid_spec(self):
@@ -384,11 +417,16 @@ class _TwinObserver:
         sub_a, sub_b = self._subsample(ens_a), self._subsample(ens_b)
         rec.Q_sub = certify.compute_Q(sub_a, sub_b)
         rec.S_sub = certify.compute_S(sub_a, sub_b)
-        rec.W2_rho, _ = transport.w2_exact(sub_a.position_cloud(), sub_b.position_cloud())
-        rec.W2_phase, _ = transport.w2_exact(sub_a.phase_cloud(), sub_b.phase_cloud())
-
-        field_a = fields.solve_field_grid(rho_a)
-        field_b = fields.solve_field_grid(rho_b)
+        # the two W2 problems, then the two diagnostic solves, run side by
+        # side (perfbench's tracer keeps one span stack: only these pairs
+        # and the branch steps may overlap)
+        (rec.W2_rho, _), (rec.W2_phase, _) = dynamics.run_pair(
+            lambda: transport.w2_exact(sub_a.position_cloud(), sub_b.position_cloud()),
+            lambda: transport.w2_exact(sub_a.phase_cloud(), sub_b.phase_cloud()),
+        )
+        field_a, field_b = dynamics.run_pair(
+            lambda: fields.solve_field_grid(rho_a), lambda: fields.solve_field_grid(rho_b)
+        )
         rec.field_l2_diff, rec.prop31_rhs = certify.prop31_sides(
             rho_a, rho_b, field_a, field_b, rec.W2_rho
         )

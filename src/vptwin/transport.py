@@ -25,7 +25,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
-from scipy.optimize import linear_sum_assignment, linprog
 from scipy.sparse.csgraph import (
     connected_components,
     maximum_bipartite_matching,
@@ -400,6 +399,10 @@ def _assignment_plan(a, b):
     if cols is None:
         solver, cols = "sparse", _sparse_permutation(a, b, tree)
     if cols is None:
+        # imported here: scipy.optimize holds about 9.5 MB of RSS, and most
+        # runs never reach the dense or LP tier
+        from scipy.optimize import linear_sum_assignment
+
         solver = "dense"
         rows, cols = linear_sum_assignment(cdist(a.points, b.points, "sqeuclidean"))
     return TransportPlan(rows, cols, a.weights[rows], a, b, solver=solver)
@@ -427,6 +430,8 @@ def _lp_plan(a, b):
         shape=(n + m - 1, n * m),
     ).tocsr()
     rhs = np.concatenate([a.weights, b.weights[:-1]])
+    from scipy.optimize import linprog  # at first use, as in _assignment_plan
+
     res = linprog(c, A_eq=A, b_eq=rhs, bounds=(0, None), method="highs")
     if not res.success:
         raise TransportError(f"transportation LP failed: {res.message}")

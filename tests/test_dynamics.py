@@ -6,6 +6,9 @@ integration at small step, and conservation laws of the softened pairwise
 dynamics.
 """
 
+import threading
+import time
+
 import numpy as np
 import pytest
 
@@ -28,7 +31,7 @@ from vptwin.dynamics import (
     run_twin,
     step_leapfrog,
 )
-from vptwin.errors import EscapeError
+from vptwin.errors import DivergenceError, EscapeError
 from vptwin.fields import FOUR_PI, GridSpec
 from vptwin.transport import WeightedCloud
 
@@ -328,6 +331,104 @@ class TestTwinRuns:
         x2, v2 = one()
         np.testing.assert_array_equal(x1, x2)
         np.testing.assert_array_equal(v1, v2)
+
+
+class FailingEvaluator(ZeroFieldEvaluator):
+    """Zero field whose refresh in step ``fail_step`` (0 is the set-up)
+    raises DivergenceError after ``delay`` seconds."""
+
+    def __init__(self, fail_step, delay=0.0):
+        self.fail_step = fail_step
+        self.delay = delay
+        self.refreshes = 0
+
+    def refresh(self, ensemble):
+        step = self.refreshes
+        self.refreshes += 1
+        if step == self.fail_step:
+            time.sleep(self.delay)
+            raise DivergenceError(step)
+
+
+class TestConcurrentBranches:
+    """Branch B steps on a helper thread; errors keep the serial order."""
+
+    def run(self, evaluator_a, evaluator_b, n_steps=6):
+        seen = []
+        sample = random_ensemble(np.random.default_rng(RNG_SEED), n=16)
+        with pytest.raises(TwinError) as exc:
+            run_twin(
+                sample, evaluator_a, evaluator_b, 0.05, n_steps,
+                observer=lambda k, a, b: seen.append(k),
+            )
+        return exc.value, seen
+
+    @pytest.mark.parametrize("step", [0, 3])
+    def test_both_fail_in_one_step_names_a(self, step):
+        # B fails at once, A only later: A's error is still the one raised
+        err, seen = self.run(FailingEvaluator(step, delay=0.2), FailingEvaluator(step))
+        assert err.branch == "A"
+        assert isinstance(err.cause, DivergenceError)
+        assert seen == list(range(step))
+
+    @pytest.mark.parametrize("step", [0, 3])
+    def test_only_b_fails_names_b_and_skips_the_observer(self, step):
+        err, seen = self.run(ZeroFieldEvaluator(), FailingEvaluator(step))
+        assert err.branch == "B"
+        assert seen == list(range(step))
+
+    def test_no_branch_left_running_after_a_fails(self):
+        # A fails once B's slow step has started; run_twin raises only
+        # after that step is done
+        started, done = threading.Event(), threading.Event()
+
+        class FailOnceBStarted(ZeroFieldEvaluator):
+            def refresh(self, ensemble):
+                if ensemble.t > 0.075:
+                    assert started.wait(timeout=60)
+                    raise DivergenceError(2)
+
+        class SlowZero(ZeroFieldEvaluator):
+            def refresh(self, ensemble):
+                if ensemble.t > 0.075:
+                    started.set()
+                    time.sleep(0.2)
+                    done.set()
+
+        err, seen = self.run(FailOnceBStarted(), SlowZero())
+        assert err.branch == "A"
+        assert done.is_set()
+        assert seen == [0, 1]
+
+    def test_b_runs_on_the_helper_beside_a(self):
+        # A waits until B has started, so B cannot be left for this thread
+        started = threading.Event()
+        where = {}
+
+        def work_a():
+            assert started.wait(timeout=60)
+            where["A"] = threading.get_ident()
+            return "a"
+
+        def work_b():
+            started.set()
+            where["B"] = threading.get_ident()
+            return "b"
+
+        assert dynamics.run_pair(work_a, work_b) == ("a", "b")
+        assert where["A"] == threading.get_ident() != where["B"]
+
+    def test_b_runs_here_when_the_helper_is_busy(self):
+        release = threading.Event()
+        blocker = dynamics._HELPER.submit(release.wait, 60)
+        try:
+            where = []
+            got = dynamics.run_pair(lambda: 1, lambda: where.append(threading.get_ident()))
+            assert got == (1, None)
+            assert where == [threading.get_ident()]
+        finally:
+            release.set()
+            blocker.result(timeout=60)
 
 
 class TestStepMechanics:

@@ -8,7 +8,9 @@ pairwise sum as ground truth for the grid solver.
 
 import itertools
 import math
+import sys
 import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -503,6 +505,45 @@ class TestSolveWorkspace:
             assert len(got[k]) == 3
             assert all(np.array_equal(v, want[k]) for v in got[k])
 
+    def test_concurrent_first_requests_build_one_kernel(self, monkeypatch):
+        # both branches of a twin ask for the same kernel on their first
+        # solve; a thread that asks during a build waits for it. More
+        # threads than cores, each asking for three new kernels in its own
+        # order, with a short switch interval
+        cache, builds = {}, []
+        build = fields._build_kernel
+
+        def slow_build(spec, softening):
+            builds.append(softening)
+            time.sleep(0.05)  # long enough for the other threads to ask
+            return build(spec, softening)
+
+        monkeypatch.setattr(fields, "_KERNEL_CACHE", cache)
+        monkeypatch.setattr(fields, "_build_kernel", slow_build)
+        lengths = [0.25, 0.5, 0.75]
+        got = [None] * 4
+        start = threading.Barrier(len(got))
+
+        def ask(k):
+            start.wait(timeout=60)
+            order = lengths[k % 3 :] + lengths[: k % 3]
+            got[k] = {s: fields._kernel_fft(self.BRICK, s) for s in order}
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=ask, args=(k,)) for k in range(len(got))]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=60)
+                assert not th.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert sorted(builds) == lengths
+        assert len(cache) == len(lengths)
+        for s in lengths:
+            assert len({id(g[s]) for g in got}) == 1
 
 class TestFieldDiff:
     def test_identical_fields(self):

@@ -187,22 +187,67 @@ class TestConfigParsing:
         small_config(twin_kind="velocity-shift", twin_grid_dims_b=1)
         small_config(twin_kind="velocity-shift", twin_grid_dims_b=10_000)
 
-    def test_grid_memory_guard_states_the_estimate(self):
-        # the kernel build: (2n)^3 cells of denom (8 B), mask (1 B) and one
-        # kernel (8 B), plus four (2n)^2 (n+1) complex spectra
-        def solve_bytes(n):
-            return 17 * (2 * n) ** 3 + 4 * (2 * n) ** 2 * (n + 1) * 16
+    # one (2n)^2 (n+1) complex spectrum, and the scratch of one kernel build
+    # beyond its kept spectra: (2n)^3 cells of denom (8 B), mask (1 B) and
+    # one kernel (8 B), plus one spectrum's rfftn intermediate
+    @staticmethod
+    def spectrum(n):
+        return (2 * n) ** 2 * (n + 1) * 16
 
+    def scratch(self, n):
+        return 17 * (2 * n) ** 3 + self.spectrum(n)
+
+    def per_shape(self, n):
+        # on each of two threads a workspace (two spectra) and one solve in
+        # flight (8 + 16 + 24 n^3 B and a quarter spectrum); the fields and
+        # densities a twin keeps, 112 n^3 B
+        return 2 * (2 * self.spectrum(n) + 48 * n**3 + self.spectrum(n) // 4) + 112 * n**3
+
+    def assert_guard_boundary(self, need, key, largest, **overrides):
+        # ``need(n)`` is the estimate with ``key`` = n; ``largest`` is admitted
+        # and largest + 1 is refused with its own figure
         cap = harness.MAX_GRID_SOLVE_BYTES
-        largest = max(n for n in range(2, 400) if solve_bytes(n) <= cap)
-        # the kept spectra alone, 5 (2n)^2 (n+1) 16 B, would admit up to 149
-        assert largest == 139
-        small_config(grid_dims=largest)
-        small_config(grid_dims=8, twin_kind="resolution", twin_grid_dims_b=largest)
-        mib = f"{solve_bytes(largest + 1) / 2**20:.0f} MiB"
-        for key in ("grid_dims", "twin_grid_dims_b"):
-            with pytest.raises(ConfigError, match=f"{key} = {largest + 1}: .*{mib} while building"):
-                small_config(**{key: largest + 1, "twin_kind": "resolution"})
+        assert max(n for n in range(2, 400) if need(n) <= cap) == largest
+        small_config(**overrides, **{key: largest})
+        mib = f"{need(largest + 1) / 2**20:.0f} MiB"
+        with pytest.raises(ConfigError, match=f"{key} = {largest + 1}: .*about {mib}"):
+            small_config(**overrides, **{key: largest + 1})
+
+    def test_grid_memory_guard_states_the_estimate(self):
+        # one kernel (auto softening: the flows' and the diagnostics' are the
+        # same); the first kernel build peaks with only its own spectra kept
+        def one_kernel(n):
+            return max(
+                3 * self.spectrum(n) + self.per_shape(n), 3 * self.spectrum(n) + self.scratch(n)
+            )
+
+        # the kernel and both workspaces alone, 7 spectra, are 1156 MiB at
+        # n = 139, the limit when one solve was counted
+        assert 7 * self.spectrum(139) / 2**20 > 1155
+        self.assert_guard_boundary(one_kernel, "grid_dims", 115)
+        self.assert_guard_boundary(
+            one_kernel, "grid_dims", 115, twin_kind="velocity-shift", twin_delta=0.01
+        )
+
+    def test_grid_memory_guard_counts_every_kernel(self):
+        # a non-auto softening adds the diagnostics' h/2 kernel, and the
+        # later build's scratch comes on top of all the run keeps
+        def two_kernels(n):
+            return 6 * self.spectrum(n) + self.per_shape(n) + self.scratch(n)
+
+        self.assert_guard_boundary(two_kernels, "grid_dims", 99, softening=0.1)
+        self.assert_guard_boundary(
+            two_kernels, "grid_dims", 99, twin_kind="softening", twin_delta=0.1
+        )
+
+        # a resolution twin keeps both grids' kernels, workspaces and arrays
+        def resolution_b(n):
+            grid_a = 3 * self.spectrum(8) + self.per_shape(8)
+            return grid_a + 3 * self.spectrum(n) + self.per_shape(n) + self.scratch(n)
+
+        self.assert_guard_boundary(
+            resolution_b, "twin_grid_dims_b", 106, grid_dims=8, twin_kind="resolution"
+        )
 
     @pytest.mark.parametrize("key", ["dim", "prop31_tol", "geodesic_tol"])
     def test_removed_keys_are_unknown(self, key):

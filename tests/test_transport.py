@@ -11,9 +11,11 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+import scipy.optimize
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -217,7 +219,8 @@ def lsa_calls(monkeypatch):
         calls.append(cost_matrix.shape)
         return linear_sum_assignment(cost_matrix)
 
-    monkeypatch.setattr(transport, "linear_sum_assignment", counting)
+    # the dense tier imports it from scipy.optimize at each use
+    monkeypatch.setattr(scipy.optimize, "linear_sum_assignment", counting)
     return calls
 
 
@@ -570,6 +573,19 @@ class TestSmallPairs:
         assert min(served.values()) >= 1, served
 
 
+class TestLazyImports:
+    def test_cli_import_leaves_scipy_optimize_unloaded(self):
+        # only the dense and LP tiers need it, and it holds about 9.5 MB
+        code = "import sys, vptwin.cli; print('scipy.optimize' in sys.modules)"
+        src = os.path.dirname(os.path.dirname(transport.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+            timeout=60, env={**os.environ, "PYTHONPATH": path},
+        )
+        assert out.stdout.strip() == "False"
+
+
 class TestDisplacement:
     def test_endpoints_reproduce_clouds(self):
         rng = np.random.default_rng(RNG_SEED)
@@ -703,6 +719,29 @@ class TestIO:
         np.testing.assert_array_equal(got.src, plan.src)
         np.testing.assert_array_equal(got.tgt, plan.tgt)
         np.testing.assert_array_equal(got.mass, plan.mass)
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_cloud_roundtrip_generated(self, data):
+        # finite coordinates of any magnitude (subnormals and -0.0 too) and
+        # positive finite weights come back bit for bit
+        d = data.draw(st.sampled_from([3, 6]))
+        n = data.draw(st.integers(1, 6))
+        points = data.draw(arrays(
+            np.float64, (n, d), elements=st.floats(allow_nan=False, allow_infinity=False)
+        ))
+        weights = data.draw(arrays(
+            np.float64, n,
+            elements=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+        ))
+        cloud = WeightedCloud(points, weights)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "cloud.txt")
+            transport.save_cloud(cloud, path)
+            got = transport.load_cloud(path)
+        assert got.points.shape == (n, d)
+        assert got.points.tobytes() == cloud.points.tobytes()
+        assert got.weights.tobytes() == cloud.weights.tobytes()
 
     def test_bad_header_rejected(self, tmp_path):
         p = tmp_path / "bad.txt"
