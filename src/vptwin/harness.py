@@ -34,7 +34,7 @@ from .errors import ConfigError, EscapeError, TwinError
 # configuration schema
 
 MAX_STEPS = 1_000_000  # t_final / dt beyond this is a config error, not a run
-MAX_GRID_SOLVE_BYTES = 1 << 30  # the same for the memory of a run's grid solves
+MAX_GRID_SOLVE_BYTES = 1 << 30  # the same for a run's grid solves, and for its particles
 
 
 def _parse_vec3(s):
@@ -61,7 +61,7 @@ class ScenarioConfig:
     box_edge: float = 8.0
     dt: float = 0.02
     t_final: float = 2.0
-    softening: object = "auto"  # 'auto' -> h/2 (fields.resolve_softening)
+    softening: object = "auto"  # 'auto' -> h/2 (field_solves)
     seed: int = 1
     field_mode: str = "grid"  # grid | direct | none
     twin_kind: str = "none"  # none | velocity-shift | resolution | softening
@@ -69,7 +69,7 @@ class ScenarioConfig:
     twin_grid_dims_b: int = 64
     ot_stride: int = 10  # 0 disables exact-OT columns
     ot_subsample: int = 512
-    snapshot_stride: int = 0  # 0 -> endpoints only
+    snapshot_stride: int = 0  # twin: steps 0, s, 2s, ... (0: none); simulate adds both ends
     crossing_threshold: float = 0.3
     sup_rho_ceiling: float = 0.0  # 0 disables the bounded-density flag
     sigma_x: float = 0.6
@@ -104,28 +104,21 @@ class ScenarioConfig:
             raise ConfigError("field_mode must be grid, direct or none")
         if self.twin_kind not in ("none", "velocity-shift", "resolution", "softening"):
             raise ConfigError(f"unknown twin_kind {self.twin_kind!r}")
-        # one rule for the softening of both flows; a softening twin runs B
-        # at twin_delta
-        softenings = [("softening", self.softening)]
-        if self.twin_kind == "softening":
-            softenings.append(("twin_delta", self.twin_delta))
+        for name in ("snapshot_stride", "sup_rho_ceiling", "sigma_x", "sigma_v",
+                     "ball_radius"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"{name} must be >= 0")
+        # one rule for the softening of both flows. B's differs from A's only
+        # where twin_delta sets it (a softening twin) or where auto resolves
+        # on B's grid, to a positive length
+        (_, soft_a), (_, soft_b), _ = self.field_solves()
         direct = self.field_mode == "direct"
-        for name, length in softenings:
-            if length != "auto" and (length < 0 or (direct and length == 0)):
+        for name, length in (("softening", soft_a), ("twin_delta", soft_b)):
+            if length < 0 or (direct and length == 0):
                 raise ConfigError(
                     f"{name} = {length!r}: a softening length must be "
                     + ("> 0 with field_mode = direct" if direct else ">= 0")
                 )
-        need, kernels = self._grid_memory()
-        if need > MAX_GRID_SOLVE_BYTES:
-            sizes = [f"grid_dims = {self.grid_dims}"]
-            if self.twin_kind == "resolution":
-                sizes.append(f"twin_grid_dims_b = {self.twin_grid_dims_b}")
-            raise ConfigError(
-                f"{', '.join(sizes)}: the grid solves of a run, with {kernels} "
-                f"kernel(s) and two threads, need about {need / 2**20:.0f} MiB, "
-                f"more than the {MAX_GRID_SOLVE_BYTES >> 20} MiB cap"
-            )
         if self.crossing_threshold <= 0:
             raise ConfigError("crossing_threshold must be positive")
         if self.ot_stride < 0 or self.ot_subsample < 1:
@@ -141,11 +134,47 @@ class ScenarioConfig:
             raise ConfigError(
                 f"t_final / dt = {self.t_final / self.dt:.3g} steps, more than {MAX_STEPS}"
             )
+        grid, kernels = self._grid_memory()
+        grid_keys = ["grid_dims"]
+        if self.twin_kind == "resolution":
+            grid_keys.append("twin_grid_dims_b")
+        particles, kept = self._particle_memory()
+        particle_keys = ["n_particles", "snapshot_stride"] if kept else ["n_particles"]
+        for need, keys, what, detail in (
+            (grid, grid_keys, "grid solves", f"{len(kernels)} kernel(s) and two threads"),
+            (particles, particle_keys, "particle arrays", f"{kept} kept snapshot(s)"),
+        ):
+            if need > MAX_GRID_SOLVE_BYTES:
+                sizes = ", ".join(f"{key} = {getattr(self, key)}" for key in keys)
+                raise ConfigError(
+                    f"{sizes}: the {what} of a run, with {detail}, need about "
+                    f"{need / 2**20:.0f} MiB, more than the "
+                    f"{MAX_GRID_SOLVE_BYTES >> 20} MiB cap"
+                )
         return self
+
+    def field_solves(self):
+        """The (spec, softening) of flow A's, flow B's and the Prop. 3.1
+        diagnostics' field solves; the one place that picks B's from
+        twin_kind. "auto" is h/2 on the solve's grid, and the diagnostics
+        use it on grid_dims whatever the flows use. An explicit length is
+        returned unchecked, for validate to name."""
+
+        def solve(spec, softening=self.softening):
+            auto = softening == "auto"
+            return spec, fields.resolve_softening(spec) if auto else float(softening)
+
+        a = solve(self.grid_spec)
+        b = a
+        if self.twin_kind == "resolution":
+            b = solve(fields.GridSpec(self.box_center, self.box_edge, self.twin_grid_dims_b))
+        elif self.twin_kind == "softening":
+            b = solve(self.grid_spec, self.twin_delta)
+        return a, b, solve(self.grid_spec, "auto")
 
     def _grid_memory(self):
         """(bytes, kernels): the most a run holds for its grid solves, and
-        how many kernels it keeps.
+        the (n, softening) of each kernel it keeps.
 
         A kernel (fields._kernel_fft) is three (2n)^2 (n+1) complex spectra
         per distinct (grid, softening), kept for the run; the diagnostic
@@ -164,22 +193,26 @@ class ScenarioConfig:
         def spectrum(n):
             return (2 * n) ** 2 * (n + 1) * 16
 
-        spec = self.grid_spec
-        kernels = {(self.grid_dims, fields.resolve_softening(spec))}
-        if self.field_mode == "grid":
-            kernels.add((self.grid_dims, self.softening_length(spec)))
-            if self.twin_kind == "resolution":
-                spec_b = fields.GridSpec(self.box_center, self.box_edge, self.twin_grid_dims_b)
-                kernels.add((self.twin_grid_dims_b, self.softening_length(spec_b)))
-            elif self.twin_kind == "softening":
-                kernels.add((self.grid_dims, float(self.twin_delta)))
+        a, b, diag = self.field_solves()
+        solves = [a, b, diag] if self.field_mode == "grid" else [diag]
+        kernels = {(spec.dims[0], softening) for spec, softening in solves}
         shapes = {n for n, _ in kernels}
         keep = sum(3 * spectrum(n) for n, _ in kernels) + sum(
             9 * spectrum(n) // 2 + 208 * n**3 for n in shapes
         )
         scratch = max(17 * (2 * n) ** 3 + spectrum(n) for n, _ in kernels)
         before = keep if len(kernels) > 1 else 3 * spectrum(self.grid_dims)
-        return max(keep, before + scratch), len(kernels)
+        return max(keep, before + scratch), kernels
+
+    def _particle_memory(self):
+        """(bytes, snapshots): the most a twin holds in per-particle arrays,
+        and how many snapshots it keeps. Per particle: the sample's and both
+        flows' x, v, w and both accelerations (216 B), and on each of two
+        threads a step's half-kick velocity (24 B) and CIC deposit scratch
+        (360 B: corner indices, weights, their concatenations); 112 B per
+        kept snapshot of both ensembles. A simulation holds less."""
+        kept = self.n_steps // self.snapshot_stride + 1 if self.snapshot_stride else 0
+        return self.n_particles * (216 + 2 * 384 + 112 * kept), kept
 
     @property
     def grid_spec(self):
@@ -188,10 +221,6 @@ class ScenarioConfig:
     @property
     def n_steps(self):
         return int(round(self.t_final / self.dt))
-
-    def softening_length(self, spec):
-        auto = self.softening == "auto"
-        return fields.resolve_softening(spec, None if auto else self.softening)
 
 
 # one parser per config key, read off the ScenarioConfig annotations
@@ -306,15 +335,8 @@ def read_records(path):
 # evaluators and twin observer
 
 
-def _make_evaluator(cfg, variant_b=False):
-    spec = cfg.grid_spec
-    mode = cfg.field_mode
-    softening = cfg.softening_length(spec)
-    if variant_b and cfg.twin_kind == "resolution":
-        spec = fields.GridSpec(cfg.box_center, cfg.box_edge, cfg.twin_grid_dims_b)
-        softening = cfg.softening_length(spec)
-    if variant_b and cfg.twin_kind == "softening":
-        softening = cfg.twin_delta
+def _make_evaluator(mode, spec, softening):
+    """The field of one flow, from its field_solves entry."""
     if mode == "none":
         return dynamics.ZeroFieldEvaluator()
     if mode == "direct":
@@ -348,7 +370,7 @@ class _TwinObserver:
 
     def __init__(self, cfg: ScenarioConfig):
         self.cfg = cfg
-        self.spec = cfg.grid_spec  # common diagnostics grid
+        self.spec, self.softening = cfg.field_solves()[2]  # the diagnostics'
         self.records = []
         self.snapshots = {}
         self.sup_rho_flagged = False
@@ -425,7 +447,8 @@ class _TwinObserver:
             lambda: transport.w2_exact(sub_a.phase_cloud(), sub_b.phase_cloud()),
         )
         field_a, field_b = dynamics.run_pair(
-            lambda: fields.solve_field_grid(rho_a), lambda: fields.solve_field_grid(rho_b)
+            lambda: fields.solve_field_grid(rho_a, self.softening),
+            lambda: fields.solve_field_grid(rho_b, self.softening),
         )
         rec.field_l2_diff, rec.prop31_rhs = certify.prop31_sides(
             rho_a, rho_b, field_a, field_b, rec.W2_rho
@@ -449,8 +472,7 @@ def run_twin_config(cfg: ScenarioConfig) -> TwinResult:
     """Sample f0, build both twin variants, run, and post-process dQ/dt."""
     cfg.validate()
     sample = scenarios.sample_initial(cfg)
-    eval_a = _make_evaluator(cfg)
-    eval_b = _make_evaluator(cfg, variant_b=True)
+    eval_a, eval_b = (_make_evaluator(cfg.field_mode, *s) for s in cfg.field_solves()[:2])
     obs = _TwinObserver(cfg)
     dynamics.run_twin(
         sample,
@@ -489,9 +511,9 @@ def run_simulation(cfg: ScenarioConfig) -> SimResult:
     EscapeError at that step: the final density deposit could not take it,
     and the direct and zero fields deposit nothing on their own."""
     cfg.validate()
-    spec = cfg.grid_spec
+    spec, softening = cfg.field_solves()[0]
     ens = scenarios.sample_initial(cfg)
-    evaluator = _make_evaluator(cfg)
+    evaluator = _make_evaluator(cfg.field_mode, spec, softening)
     flow = dynamics.FlowState(ens, evaluator, cfg.dt)
     fields.check_in_box(ens.x, spec)
     crossing = dynamics.CrossingDetector(spec, cfg.crossing_threshold)
@@ -547,12 +569,12 @@ def emit_simulation(cfg: ScenarioConfig, outdir) -> str:
         fh.write(serialize_config(cfg))
     for step in sorted(result.snapshots):
         _save_snapshot(outdir, "", step, result.snapshots[step], written)
-    spec = cfg.grid_spec
+    spec, softening = cfg.field_solves()[0]
     rho = dynamics.deposit(result.ensemble, spec)
     fields.save_grid(rho, os.path.join(outdir, "density_final"))
     written += ["density_final.bin", "density_final.json"]
     if cfg.field_mode != "none":
-        grid_field = fields.solve_field_grid(rho, softening=cfg.softening_length(spec))
+        grid_field = fields.solve_field_grid(rho, softening=softening)
         fields.save_grid(grid_field, os.path.join(outdir, "field_final"))
         written += ["field_final.bin", "field_final.json"]
     return write_manifest(outdir, cfg, written)

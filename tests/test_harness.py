@@ -53,20 +53,23 @@ def _validates(cfg):
 
 
 _REAL = st.floats(allow_nan=False, allow_infinity=False)
+_NON_NEGATIVE = st.floats(min_value=0.0, allow_nan=False, allow_infinity=False)
 _POSITIVE = st.floats(min_value=1e-3, max_value=1e3)
 _SMALL_INT = st.integers(0, 1000)
 
 # valid configs over every key; the filter drops the few draws validate
-# refuses (a negative softening twin_delta, zero softening in direct mode)
+# refuses (a negative softening twin_delta, zero softening in direct mode).
+# n_particles <= 8192 and dt >= 0.01 (at most 1001 kept snapshots) keep
+# every draw inside the particle-memory cap
 VALID_CONFIGS = st.builds(
     ScenarioConfig,
     scenario=st.sampled_from(scenarios.SCENARIO_NAMES),
     epsilon=st.sampled_from([1, -1]),
-    n_particles=st.integers(2, 10**6),
+    n_particles=st.integers(2, 8192),
     grid_dims=st.integers(2, 139),
     box_center=st.tuples(_REAL, _REAL, _REAL),
     box_edge=_POSITIVE,
-    dt=st.floats(1e-4, 1.0),
+    dt=st.floats(1e-2, 1.0),
     t_final=st.floats(1.5, 10.0),
     softening=st.one_of(st.just("auto"), st.floats(0.0, 10.0)),
     seed=st.integers(-(2**63), 2**63),
@@ -78,9 +81,9 @@ VALID_CONFIGS = st.builds(
     ot_subsample=st.integers(1, 4096),
     snapshot_stride=_SMALL_INT,
     crossing_threshold=_POSITIVE,
-    sigma_x=_REAL,
-    sigma_v=_REAL,
-    ball_radius=_REAL,
+    sigma_x=_NON_NEGATIVE,
+    sigma_v=_NON_NEGATIVE,
+    ball_radius=_NON_NEGATIVE,
     blob_separation=_REAL,
     hubble_rate=_REAL,
     beam_speed=_REAL,
@@ -155,6 +158,11 @@ class TestConfigParsing:
             "softening = nan",
             "softening = inf",
             "t_final = inf",
+            "snapshot_stride = -3",
+            "sup_rho_ceiling = -1",
+            "sigma_x = -0.6",
+            "sigma_v = -0.3",
+            "ball_radius = -1",
         ],
     )
     def test_non_finite_or_non_positive_rejected(self, line):
@@ -171,6 +179,8 @@ class TestConfigParsing:
             ("twin_kind = resolution\ntwin_grid_dims_b = 1\n", "twin_grid_dims_b"),
             ("grid_dims = 256\n", "grid_dims"),
             ("twin_kind = resolution\ntwin_grid_dims_b = 256\n", "twin_grid_dims_b"),
+            ("n_particles = 1000000000000\n", "n_particles"),
+            ("n_particles = 100000\nsnapshot_stride = 1\n", "snapshot_stride"),
         ],
     )
     def test_unrunnable_size_rejected(self, text, key):
@@ -248,6 +258,70 @@ class TestConfigParsing:
         self.assert_guard_boundary(
             resolution_b, "twin_grid_dims_b", 106, grid_dims=8, twin_kind="resolution"
         )
+
+    @pytest.mark.parametrize("softening", ["auto", 0.2])
+    @pytest.mark.parametrize("twin_kind", ["none", "velocity-shift", "resolution", "softening"])
+    @pytest.mark.parametrize("field_mode", ["grid", "direct", "none"])
+    def test_grid_memory_guard_counts_the_kernels_a_run_builds(
+        self, monkeypatch, field_mode, twin_kind, softening
+    ):
+        # the guard and the solves read one plan; a run on an empty kernel
+        # cache builds exactly the kernels the guard counts
+        cache = {}
+        monkeypatch.setattr(fields, "_KERNEL_CACHE", cache)
+        cfg = small_config(
+            n_particles=128,
+            grid_dims=8,
+            field_mode=field_mode,
+            twin_kind=twin_kind,
+            twin_delta=0.3 if twin_kind == "softening" else 0.01,
+            twin_grid_dims_b=12,
+            softening=softening,
+            ot_stride=1,
+            ot_subsample=64,
+            t_final=0.1,
+        )
+        run_twin_config(cfg)
+        _, kernels = cfg._grid_memory()
+        assert {(dims[0], length) for dims, _, length in cache} == kernels
+        assert len(cache) == len(kernels)
+
+    def test_field_solves_pick_each_flows_grid_and_softening(self):
+        # 16^3 cells of 0.625: auto is 0.3125, which the diagnostics use
+        # whatever the flows use
+        spec = small_config().grid_spec
+        spec_b = fields.GridSpec(spec.center, spec.edge, 20)
+        diag = (spec, 0.3125)
+        assert small_config().field_solves() == (diag, diag, diag)
+        assert small_config(twin_kind="resolution", twin_grid_dims_b=20).field_solves() == (
+            diag,
+            (spec_b, 0.25),
+            diag,
+        )
+        assert small_config(
+            twin_kind="resolution", twin_grid_dims_b=20, softening=0.2
+        ).field_solves() == ((spec, 0.2), (spec_b, 0.2), diag)
+        assert small_config(twin_kind="softening", twin_delta=0.1).field_solves() == (
+            diag,
+            (spec, 0.1),
+            diag,
+        )
+
+    def test_particle_memory_guard_states_the_estimate(self):
+        # 216 B kept and 2 x 384 B of step scratch per particle, plus 112 B
+        # per kept twin snapshot; small_config runs 5 steps, so
+        # snapshot_stride = 2 keeps steps 0, 2 and 4
+        cap = harness.MAX_GRID_SOLVE_BYTES
+        for stride, kept, sizes in ((0, 0, ""), (2, 3, ", snapshot_stride = 2")):
+            per_particle = 984 + 112 * kept
+            largest = cap // per_particle
+            small_config(n_particles=largest, snapshot_stride=stride)
+            mib = f"{(largest + 1) * per_particle / 2**20:.0f} MiB"
+            with pytest.raises(
+                ConfigError,
+                match=f"n_particles = {largest + 1}{sizes}: .*{kept} kept .*about {mib}",
+            ):
+                small_config(n_particles=largest + 1, snapshot_stride=stride)
 
     @pytest.mark.parametrize("key", ["dim", "prop31_tol", "geodesic_tol"])
     def test_removed_keys_are_unknown(self, key):
@@ -523,6 +597,15 @@ class TestEmission:
         for entry in manifest["files"]:
             assert len(entry["sha256"]) == 64
 
+    def test_twin_keeps_snapshots_at_multiples_of_the_stride(self, tmp_path):
+        # 10 steps: stride 0 keeps none, stride 3 keeps 0, 3, 6, 9 (not 10)
+        for stride, steps in ((0, []), (3, [0, 3, 6, 9])):
+            out = tmp_path / str(stride)
+            cfg = small_config(n_particles=64, t_final=0.5, snapshot_stride=stride)
+            harness.emit_twin(cfg, out)
+            names = sorted(p.name for p in out.glob("snapshot_*"))
+            assert names == [f"snapshot_{b}_{k:06d}.txt" for b in "ab" for k in steps]
+
     def test_rerun_byte_identical(self, tmp_path):
         cfg = small_config(
             twin_kind="velocity-shift", twin_delta=1e-2, ot_stride=2, ot_subsample=64
@@ -617,6 +700,12 @@ class TestCLI:
             "twin_kind = resolution\ntwin_grid_dims_b = 1\n",
             "grid_dims = 256\n",
             "twin_kind = resolution\ntwin_grid_dims_b = 256\n",
+            "n_particles = 1000000000000\n",
+            "snapshot_stride = -3\n",
+            "sup_rho_ceiling = -1\n",
+            "sigma_x = -0.6\n",
+            "sigma_v = -0.3\n",
+            "scenario = uniform-ball\nball_radius = -1\n",
         ],
     )
     def test_unrunnable_size_exits_usage(self, tmp_path, capsys, text):
