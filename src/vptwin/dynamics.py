@@ -3,8 +3,8 @@
 Particles follow dX/dt = xi, dxi/dt = grad Psi(t, X) with a kick-drift-kick
 leapfrog; the field is refreshed from a cloud-in-cell deposit after each
 drift (grid mode), from softened direct summation (direct mode), or held
-at zero / frozen for control runs. Twin runs advance two flows from the
-identical initial sample, branch B on a helper thread beside branch A.
+at zero / frozen for control runs. Twin runs advance the two ensembles
+they are handed, branch B on a helper thread beside branch A.
 """
 
 from __future__ import annotations
@@ -224,32 +224,30 @@ def _in_branch(branch, work, *args):
 
 
 def run_twin(
-    sample: ParticleEnsemble,
+    ens_a: ParticleEnsemble,
+    ens_b: ParticleEnsemble,
     evaluator_a,
     evaluator_b,
     dt: float,
     n_steps: int,
     observer=None,
-    perturb_b=None,
 ):
-    """Advance two flows from the identical particle sample.
+    """Advance the two ensembles in place, flow A from ens_a and flow B
+    from ens_b; they must share no array.
 
-    perturb_b, if given, mutates branch B's copy of the sample at t = 0
-    (e.g. a velocity shift). observer(step, flow_a, flow_b) is called after
-    initialization (step 0) and after every step. Identical evaluators and
-    no perturbation give bitwise-identical trajectories. A package error
-    in a branch's set-up or steps is raised as TwinError naming the branch
-    (branch A when both fail in one step), and the observer is not called
-    for that step.
+    The caller owns both ensembles and the difference between them (e.g.
+    a velocity shift of B); nothing is copied here. observer(step, flow_a,
+    flow_b) is called after initialization (step 0) and after every step.
+    Equal ensembles and identical evaluators give bitwise-identical
+    trajectories. A package error in a branch's set-up or steps is raised
+    as TwinError naming the branch (branch A when both fail in one step),
+    and the observer is not called for that step.
 
     Branch B's set-up and steps run on the helper thread beside branch
     A's (run_pair); the observer runs once both are done. Each branch does
     the same arithmetic on whichever thread runs it, so every result bit
     is the same whatever the thread scheduling.
     """
-    ens_a, ens_b = sample.copy(), sample.copy()
-    if perturb_b is not None:
-        perturb_b(ens_b)
     flows = run_pair(
         lambda: _in_branch("A", FlowState, ens_a, evaluator_a, dt),
         lambda: _in_branch("B", FlowState, ens_b, evaluator_b, dt),
@@ -273,24 +271,12 @@ def run_twin(
 def monokinetic_init(
     density_cloud: WeightedCloud, velocity, epsilon_sign=1
 ) -> ParticleEnsemble:
-    """Ensemble whose empirical f is rho(x) delta(xi - v(x)).
-
-    velocity is either a callable x -> v(x) or an (N, 3) array; an array
-    assigning different velocities to identical positions is rejected
-    (v must be single-valued on the support).
-    """
+    """Ensemble whose empirical f is rho(x) delta(xi - v(x)); velocity is
+    a callable x -> v(x), so v is single-valued on the support."""
     x = density_cloud.points
     if x.shape[1] != 3:
         raise ValueError("monokinetic density cloud must be spatial (d = 3)")
-    if callable(velocity):
-        v = np.asarray(velocity(x), dtype=np.float64)
-    else:
-        v = np.ascontiguousarray(velocity, dtype=np.float64)
-        _, inv = np.unique(x, axis=0, return_inverse=True)
-        for g in range(inv.max() + 1):
-            rows = np.nonzero(inv == g)[0]
-            if rows.size > 1 and not np.allclose(v[rows], v[rows[0]], rtol=0, atol=1e-12):
-                raise ValueError("velocity spec is multivalued on coincident positions")
+    v = np.asarray(velocity(x), dtype=np.float64)
     if v.shape != x.shape:
         raise ValueError("velocity array shape must match positions")
     return ParticleEnsemble(x.copy(), v, density_cloud.weights.copy(), 0.0, epsilon_sign)

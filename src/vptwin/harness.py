@@ -111,14 +111,27 @@ class ScenarioConfig:
         # one rule for the softening of both flows. B's differs from A's only
         # where twin_delta sets it (a softening twin) or where auto resolves
         # on B's grid, to a positive length
-        (_, soft_a), (_, soft_b), _ = self.field_solves()
+        solve_a, solve_b, _ = self.field_solves()
         direct = self.field_mode == "direct"
-        for name, length in (("softening", soft_a), ("twin_delta", soft_b)):
+        for name, length in (("softening", solve_a[1]), ("twin_delta", solve_b[1])):
             if length < 0 or (direct and length == 0):
                 raise ConfigError(
                     f"{name} = {length!r}: a softening length must be "
                     + ("> 0 with field_mode = direct" if direct else ">= 0")
                 )
+        # a twin whose two flows start equal and read the same field is the
+        # identity control, which is twin_kind = none
+        same_field = {
+            "none": True, "direct": solve_a[1] == solve_b[1], "grid": solve_a == solve_b
+        }
+        if (self.twin_kind == "velocity-shift" and self.twin_delta == 0) or (
+            self.twin_kind in ("resolution", "softening") and same_field[self.field_mode]
+        ):
+            raise ConfigError(
+                f"twin_kind = {self.twin_kind} with field_mode = {self.field_mode}"
+                + (", twin_delta = 0" if self.twin_kind == "velocity-shift" else "")
+                + ": the two flows cannot differ (twin_kind = none is the identical twin)"
+            )
         if self.crossing_threshold <= 0:
             raise ConfigError("crossing_threshold must be positive")
         if self.ot_stride < 0 or self.ot_subsample < 1:
@@ -206,13 +219,13 @@ class ScenarioConfig:
 
     def _particle_memory(self):
         """(bytes, snapshots): the most a twin holds in per-particle arrays,
-        and how many snapshots it keeps. Per particle: the sample's and both
-        flows' x, v, w and both accelerations (216 B), and on each of two
-        threads a step's half-kick velocity (24 B) and CIC deposit scratch
-        (360 B: corner indices, weights, their concatenations); 112 B per
-        kept snapshot of both ensembles. A simulation holds less."""
+        and how many snapshots it keeps. Per particle: both flows' x, v, w
+        and both accelerations (160 B), and on each of two threads a step's
+        half-kick velocity (24 B) and CIC deposit scratch (360 B: corner
+        indices, weights, their concatenations); 112 B per kept snapshot of
+        both ensembles. A simulation holds less."""
         kept = self.n_steps // self.snapshot_stride + 1 if self.snapshot_stride else 0
-        return self.n_particles * (216 + 2 * 384 + 112 * kept), kept
+        return self.n_particles * (160 + 2 * 384 + 112 * kept), kept
 
     @property
     def grid_spec(self):
@@ -344,17 +357,6 @@ def _make_evaluator(mode, spec, softening):
     return dynamics.GridFieldEvaluator(spec, softening=softening)
 
 
-def _perturbation(cfg):
-    if cfg.twin_kind == "velocity-shift":
-        shift = np.array([cfg.twin_delta, 0.0, 0.0])
-
-        def perturb(ens):
-            ens.v += shift
-
-        return perturb
-    return None
-
-
 @dataclass
 class TwinResult:
     config: ScenarioConfig
@@ -469,20 +471,16 @@ class _TwinObserver:
 
 
 def run_twin_config(cfg: ScenarioConfig) -> TwinResult:
-    """Sample f0, build both twin variants, run, and post-process dQ/dt."""
+    """Sample f0 as branch A, copy it as branch B (shifted for a
+    velocity-shift twin), run both, and post-process dQ/dt."""
     cfg.validate()
-    sample = scenarios.sample_initial(cfg)
+    ens_a = scenarios.sample_initial(cfg)
+    ens_b = ens_a.copy()
+    if cfg.twin_kind == "velocity-shift":
+        ens_b.v += (cfg.twin_delta, 0.0, 0.0)
     eval_a, eval_b = (_make_evaluator(cfg.field_mode, *s) for s in cfg.field_solves()[:2])
     obs = _TwinObserver(cfg)
-    dynamics.run_twin(
-        sample,
-        eval_a,
-        eval_b,
-        cfg.dt,
-        cfg.n_steps,
-        observer=obs,
-        perturb_b=_perturbation(cfg),
-    )
+    dynamics.run_twin(ens_a, ens_b, eval_a, eval_b, cfg.dt, cfg.n_steps, observer=obs)
     certify.fill_dQdt(obs.records)
     return TwinResult(
         cfg,
@@ -503,7 +501,6 @@ class SimResult:
     config: ScenarioConfig
     ensemble: dynamics.ParticleEnsemble
     snapshots: dict
-    crossing_time: float
 
 
 def run_simulation(cfg: ScenarioConfig) -> SimResult:
@@ -516,17 +513,14 @@ def run_simulation(cfg: ScenarioConfig) -> SimResult:
     evaluator = _make_evaluator(cfg.field_mode, spec, softening)
     flow = dynamics.FlowState(ens, evaluator, cfg.dt)
     fields.check_in_box(ens.x, spec)
-    crossing = dynamics.CrossingDetector(spec, cfg.crossing_threshold)
     snapshots = {0: ens.copy()}
-    crossing.observe(ens)
     for k in range(1, cfg.n_steps + 1):
         dynamics.step_leapfrog(flow)
         fields.check_in_box(ens.x, spec)
-        crossing.observe(ens)
         if cfg.snapshot_stride > 0 and k % cfg.snapshot_stride == 0:
             snapshots[k] = ens.copy()
     snapshots[cfg.n_steps] = ens.copy()
-    return SimResult(cfg, ens, snapshots, crossing.crossing_time)
+    return SimResult(cfg, ens, snapshots)
 
 
 # --------------------------------------------------------------------------

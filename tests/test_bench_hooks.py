@@ -41,3 +41,38 @@ def test_tracer_installs_and_restores_every_hook():
         now = vars(owner)
         changed = [k for k in was.keys() | now.keys() if was.get(k) is not now.get(k)]
         assert not changed, f"{owner.__name__}: not restored {sorted(changed)}"
+
+
+def test_tracer_reaches_the_twin_loop():
+    # harness calls dynamics.run_twin, and run_twin calls step_leapfrog,
+    # where the tracer wraps them: every step of both branches is a span
+    # under the run_twin span
+    tracing = load_tracer()
+    tracer = tracing.Tracer()
+    cfg = harness.ScenarioConfig(
+        n_particles=64,
+        grid_dims=8,
+        dt=0.05,
+        t_final=0.15,
+        twin_kind="velocity-shift",
+        twin_delta=1e-2,
+        ot_stride=1,
+    ).validate()
+    try:
+        tracing.install(tracer)
+        harness.run_twin_config(cfg)
+    finally:
+        tracer.uninstall()
+    spans = tracer.spans
+    metrics = tracing.layer_metrics(spans, cfg.n_steps)
+    assert cfg.n_steps == 3
+    assert metrics["dynamics.step_leapfrog.calls"] == 2 * cfg.n_steps
+    assert metrics["fields.solve_field_grid.diag_calls"] > 0
+
+    def ancestors(span):
+        while span[3] >= 0:
+            span = spans[span[3]]
+            yield span[0]
+
+    steps = [s for s in spans if s[0] == "dynamics.step_leapfrog"]
+    assert all("dynamics.run_twin" in ancestors(s) for s in steps)

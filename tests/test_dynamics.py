@@ -186,20 +186,6 @@ class TestMonokinetic:
         t = flow.ensemble.t
         np.testing.assert_allclose(flow.ensemble.x, (1.0 + H * t) * pts, atol=1e-12)
 
-    def test_multivalued_velocity_rejected(self):
-        pts = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
-        cloud = WeightedCloud(pts, np.full(3, 1.0 / 3))
-        v = np.array([[0.0, 0, 0], [1.0, 0, 0], [0.0, 0, 0]])
-        with pytest.raises(ValueError):
-            monokinetic_init(cloud, v)
-
-    def test_consistent_duplicate_velocity_accepted(self):
-        pts = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
-        cloud = WeightedCloud(pts, np.array([0.5, 0.5]))
-        v = np.array([[1.0, 0, 0], [1.0, 0, 0]])
-        ens = monokinetic_init(cloud, v)
-        np.testing.assert_array_equal(ens.v, v)
-
 
 class TestDispersionAndCrossing:
     def test_monokinetic_flow_has_zero_dispersion(self):
@@ -270,26 +256,22 @@ class TestTwinRuns:
         sample = random_ensemble(rng, n=128)
         spec = GridSpec((0, 0, 0), 12.0, 16)
         fa, fb = run_twin(
-            sample, GridFieldEvaluator(spec), GridFieldEvaluator(spec), 0.02, 20
+            sample, sample.copy(), GridFieldEvaluator(spec), GridFieldEvaluator(spec), 0.02, 20
         )
         np.testing.assert_array_equal(fa.ensemble.x, fb.ensemble.x)
         np.testing.assert_array_equal(fa.ensemble.v, fb.ensemble.v)
 
     def test_perturbation_applied_to_branch_b_only(self):
+        # the caller shifts its copy of B; run_twin advances the two
+        # ensembles it is handed, in place
         rng = np.random.default_rng(RNG_SEED)
-        sample = random_ensemble(rng, n=64)
-
-        def shift(ens):
-            ens.v[:, 0] += 1e-3
-
-        fa, fb = run_twin(
-            sample,
-            ZeroFieldEvaluator(),
-            ZeroFieldEvaluator(),
-            0.05,
-            10,
-            perturb_b=shift,
-        )
+        ens_a = random_ensemble(rng, n=64)
+        ens_b = ens_a.copy()
+        ens_b.v[:, 0] += 1e-3
+        v0_a = ens_a.v.copy()
+        fa, fb = run_twin(ens_a, ens_b, ZeroFieldEvaluator(), ZeroFieldEvaluator(), 0.05, 10)
+        assert fa.ensemble is ens_a and fb.ensemble is ens_b
+        np.testing.assert_array_equal(fa.ensemble.v, v0_a)
         np.testing.assert_allclose(
             fb.ensemble.v[:, 0] - fa.ensemble.v[:, 0], 1e-3, rtol=1e-12
         )
@@ -300,6 +282,7 @@ class TestTwinRuns:
         seen = []
         run_twin(
             sample,
+            sample.copy(),
             ZeroFieldEvaluator(),
             ZeroFieldEvaluator(),
             0.05,
@@ -313,7 +296,9 @@ class TestTwinRuns:
         sample = random_ensemble(rng, n=32)
         spec = GridSpec((0, 0, 0), 1.0, 4)  # box too small: branch A escapes
         with pytest.raises(TwinError) as exc:
-            run_twin(sample, GridFieldEvaluator(spec), ZeroFieldEvaluator(), 0.05, 10)
+            run_twin(
+                sample, sample.copy(), GridFieldEvaluator(spec), ZeroFieldEvaluator(), 0.05, 10
+            )
         assert exc.value.branch == "A"
         assert isinstance(exc.value.cause, EscapeError)
 
@@ -323,7 +308,8 @@ class TestTwinRuns:
             sample = random_ensemble(rng, n=256)
             spec = GridSpec((0, 0, 0), 12.0, 16)
             fa, _ = run_twin(
-                sample, GridFieldEvaluator(spec), GridFieldEvaluator(spec), 0.02, 15
+                sample, sample.copy(),
+                GridFieldEvaluator(spec), GridFieldEvaluator(spec), 0.02, 15,
             )
             return fa.ensemble.x.copy(), fa.ensemble.v.copy()
 
@@ -358,7 +344,7 @@ class TestConcurrentBranches:
         sample = random_ensemble(np.random.default_rng(RNG_SEED), n=16)
         with pytest.raises(TwinError) as exc:
             run_twin(
-                sample, evaluator_a, evaluator_b, 0.05, n_steps,
+                sample, sample.copy(), evaluator_a, evaluator_b, 0.05, n_steps,
                 observer=lambda k, a, b: seen.append(k),
             )
         return exc.value, seen

@@ -57,8 +57,9 @@ _NON_NEGATIVE = st.floats(min_value=0.0, allow_nan=False, allow_infinity=False)
 _POSITIVE = st.floats(min_value=1e-3, max_value=1e3)
 _SMALL_INT = st.integers(0, 1000)
 
-# valid configs over every key; the filter drops the few draws validate
-# refuses (a negative softening twin_delta, zero softening in direct mode).
+# valid configs over every key; the filter drops the draws validate
+# refuses (a negative softening twin_delta, zero softening in direct mode,
+# a twin whose two flows cannot differ).
 # n_particles <= 8192 and dt >= 0.01 (at most 1001 kept snapshots) keep
 # every draw inside the particle-memory cap
 VALID_CONFIGS = st.builds(
@@ -192,10 +193,11 @@ class TestConfigParsing:
         small_config(n_particles=limit + 4, ot_subsample=limit, ot_stride=1)
         small_config(n_particles=limit + 4, ot_subsample=limit + 4, ot_stride=0)
         small_config(dt=2.0 / harness.MAX_STEPS, t_final=2.0)
-        small_config(grid_dims=2, twin_kind="resolution", twin_grid_dims_b=2)
+        small_config(grid_dims=2, twin_kind="resolution", twin_grid_dims_b=3)
+        small_config(grid_dims=3, twin_kind="resolution", twin_grid_dims_b=2)
         # only a resolution twin runs B on twin_grid_dims_b
-        small_config(twin_kind="velocity-shift", twin_grid_dims_b=1)
-        small_config(twin_kind="velocity-shift", twin_grid_dims_b=10_000)
+        small_config(twin_kind="velocity-shift", twin_delta=0.01, twin_grid_dims_b=1)
+        small_config(twin_kind="velocity-shift", twin_delta=0.01, twin_grid_dims_b=10_000)
 
     # one (2n)^2 (n+1) complex spectrum, and the scratch of one kernel build
     # beyond its kept spectra: (2n)^3 cells of denom (8 B), mask (1 B) and
@@ -269,7 +271,7 @@ class TestConfigParsing:
         # cache builds exactly the kernels the guard counts
         cache = {}
         monkeypatch.setattr(fields, "_KERNEL_CACHE", cache)
-        cfg = small_config(
+        overrides = dict(
             n_particles=128,
             grid_dims=8,
             field_mode=field_mode,
@@ -281,6 +283,15 @@ class TestConfigParsing:
             ot_subsample=64,
             t_final=0.1,
         )
+        # with no field, or one direct softening for both flows, B reads A's
+        # field: that twin is refused before it runs
+        if (field_mode == "none" and twin_kind in ("resolution", "softening")) or (
+            (field_mode, twin_kind, softening) == ("direct", "resolution", 0.2)
+        ):
+            with pytest.raises(ConfigError, match=f"twin_kind = {twin_kind} with field_mode"):
+                small_config(**overrides)
+            return
+        cfg = small_config(**overrides)
         run_twin_config(cfg)
         _, kernels = cfg._grid_memory()
         assert {(dims[0], length) for dims, _, length in cache} == kernels
@@ -308,12 +319,12 @@ class TestConfigParsing:
         )
 
     def test_particle_memory_guard_states_the_estimate(self):
-        # 216 B kept and 2 x 384 B of step scratch per particle, plus 112 B
+        # 160 B kept and 2 x 384 B of step scratch per particle, plus 112 B
         # per kept twin snapshot; small_config runs 5 steps, so
         # snapshot_stride = 2 keeps steps 0, 2 and 4
         cap = harness.MAX_GRID_SOLVE_BYTES
         for stride, kept, sizes in ((0, 0, ""), (2, 3, ", snapshot_stride = 2")):
-            per_particle = 984 + 112 * kept
+            per_particle = 928 + 112 * kept
             largest = cap // per_particle
             small_config(n_particles=largest, snapshot_stride=stride)
             mib = f"{(largest + 1) * per_particle / 2**20:.0f} MiB"
@@ -342,10 +353,40 @@ class TestConfigParsing:
             parse_config(text)
 
     def test_softening_rule_admits_its_limits(self):
-        parse_config("softening = 0\ntwin_kind = softening\ntwin_delta = 0\n")
+        parse_config("softening = 0\ntwin_kind = softening\ntwin_delta = 0.1\n")
+        parse_config("softening = 0.1\ntwin_kind = softening\ntwin_delta = 0\n")
         parse_config("field_mode = direct\ntwin_kind = softening\ntwin_delta = 0.1\n")
         # a velocity-shift twin reads twin_delta as a velocity, of any sign
         parse_config("field_mode = direct\ntwin_kind = velocity-shift\ntwin_delta = -0.5\n")
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "field_mode = none\ntwin_kind = resolution\n",
+            "field_mode = none\ntwin_kind = softening\ntwin_delta = 0.1\n",
+            "field_mode = direct\nsoftening = 0.2\ntwin_kind = resolution\n",
+            "field_mode = direct\nsoftening = 0.2\ntwin_kind = softening\ntwin_delta = 0.2\n",
+            "twin_kind = resolution\ntwin_grid_dims_b = 32\n",
+            "softening = 0.2\ntwin_kind = softening\ntwin_delta = 0.2\n",
+            "twin_kind = velocity-shift\n",
+            "field_mode = none\ntwin_kind = velocity-shift\ntwin_delta = -0.0\n",
+        ],
+    )
+    def test_twin_whose_flows_cannot_differ_rejected(self, text):
+        # both flows start equal and read one field: refused at parse time,
+        # naming twin_kind and field_mode (grid by default)
+        keys = dict(line.split(" = ") for line in text.splitlines())
+        kind, mode = keys["twin_kind"], keys.get("field_mode", "grid")
+        with pytest.raises(ConfigError, match=f"twin_kind = {kind} with field_mode = {mode}"):
+            parse_config(text)
+
+    def test_twins_that_can_differ_admitted(self):
+        # the identity control, and twins whose B field differs from A's
+        for mode in ("grid", "direct", "none"):
+            parse_config(f"field_mode = {mode}\ntwin_kind = none\n")
+            parse_config(f"field_mode = {mode}\ntwin_kind = velocity-shift\ntwin_delta = -1e-9\n")
+        parse_config("field_mode = direct\ntwin_kind = resolution\n")  # auto: h/2 on each grid
+        parse_config("softening = 0.2\ntwin_kind = resolution\n")  # the grids differ
 
     def test_vector_box_center(self):
         cfg = parse_config("box_center = 1.0 2.0 3.0\n")
@@ -461,6 +502,18 @@ class TestTwinRuns:
         cfg = small_config(twin_kind="velocity-shift", twin_delta=delta)
         result = run_twin_config(cfg)
         assert result.records[0].Q == pytest.approx(0.5 * delta**2, rel=1e-12)
+
+    def test_velocity_shift_twin_branches_start_from_the_sample(self):
+        # branch A starts at the sample, branch B at the sample plus delta along x
+        delta = 5e-3
+        cfg = small_config(twin_kind="velocity-shift", twin_delta=delta, snapshot_stride=5)
+        sample = scenarios.sample_initial(cfg)
+        ens_a, ens_b = run_twin_config(cfg).snapshots[0]
+        for ens in (ens_a, ens_b):
+            np.testing.assert_array_equal(ens.x, sample.x)
+            np.testing.assert_array_equal(ens.w, sample.w)
+        np.testing.assert_array_equal(ens_a.v, sample.v)
+        np.testing.assert_array_equal(ens_b.v, sample.v + [delta, 0.0, 0.0])
 
     def test_resolution_twin_runs_and_certifies(self, tmp_path):
         cfg = small_config(
@@ -706,6 +759,8 @@ class TestCLI:
             "sigma_x = -0.6\n",
             "sigma_v = -0.3\n",
             "scenario = uniform-ball\nball_radius = -1\n",
+            "field_mode = none\ntwin_kind = resolution\n",
+            "twin_kind = velocity-shift\ntwin_delta = 0\n",
         ],
     )
     def test_unrunnable_size_exits_usage(self, tmp_path, capsys, text):
