@@ -3,7 +3,7 @@
 Particles follow dX/dt = xi, dxi/dt = grad Psi(t, X) with a kick-drift-kick
 leapfrog; the field is refreshed from a cloud-in-cell deposit after each
 drift (grid mode), from softened direct summation (direct mode), or held
-at zero / frozen for control runs. Twin runs advance the two ensembles
+at zero for control runs. Twin runs advance the two ensembles
 they are handed, branch B on a helper thread beside branch A.
 """
 
@@ -48,9 +48,9 @@ class ParticleEnsemble:
         return float(self.w.sum())
 
     def copy(self):
-        return ParticleEnsemble(
-            self.x.copy(), self.v.copy(), self.w.copy(), self.t, self.epsilon_sign
-        )
+        """New x and v arrays; the weights are shared, since nothing writes
+        w after sampling."""
+        return ParticleEnsemble(self.x.copy(), self.v.copy(), self.w, self.t, self.epsilon_sign)
 
     def position_cloud(self) -> WeightedCloud:
         return WeightedCloud(self.x, self.w)
@@ -77,19 +77,6 @@ class ZeroFieldEvaluator:
 
     def accel(self, points):
         return np.zeros((np.atleast_2d(points).shape[0], 3))
-
-
-class FrozenFieldEvaluator:
-    """Fixed external field from a callable points -> (n, 3) values."""
-
-    def __init__(self, fn):
-        self.fn = fn
-
-    def refresh(self, ensemble):
-        pass
-
-    def accel(self, points):
-        return np.asarray(self.fn(np.atleast_2d(points)), dtype=np.float64)
 
 
 class GridFieldEvaluator:
@@ -178,11 +165,6 @@ def step_leapfrog(state: FlowState) -> FlowState:
     return state
 
 
-def reverse_dt(state: FlowState):
-    """Flip the integration direction in place (for reversibility tests)."""
-    state.dt = -state.dt
-
-
 # --------------------------------------------------------------------------
 # twin runs
 
@@ -265,21 +247,7 @@ def run_twin(
 
 
 # --------------------------------------------------------------------------
-# monokinetic mode
-
-
-def monokinetic_init(
-    density_cloud: WeightedCloud, velocity, epsilon_sign=1
-) -> ParticleEnsemble:
-    """Ensemble whose empirical f is rho(x) delta(xi - v(x)); velocity is
-    a callable x -> v(x), so v is single-valued on the support."""
-    x = density_cloud.points
-    if x.shape[1] != 3:
-        raise ValueError("monokinetic density cloud must be spatial (d = 3)")
-    v = np.asarray(velocity(x), dtype=np.float64)
-    if v.shape != x.shape:
-        raise ValueError("velocity array shape must match positions")
-    return ParticleEnsemble(x.copy(), v, density_cloud.weights.copy(), 0.0, epsilon_sign)
+# cold-flow diagnostics
 
 
 def cell_velocity_dispersion(ensemble: ParticleEnsemble, spec: GridSpec) -> float:
@@ -332,30 +300,3 @@ class CrossingDetector:
             return
         if triggered:
             self.crossing_time = ensemble.t
-
-
-# --------------------------------------------------------------------------
-# conserved-quantity monitors
-
-
-def kinetic_energy(ensemble: ParticleEnsemble) -> float:
-    return 0.5 * coupling_cost(ensemble.w, ensemble.v)
-
-
-def potential_energy_direct(ensemble: ParticleEnsemble, softening) -> float:
-    """Pairwise softened interaction energy consistent with DirectSumEvaluator.
-
-    U = (eps/2) sum_{i != j} w_i w_j / (4 pi sqrt(r_ij^2 + s^2)); the total
-    H = kinetic + U is conserved by the softened direct-sum dynamics.
-    """
-    x = ensemble.x
-    w = ensemble.w
-    diff = x[:, None, :] - x[None, :, :]
-    r2 = np.einsum("ijk,ijk->ij", diff, diff) + softening**2
-    inv = 1.0 / (fields.FOUR_PI * np.sqrt(r2))
-    np.fill_diagonal(inv, 0.0)
-    return 0.5 * ensemble.epsilon_sign * float(w @ inv @ w)
-
-
-def momentum(ensemble: ParticleEnsemble):
-    return (ensemble.w[:, None] * ensemble.v).sum(axis=0)

@@ -102,9 +102,6 @@ class GridSpec:
     def cell_volume(self):
         return float(np.prod(self.h))
 
-    def refine(self, factor=2):
-        return GridSpec(self.center, self.edge, tuple(n * factor for n in self.dims))
-
 
 @dataclass(frozen=True)
 class GridDensity:

@@ -22,7 +22,7 @@ import hashlib
 import json
 import math
 import os
-from dataclasses import dataclass, fields as dc_fields, replace
+from dataclasses import dataclass, fields as dc_fields
 
 import numpy as np
 
@@ -219,13 +219,14 @@ class ScenarioConfig:
 
     def _particle_memory(self):
         """(bytes, snapshots): the most a twin holds in per-particle arrays,
-        and how many snapshots it keeps. Per particle: both flows' x, v, w
-        and both accelerations (160 B), and on each of two threads a step's
-        half-kick velocity (24 B) and CIC deposit scratch (360 B: corner
-        indices, weights, their concatenations); 112 B per kept snapshot of
-        both ensembles. A simulation holds less."""
+        and how many snapshots it keeps. Per particle: both flows' x and v,
+        the weights they share and both accelerations (152 B), and on each
+        of two threads a step's half-kick velocity (24 B) and CIC deposit
+        scratch (360 B: corner indices, weights, their concatenations);
+        96 B per kept snapshot of both ensembles' x and v, which share the
+        weights too. A simulation holds less."""
         kept = self.n_steps // self.snapshot_stride + 1 if self.snapshot_stride else 0
-        return self.n_particles * (160 + 2 * 384 + 112 * kept), kept
+        return self.n_particles * (152 + 2 * 384 + 96 * kept), kept
 
     @property
     def grid_spec(self):
@@ -359,7 +360,6 @@ def _make_evaluator(mode, spec, softening):
 
 @dataclass
 class TwinResult:
-    config: ScenarioConfig
     records: list
     snapshots: dict  # step -> (ensemble A copy, ensemble B copy)
     crossing_time_a: float
@@ -483,7 +483,6 @@ def run_twin_config(cfg: ScenarioConfig) -> TwinResult:
     dynamics.run_twin(ens_a, ens_b, eval_a, eval_b, cfg.dt, cfg.n_steps, observer=obs)
     certify.fill_dQdt(obs.records)
     return TwinResult(
-        cfg,
         obs.records,
         obs.snapshots,
         obs.crossing_a.crossing_time,
@@ -498,7 +497,6 @@ def run_twin_config(cfg: ScenarioConfig) -> TwinResult:
 
 @dataclass
 class SimResult:
-    config: ScenarioConfig
     ensemble: dynamics.ParticleEnsemble
     snapshots: dict
 
@@ -520,7 +518,7 @@ def run_simulation(cfg: ScenarioConfig) -> SimResult:
         if cfg.snapshot_stride > 0 and k % cfg.snapshot_stride == 0:
             snapshots[k] = ens.copy()
     snapshots[cfg.n_steps] = ens.copy()
-    return SimResult(cfg, ens, snapshots)
+    return SimResult(ens, snapshots)
 
 
 # --------------------------------------------------------------------------
@@ -651,7 +649,3 @@ def emit_report(manifest_path, outdir):
     with open(report_path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
     return report_path
-
-
-def with_overrides(cfg: ScenarioConfig, **kwargs) -> ScenarioConfig:
-    return replace(cfg, **kwargs).validate()

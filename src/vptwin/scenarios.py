@@ -9,8 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .dynamics import ParticleEnsemble, monokinetic_init
-from .transport import WeightedCloud
+from .dynamics import ParticleEnsemble
 
 SCENARIO_NAMES = (
     "gaussian-blob",
@@ -57,10 +56,7 @@ def sample_initial(cfg) -> ParticleEnsemble:
         v = rng.normal(scale=cfg.sigma_v, size=(n, 3))
     elif name == "hubble":
         x = _uniform_ball(rng, n, cfg.ball_radius)
-        ens = monokinetic_init(
-            WeightedCloud(x, w), lambda p: cfg.hubble_rate * p, epsilon_sign=eps
-        )
-        return ens
+        v = cfg.hubble_rate * x  # monokinetic: one velocity per position
     elif name == "two-stream":
         half = n // 2
         x = rng.normal(scale=cfg.sigma_x, size=(n, 3))

@@ -13,9 +13,6 @@ linear_sum_assignment would return (see w2_exact):
 - dense: cdist + linear_sum_assignment, when neither certificate holds.
 
 The first two build no n x n cost matrix.
-Displacement interpolation moves mass along straight lines of the plan;
-its kinetic energy is the plan cost for every interpolation parameter by
-construction.
 """
 
 from __future__ import annotations
@@ -33,7 +30,6 @@ from scipy.sparse.csgraph import (
 from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist
 
-from . import fields
 from .errors import MassMismatchError, TransportError
 
 MAX_ASSIGNMENT_SIDE = 4096  # dense n x n cost matrix guard
@@ -49,9 +45,6 @@ NN_FLOOR = 1e-300
 # units of n * eps * (dual scale)
 SPARSE_NEIGHBOURS = 8
 ETA_ULPS = 64
-# geodesic_linf_check: an endpoint sup-norm moving by more than this
-# fraction under 2x grid refinement makes the check inconclusive
-STABILITY_RTOL = 0.5
 
 
 # --------------------------------------------------------------------------
@@ -89,9 +82,6 @@ class WeightedCloud:
     def total_mass(self):
         return float(self.weights.sum())
 
-    def translate(self, v):
-        return WeightedCloud(self.points + np.asarray(v, dtype=np.float64), self.weights)
-
 
 def squared_norms(*gaps):
     """Per row sum_k |d_k,i|^2 over one or more (n, d) gap arrays.
@@ -124,7 +114,7 @@ def coupling_cost(weights, *gaps):
     """Quadratic cost sum_i w_i sum_k |d_k,i|^2 of a coupling.
 
     Every ledger sum goes through here: the plan cost, Q and S of the twin
-    pairing, T1 and T2, the kinetic energy and the crossing detector's rms.
+    pairing, T1, T2 and the crossing detector's rms.
     The sum is np.sum, so its last bits follow numpy's reduction order.
     """
     return float(np.sum(weights * squared_norms(*gaps)))
@@ -179,15 +169,6 @@ class TransportPlan:
     def cost(self):
         """Total quadratic cost sum mass * |x - y|^2 (recomputed, exact)."""
         return coupling_cost(self.mass, self.displacements)
-
-
-@dataclass(frozen=True, eq=False)
-class GeodesicSample:
-    """One point on the displacement-interpolation path, theta in [1, 2]."""
-
-    theta: float
-    cloud: WeightedCloud
-    kinetic_energy: float
 
 
 # --------------------------------------------------------------------------
@@ -438,89 +419,6 @@ def _lp_plan(a, b):
     x = res.x.reshape(n, m)
     src, tgt = np.nonzero(x > 0)
     return TransportPlan(src, tgt, x[src, tgt], a, b, solver="lp")
-
-
-# --------------------------------------------------------------------------
-# displacement interpolation
-
-
-def displacement_interpolate(plan: TransportPlan, theta: float) -> GeodesicSample:
-    """Point (2 - theta) x + (theta - 1) y with the entry's mass, theta in [1, 2].
-
-    Endpoints reproduce the source/target clouds as measures (up to merging
-    coincident points); the kinetic energy equals plan.cost for every theta.
-    """
-    if not 1.0 <= theta <= 2.0:
-        raise ValueError(f"theta must lie in [1, 2], got {theta}")
-    pts = (2.0 - theta) * plan.source.points[plan.src] + (theta - 1.0) * plan.target.points[
-        plan.tgt
-    ]
-    return GeodesicSample(float(theta), WeightedCloud(pts, plan.mass.copy()), plan.cost)
-
-
-# --------------------------------------------------------------------------
-# geodesic sup-norm check
-
-
-@dataclass(frozen=True)
-class GeodesicLinfReport:
-    thetas: np.ndarray
-    sup_norms: np.ndarray
-    endpoint_sup: float
-    ratio: float
-    tolerance: float
-    status: str  # 'pass' | 'fail' | 'inconclusive'
-    kinetic_energy: float
-
-
-def _smoothed_sup(points, weights, spec, smoothing_cells):
-    values = fields.deposit_cic(points, weights, spec)
-    if smoothing_cells > 0:
-        from scipy.ndimage import gaussian_filter
-
-        values = gaussian_filter(values, sigma=smoothing_cells, mode="constant")
-    return float(values.max())
-
-
-def geodesic_linf_check(
-    plan: TransportPlan,
-    thetas,
-    spec: fields.GridSpec,
-    smoothing_cells: float = 1.5,
-    tolerance: float = 0.10,
-):
-    """Deposited sup-norm along the displacement path vs the endpoint maximum.
-
-    Point masses have no sup-norm, so every sample is deposited with CIC
-    plus a small Gaussian smoothing (in cells) before taking the max; the
-    same pipeline is applied to the endpoints. If either endpoint sup-norm
-    moves by more than STABILITY_RTOL under 2x grid refinement the result
-    is 'inconclusive' (grid too coarse) rather than pass/fail.
-    """
-    thetas = np.asarray(sorted(thetas), dtype=np.float64)
-    sups = np.array(
-        [
-            _smoothed_sup(s.cloud.points, s.cloud.weights, spec, smoothing_cells)
-            for s in (displacement_interpolate(plan, t) for t in thetas)
-        ]
-    )
-    end_sup = max(
-        _smoothed_sup(plan.source.points, plan.source.weights, spec, smoothing_cells),
-        _smoothed_sup(plan.target.points, plan.target.weights, spec, smoothing_cells),
-    )
-    ratio = float(sups.max() / end_sup)
-    fine = spec.refine(2)
-    stable = True
-    for cloud in (plan.source, plan.target):
-        coarse = _smoothed_sup(cloud.points, cloud.weights, spec, smoothing_cells)
-        refined = _smoothed_sup(cloud.points, cloud.weights, fine, smoothing_cells)
-        if abs(refined - coarse) > STABILITY_RTOL * coarse:
-            stable = False
-    if not stable:
-        status = "inconclusive"
-    else:
-        status = "pass" if ratio <= 1.0 + tolerance else "fail"
-    return GeodesicLinfReport(thetas, sups, end_sup, ratio, tolerance, status, plan.cost)
 
 
 # --------------------------------------------------------------------------

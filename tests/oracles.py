@@ -1,16 +1,25 @@
-"""Test-side readers and reference helpers that the package itself never calls.
+"""Test-side readers and reference code that the package itself never calls.
 
 The package writes grids and plans but reads neither back, and it has no
-use for cell-center grids or merged clouds; the tests need all four as
-oracles.
+use for cell-center grids, merged clouds, fixed external fields, the
+pairwise potential energy or the displacement interpolant; the tests need
+them as oracles. The geodesic sup-norm check lives here because it is not
+an exact inequality on the grid (the deposit of the interpolant can peak
+a little above both endpoints), so it is an acceptance criterion rather
+than a verdict.
 """
 
 import json
+from dataclasses import dataclass
 
 import numpy as np
 
-from vptwin.fields import GridDensity, GridField, GridSpec
+from vptwin.fields import FOUR_PI, GridDensity, GridField, GridSpec, deposit_cic
 from vptwin.transport import TransportPlan, WeightedCloud
+
+# geodesic_linf_check: an endpoint sup-norm moving by more than this
+# fraction under 2x grid refinement makes the check inconclusive
+STABILITY_RTOL = 0.5
 
 
 def grid_points(spec: GridSpec):
@@ -49,3 +58,93 @@ def load_grid(basepath):
     if side["kind"] == "density":
         return GridDensity(spec, raw.reshape(spec.dims), side["epsilon_sign"])
     return GridField(spec, raw.reshape(spec.dims + (3,)))
+
+
+class FrozenFieldEvaluator:
+    """Fixed external field from a callable points -> (n, 3) values."""
+
+    def __init__(self, fn):
+        self.fn = fn
+
+    def refresh(self, ensemble):
+        pass
+
+    def accel(self, points):
+        return np.asarray(self.fn(np.atleast_2d(points)), dtype=np.float64)
+
+
+def potential_energy_direct(ensemble, softening) -> float:
+    """Pairwise softened interaction energy consistent with DirectSumEvaluator.
+
+    U = (eps/2) sum_{i != j} w_i w_j / (4 pi sqrt(r_ij^2 + s^2)); the total
+    H = kinetic + U is conserved by the softened direct-sum dynamics.
+    """
+    x = ensemble.x
+    w = ensemble.w
+    diff = x[:, None, :] - x[None, :, :]
+    r2 = np.einsum("ijk,ijk->ij", diff, diff) + softening**2
+    inv = 1.0 / (FOUR_PI * np.sqrt(r2))
+    np.fill_diagonal(inv, 0.0)
+    return 0.5 * ensemble.epsilon_sign * float(w @ inv @ w)
+
+
+def displacement_interpolate(plan: TransportPlan, theta: float) -> WeightedCloud:
+    """Point (2 - theta) x + (theta - 1) y with the entry's mass, theta in [1, 2].
+
+    Endpoints reproduce the source/target clouds as measures (up to merging
+    coincident points).
+    """
+    if not 1.0 <= theta <= 2.0:
+        raise ValueError(f"theta must lie in [1, 2], got {theta}")
+    pts = (2.0 - theta) * plan.source.points[plan.src] + (theta - 1.0) * plan.target.points[
+        plan.tgt
+    ]
+    return WeightedCloud(pts, plan.mass.copy())
+
+
+@dataclass(frozen=True)
+class GeodesicLinfReport:
+    thetas: np.ndarray
+    sup_norms: np.ndarray
+    endpoint_sup: float
+    ratio: float
+    tolerance: float
+    status: str  # 'pass' | 'fail' | 'inconclusive'
+
+
+def _smoothed_sup(cloud, spec, smoothing_cells):
+    values = deposit_cic(cloud.points, cloud.weights, spec)
+    if smoothing_cells > 0:
+        from scipy.ndimage import gaussian_filter
+
+        values = gaussian_filter(values, sigma=smoothing_cells, mode="constant")
+    return float(values.max())
+
+
+def geodesic_linf_check(plan, thetas, spec, smoothing_cells=1.5, tolerance=0.10):
+    """Deposited sup-norm along the displacement path vs the endpoint maximum.
+
+    Point masses have no sup-norm, so every sample is deposited with CIC
+    plus a small Gaussian smoothing (in cells) before taking the max; the
+    same pipeline is applied to the endpoints. If either endpoint sup-norm
+    moves by more than STABILITY_RTOL under 2x grid refinement the result
+    is 'inconclusive' (grid too coarse) rather than pass/fail.
+    """
+    thetas = np.asarray(sorted(thetas), dtype=np.float64)
+    sups = np.array(
+        [_smoothed_sup(displacement_interpolate(plan, t), spec, smoothing_cells) for t in thetas]
+    )
+    ends = (plan.source, plan.target)
+    coarse = [_smoothed_sup(c, spec, smoothing_cells) for c in ends]
+    end_sup = max(coarse)
+    ratio = float(sups.max() / end_sup)
+    fine = GridSpec(spec.center, spec.edge, tuple(2 * n for n in spec.dims))
+    stable = all(
+        abs(_smoothed_sup(c, fine, smoothing_cells) - sup) <= STABILITY_RTOL * sup
+        for c, sup in zip(ends, coarse)
+    )
+    if not stable:
+        status = "inconclusive"
+    else:
+        status = "pass" if ratio <= 1.0 + tolerance else "fail"
+    return GeodesicLinfReport(thetas, sups, end_sup, ratio, tolerance, status)

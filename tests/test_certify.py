@@ -188,7 +188,7 @@ class TestProp31:
         field1 = solve_field_grid(rho1)
         slopes = []
         for delta in (0.4, 0.2, 0.1, 0.05):
-            rho2 = self.density(c.translate([delta, 0.0, 0.0]), spec)
+            rho2 = self.density(WeightedCloud(c.points + [delta, 0.0, 0.0], c.weights), spec)
             lhs, rhs = prop31_sides(rho1, rho2, field1, solve_field_grid(rho2), delta)
             ratio = prop31_ratio(lhs, rhs)
             assert ratio <= 1.0 + certify.PROP31_TOL, f"delta={delta}: ratio {ratio}"

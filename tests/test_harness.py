@@ -7,6 +7,7 @@ against an analytic oracle.
 
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -22,7 +23,6 @@ from vptwin.harness import (
     read_records,
     run_twin_config,
     serialize_config,
-    with_overrides,
     write_records,
 )
 
@@ -181,7 +181,7 @@ class TestConfigParsing:
             ("grid_dims = 256\n", "grid_dims"),
             ("twin_kind = resolution\ntwin_grid_dims_b = 256\n", "twin_grid_dims_b"),
             ("n_particles = 1000000000000\n", "n_particles"),
-            ("n_particles = 100000\nsnapshot_stride = 1\n", "snapshot_stride"),
+            ("n_particles = 110000\nsnapshot_stride = 1\n", "snapshot_stride"),
         ],
     )
     def test_unrunnable_size_rejected(self, text, key):
@@ -319,12 +319,12 @@ class TestConfigParsing:
         )
 
     def test_particle_memory_guard_states_the_estimate(self):
-        # 160 B kept and 2 x 384 B of step scratch per particle, plus 112 B
+        # 152 B kept and 2 x 384 B of step scratch per particle, plus 96 B
         # per kept twin snapshot; small_config runs 5 steps, so
         # snapshot_stride = 2 keeps steps 0, 2 and 4
         cap = harness.MAX_GRID_SOLVE_BYTES
         for stride, kept, sizes in ((0, 0, ""), (2, 3, ", snapshot_stride = 2")):
-            per_particle = 928 + 112 * kept
+            per_particle = 920 + 96 * kept
             largest = cap // per_particle
             small_config(n_particles=largest, snapshot_stride=stride)
             mib = f"{(largest + 1) * per_particle / 2**20:.0f} MiB"
@@ -392,11 +392,11 @@ class TestConfigParsing:
         cfg = parse_config("box_center = 1.0 2.0 3.0\n")
         assert cfg.box_center == (1.0, 2.0, 3.0)
 
-    def test_with_overrides_validates(self):
+    def test_replaced_config_validates(self):
         cfg = small_config()
-        assert with_overrides(cfg, seed=77).seed == 77
+        assert replace(cfg, seed=77).validate().seed == 77
         with pytest.raises(ConfigError):
-            with_overrides(cfg, dt=-1.0)
+            replace(cfg, dt=-1.0).validate()
 
 
 class TestRecordsCSV:
@@ -976,7 +976,7 @@ class TestCLI:
 
     def test_ot_identical_and_fixture(self, tmp_path, capsys):
         a = transport.WeightedCloud([[0, 0, 0], [1, 0, 0]], [0.5, 0.5])
-        b = a.translate([0.1, 0, 0])
+        b = transport.WeightedCloud(a.points + [0.1, 0, 0], a.weights)
         pa, pb = tmp_path / "a.txt", tmp_path / "b.txt"
         transport.save_cloud(a, pa)
         transport.save_cloud(b, pb)
@@ -987,7 +987,7 @@ class TestCLI:
 
     def test_ot_plan_out(self, tmp_path, capsys):
         a = transport.WeightedCloud([[0, 0, 0], [1, 0, 0]], [0.5, 0.5])
-        b = a.translate([0.1, 0, 0])
+        b = transport.WeightedCloud(a.points + [0.1, 0, 0], a.weights)
         pa, pb = tmp_path / "a.txt", tmp_path / "b.txt"
         transport.save_cloud(a, pa)
         transport.save_cloud(b, pb)
@@ -1041,9 +1041,7 @@ FIELD_TWINS = {
 class TestProvedGronwallBound:
     @pytest.mark.parametrize("name", sorted(FIELD_TWINS))
     def test_field_twin_certifies(self, name, tmp_path, capsys):
-        cfg = with_overrides(
-            presets.bundled("two-blob"), ot_stride=0, t_final=1.0, **FIELD_TWINS[name]
-        )
+        cfg = replace(presets.bundled("two-blob"), ot_stride=0, t_final=1.0, **FIELD_TWINS[name])
         harness.emit_twin(cfg, tmp_path / "twin")
         records = str(tmp_path / "twin" / "records.csv")
         assert cli.main(["certify", records, "--out", str(tmp_path / "cert")]) == cli.EXIT_PASS
