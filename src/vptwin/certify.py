@@ -25,7 +25,7 @@ import numpy as np
 # nothing here calls solve_field_grid; the import stays because
 # perfbench/tracer.py wraps certify.solve_field_grid by name
 from .fields import GridDensity, field_l2_diff, solve_field_grid
-from .transport import coupling_cost, squared_norms
+from .transport import coupling_cost, ordered_sum, squared_norms
 
 E = math.e
 PROP31_TOL = 0.05  # Prop. 3.1 passes while lhs <= (1 + PROP31_TOL) rhs
@@ -78,23 +78,23 @@ def _check_aligned(ens_a, ens_b):
         raise ValueError("twin ensembles are not index-aligned on the shared sample")
 
 
-def compute_Q(ens_a, ens_b) -> float:
-    """Half the weighted squared phase-space gap between the twin flows."""
+def compute_gaps(ens_a, ens_b):
+    """(Q, S, max_gap) of a twin pair from one pass over its gaps.
+
+    Q = 1/2 sum_i w_i |Xi_1,i - Xi_2,i|^2 is half the weighted squared
+    phase-space gap, S = sum_i w_i |X_1,i - X_2,i|^2 the cost of the index
+    pairing of positions, and max_gap the largest phase-space gap. Q and S
+    are coupling_cost's sums of the same terms, bit for bit.
+    """
     _check_aligned(ens_a, ens_b)
-    return 0.5 * coupling_cost(ens_a.w, ens_a.x - ens_b.x, ens_a.v - ens_b.v)
-
-
-def compute_S(ens_a, ens_b) -> float:
-    """The weighted squared position gap, the cost of the index pairing."""
-    _check_aligned(ens_a, ens_b)
-    return coupling_cost(ens_a.w, ens_a.x - ens_b.x)
-
-
-def compute_max_gap(ens_a, ens_b) -> float:
-    """max_i |Xi_1,i - Xi_2,i|, the largest phase-space gap of a pair."""
-    _check_aligned(ens_a, ens_b)
-    gap2 = squared_norms(ens_a.x - ens_b.x, ens_a.v - ens_b.v)
-    return float(np.sqrt(gap2.max(initial=0.0)))
+    dx = ens_a.x - ens_b.x
+    sx = squared_norms(dx)
+    gap2 = sx + squared_norms(ens_a.v - ens_b.v)
+    max_gap = float(np.sqrt(gap2.max(initial=0.0)))
+    sx *= ens_a.w
+    s = ordered_sum(sx)
+    gap2 *= ens_a.w
+    return 0.5 * ordered_sum(gap2), s, max_gap
 
 
 def compute_T1_T2(ens_a, ens_b, fa_at_a, fb_at_b, field_b):

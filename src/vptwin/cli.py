@@ -5,9 +5,8 @@ optimality certificate), certify, report. Exit codes: 0 = pass, 1 = a
 FAIL verdict from certify, 2 = usage/config error or bad input (an
 unknown option included), 3 = numerical failure. Every package error
 carries its own code and stderr prefix (see errors.py); OSError and
-ValueError exit 2. On one machine and library build, results are
-byte-identical at any thread count, because the FFT (pocketfft), cdist,
-the KD-tree query and linear_sum_assignment all run single-threaded.
+ValueError exit 2. The determinism contract is stated once, in the
+README's manifest notes.
 """
 
 from __future__ import annotations

@@ -17,7 +17,7 @@ import numpy as np
 from . import fields
 from .errors import DivergenceError, TwinError, VptwinError
 from .fields import GridDensity, GridSpec, deposit_cic
-from .transport import WeightedCloud, coupling_cost
+from .transport import WeightedCloud, coupling_cost, ordered_sum
 
 
 @dataclass
@@ -45,7 +45,7 @@ class ParticleEnsemble:
 
     @property
     def total_mass(self):
-        return float(self.w.sum())
+        return ordered_sum(self.w.copy())
 
     def copy(self):
         """New x and v arrays; the weights are shared, since nothing writes
@@ -275,8 +275,11 @@ class CrossingDetector:
     """Reports the first time cold-flow particle crossing is seen.
 
     Crossing is flagged when the max per-cell velocity dispersion exceeds
-    threshold_factor times the current rms speed. Heuristic: it reports,
-    it does not stop the run.
+    threshold_factor times the current rms speed. Both are taken of the
+    velocities about the mass-weighted mean velocity, so a uniform shift
+    of every velocity changes neither; a per-cell E[v^2] - E[v]^2 of a
+    cold flow with a bulk velocity would otherwise be rounding noise.
+    Heuristic: it reports, it does not stop the run.
     """
 
     def __init__(self, spec: GridSpec, threshold_factor=0.3):
@@ -289,8 +292,11 @@ class CrossingDetector:
     def observe(self, ensemble: ParticleEnsemble):
         if self._disabled or self.crossing_time is not None:
             return
-        disp = cell_velocity_dispersion(ensemble, self.spec)
-        rms = float(np.sqrt(coupling_cost(ensemble.w, ensemble.v) / ensemble.total_mass))
+        w, mass = ensemble.w, ensemble.total_mass
+        mean = [ordered_sum(w * ensemble.v[:, c]) / mass for c in range(3)]
+        relative = ParticleEnsemble(ensemble.x, ensemble.v - mean, w, ensemble.t)
+        disp = cell_velocity_dispersion(relative, self.spec)
+        rms = float(np.sqrt(coupling_cost(w, relative.v) / mass))
         triggered = rms > 0 and disp > self.threshold_factor * rms
         if self._first:
             self._first = False

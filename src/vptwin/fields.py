@@ -24,11 +24,8 @@ gathers through flat cell indices, and the direct sum works on
 cache-sized blocks of (source, target) planes in one reused buffer. No
 output bit depends on any of this, nor on which thread runs a solve.
 
-The two reductions whose order numpy would otherwise choose are written
-out. The direct sum forms r^2 = (dx dx + dz dz) + dy dy + s^2 and adds
-each target's terms one by one in source order, starting from +0.0.
-field_l2_diff sums exactly (exponent buckets, one correctly rounded
-division), so it returns math.fsum's bits at vector speed.
+Every sum here adds in an order written in the code; the README's
+manifest notes state what the output bits still depend on.
 """
 
 from __future__ import annotations
@@ -43,6 +40,7 @@ import numpy as np
 import scipy.fft as sfft
 
 from .errors import EscapeError, OutOfDomainError, SingularityError
+from .transport import ordered_sum, squared_norms
 
 FOUR_PI = 4.0 * np.pi
 DIRECT_PAIRS = 1 << 15  # target-source pairs per block of solve_field_direct
@@ -123,7 +121,7 @@ class GridDensity:
 
     @property
     def mass(self):
-        return float(self.values.sum()) * self.spec.cell_volume
+        return ordered_sum(self.values.copy()) * self.spec.cell_volume
 
     @property
     def sup_norm(self):
@@ -247,11 +245,9 @@ def solve_field_direct(points, weights, targets, softening=0.0, epsilon_sign=1):
 
     The order of every sum is fixed: r^2 = (dx dx + dz dz) + dy dy + s^2
     per pair, and each component of a target's field adds its source
-    terms w (4 pi r^2 r)^-1 d one by one in source order from +0.0. This
-    is the order numpy's einsum took on two-lane (SSE) builds, so
-    the bits are those it gave; the blocking does not change them. With
-    zero softening a target sitting exactly on a source raises
-    SingularityError.
+    terms w (4 pi r^2 r)^-1 d one by one in source order from +0.0; the
+    blocking does not change it. With zero softening a target sitting
+    exactly on a source raises SingularityError.
     """
     s2 = check_softening(softening) ** 2
     points = np.atleast_2d(np.asarray(points, dtype=np.float64))
@@ -281,7 +277,7 @@ def solve_field_direct(points, weights, targets, softening=0.0, epsilon_sign=1):
             sing = r2 == 0.0
             if np.any(sing):
                 raise SingularityError(
-                    f"{int(sing.sum())} target(s) coincide with unsoftened sources"
+                    f"{np.count_nonzero(sing)} target(s) coincide with unsoftened sources"
                 )
         # w / ((4 pi r^2) r), left in r2
         np.sqrt(r2, out=tmp)
@@ -293,7 +289,9 @@ def solve_field_direct(points, weights, targets, softening=0.0, epsilon_sign=1):
         for k, d in enumerate(diff):
             d *= r2
             if m > 1:
-                # row after row from +0.0: sequential in source order
+                # row after row from +0.0: sequential in source order, for
+                # an axis-0 reduce of a C-order plane; pinned bit for bit
+                # by tests/test_fields.py against a loop in source order
                 out[a : a + m, k] = np.add.reduce(d, axis=0)
             else:
                 # one column would reduce pairwise; accumulate is sequential
@@ -427,59 +425,12 @@ def _support_touches_boundary(values):
 
 
 def field_l2_diff(f1: GridField, f2: GridField) -> float:
-    """L2 norm over the box of the field difference, (sum |d|^2 h^3)^{1/2}.
-
-    The sum of squares is correctly rounded (_exact_sum, bit for bit
-    math.fsum), so the result depends only on the field values, not on
-    the order in which numpy happens to reduce a 4-d array on a given
-    build or SIMD path.
-    """
+    """L2 norm over the box of the field difference, (sum |d|^2 h^3)^{1/2},
+    the squares summed by transport.ordered_sum in C order."""
     if f1.spec != f2.spec:
         raise ValueError("field grids have different geometry")
     d = f1.values - f2.values
-    return math.sqrt(_exact_sum(np.square(d, out=d)) * f1.spec.cell_volume)
-
-
-_SUM_CHUNK = 1 << 14  # terms per bucketing pass of _exact_sum
-_SUM_BUCKETS = 2098  # frexp exponents of finite doubles, -1073 .. 1024
-
-
-def _exact_sum(terms):
-    """The correctly rounded sum of a float64 array: math.fsum(terms).
-
-    Each term is m 2^e with frexp's 0.5 <= |m| < 1, and m 2^53 splits
-    into two integer-valued halves hi 2^27 + lo with |hi| < 2^26 and
-    |lo| < 2^27. bincount adds the halves of a chunk into one bucket per
-    exponent; those float sums are integers below 2^41, so exact, and
-    int64 carries them across chunks. The buckets then combine as one
-    Python int, and a single correctly rounded division scales it
-    (Neal, arXiv:1505.05571, uses the same exponent bucketing). An exact
-    zero is +0.0, as fsum returns, and a non-finite term leaves the work
-    to math.fsum itself. The int64 bucket sums hold below 2^36 terms.
-    """
-    terms = terms.ravel()
-    hi_sum = np.zeros(_SUM_BUCKETS, np.int64)
-    lo_sum = np.zeros(_SUM_BUCKETS, np.int64)
-    for a in range(0, terms.size, _SUM_CHUNK):
-        m, e = np.frexp(terms[a : a + _SUM_CHUNK])
-        lo, hi = np.modf(np.ldexp(m, 26, out=m))
-        bucket = e + 1073
-        hi_b = np.bincount(bucket, hi, _SUM_BUCKETS)
-        lo_b = np.bincount(bucket, np.ldexp(lo, 27, out=lo), _SUM_BUCKETS)
-        if not (np.isfinite(hi_b).all() and np.isfinite(lo_b).all()):
-            return math.fsum(terms)
-        hi_sum += hi_b.astype(np.int64)
-        lo_sum += lo_b.astype(np.int64)
-    used = np.flatnonzero(hi_sum | lo_sum).tolist()
-    if not used:
-        return 0.0
-    low = used[0]
-    total = sum(
-        ((int(hi_sum[b]) << 27) + int(lo_sum[b])) << (b - low) for b in used
-    )
-    # a unit of the lowest bucket is 2^(e - 53) with e = low - 1073
-    shift = low - 1073 - 53
-    return float(total << shift) if shift >= 0 else total / (1 << -shift)
+    return math.sqrt(ordered_sum(np.square(d, out=d)) * f1.spec.cell_volume)
 
 
 # --------------------------------------------------------------------------
@@ -514,9 +465,9 @@ def loglip_modulus(
     for s in seps:
         x = rng.uniform(region_lo + s_max, region_hi - s_max, size=(pairs_per_separation, 3))
         d = rng.normal(size=(pairs_per_separation, 3))
-        d /= np.linalg.norm(d, axis=1, keepdims=True)
+        d /= np.sqrt(squared_norms(d))[:, None]
         y = x + s * d
-        num = np.linalg.norm(evaluate(x) - evaluate(y), axis=1)
+        num = np.sqrt(squared_norms(evaluate(x) - evaluate(y)))
         ratios = num / (s * np.log(1.0 / s))
         best = max(best, float(ratios.max()))  # a NaN ratio drops its separation
     if best < 0.0:

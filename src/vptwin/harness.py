@@ -2,18 +2,8 @@
 
 Config files are plain "key = value" text ('#' comments allowed). The keys
 and their parsers are read off the ScenarioConfig fields; unknown keys are
-rejected with their line number. Output contains no timestamps,
-so reruns of one config + seed are byte-identical on the same machine and
-library build, at any thread count. A twin runs branch B on a helper
-thread beside branch A (dynamics.run_pair); each branch does the same
-arithmetic as alone, so no byte depends on thread scheduling. Across
-builds the bytes may move where two computations follow the library's
-order of operations: the FFT of the grid solve (pocketfft), and the one
-coupling-cost sum, transport.coupling_cost, an np.sum behind Q, S, Q_sub,
-S_sub, T1, T2, the W2 costs and the crossing detector's rms speed. The other sums state
-their order in the code: the direct sum and the per-row squared norms
-add in a written-out order, and field_l2_diff is summed correctly
-rounded, so it depends on the field bits alone.
+rejected with their line number. Output contains no timestamps; the
+README's manifest notes state the determinism contract.
 """
 
 from __future__ import annotations
@@ -386,13 +376,8 @@ class _TwinObserver:
     def __call__(self, step, flow_a, flow_b):
         cfg = self.cfg
         ens_a, ens_b = flow_a.ensemble, flow_b.ensemble
-        rec = StabilityRecord(
-            step=step,
-            t=ens_a.t,
-            Q=certify.compute_Q(ens_a, ens_b),
-            S=certify.compute_S(ens_a, ens_b),
-            max_gap=certify.compute_max_gap(ens_a, ens_b),
-        )
+        q, s, max_gap = certify.compute_gaps(ens_a, ens_b)
+        rec = StabilityRecord(step=step, t=ens_a.t, Q=q, S=s, max_gap=max_gap)
 
         rho_a = self._density(flow_a, "A")
         rho_b = self._density(flow_b, "B")
@@ -439,8 +424,7 @@ class _TwinObserver:
         # one subsampled pair gives both the paired costs and the W2 clouds,
         # so every feasible-plan check compares like with like
         sub_a, sub_b = self._subsample(ens_a), self._subsample(ens_b)
-        rec.Q_sub = certify.compute_Q(sub_a, sub_b)
-        rec.S_sub = certify.compute_S(sub_a, sub_b)
+        rec.Q_sub, rec.S_sub, _ = certify.compute_gaps(sub_a, sub_b)
         # the two W2 problems, then the two diagnostic solves, run side by
         # side (perfbench's tracer keeps one span stack: only these pairs
         # and the branch steps may overlap)

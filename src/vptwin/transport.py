@@ -80,44 +80,49 @@ class WeightedCloud:
 
     @property
     def total_mass(self):
-        return float(self.weights.sum())
+        return ordered_sum(self.weights.copy())
+
+
+def ordered_sum(terms):
+    """The sum of a float64 array, added left to right in C order from
+    the first term; +0.0 when there are none.
+
+    The running sums are written into terms (np.add.accumulate with
+    out=), so the caller hands over scratch it owns; a non-contiguous
+    array is summed through a C-order copy instead. Every total in the
+    package goes through here, so no result depends on the order in
+    which numpy would reduce.
+    """
+    flat = terms.reshape(-1)
+    if flat.size == 0:
+        return 0.0
+    return float(np.add.accumulate(flat, out=flat)[-1])
 
 
 def squared_norms(*gaps):
-    """Per row sum_k |d_k,i|^2 over one or more (n, d) gap arrays.
-
-    Each gap's row sum runs in two lanes that add at the end, one over
-    the even and one over the odd columns: (c0 + c2) + c1 for d = 3,
-    ((c0 + c2) + c4) + ((c1 + c3) + c5) for d = 6. A lane takes each
-    whole group of eight columns back to front, the rest front to back.
-    This is the order of numpy's einsum("ij,ij->i") on two-lane (SSE)
-    builds, whose bits it keeps; the gaps then add in argument order.
-    """
+    """Per row sum_k |d_k,i|^2 over one or more (n, d) gap arrays: each
+    gap's row adds its squares in column order, and the gaps add in
+    argument order."""
     sq = None
     for gap in gaps:
-        d = gap.shape[1]
-        whole = d - d % 8
-        even = [j + k for j in range(0, whole, 8) for k in (6, 4, 2, 0)]
-        even += range(whole, d, 2)
-        row = None
-        for lane in (even, [k + 1 for k in even if k + 1 < d]):
-            if lane:
-                acc = gap[:, lane[0]] * gap[:, lane[0]]
-                for k in lane[1:]:
-                    acc += gap[:, k] * gap[:, k]
-                row = acc if row is None else row + acc
+        row = gap[:, 0] * gap[:, 0]
+        for k in range(1, gap.shape[1]):
+            row += gap[:, k] * gap[:, k]
         sq = row if sq is None else sq + row
     return sq
 
 
 def coupling_cost(weights, *gaps):
-    """Quadratic cost sum_i w_i sum_k |d_k,i|^2 of a coupling.
+    """Quadratic cost sum_i w_i sum_k |d_k,i|^2 of a coupling, summed by
+    ordered_sum.
 
-    Every ledger sum goes through here: the plan cost, Q and S of the twin
-    pairing, T1, T2 and the crossing detector's rms.
-    The sum is np.sum, so its last bits follow numpy's reduction order.
+    Every ledger sum goes through here: the plan cost, T1, T2 and the
+    crossing detector's rms; Q and S of a twin pairing sum the same
+    terms (certify.compute_gaps).
     """
-    return float(np.sum(weights * squared_norms(*gaps)))
+    sq = squared_norms(*gaps)
+    sq *= weights
+    return ordered_sum(sq)
 
 
 @dataclass(frozen=True, eq=False)

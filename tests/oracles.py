@@ -3,10 +3,11 @@
 The package writes grids and plans but reads neither back, and it has no
 use for cell-center grids, merged clouds, fixed external fields, the
 pairwise potential energy or the displacement interpolant; the tests need
-them as oracles. The geodesic sup-norm check lives here because it is not
-an exact inequality on the grid (the deposit of the interpolant can peak
-a little above both endpoints), so it is an acceptance criterion rather
-than a verdict.
+them as oracles. The loop sums below add one Python float at a time, in
+the order that transport.ordered_sum and squared_norms write out. The
+geodesic sup-norm check lives here because it is not an exact inequality
+on the grid (the deposit of the interpolant can peak a little above both
+endpoints), so it is an acceptance criterion rather than a verdict.
 """
 
 import json
@@ -20,6 +21,39 @@ from vptwin.transport import TransportPlan, WeightedCloud
 # geodesic_linf_check: an endpoint sup-norm moving by more than this
 # fraction under 2x grid refinement makes the check inconclusive
 STABILITY_RTOL = 0.5
+
+
+def loop_sum(terms):
+    """The terms of an array added left to right in C order, from the
+    first term; 0.0 for none."""
+    terms = np.asarray(terms).ravel().tolist()
+    if not terms:
+        return 0.0
+    acc = terms[0]
+    for term in terms[1:]:
+        acc += term
+    return acc
+
+
+def row_sum_loop(*gaps):
+    """Per row: each gap's squares added in column order from the first,
+    then the gaps' row sums added in argument order."""
+    out = []
+    for rows in zip(*(gap.tolist() for gap in gaps)):
+        total = None
+        for row in rows:
+            acc = row[0] * row[0]
+            for c in row[1:]:
+                acc += c * c
+            total = acc if total is None else total + acc
+        out.append(total)
+    return np.array(out)
+
+
+def ledger_sum(weights, *gaps):
+    """transport.coupling_cost in its written order: w_i times each row's
+    squared norm (row_sum_loop), summed by loop_sum."""
+    return loop_sum(np.asarray(weights) * row_sum_loop(*gaps))
 
 
 def grid_points(spec: GridSpec):

@@ -18,9 +18,8 @@ from vptwin import certify
 from vptwin.certify import (
     StabilityRecord,
     check_gronwall,
-    compute_Q,
-    compute_S,
     compute_T1_T2,
+    compute_gaps,
     osgood_contain,
     osgood_envelope,
     prop31_ratio,
@@ -28,7 +27,9 @@ from vptwin.certify import (
 )
 from vptwin.dynamics import DirectSumEvaluator, ParticleEnsemble
 from vptwin.fields import GridDensity, GridSpec, deposit_cic, solve_field_grid
-from vptwin.transport import WeightedCloud, w2_exact
+from vptwin.transport import WeightedCloud, coupling_cost, squared_norms, w2_exact
+
+from oracles import ledger_sum
 
 RNG_SEED = 90210
 E = math.e
@@ -45,16 +46,18 @@ def paired_ensembles(rng, n=64):
     return a, b
 
 
-class TestComputeQ:
+class TestComputeGaps:
     def test_identical_twins_zero(self):
         rng = np.random.default_rng(RNG_SEED)
         a, _ = paired_ensembles(rng)
-        assert compute_Q(a, a.copy()) == 0.0
+        assert compute_gaps(a, a.copy()) == (0.0, 0.0, 0.0)
 
     def test_unit_pair_definition(self):
         a = ParticleEnsemble(np.zeros((1, 3)), np.zeros((1, 3)), np.ones(1))
-        b = ParticleEnsemble(np.array([[1.0, 0, 0]]), np.zeros((1, 3)), np.ones(1))
-        assert compute_Q(a, b) == pytest.approx(0.5, rel=1e-15)
+        b = ParticleEnsemble(np.array([[1.0, 0, 0]]), np.array([[0.0, 2.0, 0]]), np.ones(1))
+        q, s, gap = compute_gaps(a, b)
+        assert (q, s) == (2.5, 1.0)
+        assert gap == pytest.approx(math.sqrt(5.0), rel=1e-15)
 
     def test_free_streaming_formula(self):
         # velocity shift delta under zero field: gap grows linearly, so
@@ -69,13 +72,28 @@ class TestComputeQ:
             a = ParticleEnsemble(x + t * v, v, w)
             b = ParticleEnsemble(x + t * (v + dv), v + dv, w)
             want = 0.5 * 1e-4 * (1.0 + t * t)
-            assert compute_Q(a, b) == pytest.approx(want, rel=1e-12)
+            assert compute_gaps(a, b)[0] == pytest.approx(want, rel=1e-12)
+
+    def test_one_pass_bitwise_equals_separate_sums(self):
+        # Q and S as coupling_cost sums them, max_gap from the same norms,
+        # and both sums in the ledger's written order
+        rng = np.random.default_rng(RNG_SEED)
+        a, b = paired_ensembles(rng, n=1000)
+        b.x *= np.exp(4.0 * rng.normal(size=b.x.shape))
+        dx, dv = a.x - b.x, a.v - b.v
+        want = (
+            0.5 * coupling_cost(a.w, dx, dv),
+            coupling_cost(a.w, dx),
+            float(np.sqrt(squared_norms(dx, dv).max())),
+        )
+        assert compute_gaps(a, b) == want
+        assert want[:2] == (0.5 * ledger_sum(a.w, dx, dv), ledger_sum(a.w, dx))
 
     def test_misaligned_weights_rejected(self):
         a = ParticleEnsemble(np.zeros((2, 3)), np.zeros((2, 3)), np.array([0.5, 0.5]))
         b = ParticleEnsemble(np.zeros((2, 3)), np.zeros((2, 3)), np.array([0.6, 0.4]))
         with pytest.raises(ValueError):
-            compute_Q(a, b)
+            compute_gaps(a, b)
 
 
 class TestT1T2:
@@ -122,13 +140,10 @@ class TestT1T2:
     @staticmethod
     def three_evaluations(ens_a, ens_b, field_a, field_b):
         # the definition, evaluating all three field values at their points
+        # and summing in the ledger's written order
         d1 = field_b(ens_a.x) - field_b(ens_b.x)
         d2 = field_b(ens_a.x) - field_a(ens_a.x)
-        w = ens_a.w
-        return (
-            float(np.sum(w * np.einsum("ij,ij->i", d1, d1))),
-            float(np.sum(w * np.einsum("ij,ij->i", d2, d2))),
-        )
+        return ledger_sum(ens_a.w, d1), ledger_sum(ens_a.w, d2)
 
     def test_cached_values_bitwise_equal_grid_interpolation(self):
         rng = np.random.default_rng(RNG_SEED)
@@ -225,7 +240,7 @@ def ledger_row(ens_a, ens_b, step=0, t=0.0):
     (the whole pair is the subsample; no field columns are needed here)."""
     w2_rho, _ = w2_exact(ens_a.position_cloud(), ens_b.position_cloud())
     w2_phase, _ = w2_exact(ens_a.phase_cloud(), ens_b.phase_cloud())
-    q, s = compute_Q(ens_a, ens_b), compute_S(ens_a, ens_b)
+    q, s, _ = compute_gaps(ens_a, ens_b)
     return StabilityRecord(
         step=step, t=t, Q=q, S=s, W2_rho=w2_rho, W2_phase=w2_phase, Q_sub=q, S_sub=s,
         field_l2_diff=0.0, prop31_rhs=0.0,

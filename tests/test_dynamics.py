@@ -239,6 +239,32 @@ class TestDispersionAndCrossing:
             det.observe(flow.ensemble)
         return det.crossing_time
 
+    @pytest.mark.parametrize("delta", [1e-2, -1e-2, 0.1])
+    def test_velocity_shift_does_not_move_crossing(self, delta):
+        # a uniform velocity shift of B changes neither its cell dispersion
+        # nor its rms speed about the mean velocity, so the cold merger
+        # crosses at the same step in both branches
+        from vptwin.harness import ScenarioConfig, run_twin_config
+
+        cfg = ScenarioConfig(
+            scenario="two-blob",
+            epsilon=-1,
+            field_mode="direct",
+            n_particles=512,
+            grid_dims=32,
+            box_edge=10.0,
+            sigma_x=0.35,
+            dt=0.02,
+            t_final=0.4,
+            twin_kind="velocity-shift",
+            twin_delta=delta,
+            ot_stride=0,
+            seed=1301,
+        )
+        result = run_twin_config(cfg)
+        assert result.crossing_time_a is not None
+        assert result.crossing_time_b == result.crossing_time_a
+
     def test_crossing_time_stable_under_dt_refinement(self):
         coarse = self.crossing_time_at(0.02)
         fine = self.crossing_time_at(0.005)

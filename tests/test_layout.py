@@ -1,9 +1,12 @@
-"""The package holds only what a run executes.
+"""The package holds only what a run executes, and sums in written order.
 
 Every function, class, method and property defined in src/vptwin must be
 named again somewhere in src/vptwin: by a call, an attribute access, an
 import or a docstring. A definition named nowhere else is code that only
 the tests reach; it belongs in tests/oracles.py, or nowhere.
+
+No sum in src/vptwin may leave its order to numpy: totals go through
+transport.ordered_sum, per-row norms through transport.squared_norms.
 """
 
 import ast
@@ -30,3 +33,89 @@ def test_every_definition_is_named_elsewhere_in_the_package():
         if len(re.findall(rf"\b{name}\b", package)) <= len(where)
     ]
     assert not unused, "defined in src/vptwin but named nowhere else there: " + "; ".join(unused)
+
+
+# the reductions whose order numpy picks, as "<attribute chain>" suffixes of
+# a call's function, plus the @ operator
+UNORDERED_CALLS = ("sum", "mean", "einsum", "dot", "linalg.norm", "add.reduce")
+# (module, enclosing function, reduction) -> why the site may stay
+ALLOWED_REDUCTIONS = {
+    ("fields.py", "solve_field_direct", "add.reduce"): (
+        "an axis-0 reduce of a C-order (source, target) plane adds row after "
+        "row from +0.0, in source order; test_fields.py pins it bit for bit "
+        "against direct_sum_loop"
+    ),
+    ("scenarios.py", "_uniform_ball", "linalg.norm"): (
+        "normalises the sampled directions: another order would move every "
+        "uniform-ball and hubble trajectory, and squared_norms would bring a "
+        "transport import back into scenarios"
+    ),
+}
+
+
+def _dotted(node):
+    """'a.b.c' for an attribute chain; a chain on any other expression,
+    such as (x * y).sum, keeps only its attributes: 'sum'."""
+    parts = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    if isinstance(node, ast.Name):
+        parts.append(node.id)
+    return ".".join(reversed(parts))
+
+
+def _reductions(tree):
+    """(enclosing function, reduction, line) of every unordered reduction."""
+    found = []
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
+        label = None
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            chain = _dotted(node.func)
+            label = next(
+                (r for r in UNORDERED_CALLS if chain == r or chain.endswith("." + r)), None
+            )
+        elif isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+            label = "@"
+        if label is not None:
+            found.append((where, label, node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(tree, None)
+    return found
+
+
+def test_no_sum_leaves_its_order_to_numpy():
+    seen = set()
+    bad = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for where, label, line in _reductions(ast.parse(path.read_text())):
+            key = (path.name, where, label)
+            if key in ALLOWED_REDUCTIONS:
+                seen.add(key)
+            else:
+                bad.append(f"{path.name}:{line} {label} in {where}")
+    assert not bad, "sums whose order numpy picks (use transport.ordered_sum): " + "; ".join(bad)
+    assert seen == set(ALLOWED_REDUCTIONS), "allowed sites gone: " + str(
+        set(ALLOWED_REDUCTIONS) - seen
+    )
+
+
+def test_reduction_guard_sees_every_form():
+    source = (
+        "def f(x, y, np):\n"
+        "    a = np.sum(x) + x.sum() + np.mean(x) + x.mean(axis=0)\n"
+        "    b = np.einsum('i,i', x, y) + np.dot(x, y) + x.dot(y) + (x @ y)\n"
+        "    x @= y\n"
+        "    c = np.linalg.norm(x) + np.add.reduce(x) + (x * y).sum()\n"
+        "    return np.maximum.reduce(x) + np.count_nonzero(x) + sum([1, 2])\n"
+    )
+    labels = [label for _, label, _ in _reductions(ast.parse(source))]
+    assert sorted(labels) == sorted(
+        ["sum", "sum", "mean", "mean", "einsum", "dot", "dot", "@", "@",
+         "linalg.norm", "add.reduce", "sum"]
+    )

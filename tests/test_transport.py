@@ -25,9 +25,17 @@ from scipy.spatial.distance import cdist
 
 from vptwin import fields, transport
 from vptwin.errors import MassMismatchError, TransportError
-from vptwin.transport import WeightedCloud, coupling_cost, squared_norms, w2_exact
+from vptwin.transport import WeightedCloud, coupling_cost, ordered_sum, squared_norms, w2_exact
 
-from oracles import displacement_interpolate, geodesic_linf_check, load_plan, merge_coincident
+from oracles import (
+    displacement_interpolate,
+    geodesic_linf_check,
+    ledger_sum,
+    load_plan,
+    loop_sum,
+    merge_coincident,
+    row_sum_loop,
+)
 
 RNG_SEED = 20240811
 
@@ -52,35 +60,12 @@ def random_cloud(rng, n, d=3, mass=1.0, uniform=True):
     return WeightedCloud(pts, w)
 
 
-# the two lanes of squared_norms for d columns, each summed in list order:
-# whole groups of eight back to front, the rest front to back
-SQUARED_NORM_LANES = {
-    1: ([0], []),
-    2: ([0], [1]),
-    3: ([0, 2], [1]),
-    6: ([0, 2, 4], [1, 3, 5]),
-    8: ([6, 4, 2, 0], [7, 5, 3, 1]),
-    11: ([6, 4, 2, 0, 8, 10], [7, 5, 3, 1, 9]),
-    17: ([6, 4, 2, 0, 14, 12, 10, 8, 16], [7, 5, 3, 1, 15, 13, 11, 9]),
-}
-
-
-def row_sum_loop(gap):
-    """Per row: the even lane plus the odd lane, each summed from 0.0."""
-    even, odd = SQUARED_NORM_LANES[gap.shape[1]]
-    out = []
-    for row in gap.tolist():
-        lanes = [0.0, 0.0]
-        for lane, cols in enumerate((even, odd)):
-            for k in cols:
-                lanes[lane] += row[k] * row[k]
-        out.append(lanes[0] + lanes[1])
-    return np.array(out)
+SQUARED_NORM_DIMS = (1, 2, 3, 6, 8, 11, 17)
 
 
 class TestSquaredNorms:
-    @pytest.mark.parametrize("d", sorted(SQUARED_NORM_LANES))
-    def test_matches_documented_order(self, d):
+    @pytest.mark.parametrize("d", SQUARED_NORM_DIMS)
+    def test_matches_column_order_loop(self, d):
         rng = np.random.default_rng(RNG_SEED + d)
         gap = rng.normal(size=(64, d)) * np.exp(8.0 * rng.normal(size=(64, d)))
         gap[::5, 0] = -0.0
@@ -91,6 +76,60 @@ class TestSquaredNorms:
         x, v = rng.normal(size=(2, 50, 3)) * np.exp(6.0 * rng.normal(size=(2, 50, 3)))
         want = row_sum_loop(x) + row_sum_loop(v)
         assert squared_norms(x, v).tobytes() == want.tobytes()
+        assert squared_norms(x, v).tobytes() == row_sum_loop(x, v).tobytes()
+
+
+class TestOrderedSum:
+    @staticmethod
+    def terms(rng, n):
+        # wide exponents and cancellation, where any other order moves bits
+        x = rng.normal(size=n) * np.exp(10.0 * rng.normal(size=n))
+        return np.concatenate([x, -x[: n // 3]])
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 64, 1000, 4099])
+    def test_equals_left_to_right_loop(self, n):
+        x = self.terms(np.random.default_rng(RNG_SEED + n), n)
+        want = loop_sum(x)
+        got = ordered_sum(x.copy())
+        assert (got, math.copysign(1.0, got)) == (want, math.copysign(1.0, want))
+
+    def test_differs_from_a_reordered_sum(self):
+        # the loop oracle does see order: reversing the terms moves the bits
+        x = self.terms(np.random.default_rng(RNG_SEED), 1000)
+        assert ordered_sum(x.copy()) != ordered_sum(x[::-1].copy())
+
+    def test_no_terms_is_positive_zero(self):
+        for empty in (np.zeros(0), np.zeros((0, 3)), np.zeros((4, 0))):
+            got = ordered_sum(empty)
+            assert got == 0.0 and math.copysign(1.0, got) == 1.0
+
+    def test_single_negative_zero_is_kept(self):
+        got = ordered_sum(np.array([-0.0]))
+        assert got == 0.0 and math.copysign(1.0, got) == -1.0
+
+    def test_non_contiguous_view_sums_its_c_order(self):
+        rng = np.random.default_rng(RNG_SEED)
+        base = self.terms(rng, 600).reshape(40, 20)
+        view = base.T[::2]  # (10, 40), neither C- nor F-contiguous
+        assert not view.flags.c_contiguous and not view.flags.f_contiguous
+        keep = base.copy()
+        assert ordered_sum(view) == ordered_sum(np.ascontiguousarray(view)) == loop_sum(view)
+        assert np.array_equal(base, keep)  # summed through a copy
+
+    def test_writes_running_sums_into_its_scratch(self):
+        x = np.array([1.0, 2.0, 3.0])
+        assert ordered_sum(x) == 6.0
+        assert x.tolist() == [1.0, 3.0, 6.0]
+
+    def test_totals_go_through_it(self):
+        rng = np.random.default_rng(RNG_SEED)
+        w = rng.random(999) + 1e-3
+        x = rng.normal(size=(999, 3))
+        cloud = WeightedCloud(x, w)
+        keep = cloud.weights.copy()
+        assert cloud.total_mass == loop_sum(w)
+        assert np.array_equal(cloud.weights, keep)
+        assert coupling_cost(w, x, 2.0 * x) == ledger_sum(w, x, 2.0 * x)
 
 
 class TestW2Exact:
