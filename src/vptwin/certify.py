@@ -181,15 +181,18 @@ def check_gronwall(records) -> GronwallReport:
     - F_B(X_B) and d2 = F_B(X_A) - F_A(X_A) (compute_T1_T2); Cauchy-Schwarz
     and Minkowski bound the second term by sqrt(2Q) (sqrt(T1) + sqrt(T2)).
 
-    Requires uniformly spaced records. Steps with Q = 0 are skipped and
-    listed. The validity window is where the max particle gap stays <= 1/e
-    (the smallness regime of the concavity step); constants are fitted there.
+    Requires records uniformly spaced in strictly increasing time. Steps
+    with Q = 0 are skipped and listed. The validity window is where the max
+    particle gap stays <= 1/e (the smallness regime of the concavity step);
+    constants are fitted there.
     """
     if len(records) < 3:
         raise ValueError("need at least 3 uniformly spaced records")
     t = np.array([r.t for r in records])
     dts = np.diff(t)
-    if np.any(np.abs(dts - dts[0]) > SPACING_RTOL * abs(dts[0])):
+    if not dts[0] > 0:
+        raise ValueError("record times do not strictly increase")
+    if np.any(np.abs(dts - dts[0]) > SPACING_RTOL * dts[0]):
         raise ValueError("records are not uniformly spaced in time")
     fill_dQdt(records)
     q = np.array([r.Q for r in records])

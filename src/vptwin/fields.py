@@ -14,10 +14,10 @@ all zeros on input or cropped away on output is transformed.
 
 The per-step kernels avoid fresh scratch memory: a new multi-megabyte
 temporary is faulted in page by page on every call, which cost about as
-much as the transforms. The grid solve transforms in place in a
-per-thread workspace that stays mapped, 2 (2n)^2 (n+1) x 16 bytes per n^3
-grid shape (4.4 MB at 32^3, 35 MB at 64^3; each solve used to allocate
-as much afresh). A twin solves on two threads, one per branch, so it
+much as the transforms. The grid solve writes all its transforms but the
+last inverse through numpy.fft's out= into a per-thread workspace that
+stays mapped, 2 (2n)^2 (n+1) x 16 bytes per n^3 grid shape (4.4 MB at
+32^3, 35 MB at 64^3). A twin solves on two threads, one per branch, so it
 keeps two workspaces per grid shape; the kernel spectra are shared and
 built once. The CIC deposit is one ordered bincount, interpolation
 gathers through flat cell indices, and the direct sum works on
@@ -37,7 +37,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.fft as sfft
 
 from .errors import EscapeError, OutOfDomainError, SingularityError
 from .transport import ordered_sum, squared_norms
@@ -355,14 +354,15 @@ def solve_field_grid(rho: GridDensity, softening=None) -> GridField:
     fixed to the one numpy's rfftn/irfftn use (forward 2, 1, 0; inverse
     0, 1, 2): every retained line then sees the same 1-D arithmetic as
     the full-domain transform, so the output bits equal numpy's full
-    rfftn/irfftn wherever numpy.fft and scipy.fft run the same pocketfft
-    (numpy >= 2).
+    rfftn/irfftn.
 
-    The transforms run in place in this thread's workspace for the grid
-    shape, 2 (2nx)(2ny)(nz+1) x 16 bytes kept mapped between calls (4.4 MB
-    at 32^3, 35 MB at 64^3): fresh buffers re-fault every page on every
-    call, which took about as long as the transforms. The returned field
-    never shares memory with the workspace.
+    Every transform but the last inverse writes with out= into this
+    thread's workspace for the grid shape, 2 (2nx)(2ny)(nz+1) x 16 bytes
+    kept mapped between calls (4.4 MB at 32^3, 35 MB at 64^3): fresh
+    buffers re-fault every page on every call, which took about as long as
+    the transforms. A call allocates only the scaled mass, one component's
+    irfft output and the field, 48 n^3 bytes; the returned field never
+    shares memory with the workspace.
     """
     spec = rho.spec
     softening = resolve_softening(spec, softening)
@@ -379,21 +379,20 @@ def solve_field_grid(rho: GridDensity, softening=None) -> GridField:
     nx, ny, nz = spec.dims
     mf, prod = _workspace(spec.dims)
     # forward, in place in mf: only the nx*ny lines of the mass are non-zero
-    # along axis 2, only nx*(nz+1) along axis 1 after that. scipy.fft writes
-    # a c2c transform of an aligned complex input with overwrite_x into it.
-    mf[:nx, :ny] = sfft.rfft(rho.values * spec.cell_volume, 2 * nz, axis=2)
+    # along axis 2, only nx*(nz+1) along axis 1 after that
+    np.fft.rfft(rho.values * spec.cell_volume, 2 * nz, axis=2, out=mf[:nx, :ny])
     mf[:nx, ny:] = 0
-    sfft.fft(mf[:nx], axis=1, overwrite_x=True)
+    np.fft.fft(mf[:nx], axis=1, out=mf[:nx])
     mf[nx:] = 0
-    sfft.fft(mf, axis=0, overwrite_x=True)
+    np.fft.fft(mf, axis=0, out=mf)
     values = np.empty(spec.dims + (3,))
     for c, kf in enumerate(kfft):
         # inverse, in place in prod: crop after each axis, so later axes
         # transform only the lines that survive into the physical box
         np.multiply(mf, kf, out=prod)
-        sfft.ifft(prod, axis=0, overwrite_x=True)
-        g = sfft.ifft(prod[:nx], axis=1, overwrite_x=True)[:, :ny]
-        values[..., c] = sfft.irfft(g, 2 * nz, axis=2)[..., :nz]
+        np.fft.ifft(prod, axis=0, out=prod)
+        np.fft.ifft(prod[:nx], axis=1, out=prod[:nx])
+        values[..., c] = np.fft.irfft(prod[:nx, :ny], 2 * nz, axis=2)[..., :nz]
     values *= rho.epsilon_sign
     return GridField(spec, values)
 

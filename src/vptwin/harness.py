@@ -183,13 +183,13 @@ class ScenarioConfig:
         per distinct (grid, softening), kept for the run; the diagnostic
         solves use h/2 on grid_dims whatever the flows use. Per grid shape,
         each of a twin's two threads keeps a workspace of two spectra and
-        has one solve in flight: the scaled mass (8 n^3 B), the rfft output
-        (a quarter spectrum), the irfft output (16 n^3 B) and the field
-        (24 n^3 B). The run also keeps the two flows' fields and densities
-        and the two diagnostic fields, 112 n^3 B. A kernel build's scratch,
-        full (2n)^3 arrays denom (float64), mask (bool) and one kernel
-        (float64) plus one spectrum's rfftn intermediate, adds to what the
-        run keeps by then: two spectra of its own for the first build,
+        has one solve in flight: the scaled mass (8 n^3 B), the irfft output
+        (16 n^3 B) and the field (24 n^3 B); every other transform writes
+        into the workspace. The run also keeps the two flows' fields and
+        densities and the two diagnostic fields, 112 n^3 B. A kernel build's
+        scratch, full (2n)^3 arrays denom (float64), mask (bool) and one
+        kernel (float64) plus one spectrum's rfftn intermediate, adds to what
+        the run keeps by then: two spectra of its own for the first build,
         everything for a later one (builds never overlap).
         """
 
@@ -201,7 +201,7 @@ class ScenarioConfig:
         kernels = {(spec.dims[0], softening) for spec, softening in solves}
         shapes = {n for n, _ in kernels}
         keep = sum(3 * spectrum(n) for n, _ in kernels) + sum(
-            9 * spectrum(n) // 2 + 208 * n**3 for n in shapes
+            4 * spectrum(n) + 208 * n**3 for n in shapes
         )
         scratch = max(17 * (2 * n) ** 3 + spectrum(n) for n, _ in kernels)
         before = keep if len(kernels) > 1 else 3 * spectrum(self.grid_dims)
@@ -607,17 +607,42 @@ def emit_certification(records, outdir):
     return result, cert_path, summary_path
 
 
-def emit_report(manifest_path, outdir):
-    """cli report: consolidated text report + plot-ready CSV tables."""
-    with open(manifest_path) as fh:
+def _read_manifest(path):
+    """The write_manifest object at ``path``; ValueError names what it
+    lacks: a string config, or a files list of name/bytes/sha256 entries."""
+    with open(path) as fh:
         manifest = json.load(fh)
+    if not isinstance(manifest, dict):
+        raise ValueError(f"{path}: manifest is not a JSON object")
+    for key, kind in (("config", str), ("files", list)):
+        if not isinstance(manifest.get(key), kind):
+            raise ValueError(f"{path}: manifest lacks a {kind.__name__} {key!r}")
+    for k, entry in enumerate(manifest["files"]):
+        entry = entry if isinstance(entry, dict) else {}
+        missing = [
+            key for key, kind in (("name", str), ("bytes", int), ("sha256", str))
+            if not isinstance(entry.get(key), kind)
+        ]
+        if missing:
+            raise ValueError(f"{path}: files[{k}] lacks {', '.join(missing)}")
+    return manifest
+
+
+def emit_report(manifest_path, outdir):
+    """cli report: consolidated text report + plot-ready CSV tables. The
+    records.csv next to the manifest is certified only if the manifest
+    lists it, and only if its size and sha256 match that entry."""
+    manifest = _read_manifest(manifest_path)
     srcdir = os.path.dirname(os.path.abspath(manifest_path))
     lines = ["consolidated run report", "", "config:", manifest["config"], "files:"]
     for entry in manifest["files"]:
         lines.append(f"  {entry['name']}  {entry['bytes']} B  sha256 {entry['sha256']}")
-    rec_path = os.path.join(srcdir, "records.csv")
+    entry = {e["name"]: e for e in manifest["files"]}.get("records.csv")
     table = None
-    if os.path.exists(rec_path):
+    if entry is not None:
+        rec_path = os.path.join(srcdir, "records.csv")
+        if os.path.getsize(rec_path) != entry["bytes"] or _sha256(rec_path) != entry["sha256"]:
+            raise ValueError(f"{rec_path}: size or sha256 differs from its manifest entry")
         records = read_records(rec_path)
         result = certify.certify_records(records)
         lines += ["", "certification:"] + ["  " + ln for ln in result.summary_lines]

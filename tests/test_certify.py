@@ -334,10 +334,28 @@ class TestGronwall:
         assert rep.skipped_steps == list(range(10))
         assert rep.fraction_satisfied == 1.0
 
-    def test_non_uniform_spacing_rejected(self):
+    @pytest.mark.parametrize(
+        "times, message",
+        [
+            ("perturbed", "not uniformly spaced"),
+            ("equal", "do not strictly increase"),
+            ("reversed", "do not strictly increase"),
+        ],
+        ids=["perturbed", "equal", "reversed"],
+    )
+    def test_non_uniform_spacing_rejected(self, times, message):
+        # equal times once divided by zero into C_final = inf, and reversed
+        # ones passed on the window (0.5, 0.0)
         recs = free_streaming_records(1e-2)
-        recs[3].t += 0.01
-        with pytest.raises(ValueError):
+        if times == "perturbed":
+            recs[3].t += 0.01
+        elif times == "equal":
+            for r in recs:
+                r.t = 0.0
+        else:
+            for r, t in zip(recs, [r.t for r in reversed(recs)]):
+                r.t = t
+        with pytest.raises(ValueError, match=message):
             check_gronwall(recs)
 
     def test_window_tracks_small_gaps(self):

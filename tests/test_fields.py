@@ -456,14 +456,21 @@ class TestSolveWorkspace:
     CUBE = GridSpec((0, 0, 0), 4.0, 32)
     BRICK = GridSpec((0.5, 0, -0.5), (3.0, 4.0, 5.0), (12, 16, 20))
 
-    def test_c2c_overwrite_transforms_in_place(self):
-        # the forward pass relies on scipy.fft writing a c2c transform of an
-        # aligned complex input with overwrite_x into that input
-        buf = np.zeros((8, 6, 5), complex)
-        buf[:4, :3] = 1.0 + 2.0j
-        view = buf[:4]
-        out = fields.sfft.fft(view, axis=1, overwrite_x=True)
-        assert np.shares_memory(out, view)
+    def test_warm_solve_allocates_less_than_one_spectrum(self):
+        # every transform but the last inverse writes into the workspace: a
+        # warm 32^3 solve allocates the mass, one irfft output and the field
+        # (about 1.3 MB), and a copy of one doubled-domain spectrum (2.16 MB)
+        # made by any of the in-place transforms would exceed the limit
+        rho = interior_density(self.CUBE, 7)
+        solve_field_grid(rho)
+        spectrum = fields._workspace(self.CUBE.dims)[0].nbytes
+        tracemalloc.start()
+        try:
+            solve_field_grid(rho)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < spectrum
 
     def test_field_survives_later_solves(self):
         first = solve_field_grid(interior_density(self.CUBE, 1))

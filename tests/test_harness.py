@@ -211,9 +211,9 @@ class TestConfigParsing:
 
     def per_shape(self, n):
         # on each of two threads a workspace (two spectra) and one solve in
-        # flight (8 + 16 + 24 n^3 B and a quarter spectrum); the fields and
-        # densities a twin keeps, 112 n^3 B
-        return 2 * (2 * self.spectrum(n) + 48 * n**3 + self.spectrum(n) // 4) + 112 * n**3
+        # flight (8 + 16 + 24 n^3 B); the fields and densities a twin keeps,
+        # 112 n^3 B
+        return 2 * (2 * self.spectrum(n) + 48 * n**3) + 112 * n**3
 
     def assert_guard_boundary(self, need, key, largest, **overrides):
         # ``need(n)`` is the estimate with ``key`` = n; ``largest`` is admitted
@@ -236,9 +236,9 @@ class TestConfigParsing:
         # the kernel and both workspaces alone, 7 spectra, are 1156 MiB at
         # n = 139, the limit when one solve was counted
         assert 7 * self.spectrum(139) / 2**20 > 1155
-        self.assert_guard_boundary(one_kernel, "grid_dims", 115)
+        self.assert_guard_boundary(one_kernel, "grid_dims", 117)
         self.assert_guard_boundary(
-            one_kernel, "grid_dims", 115, twin_kind="velocity-shift", twin_delta=0.01
+            one_kernel, "grid_dims", 117, twin_kind="velocity-shift", twin_delta=0.01
         )
 
     def test_grid_memory_guard_counts_every_kernel(self):
@@ -247,9 +247,9 @@ class TestConfigParsing:
         def two_kernels(n):
             return 6 * self.spectrum(n) + self.per_shape(n) + self.scratch(n)
 
-        self.assert_guard_boundary(two_kernels, "grid_dims", 99, softening=0.1)
+        self.assert_guard_boundary(two_kernels, "grid_dims", 100, softening=0.1)
         self.assert_guard_boundary(
-            two_kernels, "grid_dims", 99, twin_kind="softening", twin_delta=0.1
+            two_kernels, "grid_dims", 100, twin_kind="softening", twin_delta=0.1
         )
 
         # a resolution twin keeps both grids' kernels, workspaces and arrays
@@ -258,7 +258,7 @@ class TestConfigParsing:
             return grid_a + 3 * self.spectrum(n) + self.per_shape(n) + self.scratch(n)
 
         self.assert_guard_boundary(
-            resolution_b, "twin_grid_dims_b", 106, grid_dims=8, twin_kind="resolution"
+            resolution_b, "twin_grid_dims_b", 107, grid_dims=8, twin_kind="resolution"
         )
 
     @pytest.mark.parametrize("softening", ["auto", 0.2])
@@ -731,6 +731,13 @@ EXIT_TABLE = [
 
 
 class TestCLI:
+    # a field-free twin that runs in milliseconds
+    FREE_TWIN = (
+        "scenario = free-streaming\nfield_mode = none\nn_particles = 64\n"
+        "grid_dims = 16\nbox_edge = 16\ndt = 0.05\nt_final = 0.25\n"
+        "twin_kind = velocity-shift\ntwin_delta = 0.01\not_stride = 0\nseed = 8\n"
+    )
+
     def write_cfg(self, tmp_path, text):
         p = tmp_path / "run.cfg"
         p.write_text(text)
@@ -810,11 +817,26 @@ class TestCLI:
         assert cli.main(["simulate", cfg, "--out", str(tmp_path / "o")]) == cli.EXIT_DIVERGED
         assert not (tmp_path / "o").exists()
 
-    def test_report_on_missing_manifest_leaves_no_directory(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "text, named",
+        [
+            (None, "No such file"),
+            ("{}", "'config'"),
+            ('{"config": "", "files": [{"name": "records.csv", "sha256": "0"}]}', "bytes"),
+            ('{"config": "", "files": ["records.csv"]}', "name, bytes, sha256"),
+            ('{"config": ""}', "'files'"),
+            ("[]", "not a JSON object"),
+            ("{", "Expecting"),
+        ],
+        ids=["missing", "empty", "no-bytes", "bare-name", "no-files", "list", "bad-json"],
+    )
+    def test_report_on_missing_manifest_leaves_no_directory(self, tmp_path, capsys, text, named):
+        manifest = tmp_path / "manifest.json"
+        if text is not None:
+            manifest.write_text(text)
         out = tmp_path / "o"
-        assert cli.main(["report", str(tmp_path / "manifest.json"), "--out", str(out)]) == (
-            cli.EXIT_USAGE
-        )
+        assert cli.main(["report", str(manifest), "--out", str(out)]) == cli.EXIT_USAGE
+        assert named in capsys.readouterr().err
         assert not out.exists()
 
     def test_failed_twin_leaves_no_directory(self, tmp_path, capsys):
@@ -1002,12 +1024,7 @@ class TestCLI:
         assert "total masses differ" in capsys.readouterr().err
 
     def test_report_from_twin_manifest(self, tmp_path, capsys):
-        cfg = self.write_cfg(
-            tmp_path,
-            "scenario = free-streaming\nfield_mode = none\nn_particles = 64\n"
-            "grid_dims = 16\nbox_edge = 16\ndt = 0.05\nt_final = 0.25\n"
-            "twin_kind = velocity-shift\ntwin_delta = 0.01\not_stride = 0\nseed = 8\n",
-        )
+        cfg = self.write_cfg(tmp_path, self.FREE_TWIN)
         out = str(tmp_path / "twin")
         assert cli.main(["twin", cfg, "--out", out]) == cli.EXIT_PASS
         rep_out = str(tmp_path / "rep")
@@ -1016,6 +1033,32 @@ class TestCLI:
         assert "certification:" in text
         assert "overall: PASS" in text
         assert (tmp_path / "rep" / "q_table.csv").exists()
+
+    @staticmethod
+    def edit_last_q(path):
+        # the last row's Q with its last digit changed: same size, and still
+        # a records file that certifies
+        lines = path.read_text().splitlines(keepends=True)
+        cells = lines[-1].split(",")
+        cells[2] = cells[2][:-1] + str((int(cells[2][-1]) + 1) % 10)
+        path.write_text("".join(lines[:-1]) + ",".join(cells))
+
+    @pytest.mark.parametrize("change", ["append", "edit"])
+    def test_report_refuses_records_unlike_its_manifest_entry(self, tmp_path, capsys, change):
+        cfg = self.write_cfg(tmp_path, self.FREE_TWIN)
+        out = tmp_path / "twin"
+        assert cli.main(["twin", cfg, "--out", str(out)]) == cli.EXIT_PASS
+        if change == "append":
+            with open(out / "records.csv", "ab") as fh:
+                fh.write(b"\n")
+        else:
+            self.edit_last_q(out / "records.csv")
+        rep_out = tmp_path / "rep"
+        assert cli.main(["report", str(out / "manifest.json"), "--out", str(rep_out)]) == (
+            cli.EXIT_USAGE
+        )
+        assert "records.csv: size or sha256 differs" in capsys.readouterr().err
+        assert not rep_out.exists()
 
     def test_preset_names_resolve(self):
         for name in presets.PRESET_NAMES:

@@ -7,6 +7,9 @@ the tests reach; it belongs in tests/oracles.py, or nowhere.
 
 No sum in src/vptwin may leave its order to numpy: totals go through
 transport.ordered_sum, per-row norms through transport.squared_norms.
+
+Every FFT in src/vptwin is numpy.fft: the kernel spectra and the pruned
+solve must run the same transforms for the solve to equal the full one.
 """
 
 import ast
@@ -119,3 +122,44 @@ def test_reduction_guard_sees_every_form():
         ["sum", "sum", "mean", "mean", "einsum", "dot", "dot", "@", "@",
          "linalg.norm", "add.reduce", "sum"]
     )
+
+
+FOREIGN_FFT = ("scipy.fft", "scipy.fftpack")
+
+
+def _fft_imports(tree):
+    """(line, module) of each import statement that takes a scipy FFT module."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            names = [node.module] + [f"{node.module}.{alias.name}" for alias in node.names]
+        else:
+            continue
+        hits = [n for n in names if any(n == m or n.startswith(m + ".") for m in FOREIGN_FFT)]
+        if hits:
+            found.append((node.lineno, hits[0]))
+    return sorted(found)
+
+
+def test_every_fft_is_numpy_fft():
+    bad = [
+        f"{path.name}:{line} imports {name}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for line, name in _fft_imports(ast.parse(path.read_text()))
+    ]
+    assert not bad, "FFTs outside numpy.fft: " + "; ".join(bad)
+
+
+def test_fft_guard_sees_every_form():
+    source = (
+        "import scipy.fft as sfft\n"
+        "import scipy.fftpack\n"
+        "from scipy import fft\n"
+        "from scipy.fft import rfft\n"
+        "from scipy import optimize, fftpack\n"
+        "import numpy.fft\n"
+        "from scipy import signal\n"
+    )
+    assert [line for line, _ in _fft_imports(ast.parse(source))] == [1, 2, 3, 4, 5]
