@@ -115,10 +115,12 @@ def compute_T1_T2(ens_a, ens_b, fa_at_a, fb_at_b, field_b):
 # field stability check
 
 
-def prop31_sides(rho1: GridDensity, rho2: GridDensity, field1, field2, w2):
-    """(lhs, rhs) of the field-stability estimate: lhs = ||field1 -
-    field2||_L2 over the box, rhs = max(sup rho1, sup rho2)^{1/2} * w2."""
-    return field_l2_diff(field1, field2), math.sqrt(max(rho1.sup_norm, rho2.sup_norm)) * w2
+def prop31_sides(rho1: GridDensity, rho2: GridDensity, diff_field, w2):
+    """(lhs, rhs) of the field-stability estimate: lhs = ||diff_field||_L2
+    over the box, where diff_field = grad Psi_1 - grad Psi_2 is the solve
+    of DensityDifference(rho1, rho2), and rhs = max(sup rho1, sup rho2)^{1/2}
+    * w2."""
+    return field_l2_diff(diff_field), math.sqrt(max(rho1.sup_norm, rho2.sup_norm)) * w2
 
 
 def prop31_ratio(lhs, rhs):

@@ -10,19 +10,22 @@ The grid solver convolves cell masses with the same kernel using
 zero-padded (domain-doubled) FFTs, so boundaries are free-space. The
 doubled-domain transforms are pruned axis by axis (Hockney & Eastwood,
 Computer Simulation Using Particles, 1988, sec. 6-5): no 1-D line that is
-all zeros on input or cropped away on output is transformed.
+all zeros on input or cropped away on output is transformed. The solve is
+linear, so it also takes the signed DensityDifference of two densities:
+one solve gives the difference of their fields, Prop. 3.1's left side.
 
 The per-step kernels avoid fresh scratch memory: a new multi-megabyte
 temporary is faulted in page by page on every call, which cost about as
-much as the transforms. The grid solve writes all its transforms but the
-last inverse through numpy.fft's out= into a per-thread workspace that
-stays mapped, 2 (2n)^2 (n+1) x 16 bytes per n^3 grid shape (4.4 MB at
-32^3, 35 MB at 64^3). A twin solves on two threads, one per branch, so it
-keeps two workspaces per grid shape; the kernel spectra are shared and
-built once. The CIC deposit is one ordered bincount, interpolation
-gathers through flat cell indices, and the direct sum works on
-cache-sized blocks of (source, target) planes in one reused buffer. No
-output bit depends on any of this, nor on which thread runs a solve.
+much as the transforms. The grid solve writes all its transforms through
+numpy.fft's out= into a per-thread workspace that stays mapped,
+2 (2n)^2 (n+1) x 16 bytes per n^3 grid shape (4.4 MB at 32^3, 35 MB at
+64^3). A twin solves on two threads, so it keeps two workspaces per grid
+shape; the kernel spectra are shared and built once. The CIC deposit
+fills one array of corner cells and one of shares and adds them with one
+ordered bincount, interpolation gathers through flat cell indices, and
+the direct sum works on cache-sized blocks of (source, target) planes in
+one reused buffer. No output bit depends on any of this, nor on which
+thread runs a solve.
 
 Every sum here adds in an order written in the code; the README's
 manifest notes state what the output bits still depend on.
@@ -126,6 +129,53 @@ class GridDensity:
     def sup_norm(self):
         return float(self.values.max(initial=0.0))
 
+    def touches_boundary(self):
+        """Whether the support reaches the outer cell layer of the box."""
+        v = self.values
+        return bool(
+            v[0].any() or v[-1].any()
+            or v[:, 0].any() or v[:, -1].any()
+            or v[:, :, 0].any() or v[:, :, -1].any()
+        )
+
+
+@dataclass(frozen=True)
+class DensityDifference:
+    """The signed charge rho1 - rho2 of two densities on one grid.
+
+    The grid solve is linear, so solve_field_grid of this charge is
+    grad Psi_1 - grad Psi_2 from one solve: the left side of Prop. 3.1.
+    It touches the boundary where either density does. The two can cancel
+    on the outer cell layer, but each one's truncation error is still in
+    the difference of their fields, so its solve still warns.
+    """
+
+    rho1: GridDensity
+    rho2: GridDensity
+
+    def __post_init__(self):
+        if self.rho1.spec != self.rho2.spec:
+            raise ValueError("densities on grids of different geometry")
+        if self.rho1.epsilon_sign != self.rho2.epsilon_sign:
+            raise ValueError("densities of opposite epsilon_sign")
+
+    @property
+    def spec(self):
+        return self.rho1.spec
+
+    @property
+    def epsilon_sign(self):
+        return self.rho1.epsilon_sign
+
+    @property
+    def values(self):
+        """rho1 - rho2, a new array on each access: the solve reads it
+        once, so the difference lives only until it is scaled."""
+        return self.rho1.values - self.rho2.values
+
+    def touches_boundary(self):
+        return self.rho1.touches_boundary() or self.rho2.touches_boundary()
+
 
 @dataclass(frozen=True)
 class GridField:
@@ -223,14 +273,18 @@ def deposit_cic(points, weights, spec):
     idx, frac, outside = _cic_coords(points, spec)
     if outside.size:
         raise EscapeError(outside.tolist())
-    corners = list(_cic_corners(idx, frac, spec))
-    # bincount adds in input order, so each cell sums its corner shares in
-    # the same sequence as one scatter-add per corner would
-    values = np.bincount(
-        np.concatenate([flat for flat, *_ in corners]),
-        np.concatenate([weights * wx * wy * wz for _, wx, wy, wz in corners]),
-        minlength=math.prod(spec.dims),
-    ).reshape(spec.dims)
+    # the 8 corners' cells and shares, corner after corner, so that bincount
+    # (which adds in input order) sums each cell's shares in the same
+    # sequence as one scatter-add per corner would
+    n = points.shape[0]
+    cells = np.empty(8 * n, np.int64)
+    shares = np.empty(8 * n)
+    for k, (flat, wx, wy, wz) in enumerate(_cic_corners(idx, frac, spec)):
+        cells[k * n : (k + 1) * n] = flat
+        share = np.multiply(weights, wx, out=shares[k * n : (k + 1) * n])
+        share *= wy
+        share *= wz
+    values = np.bincount(cells, shares, minlength=math.prod(spec.dims)).reshape(spec.dims)
     values /= spec.cell_volume
     return values
 
@@ -342,9 +396,11 @@ def _build_kernel(spec, softening_length):
     return kfft
 
 
-def solve_field_grid(rho: GridDensity, softening=None) -> GridField:
-    """grad Psi from a grid density via zero-padded kernel convolution.
+def solve_field_grid(rho, softening=None) -> GridField:
+    """grad Psi from a grid charge via zero-padded kernel convolution.
 
+    ``rho`` is a GridDensity, or the signed DensityDifference of two; the
+    solve is linear, so the latter's field is the difference of theirs.
     The softening is resolve_softening(rho.spec, softening), by default
     half the smallest cell size. Free-space boundaries; if the density
     support touches the outer cell layer a TruncationWarning is issued.
@@ -356,17 +412,17 @@ def solve_field_grid(rho: GridDensity, softening=None) -> GridField:
     the full-domain transform, so the output bits equal numpy's full
     rfftn/irfftn.
 
-    Every transform but the last inverse writes with out= into this
-    thread's workspace for the grid shape, 2 (2nx)(2ny)(nz+1) x 16 bytes
-    kept mapped between calls (4.4 MB at 32^3, 35 MB at 64^3): fresh
-    buffers re-fault every page on every call, which took about as long as
-    the transforms. A call allocates only the scaled mass, one component's
-    irfft output and the field, 48 n^3 bytes; the returned field never
-    shares memory with the workspace.
+    Every transform writes with out= into this thread's workspace for the
+    grid shape, 2 (2nx)(2ny)(nz+1) x 16 bytes kept mapped between calls
+    (4.4 MB at 32^3, 35 MB at 64^3): fresh buffers re-fault every page on
+    every call, which took about as long as the transforms. A call
+    allocates only the scaled mass and the field, 32 n^3 bytes (and a
+    DensityDifference's values, gone once scaled); the returned field
+    never shares memory with the workspace.
     """
     spec = rho.spec
     softening = resolve_softening(spec, softening)
-    if _support_touches_boundary(rho.values):
+    if rho.touches_boundary():
         warnings.warn(
             "density support touches the box boundary; free-space truncation "
             "error is uncontrolled",
@@ -385,6 +441,9 @@ def solve_field_grid(rho: GridDensity, softening=None) -> GridField:
     np.fft.fft(mf[:nx], axis=1, out=mf[:nx])
     mf[nx:] = 0
     np.fft.fft(mf, axis=0, out=mf)
+    # the last inverse writes its real lines into the half of prod that
+    # the axis-0 crop leaves unused
+    real = prod[nx:].view(np.float64)[:, :ny, : 2 * nz]
     values = np.empty(spec.dims + (3,))
     for c, kf in enumerate(kfft):
         # inverse, in place in prod: crop after each axis, so later axes
@@ -392,7 +451,8 @@ def solve_field_grid(rho: GridDensity, softening=None) -> GridField:
         np.multiply(mf, kf, out=prod)
         np.fft.ifft(prod, axis=0, out=prod)
         np.fft.ifft(prod[:nx], axis=1, out=prod[:nx])
-        values[..., c] = np.fft.irfft(prod[:nx, :ny], 2 * nz, axis=2)[..., :nz]
+        np.fft.irfft(prod[:nx, :ny], 2 * nz, axis=2, out=real)
+        values[..., c] = real[..., :nz]
     values *= rho.epsilon_sign
     return GridField(spec, values)
 
@@ -415,21 +475,11 @@ def _workspace(dims):
     return buffers
 
 
-def _support_touches_boundary(values):
-    return bool(
-        values[0].any() or values[-1].any()
-        or values[:, 0].any() or values[:, -1].any()
-        or values[:, :, 0].any() or values[:, :, -1].any()
-    )
-
-
-def field_l2_diff(f1: GridField, f2: GridField) -> float:
-    """L2 norm over the box of the field difference, (sum |d|^2 h^3)^{1/2},
-    the squares summed by transport.ordered_sum in C order."""
-    if f1.spec != f2.spec:
-        raise ValueError("field grids have different geometry")
-    d = f1.values - f2.values
-    return math.sqrt(ordered_sum(np.square(d, out=d)) * f1.spec.cell_volume)
+def field_l2_diff(diff: GridField) -> float:
+    """L2 norm over the box of a field difference, (sum |d|^2 h^3)^{1/2},
+    the squares summed by transport.ordered_sum in C order. The difference
+    is one field: the solve of a DensityDifference."""
+    return math.sqrt(ordered_sum(np.square(diff.values)) * diff.spec.cell_volume)
 
 
 # --------------------------------------------------------------------------

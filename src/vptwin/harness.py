@@ -175,6 +175,13 @@ class ScenarioConfig:
             b = solve(self.grid_spec, self.twin_delta)
         return a, b, solve(self.grid_spec, "auto")
 
+    def diagnostics_read_flow_a(self):
+        """Whether flow A's own grid field is the diagnostics' field A: a
+        grid flow solving on the diagnostics' grid and softening. Where it
+        is not, the log-Lipschitz probe solves rho_A itself."""
+        a, _, diag = self.field_solves()
+        return self.field_mode == "grid" and a == diag
+
     def _grid_memory(self):
         """(bytes, kernels): the most a run holds for its grid solves, and
         the (n, softening) of each kernel it keeps.
@@ -183,14 +190,16 @@ class ScenarioConfig:
         per distinct (grid, softening), kept for the run; the diagnostic
         solves use h/2 on grid_dims whatever the flows use. Per grid shape,
         each of a twin's two threads keeps a workspace of two spectra and
-        has one solve in flight: the scaled mass (8 n^3 B), the irfft output
-        (16 n^3 B) and the field (24 n^3 B); every other transform writes
-        into the workspace. The run also keeps the two flows' fields and
-        densities and the two diagnostic fields, 112 n^3 B. A kernel build's
-        scratch, full (2n)^3 arrays denom (float64), mask (bool) and one
-        kernel (float64) plus one spectrum's rfftn intermediate, adds to what
-        the run keeps by then: two spectra of its own for the first build,
-        everything for a later one (builds never overlap).
+        has one solve in flight: the scaled mass (8 n^3 B) and the field
+        (24 n^3 B); every transform writes into the workspace (a density
+        difference, 8 n^3 B, is gone once scaled). The run also keeps the
+        two flows' fields and densities (64 n^3 B), the diagnostics'
+        difference field (24 n^3 B), and field A (24 n^3 B) where the
+        probe may solve it (diagnostics_read_flow_a). A kernel build's scratch, full (2n)^3
+        arrays denom (float64), mask (bool) and one kernel (float64) plus
+        one spectrum's rfftn intermediate, adds to what the run keeps by
+        then: two spectra of its own for the first build, everything for a
+        later one (builds never overlap).
         """
 
         def spectrum(n):
@@ -200,8 +209,9 @@ class ScenarioConfig:
         solves = [a, b, diag] if self.field_mode == "grid" else [diag]
         kernels = {(spec.dims[0], softening) for spec, softening in solves}
         shapes = {n for n, _ in kernels}
+        kept = 152 if self.diagnostics_read_flow_a() else 176
         keep = sum(3 * spectrum(n) for n, _ in kernels) + sum(
-            4 * spectrum(n) + 208 * n**3 for n in shapes
+            4 * spectrum(n) + kept * n**3 for n in shapes
         )
         scratch = max(17 * (2 * n) ** 3 + spectrum(n) for n, _ in kernels)
         before = keep if len(kernels) > 1 else 3 * spectrum(self.grid_dims)
@@ -212,11 +222,12 @@ class ScenarioConfig:
         and how many snapshots it keeps. Per particle: both flows' x and v,
         the weights they share and both accelerations (152 B), and on each
         of two threads a step's half-kick velocity (24 B) and CIC deposit
-        scratch (360 B: corner indices, weights, their concatenations);
-        96 B per kept snapshot of both ensembles' x and v, which share the
-        weights too. A simulation holds less."""
+        scratch (224 B under tracemalloc: the 8 corners' cells and shares,
+        128 B, and the cell coordinates they are built from); 96 B per kept
+        snapshot of both ensembles' x and v, which share the weights too. A
+        simulation holds less."""
         kept = self.n_steps // self.snapshot_stride + 1 if self.snapshot_stride else 0
-        return self.n_particles * (152 + 2 * 384 + 96 * kept), kept
+        return self.n_particles * (152 + 2 * 248 + 96 * kept), kept
 
     @property
     def grid_spec(self):
@@ -363,6 +374,7 @@ class _TwinObserver:
     def __init__(self, cfg: ScenarioConfig):
         self.cfg = cfg
         self.spec, self.softening = cfg.field_solves()[2]  # the diagnostics'
+        self.reads_flow_a = cfg.diagnostics_read_flow_a()
         self.records = []
         self.snapshots = {}
         self.sup_rho_flagged = False
@@ -393,7 +405,7 @@ class _TwinObserver:
 
         stride = cfg.ot_stride
         if stride > 0 and (step % stride == 0 or step == cfg.n_steps):
-            self._stride_extras(rec, ens_a, ens_b, rho_a, rho_b)
+            self._stride_extras(rec, flow_a, flow_b, rho_a, rho_b)
 
         self.crossing_a.observe(ens_a)
         self.crossing_b.observe(ens_b)
@@ -420,38 +432,56 @@ class _TwinObserver:
             ens.x[idx], ens.v[idx], ens.w[idx] * self.sub_scale, ens.t, ens.epsilon_sign
         )
 
-    def _stride_extras(self, rec, ens_a, ens_b, rho_a, rho_b):
+    def _stride_extras(self, rec, flow_a, flow_b, rho_a, rho_b):
         # one subsampled pair gives both the paired costs and the W2 clouds,
         # so every feasible-plan check compares like with like
-        sub_a, sub_b = self._subsample(ens_a), self._subsample(ens_b)
+        sub_a, sub_b = self._subsample(flow_a.ensemble), self._subsample(flow_b.ensemble)
         rec.Q_sub, rec.S_sub, _ = certify.compute_gaps(sub_a, sub_b)
-        # the two W2 problems, then the two diagnostic solves, run side by
-        # side (perfbench's tracer keeps one span stack: only these pairs
-        # and the branch steps may overlap)
-        (rec.W2_rho, _), (rec.W2_phase, _) = dynamics.run_pair(
-            lambda: transport.w2_exact(sub_a.position_cloud(), sub_b.position_cloud()),
-            lambda: transport.w2_exact(sub_a.phase_cloud(), sub_b.phase_cloud()),
-        )
-        field_a, field_b = dynamics.run_pair(
-            lambda: fields.solve_field_grid(rho_a, self.softening),
-            lambda: fields.solve_field_grid(rho_b, self.softening),
+        field_a = flow_a.evaluator.field if self.reads_flow_a else None
+
+        def positions():
+            w2, _ = transport.w2_exact(sub_a.position_cloud(), sub_b.position_cloud())
+            return w2, self._loglip(field_a, rho_a)
+
+        def phases():
+            w2, _ = transport.w2_exact(sub_a.phase_cloud(), sub_b.phase_cloud())
+            diff = fields.DensityDifference(rho_a, rho_b)
+            return w2, fields.solve_field_grid(diff, self.softening)
+
+        # side by side (perfbench's tracer keeps one span stack: only these
+        # two and the branch steps may overlap): W2_rho and the probe of
+        # field A, and W2_phase and the one solve of Prop. 3.1's left side
+        (rec.W2_rho, rec.loglip_C), (rec.W2_phase, diff_field) = dynamics.run_pair(
+            positions, phases
         )
         rec.field_l2_diff, rec.prop31_rhs = certify.prop31_sides(
-            rho_a, rho_b, field_a, field_b, rec.W2_rho
+            rho_a, rho_b, diff_field, rec.W2_rho
         )
 
-        h_min = float(np.min(self.spec.h))
+    def _loglip(self, field_a, rho_a):
+        """loglip_modulus of field A on the cell-center hull (trilinear
+        interpolation is only defined there), or None where its separations
+        do not fit. Without field_a, rho_a is solved on the first
+        evaluation: loglip_modulus refuses before it evaluates, so a
+        coarse grid never solves it."""
+
+        def evaluate(points):
+            nonlocal field_a
+            if field_a is None:
+                field_a = fields.solve_field_grid(rho_a, self.softening)
+            return field_a.interpolate(points)
+
+        h = self.spec.h
         try:
-            # trilinear interpolation is only defined on the cell-center hull
-            rec.loglip_C = fields.loglip_modulus(
-                field_a.interpolate,
-                self.spec.lo + 0.5 * self.spec.h,
-                self.spec.hi - 0.5 * self.spec.h,
-                s_min=h_min,
+            return fields.loglip_modulus(
+                evaluate,
+                self.spec.lo + 0.5 * h,
+                self.spec.hi - 0.5 * h,
+                s_min=float(np.min(h)),
                 seed=self.cfg.seed,
             )
         except ValueError:
-            rec.loglip_C = None
+            return None
 
 
 def run_twin_config(cfg: ScenarioConfig) -> TwinResult:

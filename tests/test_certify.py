@@ -26,7 +26,13 @@ from vptwin.certify import (
     prop31_sides,
 )
 from vptwin.dynamics import DirectSumEvaluator, ParticleEnsemble
-from vptwin.fields import GridDensity, GridSpec, deposit_cic, solve_field_grid
+from vptwin.fields import (
+    DensityDifference,
+    GridDensity,
+    GridSpec,
+    deposit_cic,
+    solve_field_grid,
+)
 from vptwin.transport import WeightedCloud, coupling_cost, squared_norms, w2_exact
 
 from oracles import ledger_sum
@@ -169,7 +175,8 @@ class TestT1T2:
 
 class TestProp31:
     """prop31_sides and prop31_ratio, the two functionals the twin ledger
-    and certify_records apply, over fields solved from known densities."""
+    and certify_records apply, over the field of a density difference
+    solved from known densities."""
 
     def ball_cloud(self, rng, n=2048):
         u = rng.random(n)
@@ -182,14 +189,18 @@ class TestProp31:
     def density(cloud, spec):
         return GridDensity(spec, deposit_cic(cloud.points, cloud.weights, spec))
 
+    @staticmethod
+    def sides(rho1, rho2, w2):
+        diff = solve_field_grid(DensityDifference(rho1, rho2))
+        return prop31_sides(rho1, rho2, diff, w2)
+
     def test_identical_densities(self):
         rng = np.random.default_rng(RNG_SEED)
         spec = GridSpec((0, 0, 0), 6.0, 24)
         c = self.ball_cloud(rng)
         rho = self.density(c, spec)
         w2, _ = w2_exact(c, c)
-        field = solve_field_grid(rho)
-        lhs, rhs = prop31_sides(rho, rho, field, field, w2)
+        lhs, rhs = self.sides(rho, rho, w2)
         assert (lhs, rhs) == (0.0, 0.0)
         assert prop31_ratio(lhs, rhs) == 0.0
 
@@ -200,16 +211,28 @@ class TestProp31:
         spec = GridSpec((0, 0, 0), 6.0, 32)
         c = self.ball_cloud(rng)
         rho1 = self.density(c, spec)
-        field1 = solve_field_grid(rho1)
         slopes = []
         for delta in (0.4, 0.2, 0.1, 0.05):
             rho2 = self.density(WeightedCloud(c.points + [delta, 0.0, 0.0], c.weights), spec)
-            lhs, rhs = prop31_sides(rho1, rho2, field1, solve_field_grid(rho2), delta)
+            lhs, rhs = self.sides(rho1, rho2, delta)
+            assert rhs == math.sqrt(max(rho1.sup_norm, rho2.sup_norm)) * delta
             ratio = prop31_ratio(lhs, rhs)
             assert ratio <= 1.0 + certify.PROP31_TOL, f"delta={delta}: ratio {ratio}"
             slopes.append(lhs / delta)
         slopes = np.array(slopes)
         assert np.ptp(slopes) <= 0.25 * slopes.mean()
+
+    def test_lhs_is_the_norm_of_the_two_fields_difference(self):
+        # one solve of rho1 - rho2 against the difference of two solves:
+        # the same norm up to rounding
+        rng = np.random.default_rng(RNG_SEED)
+        spec = GridSpec((0, 0, 0), 6.0, 16)
+        c = self.ball_cloud(rng, n=512)
+        rho1 = self.density(c, spec)
+        rho2 = self.density(WeightedCloud(c.points * 1.1, c.weights), spec)
+        lhs, _ = self.sides(rho1, rho2, 0.1)
+        d = solve_field_grid(rho1).values - solve_field_grid(rho2).values
+        assert lhs == pytest.approx(math.sqrt(np.sum(d * d) * spec.cell_volume), rel=1e-12)
 
     def test_zero_rhs_with_nonzero_lhs_flagged(self):
         # W2 = 0 with a field difference is inconsistent: the ratio is inf
@@ -227,12 +250,12 @@ class TestProp31:
         assert result.verdicts["lemma_w2"] and result.verdicts["gronwall"]
 
     def test_grid_mismatch_rejected(self):
-        # fields solved on boxes of different geometry have no common L2
-        # norm to compare; prop31_sides refuses them rather than guessing
+        # densities on boxes of different geometry have no common L2 norm
+        # to compare; their difference is refused rather than guessed
         r1 = GridDensity(GridSpec((0, 0, 0), 4.0, 8), np.zeros((8, 8, 8)))
         r2 = GridDensity(GridSpec((0, 0, 0), 5.0, 8), np.zeros((8, 8, 8)))
         with pytest.raises(ValueError, match="different geometry"):
-            prop31_sides(r1, r2, solve_field_grid(r1), solve_field_grid(r2), 0.0)
+            self.sides(r1, r2, 0.0)
 
 
 def ledger_row(ens_a, ens_b, step=0, t=0.0):

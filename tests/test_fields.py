@@ -304,6 +304,22 @@ class TestDeposit:
         got = deposit_cic(pts, w, spec)
         assert np.array_equal(got, deposit_scatter_reference(pts, w, spec))
 
+    def test_scratch_per_particle(self):
+        # the 8 corners' cells and shares (128 B) and the cell coordinates
+        # they are built from: harness._particle_memory counts 224 B
+        spec = GridSpec((0, 0, 0), 10.0, 16)
+        n = 50_000
+        pts = np.random.default_rng(RNG_SEED).uniform(-4, 4, size=(n, 3))
+        w = np.full(n, 1.0 / n)
+        deposit_cic(pts, w, spec)
+        tracemalloc.start()
+        try:
+            vals = deposit_cic(pts, w, spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - vals.nbytes <= 224 * n
+
     def test_check_in_box_matches_deposit(self):
         spec, pts, w = reordering_probe()
         fields.check_in_box(pts, spec)
@@ -456,21 +472,20 @@ class TestSolveWorkspace:
     CUBE = GridSpec((0, 0, 0), 4.0, 32)
     BRICK = GridSpec((0.5, 0, -0.5), (3.0, 4.0, 5.0), (12, 16, 20))
 
-    def test_warm_solve_allocates_less_than_one_spectrum(self):
-        # every transform but the last inverse writes into the workspace: a
-        # warm 32^3 solve allocates the mass, one irfft output and the field
-        # (about 1.3 MB), and a copy of one doubled-domain spectrum (2.16 MB)
-        # made by any of the in-place transforms would exceed the limit
+    def test_warm_solve_allocates_only_the_mass_and_the_field(self):
+        # every transform writes into the workspace: a warm 32^3 solve
+        # allocates the scaled mass and the field, 32 n^3 B (1 MiB) at most.
+        # An irfft output of its own (0.5 MiB) on top of the field, or a
+        # copy of one doubled-domain spectrum (2.16 MB), exceeds the limit
         rho = interior_density(self.CUBE, 7)
         solve_field_grid(rho)
-        spectrum = fields._workspace(self.CUBE.dims)[0].nbytes
         tracemalloc.start()
         try:
             solve_field_grid(rho)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < spectrum
+        assert peak <= 32 * 32**3
 
     def test_field_survives_later_solves(self):
         first = solve_field_grid(interior_density(self.CUBE, 1))
@@ -550,53 +565,124 @@ class TestSolveWorkspace:
         for s in lengths:
             assert len({id(g[s]) for g in got}) == 1
 
-class TestFieldDiff:
-    def test_identical_fields(self):
-        spec = GridSpec((0, 0, 0), 4.0, 8)
-        rng = np.random.default_rng(RNG_SEED)
-        f = GridField(spec, rng.normal(size=spec.dims + (3,)))
-        assert field_l2_diff(f, f) == 0.0
+def signed_pair(spec, seed):
+    """Two interior densities on ``spec`` with different supports."""
+    return interior_density(spec, seed), interior_density(spec, seed + 1)
 
-    def test_known_constant_difference(self):
+
+class TestSignedSolve:
+    """solve_field_grid of a DensityDifference: the field of rho1 - rho2
+    from one solve, which the twin ledger's Prop. 3.1 left side reads."""
+
+    @pytest.mark.parametrize("n", [16, 32])
+    @pytest.mark.parametrize("softening", [None, 0.3])
+    def test_equals_difference_of_two_solves(self, n, softening):
+        # the solve is linear; the two routes differ in rounding only
+        spec = GridSpec((0.2, 0, -0.1), 5.0, n)
+        rho1, rho2 = signed_pair(spec, n)
+        got = solve_field_grid(fields.DensityDifference(rho1, rho2), softening)
+        want = solve_field_grid(rho1, softening).values - solve_field_grid(rho2, softening).values
+        assert got.spec == spec
+        scale = np.sqrt(np.sum(want**2))
+        assert scale > 0
+        assert np.sqrt(np.sum((got.values - want) ** 2)) <= 1e-12 * scale
+
+    def test_sign_and_epsilon_follow_the_densities(self):
+        spec = GridSpec((0, 0, 0), 4.0, 12)
+        rho1, rho2 = signed_pair(spec, 3)
+        ab = solve_field_grid(fields.DensityDifference(rho1, rho2)).values
+        ba = solve_field_grid(fields.DensityDifference(rho2, rho1)).values
+        assert np.array_equal(ab, -ba)
+        neg = [GridDensity(spec, r.values, epsilon_sign=-1) for r in (rho1, rho2)]
+        assert np.array_equal(solve_field_grid(fields.DensityDifference(*neg)).values, -ab)
+
+    def test_sign_mismatch_rejected(self):
+        # geometry mismatches: TestProp31.test_grid_mismatch_rejected
+        rho = interior_density(GridSpec((0, 0, 0), 4.0, 8), 1)
+        flipped = GridDensity(rho.spec, rho.values, epsilon_sign=-1)
+        with pytest.raises(ValueError, match="epsilon_sign"):
+            fields.DensityDifference(rho, flipped)
+
+
+class TestSignedSolveTruncation:
+    """The difference's solve warns where either density touches the outer
+    cell layer, even where the two cancel there."""
+
+    SPEC = GridSpec((0, 0, 0), 2.0, 8)
+
+    def density(self, *cells):
+        vals = np.zeros(self.SPEC.dims)
+        vals[4, 4, 4] = 1.0
+        for cell in cells:
+            vals[cell] = 0.5
+        return GridDensity(self.SPEC, vals)
+
+    def solve(self, rho1, rho2):
+        return solve_field_grid(fields.DensityDifference(rho1, rho2))
+
+    def test_warns_when_only_rho2_touches(self):
+        with pytest.warns(TruncationWarning):
+            self.solve(self.density(), self.density((7, 3, 2)))
+        with pytest.warns(TruncationWarning):
+            self.solve(self.density((2, 3, 0)), self.density())
+
+    def test_warns_when_the_boundary_cells_cancel(self):
+        rho1 = self.density((0, 4, 4))
+        rho2 = GridDensity(self.SPEC, rho1.values.copy())
+        rho2.values[3, 3, 3] = 2.0
+        diff = fields.DensityDifference(rho1, rho2)
+        assert not np.any(diff.values[0])
+        with pytest.warns(TruncationWarning):
+            solve_field_grid(diff)
+
+    def test_interior_pair_no_warning(self):
+        import warnings
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", TruncationWarning)
+            self.solve(self.density(), self.density((3, 5, 2)))
+
+
+class TestFieldL2:
+    """field_l2_diff, the norm of one difference field."""
+
+    def test_known_constant_field(self):
         spec = GridSpec((0, 0, 0), 4.0, 8)
-        a = GridField(spec, np.zeros(spec.dims + (3,)))
         vals = np.zeros(spec.dims + (3,))
         vals[..., 0] = 2.0
-        b = GridField(spec, vals)
         # |d| = 2 everywhere over volume 64: sqrt(4 * 64) = 16
-        assert field_l2_diff(a, b) == pytest.approx(16.0, rel=1e-12)
+        assert field_l2_diff(GridField(spec, vals)) == pytest.approx(16.0, rel=1e-12)
 
-    def test_symmetric_and_summed_in_c_order(self):
+    def test_summed_in_c_order(self):
         # the squares add left to right in C order (cells x-major, then
-        # the three components), whichever field comes first
+        # the three components)
         spec = GridSpec((0, 0, 0), 10.0, 8)
         rng = np.random.default_rng(0)
-        f = GridField(spec, rng.standard_normal(spec.dims + (3,)))
-        g = GridField(spec, rng.standard_normal(spec.dims + (3,)) * np.exp(
-            6.0 * rng.standard_normal(spec.dims + (3,))))
-        d = f.values - g.values
+        d = rng.standard_normal(spec.dims + (3,)) * np.exp(
+            6.0 * rng.standard_normal(spec.dims + (3,)))
         want = math.sqrt(loop_sum(d * d) * spec.cell_volume)
-        assert field_l2_diff(f, g) == field_l2_diff(g, f) == want
+        assert field_l2_diff(GridField(spec, d)) == want
+        assert field_l2_diff(GridField(spec, -d)) == want
+
+    def test_leaves_the_field_alone(self):
+        spec = GridSpec((0, 0, 0), 4.0, 8)
+        f = GridField(spec, np.random.default_rng(RNG_SEED).normal(size=spec.dims + (3,)))
+        kept = f.values.copy()
+        field_l2_diff(f)
+        assert np.array_equal(f.values, kept)
 
     def test_no_per_element_list(self):
         # a float list of the terms alone takes 4x the field's bytes (an
         # 8-byte pointer and a 24-byte float per element)
         spec = GridSpec((0, 0, 0), 8.0, 32)
         f = GridField(spec, np.random.default_rng(RNG_SEED).normal(size=spec.dims + (3,)))
-        g = GridField(spec, f.values.copy())
         tracemalloc.start()
         try:
-            assert field_l2_diff(f, g) == 0.0
+            assert field_l2_diff(f) > 0.0
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 3 * f.values.nbytes
-
-    def test_geometry_mismatch_rejected(self):
-        a = GridField(GridSpec((0, 0, 0), 4.0, 8), np.zeros((8, 8, 8, 3)))
-        b = GridField(GridSpec((0, 0, 0), 5.0, 8), np.zeros((8, 8, 8, 3)))
-        with pytest.raises(ValueError):
-            field_l2_diff(a, b)
+        assert peak < 2 * f.values.nbytes
 
 
 class TestInterpolation:

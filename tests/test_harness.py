@@ -209,11 +209,12 @@ class TestConfigParsing:
     def scratch(self, n):
         return 17 * (2 * n) ** 3 + self.spectrum(n)
 
-    def per_shape(self, n):
+    def per_shape(self, n, probe_solves_a=False):
         # on each of two threads a workspace (two spectra) and one solve in
-        # flight (8 + 16 + 24 n^3 B); the fields and densities a twin keeps,
-        # 112 n^3 B
-        return 2 * (2 * self.spectrum(n) + 48 * n**3) + 112 * n**3
+        # flight (8 + 24 n^3 B); the flows' fields and densities and the
+        # diagnostics' difference field, 88 n^3 B; and field A, 24 n^3 B,
+        # where the flows' fields are not the diagnostics'
+        return 2 * (2 * self.spectrum(n) + 32 * n**3) + (112 if probe_solves_a else 88) * n**3
 
     def assert_guard_boundary(self, need, key, largest, **overrides):
         # ``need(n)`` is the estimate with ``key`` = n; ``largest`` is admitted
@@ -236,20 +237,25 @@ class TestConfigParsing:
         # the kernel and both workspaces alone, 7 spectra, are 1156 MiB at
         # n = 139, the limit when one solve was counted
         assert 7 * self.spectrum(139) / 2**20 > 1155
-        self.assert_guard_boundary(one_kernel, "grid_dims", 117)
+        self.assert_guard_boundary(one_kernel, "grid_dims", 121)
         self.assert_guard_boundary(
-            one_kernel, "grid_dims", 117, twin_kind="velocity-shift", twin_delta=0.01
+            one_kernel, "grid_dims", 121, twin_kind="velocity-shift", twin_delta=0.01
         )
 
     def test_grid_memory_guard_counts_every_kernel(self):
         # a non-auto softening adds the diagnostics' h/2 kernel, and the
-        # later build's scratch comes on top of all the run keeps
-        def two_kernels(n):
-            return 6 * self.spectrum(n) + self.per_shape(n) + self.scratch(n)
+        # later build's scratch comes on top of all the run keeps; flow A
+        # solving with it, the probe solves field A itself
+        def two_kernels(n, probe_solves_a):
+            return (
+                6 * self.spectrum(n) + self.per_shape(n, probe_solves_a) + self.scratch(n)
+            )
 
-        self.assert_guard_boundary(two_kernels, "grid_dims", 100, softening=0.1)
+        self.assert_guard_boundary(lambda n: two_kernels(n, True), "grid_dims", 101,
+                                   softening=0.1)
         self.assert_guard_boundary(
-            two_kernels, "grid_dims", 100, twin_kind="softening", twin_delta=0.1
+            lambda n: two_kernels(n, False), "grid_dims", 102, twin_kind="softening",
+            twin_delta=0.1
         )
 
         # a resolution twin keeps both grids' kernels, workspaces and arrays
@@ -258,8 +264,25 @@ class TestConfigParsing:
             return grid_a + 3 * self.spectrum(n) + self.per_shape(n) + self.scratch(n)
 
         self.assert_guard_boundary(
-            resolution_b, "twin_grid_dims_b", 107, grid_dims=8, twin_kind="resolution"
+            resolution_b, "twin_grid_dims_b", 110, grid_dims=8, twin_kind="resolution"
         )
+
+    @pytest.mark.parametrize(
+        "overrides, reads",
+        [
+            ({}, True),
+            ({"twin_kind": "softening", "twin_delta": 0.1}, True),
+            ({"twin_kind": "resolution", "twin_grid_dims_b": 20}, True),
+            ({"softening": 0.3125}, True),  # auto's length, given explicitly
+            ({"softening": 0.2}, False),
+            ({"field_mode": "direct", "softening": 0.3125}, False),
+            ({"field_mode": "none", "twin_kind": "velocity-shift", "twin_delta": 0.1}, False),
+        ],
+    )
+    def test_diagnostics_read_flow_a(self, overrides, reads):
+        # the probe reads flow A's field where A solves on the diagnostics'
+        # grid and softening (16^3 cells of 0.625, auto 0.3125)
+        assert small_config(**overrides).diagnostics_read_flow_a() is reads
 
     @pytest.mark.parametrize("softening", ["auto", 0.2])
     @pytest.mark.parametrize("twin_kind", ["none", "velocity-shift", "resolution", "softening"])
@@ -319,12 +342,12 @@ class TestConfigParsing:
         )
 
     def test_particle_memory_guard_states_the_estimate(self):
-        # 152 B kept and 2 x 384 B of step scratch per particle, plus 96 B
+        # 152 B kept and 2 x 248 B of step scratch per particle, plus 96 B
         # per kept twin snapshot; small_config runs 5 steps, so
         # snapshot_stride = 2 keeps steps 0, 2 and 4
         cap = harness.MAX_GRID_SOLVE_BYTES
         for stride, kept, sizes in ((0, 0, ""), (2, 3, ", snapshot_stride = 2")):
-            per_particle = 920 + 96 * kept
+            per_particle = 648 + 96 * kept
             largest = cap // per_particle
             small_config(n_particles=largest, snapshot_stride=stride)
             mib = f"{(largest + 1) * per_particle / 2**20:.0f} MiB"
@@ -572,6 +595,73 @@ class TestTwinRuns:
         assert counts == {"solve": 3 * steps, "deposit": 2 * steps}
         assert all(r.T1 > 0.0 for r in result.records[1:])
 
+    @pytest.mark.parametrize(
+        "overrides, per_ot_row",
+        [
+            # h = 0.375, and flow A's grid field is the probe's field A: one
+            # solve, of rho_A - rho_B
+            (dict(box_edge=6.0, twin_kind="velocity-shift", twin_delta=1e-2), 1),
+            # h = 1 >= 1/2: the probe refuses before it evaluates
+            (dict(scenario="free-streaming", field_mode="none", box_edge=16.0,
+                  twin_kind="velocity-shift", twin_delta=1e-2), 1),
+            # h = 0.375: the probe solves rho_A, and the difference is solved
+            (dict(scenario="two-blob", epsilon=-1, field_mode="direct", sigma_x=0.35,
+                  box_edge=6.0, twin_kind="velocity-shift", twin_delta=1e-2), 2),
+            (dict(box_edge=6.0, softening=0.2, twin_kind="velocity-shift",
+                  twin_delta=1e-2), 2),
+        ],
+        ids=["grid", "none-coarse", "direct", "grid-own-softening"],
+    )
+    def test_observer_grid_solves_per_ot_row(self, monkeypatch, overrides, per_ot_row):
+        # fields.solve_field_grid calls made while the observer records a
+        # step: none off the OT stride, per_ot_row on it
+        calls, per_step = [], {}
+        solve, observe = fields.solve_field_grid, harness._TwinObserver.__call__
+
+        def counting_solve(*args, **kwargs):
+            calls.append(1)
+            return solve(*args, **kwargs)
+
+        def counting_observe(self, step, flow_a, flow_b):
+            before = len(calls)
+            observe(self, step, flow_a, flow_b)
+            per_step[step] = len(calls) - before
+
+        monkeypatch.setattr(fields, "solve_field_grid", counting_solve)
+        monkeypatch.setattr(harness._TwinObserver, "__call__", counting_observe)
+        cfg = small_config(n_particles=128, ot_stride=2, ot_subsample=64, **overrides)
+        records = run_twin_config(cfg).records
+        ot_rows = {r.step for r in records if r.W2_rho is not None}
+        assert ot_rows == {0, 2, 4, 5}
+        assert per_step == {k: per_ot_row if k in ot_rows else 0 for k in range(6)}
+        # loglip_modulus is called on every OT row; it fills loglip_C where
+        # its separations fit, h < 1/2
+        fits = float(np.min(cfg.grid_spec.h)) < 0.5
+        assert [r.loglip_C is not None for r in records if r.step in ot_rows] == [fits] * 4
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            dict(box_edge=6.0),
+            dict(scenario="two-blob", epsilon=-1, field_mode="direct", sigma_x=0.35,
+                 box_edge=6.0),
+            dict(scenario="free-streaming", field_mode="none", box_edge=16.0),
+        ],
+        ids=["grid", "direct", "none"],
+    )
+    def test_records_do_not_depend_on_the_helper_thread(self, monkeypatch, tmp_path,
+                                                        overrides):
+        # both works of every run_pair on the calling thread, one after the
+        # other: the same records.csv bytes
+        cfg = small_config(n_particles=128, twin_kind="velocity-shift", twin_delta=1e-2,
+                           ot_stride=2, ot_subsample=64, **overrides)
+        harness.emit_twin(cfg, tmp_path / "threaded")
+        monkeypatch.setattr(dynamics, "run_pair", lambda work_a, work_b: (work_a(), work_b()))
+        harness.emit_twin(cfg, tmp_path / "serial")
+        threaded, serial = ((tmp_path / d / "records.csv").read_bytes()
+                            for d in ("threaded", "serial"))
+        assert threaded == serial
+
     def test_sup_rho_ceiling_flag(self):
         cfg = small_config(sup_rho_ceiling=1e-6, twin_kind="none")
         assert run_twin_config(cfg).sup_rho_flagged
@@ -634,6 +724,38 @@ class TestLedgerConsistency:
             w2_rho, _ = transport.w2_exact(sub_a.position_cloud(), sub_b.position_cloud())
             w2_phase, _ = transport.w2_exact(sub_a.phase_cloud(), sub_b.phase_cloud())
             assert (r.W2_rho, r.W2_phase) == (w2_rho, w2_phase)
+            rho_a, rho_b = (dynamics.deposit(e, cfg.grid_spec) for e in (ens_a, ens_b))
+            diff = fields.solve_field_grid(fields.DensityDifference(rho_a, rho_b))
+            assert (r.field_l2_diff, r.prop31_rhs) == certify.prop31_sides(
+                rho_a, rho_b, diff, w2_rho
+            )
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            dict(twin_kind="velocity-shift", twin_delta=1e-2),
+            dict(twin_kind="velocity-shift", twin_delta=1e-2, softening=0.2),
+            dict(scenario="two-blob", epsilon=-1, field_mode="direct", sigma_x=0.35,
+                 twin_kind="velocity-shift", twin_delta=1e-2),
+            dict(twin_kind="resolution", twin_grid_dims_b=20),
+        ],
+        ids=["grid", "grid-own-softening", "direct", "resolution"],
+    )
+    def test_loglip_is_the_probe_of_a_solve_of_rho_a(self, overrides):
+        # field A, whether flow A's own or solved by the probe, is the
+        # diagnostics' solve of flow A's density: loglip_C equals the probe
+        # of a fresh solve of the snapshot, bit for bit
+        cfg = small_config(n_particles=128, box_edge=6.0, t_final=0.5, ot_stride=5,
+                           ot_subsample=64, snapshot_stride=5, **overrides)
+        spec, softening = cfg.field_solves()[2]
+        result = run_twin_config(cfg)
+        for step, (ens_a, _) in result.snapshots.items():
+            field_a = fields.solve_field_grid(dynamics.deposit(ens_a, spec), softening)
+            want = fields.loglip_modulus(
+                field_a.interpolate, spec.lo + 0.5 * spec.h, spec.hi - 0.5 * spec.h,
+                s_min=float(np.min(spec.h)), seed=cfg.seed,
+            )
+            assert result.records[step].loglip_C == want
 
 
 class TestEmission:
