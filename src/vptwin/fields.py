@@ -122,10 +122,6 @@ class GridDensity:
         object.__setattr__(self, "values", values)
 
     @property
-    def mass(self):
-        return ordered_sum(self.values.copy()) * self.spec.cell_volume
-
-    @property
     def sup_norm(self):
         return float(self.values.max(initial=0.0))
 
@@ -486,34 +482,31 @@ def field_l2_diff(diff: GridField) -> float:
 # log-Lipschitz modulus
 
 
-def loglip_modulus(
-    evaluate,
-    region_lo,
-    region_hi,
-    s_min,
-    s_max=0.5,
-    n_separations=16,
-    pairs_per_separation=32,
-    seed=0,
-):
+LOGLIP_S_MAX = 0.5  # the largest separation; <= 1/2 keeps the log factor positive
+LOGLIP_SEPARATIONS = 16
+LOGLIP_PAIRS = 32  # sampled pairs per separation
+
+
+def loglip_modulus(evaluate, region_lo, region_hi, s_min, seed=0):
     """Empirical sup of |F(x)-F(y)| / (|x-y| log(1/|x-y|)) over sampled pairs.
 
-    Separations are log-spaced in [s_min, s_max] (s_max <= 1/2 so the log
-    factor stays positive); base points are seeded uniform draws inside the
+    LOGLIP_SEPARATIONS separations are log-spaced in [s_min, LOGLIP_S_MAX];
+    at each, LOGLIP_PAIRS base points are seeded uniform draws inside the
     region, shrunk so both ends of each pair stay inside.
     """
+    s_max = LOGLIP_S_MAX
     region_lo = np.asarray(region_lo, dtype=np.float64)
     region_hi = np.asarray(region_hi, dtype=np.float64)
-    if not 0 < s_min < s_max <= 0.5:
-        raise ValueError("need 0 < s_min < s_max <= 1/2")
+    if not 0 < s_min < s_max:
+        raise ValueError(f"need 0 < s_min < {s_max}")
     if np.any(region_hi - region_lo <= 2 * s_max):
         raise ValueError("region too small for the requested separations")
     rng = np.random.default_rng(seed)
-    seps = np.geomspace(s_min, s_max, n_separations)
+    seps = np.geomspace(s_min, s_max, LOGLIP_SEPARATIONS)
     best = -1.0
     for s in seps:
-        x = rng.uniform(region_lo + s_max, region_hi - s_max, size=(pairs_per_separation, 3))
-        d = rng.normal(size=(pairs_per_separation, 3))
+        x = rng.uniform(region_lo + s_max, region_hi - s_max, size=(LOGLIP_PAIRS, 3))
+        d = rng.normal(size=(LOGLIP_PAIRS, 3))
         d /= np.sqrt(squared_norms(d))[:, None]
         y = x + s * d
         num = np.sqrt(squared_norms(evaluate(x) - evaluate(y)))

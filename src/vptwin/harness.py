@@ -175,13 +175,6 @@ class ScenarioConfig:
             b = solve(self.grid_spec, self.twin_delta)
         return a, b, solve(self.grid_spec, "auto")
 
-    def diagnostics_read_flow_a(self):
-        """Whether flow A's own grid field is the diagnostics' field A: a
-        grid flow solving on the diagnostics' grid and softening. Where it
-        is not, the log-Lipschitz probe solves rho_A itself."""
-        a, _, diag = self.field_solves()
-        return self.field_mode == "grid" and a == diag
-
     def _grid_memory(self):
         """(bytes, kernels): the most a run holds for its grid solves, and
         the (n, softening) of each kernel it keeps.
@@ -193,9 +186,8 @@ class ScenarioConfig:
         has one solve in flight: the scaled mass (8 n^3 B) and the field
         (24 n^3 B); every transform writes into the workspace (a density
         difference, 8 n^3 B, is gone once scaled). The run also keeps the
-        two flows' fields and densities (64 n^3 B), the diagnostics'
-        difference field (24 n^3 B), and field A (24 n^3 B) where the
-        probe may solve it (diagnostics_read_flow_a). A kernel build's scratch, full (2n)^3
+        two flows' fields and densities (64 n^3 B) and the diagnostics'
+        difference field (24 n^3 B). A kernel build's scratch, full (2n)^3
         arrays denom (float64), mask (bool) and one kernel (float64) plus
         one spectrum's rfftn intermediate, adds to what the run keeps by
         then: two spectra of its own for the first build, everything for a
@@ -209,9 +201,8 @@ class ScenarioConfig:
         solves = [a, b, diag] if self.field_mode == "grid" else [diag]
         kernels = {(spec.dims[0], softening) for spec, softening in solves}
         shapes = {n for n, _ in kernels}
-        kept = 152 if self.diagnostics_read_flow_a() else 176
         keep = sum(3 * spectrum(n) for n, _ in kernels) + sum(
-            4 * spectrum(n) + kept * n**3 for n in shapes
+            4 * spectrum(n) + 152 * n**3 for n in shapes
         )
         scratch = max(17 * (2 * n) ** 3 + spectrum(n) for n, _ in kernels)
         before = keep if len(kernels) > 1 else 3 * spectrum(self.grid_dims)
@@ -374,7 +365,6 @@ class _TwinObserver:
     def __init__(self, cfg: ScenarioConfig):
         self.cfg = cfg
         self.spec, self.softening = cfg.field_solves()[2]  # the diagnostics'
-        self.reads_flow_a = cfg.diagnostics_read_flow_a()
         self.records = []
         self.snapshots = {}
         self.sup_rho_flagged = False
@@ -437,11 +427,10 @@ class _TwinObserver:
         # so every feasible-plan check compares like with like
         sub_a, sub_b = self._subsample(flow_a.ensemble), self._subsample(flow_b.ensemble)
         rec.Q_sub, rec.S_sub, _ = certify.compute_gaps(sub_a, sub_b)
-        field_a = flow_a.evaluator.field if self.reads_flow_a else None
 
         def positions():
             w2, _ = transport.w2_exact(sub_a.position_cloud(), sub_b.position_cloud())
-            return w2, self._loglip(field_a, rho_a)
+            return w2, self._loglip(flow_a.evaluator.accel)
 
         def phases():
             w2, _ = transport.w2_exact(sub_a.phase_cloud(), sub_b.phase_cloud())
@@ -450,7 +439,8 @@ class _TwinObserver:
 
         # side by side (perfbench's tracer keeps one span stack: only these
         # two and the branch steps may overlap): W2_rho and the probe of
-        # field A, and W2_phase and the one solve of Prop. 3.1's left side
+        # flow A's field, and W2_phase and the one solve of Prop. 3.1's
+        # left side
         (rec.W2_rho, rec.loglip_C), (rec.W2_phase, diff_field) = dynamics.run_pair(
             positions, phases
         )
@@ -458,23 +448,15 @@ class _TwinObserver:
             rho_a, rho_b, diff_field, rec.W2_rho
         )
 
-    def _loglip(self, field_a, rho_a):
-        """loglip_modulus of field A on the cell-center hull (trilinear
-        interpolation is only defined there), or None where its separations
-        do not fit. Without field_a, rho_a is solved on the first
-        evaluation: loglip_modulus refuses before it evaluates, so a
-        coarse grid never solves it."""
-
-        def evaluate(points):
-            nonlocal field_a
-            if field_a is None:
-                field_a = fields.solve_field_grid(rho_a, self.softening)
-            return field_a.interpolate(points)
-
+    def _loglip(self, accel):
+        """loglip_modulus of flow A's field, the accel it steps with, on
+        the cell-center hull of the diagnostics grid (a grid field's
+        trilinear interpolation is only defined there), or None where its
+        separations do not fit."""
         h = self.spec.h
         try:
             return fields.loglip_modulus(
-                evaluate,
+                accel,
                 self.spec.lo + 0.5 * h,
                 self.spec.hi - 0.5 * h,
                 s_min=float(np.min(h)),

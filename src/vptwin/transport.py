@@ -448,6 +448,8 @@ def load_cloud(path) -> WeightedCloud:
         if len(header) != 2:
             raise ValueError(f"{path}: expected header 'd count'")
         d, n = int(header[0]), int(header[1])
+        if d < 1 or n < 1:
+            raise ValueError(f"{path}: header 'd count' needs d >= 1 and count >= 1")
         data = np.loadtxt(fh, ndmin=2)
     if data.shape != (n, d + 1):
         raise ValueError(f"{path}: expected {n} rows of {d + 1} columns, got {data.shape}")

@@ -1,9 +1,9 @@
 """Test-side readers and reference code that the package itself never calls.
 
 The package writes grids and plans but reads neither back, and it has no
-use for cell-center grids, merged clouds, fixed external fields, the
-pairwise potential energy or the displacement interpolant; the tests need
-them as oracles. The loop sums below add one Python float at a time, in
+use for grid masses, cell-center grids, merged clouds, fixed external
+fields, the pairwise potential energy or the displacement interpolant; the
+tests need them as oracles. The loop sums below add one Python float at a time, in
 the order that transport.ordered_sum and squared_norms write out. The
 geodesic sup-norm check lives here because it is not an exact inequality
 on the grid (the deposit of the interpolant can peak a little above both
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from vptwin.fields import FOUR_PI, GridDensity, GridField, GridSpec, deposit_cic
-from vptwin.transport import TransportPlan, WeightedCloud
+from vptwin.transport import TransportPlan, WeightedCloud, ordered_sum
 
 # geodesic_linf_check: an endpoint sup-norm moving by more than this
 # fraction under 2x grid refinement makes the check inconclusive
@@ -54,6 +54,12 @@ def ledger_sum(weights, *gaps):
     """transport.coupling_cost in its written order: w_i times each row's
     squared norm (row_sum_loop), summed by loop_sum."""
     return loop_sum(np.asarray(weights) * row_sum_loop(*gaps))
+
+
+def grid_mass(rho: GridDensity) -> float:
+    """The mass of a deposited density: its cells summed in C order by
+    transport.ordered_sum, times the cell volume."""
+    return ordered_sum(rho.values.copy()) * rho.spec.cell_volume
 
 
 def grid_points(spec: GridSpec):

@@ -29,7 +29,7 @@ from vptwin.errors import DivergenceError, EscapeError
 from vptwin.fields import FOUR_PI, GridSpec
 from vptwin.transport import coupling_cost
 
-from oracles import FrozenFieldEvaluator, potential_energy_direct
+from oracles import FrozenFieldEvaluator, grid_mass, potential_energy_direct
 
 RNG_SEED = 777
 
@@ -450,7 +450,7 @@ class TestStepMechanics:
         ens = random_ensemble(rng, n=32, eps=-1)
         rho = dynamics.deposit(ens, GridSpec((0, 0, 0), 8.0, 8))
         assert rho.epsilon_sign == -1
-        assert rho.mass == pytest.approx(1.0, rel=1e-12)
+        assert grid_mass(rho) == pytest.approx(1.0, rel=1e-12)
 
     def test_copy_shares_only_the_weights(self):
         # nothing writes w after sampling, so a twin's branches and its

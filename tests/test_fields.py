@@ -731,16 +731,18 @@ class TestLoglip:
     def test_linear_field_exact_value(self):
         # |F(x)-F(y)| = |x-y| for the identity field, so the ratio is
         # 1/log(1/s), maximized at the largest separation
-        const = loglip_modulus(lambda x: x, [-2, -2, -2], [2, 2, 2], s_min=1e-3, s_max=0.5)
+        const = loglip_modulus(lambda x: x, [-2, -2, -2], [2, 2, 2], s_min=1e-3)
         assert const == pytest.approx(1.0 / np.log(2.0), rel=1e-12)
 
-    def test_stable_under_more_samples(self):
+    def test_stable_under_more_samples(self, monkeypatch):
         def f(x):
             return np.sin(x) + 0.5 * x
 
         lo, hi = [-2, -2, -2], [2, 2, 2]
-        base = loglip_modulus(f, lo, hi, s_min=1e-3, pairs_per_separation=64, seed=1)
-        dense = loglip_modulus(f, lo, hi, s_min=1e-3, pairs_per_separation=256, seed=2)
+        monkeypatch.setattr(fields, "LOGLIP_PAIRS", 64)
+        base = loglip_modulus(f, lo, hi, s_min=1e-3, seed=1)
+        monkeypatch.setattr(fields, "LOGLIP_PAIRS", 256)
+        dense = loglip_modulus(f, lo, hi, s_min=1e-3, seed=2)
         assert dense == pytest.approx(base, rel=0.2)
 
     def test_rejects_bad_separation_range(self):

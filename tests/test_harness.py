@@ -7,6 +7,7 @@ against an analytic oracle.
 
 import json
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -209,12 +210,11 @@ class TestConfigParsing:
     def scratch(self, n):
         return 17 * (2 * n) ** 3 + self.spectrum(n)
 
-    def per_shape(self, n, probe_solves_a=False):
+    def per_shape(self, n):
         # on each of two threads a workspace (two spectra) and one solve in
         # flight (8 + 24 n^3 B); the flows' fields and densities and the
-        # diagnostics' difference field, 88 n^3 B; and field A, 24 n^3 B,
-        # where the flows' fields are not the diagnostics'
-        return 2 * (2 * self.spectrum(n) + 32 * n**3) + (112 if probe_solves_a else 88) * n**3
+        # diagnostics' difference field, 88 n^3 B
+        return 2 * (2 * self.spectrum(n) + 32 * n**3) + 88 * n**3
 
     def assert_guard_boundary(self, need, key, largest, **overrides):
         # ``need(n)`` is the estimate with ``key`` = n; ``largest`` is admitted
@@ -241,21 +241,18 @@ class TestConfigParsing:
         self.assert_guard_boundary(
             one_kernel, "grid_dims", 121, twin_kind="velocity-shift", twin_delta=0.01
         )
+        # a direct twin's one kernel is the diagnostics', and so is its field
+        self.assert_guard_boundary(one_kernel, "grid_dims", 121, field_mode="direct")
 
     def test_grid_memory_guard_counts_every_kernel(self):
         # a non-auto softening adds the diagnostics' h/2 kernel, and the
-        # later build's scratch comes on top of all the run keeps; flow A
-        # solving with it, the probe solves field A itself
-        def two_kernels(n, probe_solves_a):
-            return (
-                6 * self.spectrum(n) + self.per_shape(n, probe_solves_a) + self.scratch(n)
-            )
+        # later build's scratch comes on top of all the run keeps
+        def two_kernels(n):
+            return 6 * self.spectrum(n) + self.per_shape(n) + self.scratch(n)
 
-        self.assert_guard_boundary(lambda n: two_kernels(n, True), "grid_dims", 101,
-                                   softening=0.1)
+        self.assert_guard_boundary(two_kernels, "grid_dims", 102, softening=0.1)
         self.assert_guard_boundary(
-            lambda n: two_kernels(n, False), "grid_dims", 102, twin_kind="softening",
-            twin_delta=0.1
+            two_kernels, "grid_dims", 102, twin_kind="softening", twin_delta=0.1
         )
 
         # a resolution twin keeps both grids' kernels, workspaces and arrays
@@ -266,23 +263,6 @@ class TestConfigParsing:
         self.assert_guard_boundary(
             resolution_b, "twin_grid_dims_b", 110, grid_dims=8, twin_kind="resolution"
         )
-
-    @pytest.mark.parametrize(
-        "overrides, reads",
-        [
-            ({}, True),
-            ({"twin_kind": "softening", "twin_delta": 0.1}, True),
-            ({"twin_kind": "resolution", "twin_grid_dims_b": 20}, True),
-            ({"softening": 0.3125}, True),  # auto's length, given explicitly
-            ({"softening": 0.2}, False),
-            ({"field_mode": "direct", "softening": 0.3125}, False),
-            ({"field_mode": "none", "twin_kind": "velocity-shift", "twin_delta": 0.1}, False),
-        ],
-    )
-    def test_diagnostics_read_flow_a(self, overrides, reads):
-        # the probe reads flow A's field where A solves on the diagnostics'
-        # grid and softening (16^3 cells of 0.625, auto 0.3125)
-        assert small_config(**overrides).diagnostics_read_flow_a() is reads
 
     @pytest.mark.parametrize("softening", ["auto", 0.2])
     @pytest.mark.parametrize("twin_kind", ["none", "velocity-shift", "resolution", "softening"])
@@ -596,25 +576,25 @@ class TestTwinRuns:
         assert all(r.T1 > 0.0 for r in result.records[1:])
 
     @pytest.mark.parametrize(
-        "overrides, per_ot_row",
+        "overrides",
         [
-            # h = 0.375, and flow A's grid field is the probe's field A: one
-            # solve, of rho_A - rho_B
-            (dict(box_edge=6.0, twin_kind="velocity-shift", twin_delta=1e-2), 1),
-            # h = 1 >= 1/2: the probe refuses before it evaluates
-            (dict(scenario="free-streaming", field_mode="none", box_edge=16.0,
-                  twin_kind="velocity-shift", twin_delta=1e-2), 1),
-            # h = 0.375: the probe solves rho_A, and the difference is solved
-            (dict(scenario="two-blob", epsilon=-1, field_mode="direct", sigma_x=0.35,
-                  box_edge=6.0, twin_kind="velocity-shift", twin_delta=1e-2), 2),
-            (dict(box_edge=6.0, softening=0.2, twin_kind="velocity-shift",
-                  twin_delta=1e-2), 2),
+            # h = 0.375 below, h = 1 >= 1/2 for none-coarse (the probe
+            # refuses before it evaluates); the probe reads flow A's accel
+            dict(box_edge=6.0, twin_kind="velocity-shift", twin_delta=1e-2),
+            dict(box_edge=6.0, softening=0.2, twin_kind="velocity-shift", twin_delta=1e-2),
+            dict(scenario="two-blob", epsilon=-1, field_mode="direct", sigma_x=0.35,
+                 box_edge=6.0, twin_kind="velocity-shift", twin_delta=1e-2),
+            dict(box_edge=6.0, twin_kind="resolution", twin_grid_dims_b=12),
+            dict(scenario="free-streaming", field_mode="none", box_edge=6.0,
+                 twin_kind="velocity-shift", twin_delta=1e-2),
+            dict(scenario="free-streaming", field_mode="none", box_edge=16.0,
+                 twin_kind="velocity-shift", twin_delta=1e-2),
         ],
-        ids=["grid", "none-coarse", "direct", "grid-own-softening"],
+        ids=["grid", "grid-own-softening", "direct", "resolution", "none", "none-coarse"],
     )
-    def test_observer_grid_solves_per_ot_row(self, monkeypatch, overrides, per_ot_row):
+    def test_observer_grid_solves_per_ot_row(self, monkeypatch, overrides):
         # fields.solve_field_grid calls made while the observer records a
-        # step: none off the OT stride, per_ot_row on it
+        # step: none off the OT stride, one on it, of rho_A - rho_B
         calls, per_step = [], {}
         solve, observe = fields.solve_field_grid, harness._TwinObserver.__call__
 
@@ -633,7 +613,7 @@ class TestTwinRuns:
         records = run_twin_config(cfg).records
         ot_rows = {r.step for r in records if r.W2_rho is not None}
         assert ot_rows == {0, 2, 4, 5}
-        assert per_step == {k: per_ot_row if k in ot_rows else 0 for k in range(6)}
+        assert per_step == {k: 1 if k in ot_rows else 0 for k in range(6)}
         # loglip_modulus is called on every OT row; it fills loglip_C where
         # its separations fit, h < 1/2
         fits = float(np.min(cfg.grid_spec.h)) < 0.5
@@ -643,11 +623,12 @@ class TestTwinRuns:
         "overrides",
         [
             dict(box_edge=6.0),
+            dict(box_edge=6.0, softening=0.2),
             dict(scenario="two-blob", epsilon=-1, field_mode="direct", sigma_x=0.35,
                  box_edge=6.0),
             dict(scenario="free-streaming", field_mode="none", box_edge=16.0),
         ],
-        ids=["grid", "direct", "none"],
+        ids=["grid", "grid-own-softening", "direct", "none"],
     )
     def test_records_do_not_depend_on_the_helper_thread(self, monkeypatch, tmp_path,
                                                         overrides):
@@ -738,24 +719,30 @@ class TestLedgerConsistency:
             dict(scenario="two-blob", epsilon=-1, field_mode="direct", sigma_x=0.35,
                  twin_kind="velocity-shift", twin_delta=1e-2),
             dict(twin_kind="resolution", twin_grid_dims_b=20),
+            dict(twin_kind="softening", twin_delta=0.2),
+            dict(scenario="free-streaming", field_mode="none", twin_kind="velocity-shift",
+                 twin_delta=1e-2),
         ],
-        ids=["grid", "grid-own-softening", "direct", "resolution"],
+        ids=["grid", "grid-own-softening", "direct", "resolution", "softening", "none"],
     )
-    def test_loglip_is_the_probe_of_a_solve_of_rho_a(self, overrides):
-        # field A, whether flow A's own or solved by the probe, is the
-        # diagnostics' solve of flow A's density: loglip_C equals the probe
-        # of a fresh solve of the snapshot, bit for bit
+    def test_loglip_is_the_probe_of_flow_a_field(self, overrides):
+        # the probe samples the field flow A steps with: loglip_C equals the
+        # probe of a fresh evaluator of A's kind refreshed on the snapshot,
+        # bit for bit, on the diagnostics grid's cell-center hull (h < 1/2)
         cfg = small_config(n_particles=128, box_edge=6.0, t_final=0.5, ot_stride=5,
                            ot_subsample=64, snapshot_stride=5, **overrides)
-        spec, softening = cfg.field_solves()[2]
+        solve_a, _, (spec, _) = cfg.field_solves()
         result = run_twin_config(cfg)
         for step, (ens_a, _) in result.snapshots.items():
-            field_a = fields.solve_field_grid(dynamics.deposit(ens_a, spec), softening)
+            evaluator = harness._make_evaluator(cfg.field_mode, *solve_a)
+            evaluator.refresh(ens_a)
             want = fields.loglip_modulus(
-                field_a.interpolate, spec.lo + 0.5 * spec.h, spec.hi - 0.5 * spec.h,
+                evaluator.accel, spec.lo + 0.5 * spec.h, spec.hi - 0.5 * spec.h,
                 s_min=float(np.min(spec.h)), seed=cfg.seed,
             )
             assert result.records[step].loglip_C == want
+            if cfg.field_mode == "none":
+                assert want == 0.0
 
 
 class TestEmission:
@@ -1144,6 +1131,21 @@ class TestCLI:
         transport.save_cloud(transport.WeightedCloud([[0, 0, 0], [1, 0, 0]], [0.5, 0.6]), pb)
         assert cli.main(["ot", str(pa), str(pb)]) == cli.EXIT_USAGE
         assert "total masses differ" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", ["0 2\n0.5\n0.5\n", "3 0\n", "3 -1\n"],
+                             ids=["no-dimension", "no-points", "negative-count"])
+    def test_ot_rejects_an_empty_cloud_header(self, tmp_path, capsys, text):
+        # refused from the header, before numpy reads the rows: no
+        # traceback from the KD-tree, no loadtxt warning
+        p = tmp_path / "c.txt"
+        p.write_text(text)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert cli.main(["ot", str(p), str(p)]) == cli.EXIT_USAGE
+        assert caught == []
+        assert capsys.readouterr().err == (
+            f"error: {p}: header 'd count' needs d >= 1 and count >= 1\n"
+        )
 
     def test_report_from_twin_manifest(self, tmp_path, capsys):
         cfg = self.write_cfg(tmp_path, self.FREE_TWIN)
