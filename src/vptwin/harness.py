@@ -186,12 +186,16 @@ class ScenarioConfig:
         has one solve in flight: the scaled mass (8 n^3 B) and the field
         (24 n^3 B); every transform writes into the workspace (a density
         difference, 8 n^3 B, is gone once scaled). The run also keeps the
-        two flows' fields and densities (64 n^3 B) and the diagnostics'
-        difference field (24 n^3 B). A kernel build's scratch, full (2n)^3
+        two flows' fields and densities (64 n^3 B), the diagnostics'
+        difference field (24 n^3 B), and on a direct-sum run the probe's
+        solve of rho_A (24 n^3 B). A kernel build's scratch, full (2n)^3
         arrays denom (float64), mask (bool) and one kernel (float64) plus
         one spectrum's rfftn intermediate, adds to what the run keeps by
         then: two spectra of its own for the first build, everything for a
-        later one (builds never overlap).
+        later one (builds never overlap). On top, the malloc arena of a
+        twin's second thread may keep freed blocks up to glibc's trim
+        threshold, twice the largest block it has unmapped: two spectra of
+        the largest grid, at most 2 x 32 MiB. A simulation holds less.
         """
 
         def spectrum(n):
@@ -201,12 +205,14 @@ class ScenarioConfig:
         solves = [a, b, diag] if self.field_mode == "grid" else [diag]
         kernels = {(spec.dims[0], softening) for spec, softening in solves}
         shapes = {n for n, _ in kernels}
+        kept = 176 if self.field_mode == "direct" else 152
         keep = sum(3 * spectrum(n) for n, _ in kernels) + sum(
-            4 * spectrum(n) + 152 * n**3 for n in shapes
+            4 * spectrum(n) + kept * n**3 for n in shapes
         )
         scratch = max(17 * (2 * n) ** 3 + spectrum(n) for n, _ in kernels)
         before = keep if len(kernels) > 1 else 3 * spectrum(self.grid_dims)
-        return max(keep, before + scratch), kernels
+        arena = 2 * min(spectrum(max(shapes)), 32 << 20)
+        return max(keep, before + scratch) + arena, kernels
 
     def _particle_memory(self):
         """(bytes, snapshots): the most a twin holds in per-particle arrays,
@@ -430,7 +436,7 @@ class _TwinObserver:
 
         def positions():
             w2, _ = transport.w2_exact(sub_a.position_cloud(), sub_b.position_cloud())
-            return w2, self._loglip(flow_a.evaluator.accel)
+            return w2, self._loglip(flow_a, rho_a)
 
         def phases():
             w2, _ = transport.w2_exact(sub_a.phase_cloud(), sub_b.phase_cloud())
@@ -448,15 +454,28 @@ class _TwinObserver:
             rho_a, rho_b, diff_field, rec.W2_rho
         )
 
-    def _loglip(self, accel):
+    def _loglip(self, flow_a, rho_a):
         """loglip_modulus of flow A's field, the accel it steps with, on
         the cell-center hull of the diagnostics grid (a grid field's
         trilinear interpolation is only defined there), or None where its
-        separations do not fit."""
+        separations do not fit. On a direct-sum flow it reads the
+        diagnostics' solve of rho_A instead, made on the first evaluation
+        (loglip_modulus refuses before it evaluates, so a coarse grid never
+        solves it): perfbench's layer table expects merger-direct to
+        interpolate a grid field."""
+        field_a = None
+
+        def solved(points):
+            nonlocal field_a
+            if field_a is None:
+                field_a = fields.solve_field_grid(rho_a, self.softening)
+            return field_a.interpolate(points)
+
+        evaluate = solved if self.cfg.field_mode == "direct" else flow_a.evaluator.accel
         h = self.spec.h
         try:
             return fields.loglip_modulus(
-                accel,
+                evaluate,
                 self.spec.lo + 0.5 * h,
                 self.spec.hi - 0.5 * h,
                 s_min=float(np.min(h)),

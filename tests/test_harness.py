@@ -210,11 +210,17 @@ class TestConfigParsing:
     def scratch(self, n):
         return 17 * (2 * n) ** 3 + self.spectrum(n)
 
-    def per_shape(self, n):
+    def arena(self, n):
+        # what the second thread's malloc arena may keep freed: glibc's trim
+        # threshold, twice the largest block unmapped, at most 2 x 32 MiB
+        return 2 * min(self.spectrum(n), 32 << 20)
+
+    def per_shape(self, n, probe_solves_a=False):
         # on each of two threads a workspace (two spectra) and one solve in
         # flight (8 + 24 n^3 B); the flows' fields and densities and the
-        # diagnostics' difference field, 88 n^3 B
-        return 2 * (2 * self.spectrum(n) + 32 * n**3) + 88 * n**3
+        # diagnostics' difference field, 88 n^3 B; and field A, 24 n^3 B,
+        # where the probe solves it (a direct-sum run)
+        return 2 * (2 * self.spectrum(n) + 32 * n**3) + (112 if probe_solves_a else 88) * n**3
 
     def assert_guard_boundary(self, need, key, largest, **overrides):
         # ``need(n)`` is the estimate with ``key`` = n; ``largest`` is admitted
@@ -229,39 +235,44 @@ class TestConfigParsing:
     def test_grid_memory_guard_states_the_estimate(self):
         # one kernel (auto softening: the flows' and the diagnostics' are the
         # same); the first kernel build peaks with only its own spectra kept
-        def one_kernel(n):
+        def one_kernel(n, probe_solves_a=False):
             return max(
-                3 * self.spectrum(n) + self.per_shape(n), 3 * self.spectrum(n) + self.scratch(n)
-            )
+                3 * self.spectrum(n) + self.per_shape(n, probe_solves_a),
+                3 * self.spectrum(n) + self.scratch(n),
+            ) + self.arena(n)
 
         # the kernel and both workspaces alone, 7 spectra, are 1156 MiB at
         # n = 139, the limit when one solve was counted
         assert 7 * self.spectrum(139) / 2**20 > 1155
-        self.assert_guard_boundary(one_kernel, "grid_dims", 121)
+        self.assert_guard_boundary(one_kernel, "grid_dims", 118)
         self.assert_guard_boundary(
-            one_kernel, "grid_dims", 121, twin_kind="velocity-shift", twin_delta=0.01
+            one_kernel, "grid_dims", 118, twin_kind="velocity-shift", twin_delta=0.01
         )
-        # a direct twin's one kernel is the diagnostics', and so is its field
-        self.assert_guard_boundary(one_kernel, "grid_dims", 121, field_mode="direct")
+        # a direct twin's one kernel is the diagnostics', and the probe
+        # solves field A with it
+        self.assert_guard_boundary(
+            lambda n: one_kernel(n, True), "grid_dims", 117, field_mode="direct"
+        )
 
     def test_grid_memory_guard_counts_every_kernel(self):
         # a non-auto softening adds the diagnostics' h/2 kernel, and the
         # later build's scratch comes on top of all the run keeps
         def two_kernels(n):
-            return 6 * self.spectrum(n) + self.per_shape(n) + self.scratch(n)
+            return 6 * self.spectrum(n) + self.per_shape(n) + self.scratch(n) + self.arena(n)
 
-        self.assert_guard_boundary(two_kernels, "grid_dims", 102, softening=0.1)
+        self.assert_guard_boundary(two_kernels, "grid_dims", 100, softening=0.1)
         self.assert_guard_boundary(
-            two_kernels, "grid_dims", 102, twin_kind="softening", twin_delta=0.1
+            two_kernels, "grid_dims", 100, twin_kind="softening", twin_delta=0.1
         )
 
         # a resolution twin keeps both grids' kernels, workspaces and arrays
         def resolution_b(n):
             grid_a = 3 * self.spectrum(8) + self.per_shape(8)
-            return grid_a + 3 * self.spectrum(n) + self.per_shape(n) + self.scratch(n)
+            return (grid_a + 3 * self.spectrum(n) + self.per_shape(n) + self.scratch(n)
+                    + self.arena(n))
 
         self.assert_guard_boundary(
-            resolution_b, "twin_grid_dims_b", 110, grid_dims=8, twin_kind="resolution"
+            resolution_b, "twin_grid_dims_b", 107, grid_dims=8, twin_kind="resolution"
         )
 
     @pytest.mark.parametrize("softening", ["auto", 0.2])
@@ -576,25 +587,28 @@ class TestTwinRuns:
         assert all(r.T1 > 0.0 for r in result.records[1:])
 
     @pytest.mark.parametrize(
-        "overrides",
+        "overrides, per_ot_row",
         [
             # h = 0.375 below, h = 1 >= 1/2 for none-coarse (the probe
             # refuses before it evaluates); the probe reads flow A's accel
-            dict(box_edge=6.0, twin_kind="velocity-shift", twin_delta=1e-2),
-            dict(box_edge=6.0, softening=0.2, twin_kind="velocity-shift", twin_delta=1e-2),
-            dict(scenario="two-blob", epsilon=-1, field_mode="direct", sigma_x=0.35,
-                 box_edge=6.0, twin_kind="velocity-shift", twin_delta=1e-2),
-            dict(box_edge=6.0, twin_kind="resolution", twin_grid_dims_b=12),
-            dict(scenario="free-streaming", field_mode="none", box_edge=6.0,
-                 twin_kind="velocity-shift", twin_delta=1e-2),
-            dict(scenario="free-streaming", field_mode="none", box_edge=16.0,
-                 twin_kind="velocity-shift", twin_delta=1e-2),
+            (dict(box_edge=6.0, twin_kind="velocity-shift", twin_delta=1e-2), 1),
+            (dict(box_edge=6.0, softening=0.2, twin_kind="velocity-shift",
+                  twin_delta=1e-2), 1),
+            (dict(box_edge=6.0, twin_kind="resolution", twin_grid_dims_b=12), 1),
+            (dict(scenario="free-streaming", field_mode="none", box_edge=6.0,
+                  twin_kind="velocity-shift", twin_delta=1e-2), 1),
+            (dict(scenario="free-streaming", field_mode="none", box_edge=16.0,
+                  twin_kind="velocity-shift", twin_delta=1e-2), 1),
+            # a direct-sum flow's probe solves rho_A on the diagnostics grid
+            (dict(scenario="two-blob", epsilon=-1, field_mode="direct", sigma_x=0.35,
+                  box_edge=6.0, twin_kind="velocity-shift", twin_delta=1e-2), 2),
         ],
-        ids=["grid", "grid-own-softening", "direct", "resolution", "none", "none-coarse"],
+        ids=["grid", "grid-own-softening", "resolution", "none", "none-coarse", "direct"],
     )
-    def test_observer_grid_solves_per_ot_row(self, monkeypatch, overrides):
+    def test_observer_grid_solves_per_ot_row(self, monkeypatch, overrides, per_ot_row):
         # fields.solve_field_grid calls made while the observer records a
-        # step: none off the OT stride, one on it, of rho_A - rho_B
+        # step: none off the OT stride, per_ot_row on it (one of
+        # rho_A - rho_B, and the probe's on a direct-sum run)
         calls, per_step = [], {}
         solve, observe = fields.solve_field_grid, harness._TwinObserver.__call__
 
@@ -613,7 +627,7 @@ class TestTwinRuns:
         records = run_twin_config(cfg).records
         ot_rows = {r.step for r in records if r.W2_rho is not None}
         assert ot_rows == {0, 2, 4, 5}
-        assert per_step == {k: 1 if k in ot_rows else 0 for k in range(6)}
+        assert per_step == {k: per_ot_row if k in ot_rows else 0 for k in range(6)}
         # loglip_modulus is called on every OT row; it fills loglip_C where
         # its separations fit, h < 1/2
         fits = float(np.min(cfg.grid_spec.h)) < 0.5
@@ -728,13 +742,16 @@ class TestLedgerConsistency:
     def test_loglip_is_the_probe_of_flow_a_field(self, overrides):
         # the probe samples the field flow A steps with: loglip_C equals the
         # probe of a fresh evaluator of A's kind refreshed on the snapshot,
-        # bit for bit, on the diagnostics grid's cell-center hull (h < 1/2)
+        # bit for bit, on the diagnostics grid's cell-center hull (h < 1/2);
+        # a direct-sum flow's stands in as the diagnostics' grid solve
         cfg = small_config(n_particles=128, box_edge=6.0, t_final=0.5, ot_stride=5,
                            ot_subsample=64, snapshot_stride=5, **overrides)
-        solve_a, _, (spec, _) = cfg.field_solves()
+        solve_a, _, diag = cfg.field_solves()
+        spec = diag[0]
+        mode, solve = ("grid", diag) if cfg.field_mode == "direct" else (cfg.field_mode, solve_a)
         result = run_twin_config(cfg)
         for step, (ens_a, _) in result.snapshots.items():
-            evaluator = harness._make_evaluator(cfg.field_mode, *solve_a)
+            evaluator = harness._make_evaluator(mode, *solve)
             evaluator.refresh(ens_a)
             want = fields.loglip_modulus(
                 evaluator.accel, spec.lo + 0.5 * spec.h, spec.hi - 0.5 * spec.h,
