@@ -12,7 +12,12 @@ linear_sum_assignment would return (see w2_exact):
   and unique by a strong-component test on the near-tight edges;
 - dense: cdist + linear_sum_assignment, when neither certificate holds.
 
-The first two build no n x n cost matrix.
+The first two build no n x n cost matrix. Their certificate queries search
+only as far as the certificate reads: the nearest tier to just past the
+largest index-pairing gap, which every source point's nearest target lies
+within, and the lifted query to max(u) + 2 theta in squared distance,
+beyond which no pair is near-tight or violating. Both radii keep every
+decision of the unbounded queries (see w2_exact).
 """
 
 from __future__ import annotations
@@ -102,12 +107,15 @@ def ordered_sum(terms):
 def squared_norms(*gaps):
     """Per row sum_k |d_k,i|^2 over one or more (n, d) gap arrays: each
     gap's row adds its squares in column order, and the gaps add in
-    argument order."""
-    sq = None
+    argument order. The products after each gap's first column all go
+    through one buffer, so no column allocates a temporary."""
+    sq = prod = None
     for gap in gaps:
         row = gap[:, 0] * gap[:, 0]
+        if prod is None:
+            prod = np.empty_like(row)
         for k in range(1, gap.shape[1]):
-            row += gap[:, k] * gap[:, k]
+            row += np.multiply(gap[:, k], gap[:, k], out=prod)
         sq = row if sq is None else sq + row
     return sq
 
@@ -197,15 +205,21 @@ def _uniform_equal_weights(a, b):
     )
 
 
-def _nearest_neighbour_permutation(a, tree):
-    """The strict nearest-neighbour map of a into tree's points if it is a permutation.
+def _nearest_neighbour_permutation(a, b, tree):
+    """The strict nearest-neighbour map of a into b (tree over b.points) if
+    it is a permutation.
 
     Returns the target index of every source point, or None when some
     source point has no clear nearest target (second neighbour within the
-    margin) or two source points share their nearest target.
+    margin) or two source points share their nearest target. The query
+    stops at squared distance (1 + 2 NN_MARGIN) times the largest squared
+    index-pairing gap or NN_FLOOR, whichever is larger (see w2_exact).
     """
-    dist, idx = tree.query(a.points, k=2)
-    sq = dist * dist  # a one-point target reports its missing second as inf
+    reach = (1.0 + 2.0 * NN_MARGIN) * max(squared_norms(b.points - a.points).max(), NN_FLOOR)
+    dist, idx = tree.query(a.points, k=2, distance_upper_bound=math.sqrt(reach))
+    # a second neighbour beyond reach, or missing from a one-point target,
+    # reports inf, which clears the margin and the floor
+    sq = dist * dist
     nearest = idx[:, 0]
     clear = np.all((sq[:, 0] * (1.0 + NN_MARGIN) < sq[:, 1]) & (sq[:, 1] >= NN_FLOOR))
     if clear and np.unique(nearest).size == a.n:
@@ -285,9 +299,16 @@ def _sparse_permutation(a, b, tree):
         eta = ETA_ULPS * n * np.finfo(np.float64).eps * scale
         theta = 2 * n * eta
         # |(x_i, 0) - (y_j, sqrt(-v_j))|^2 = c_ij - v_j: the k lifted
-        # neighbours of x_i are the pairs of least reduced cost c_ij - u_i - v_j
-        near = cKDTree(np.column_stack([y, np.sqrt(-v)])).query(x_lift, k=k)[1].ravel()
+        # neighbours of x_i are the pairs of least reduced cost c_ij - u_i - v_j.
+        # A pair beyond max(u) + 2 theta is neither tight nor violating, so
+        # the query stops there; what it leaves unfound gets reduced cost inf
+        lifted = cKDTree(np.column_stack([y, np.sqrt(-v)]))
+        dist, near = lifted.query(x_lift, k=k, distance_upper_bound=math.sqrt(u.max() + 2 * theta))
+        near = near.ravel()
+        beyond = np.isinf(dist.ravel())
+        near[beyond] = 0  # any valid index: its cost is overwritten below
         reduced = _pair_costs(x, y, row_of, near) - u[row_of] - v[near]
+        reduced[beyond] = np.inf
         if k < n and np.any(reduced.reshape(n, k)[:, -1] <= theta):
             return None
         bad = reduced < -eta
@@ -330,7 +351,25 @@ def w2_exact(a: WeightedCloud, b: WeightedCloud):
     returns. The margin covers the rounding gap between KD-tree and cdist
     squared distances, at most about (d + 2) eps relative, i.e. below
     1e-14 for d <= 6; NN_FLOOR keeps the second distance clear of
-    underflow, where relative bounds fail.
+    underflow, where relative bounds fail. The KD-tree query stops at R,
+    R^2 = (1 + 2 NN_MARGIN) max(g, NN_FLOOR), where g = max_i |y_i - x_i|^2
+    is the largest index-pairing gap. Each source point's own partner lies
+    within R, so its nearest target is always found. A found second
+    neighbour is the second-nearest of all targets, at the distance an
+    unbounded query reports. An unfound one reports inf, which passes both
+    tests, and it passes them unbounded too: its squared distance is at
+    least R^2 up to rounding, which exceeds (1 + NN_MARGIN) times every
+    first distance (each at most g or below NN_FLOOR) and NN_FLOOR itself
+    by a relative NN_MARGIN. The rounding against that margin: scipy
+    squares R again internally (within 2 ulps of R^2), keeps a neighbour
+    only when its squared distance is strictly below that (inclusive
+    would move the edge by one ulp), and its squared distances are within
+    (d + 2) eps of cdist's, all below 1e-14 against 1e-9. The margin
+    multiplies the floor too, so an unfound second neighbour clears
+    NN_FLOOR by the same margin. With R^2 = NN_FLOOR alone it would clear
+    it only if scipy's square of sqrt(NN_FLOOR) rounds back to no less
+    than NN_FLOOR, true for 1e-300 but not for every floor. So the bounded
+    query gives the same sigma or the same refusal as an unbounded one.
 
     sparse: the candidate graph holds the SPARSE_NEIGHBOURS nearest targets
     of every source point plus the index pairing i -> i; it is used only
@@ -361,6 +400,21 @@ def w2_exact(a: WeightedCloud, b: WeightedCloud):
     O(n^2 eps s) on the total cost, well inside that gap, and they cannot
     return tau. Ties and near-ties inside theta, duplicate points and a
     scale s below NN_FLOOR therefore fall through to the dense solve.
+    The lifted query stops at R, R^2 = max(u) + 2 theta. Every u_i >= 0
+    (plan costs are >= 0, v <= 0) and a pair's lifted squared distance is
+    its reduced cost plus u_i, so every near-tight (<= theta) or violating
+    (< -eta) pair lies below max(u) + theta. An unfound pair lies at
+    least R^2 away up to the rounding above plus scipy's (its squaring of
+    R and its strict comparison, 3 ulps of R^2), so its reduced cost is
+    above 2 theta - (d + 6) eps s > theta: neither tight nor violating, and
+    the tier gives it reduced cost inf. A row with all k neighbours found
+    reads the pairs and distances an unbounded query returns; a row with
+    fewer has every other unbounded neighbour above theta. The k-th
+    neighbour refusal, the second round and the strong-component test
+    therefore read the same pairs as unbounded. Only an exact tie in
+    lifted distance at the k-th place, at a reduced cost within rounding
+    of theta, could let traversal order pick another pair there; the plan
+    is the dense permutation either way.
 
     dense: cdist + linear_sum_assignment. Unequal or non-uniform weights
     take the transportation LP. Minimality on every path is also checked
@@ -381,7 +435,7 @@ def _assignment_plan(a, b):
         )
     tree = cKDTree(b.points)
     rows = np.arange(a.n)
-    solver, cols = "nearest", _nearest_neighbour_permutation(a, tree)
+    solver, cols = "nearest", _nearest_neighbour_permutation(a, b, tree)
     if cols is None:
         solver, cols = "sparse", _sparse_permutation(a, b, tree)
     if cols is None:

@@ -8,12 +8,15 @@ the order that transport.ordered_sum and squared_norms write out. The
 geodesic sup-norm check lives here because it is not an exact inequality
 on the grid (the deposit of the interpolant can peak a little above both
 endpoints), so it is an acceptance criterion rather than a verdict.
+UnboundedTree is the reference for w2_exact's pruned certificate
+queries: the same KD-tree, searched without a radius.
 """
 
 import json
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from vptwin.fields import FOUR_PI, GridDensity, GridField, GridSpec, deposit_cic
 from vptwin.transport import TransportPlan, WeightedCloud, ordered_sum
@@ -54,6 +57,15 @@ def ledger_sum(weights, *gaps):
     """transport.coupling_cost in its written order: w_i times each row's
     squared norm (row_sum_loop), summed by loop_sum."""
     return loop_sum(np.asarray(weights) * row_sum_loop(*gaps))
+
+
+class UnboundedTree(cKDTree):
+    """A cKDTree whose query ignores distance_upper_bound: every query
+    searches all points, as w2_exact's certificate queries did before
+    they were pruned."""
+
+    def query(self, x, k=1, distance_upper_bound=np.inf, **kwargs):
+        return super().query(x, k=k, **kwargs)
 
 
 def grid_mass(rho: GridDensity) -> float:

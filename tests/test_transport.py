@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.optimize import linear_sum_assignment
 from scipy.sparse.csgraph import min_weight_full_bipartite_matching
+from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist
 
 from vptwin import fields, transport
@@ -28,6 +29,7 @@ from vptwin.errors import MassMismatchError, TransportError
 from vptwin.transport import WeightedCloud, coupling_cost, ordered_sum, squared_norms, w2_exact
 
 from oracles import (
+    UnboundedTree,
     displacement_interpolate,
     geodesic_linf_check,
     ledger_sum,
@@ -77,6 +79,20 @@ class TestSquaredNorms:
         want = row_sum_loop(x) + row_sum_loop(v)
         assert squared_norms(x, v).tobytes() == want.tobytes()
         assert squared_norms(x, v).tobytes() == row_sum_loop(x, v).tobytes()
+
+    @pytest.mark.parametrize("columns", range(1, 7))
+    @pytest.mark.parametrize("gaps", [1, 2, 3])
+    def test_reused_buffers_keep_the_per_column_bits(self, columns, gaps):
+        # gaps of columns, columns - 1, ... columns (at least 1), every
+        # product after a gap's first column in one shared buffer
+        rng = np.random.default_rng(RNG_SEED + 10 * columns + gaps)
+        shapes = [(40, max(1, columns - g)) for g in range(gaps)]
+        args = [rng.normal(size=s) * np.exp(6.0 * rng.normal(size=s)) for s in shapes]
+        before = [arg.copy() for arg in args]
+        got = squared_norms(*args)
+        assert got.tobytes() == row_sum_loop(*args).tobytes()
+        assert all(np.array_equal(arg, old) for arg, old in zip(args, before))
+        assert not any(np.shares_memory(got, arg) for arg in args)
 
 
 class TestOrderedSum:
@@ -243,6 +259,22 @@ def assert_same_bits(got, want):
     assert np.array_equal(p_got.tgt, p_want.tgt)
     assert np.array_equal(p_got.mass, p_want.mass)
     assert d_got == d_want
+
+
+@pytest.fixture
+def tree_queries(monkeypatch):
+    """Records (query dimension, k, distance_upper_bound, share of
+    neighbours left unfound) of every KD-tree query w2_exact makes."""
+    queries = []
+
+    class RecordingTree(cKDTree):
+        def query(self, x, k=1, distance_upper_bound=np.inf, **kwargs):
+            dist, idx = super().query(x, k=k, distance_upper_bound=distance_upper_bound, **kwargs)
+            queries.append((np.shape(x)[1], k, distance_upper_bound, np.isinf(dist).mean()))
+            return dist, idx
+
+    monkeypatch.setattr(transport, "cKDTree", RecordingTree)
+    return queries
 
 
 @pytest.fixture
@@ -419,9 +451,10 @@ class TestSparseTier:
         monkeypatch.undo()
         assert_same_bits(got, dense_w2(a, b))
 
-    def test_violated_pairs_join_a_second_round(self, monkeypatch, lsa_calls):
+    def test_violated_pairs_join_a_second_round(self, monkeypatch, lsa_calls, tree_queries):
         # an optimal pair outside the 8 nearest targets: the first round's
-        # duals violate it, the second round's graph holds it
+        # duals violate it, the bounded lifted query still finds it, and the
+        # second round's graph holds it
         solves = []
 
         def counting(graph):
@@ -435,6 +468,8 @@ class TestSparseTier:
         got = w2_exact(a, b)
         assert got[1].solver == "sparse"
         assert len(solves) == 2 and solves[1] > solves[0]
+        lifted = [bound for dim, k, bound, _ in tree_queries if dim == 4]
+        assert len(lifted) == 2 and all(np.isfinite(lifted))
         assert lsa_calls == []
         assert_same_bits(got, dense_w2(a, b))
 
@@ -463,6 +498,42 @@ class TestSparseTier:
         assert got[1].solver == "dense"
         assert np.array_equal(got[1].tgt, [0, 1])
 
+    def test_more_near_tight_targets_than_neighbours_refuses(self, monkeypatch, lsa_calls):
+        # source 0 sits at the centre of 12 unit-sphere targets, its own
+        # 2e-13 nearer; sources 1-11 sit on theirs. The optimum is unique,
+        # but row 0 has 11 near-tight pairs and the lifted query sees 8:
+        # the k-th neighbour refusal, inside the bound, sends it to dense
+        rng = np.random.default_rng(RNG_SEED)
+        y = rng.normal(size=(12, 3))
+        y /= np.sqrt(squared_norms(y))[:, None]
+        y[0] *= 1 - 1e-13
+        x = y.copy()
+        x[0] = 0.0
+        solves, duals = [], []
+        column_duals = transport._column_duals
+
+        def counting(graph):
+            solves.append(graph.nnz)
+            return min_weight_full_bipartite_matching(graph)
+
+        def recording(*args):
+            duals.append(column_duals(*args))
+            return duals[-1]
+
+        def no_components(*args, **kwargs):
+            raise AssertionError("strong-component test reached")
+
+        monkeypatch.setattr(transport, "min_weight_full_bipartite_matching", counting)
+        monkeypatch.setattr(transport, "_column_duals", recording)
+        monkeypatch.setattr(transport, "connected_components", no_components)
+        a, b = uniform(x), uniform(y)
+        got = w2_exact(a, b)
+        assert len(solves) == 1 and duals[0] is not None
+        assert lsa_calls == [(12, 12)]
+        assert got[1].solver == "dense"
+        assert np.array_equal(got[1].tgt, np.arange(12))
+        assert_same_bits(got, dense_w2(a, b))
+
     def test_infeasible_duals_are_refused(self, monkeypatch, lsa_calls):
         # zero column duals are feasible only for the nearest-neighbour map;
         # the lifted check finds the violated pair in both rounds
@@ -472,6 +543,111 @@ class TestSparseTier:
         got = w2_exact(a, b)
         assert lsa_calls == [(2, 2)]
         assert got[1].solver == "dense"
+
+
+def unbounded(call, *args):
+    """call(*args) with every KD-tree that transport builds searched without
+    a radius."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(transport, "cKDTree", UnboundedTree)
+        return call(*args)
+
+
+def assert_bound_changes_nothing(a, b):
+    """Each certificate tier gives the same sigma, or the same refusal, with
+    its pruned queries as with unbounded ones; w2_exact names the same
+    solver either way, and both give the dense solve's bits."""
+    for tier in (transport._nearest_neighbour_permutation, transport._sparse_permutation):
+        got = tier(a, b, cKDTree(b.points))
+        want = unbounded(tier, a, b, UnboundedTree(b.points))
+        assert (got is None) == (want is None)
+        assert want is None or np.array_equal(got, want)
+    got, want, dense = w2_exact(a, b), unbounded(w2_exact, a, b), dense_w2(a, b)
+    assert got[1].solver == want[1].solver
+    assert_same_bits(got, dense)
+    assert_same_bits(want, dense)
+
+
+@st.composite
+def index_aligned_pairs(draw):
+    """Twin-shaped pairs, y_i a shifted and jittered x_i, for d = 3 and 6
+    and n from 1 to 1024 (2048 is seeded below); zero shift and jitter is a
+    twin's step 0, and a shuffle leaves the index pairing meaningless, so
+    the radius is large."""
+    d = draw(st.sampled_from([3, 6]))
+    n = draw(st.sampled_from([1, 2, 3, 8, 9, 64, 256, 1024]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = rng.normal(size=(n, d))
+    shift = draw(st.sampled_from([0.0, 1e-3, 0.3])) * rng.normal(size=d)
+    y = x + shift + draw(st.sampled_from([0.0, 1e-5, 1e-3, 1e-2, 0.1])) * rng.normal(size=(n, d))
+    if draw(st.booleans()):
+        y = y[rng.permutation(n)]
+    return uniform(x), uniform(y)
+
+
+class TestBoundedCertificateQueries:
+    """The pruned nearest-tier and lifted queries decide as unbounded ones."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(index_aligned_pairs())
+    def test_same_decisions_as_unbounded(self, pair):
+        assert_bound_changes_nothing(*pair)
+
+    @pytest.mark.parametrize("d", [3, 6])
+    @pytest.mark.parametrize("kind", ["aligned", "shuffled", "step 0"])
+    def test_seeded_2048_point_pairs(self, d, kind):
+        rng = np.random.default_rng(RNG_SEED + d)
+        x = rng.normal(size=(2048, d))
+        y = x if kind == "step 0" else x + 1e-3 + 1e-2 * rng.normal(size=x.shape)
+        if kind == "shuffled":
+            y = y[rng.permutation(2048)]
+        assert_bound_changes_nothing(uniform(x), uniform(y))
+
+    @pytest.mark.parametrize("scale", [1.0, 1e-150, 1e-151])
+    @pytest.mark.parametrize("ratio", [1 - 1e-3, 1 + 1e-3, 2 - 1e-3, 2.0, 2 + 1e-3, 3.0])
+    def test_near_ties_at_the_margin(self, scale, ratio):
+        # source 0's partner lies at squared distance scale^2, its second
+        # target at (1 + ratio NN_MARGIN) scale^2: the margin test reads it
+        # at ratio 1, the radius leaves it unfound above ratio 2; at scale
+        # 1e-151 the floor sets the radius instead
+        second = -scale * math.sqrt(1 + ratio * transport.NN_MARGIN)
+        a = uniform([[0, 0, 0], [second - 1e-3 * scale, 0, 0]])
+        b = uniform([[scale, 0, 0], [second, 0, 0]])
+        assert_bound_changes_nothing(a, b)
+
+    @pytest.mark.parametrize("ulps", range(-3, 4))
+    @pytest.mark.parametrize("gap", [0.0, 1e-160, 0.5 * math.sqrt(transport.NN_FLOOR)])
+    def test_gaps_at_the_floor_scale(self, ulps, gap):
+        # source 0's second target lies ulps steps from sqrt(NN_FLOOR) away,
+        # where the floor test flips; its pairing gap is below the floor
+        r = math.sqrt(transport.NN_FLOOR)
+        r += ulps * np.spacing(r)
+        a = uniform([[0, 0, 0], [-r, 0, 0]])
+        b = uniform([[gap, 0, 0], [-r, 0, 0]])
+        assert_bound_changes_nothing(a, b)
+
+    def test_both_queries_carry_a_finite_bound(self, tree_queries):
+        # a twin-shaped phase-space pair (nearest tier) and position pair
+        # (sparse tier): the nearest-tier and lifted queries are pruned and
+        # leave most far neighbours unfound; the candidate query is not
+        rng = np.random.default_rng(RNG_SEED)
+        n = 2048
+        x = rng.normal(size=(n, 3))
+        a, b = uniform(x), uniform(x + 0.01 * rng.normal(size=(n, 3)))
+        v, shift = 0.3 * rng.normal(size=(n, 3)), np.array([1e-2, 0.0, 0.0])
+        phase_a = uniform(np.hstack([x + 0.5 * v, v]))
+        phase_b = uniform(np.hstack([x + 0.5 * (v + shift), v + shift]))
+        assert w2_exact(phase_a, phase_b)[1].solver == "nearest"
+        assert tree_queries == [(6, 2, tree_queries[0][2], tree_queries[0][3])]
+        assert np.isfinite(tree_queries[0][2]) and tree_queries[0][3] > 0.4
+        tree_queries.clear()
+        assert w2_exact(a, b)[1].solver == "sparse"
+        by_kind = {(dim, k): (bound, unfound) for dim, k, bound, unfound in tree_queries}
+        assert len(tree_queries) == 3 and set(by_kind) == {(3, 2), (3, 8), (4, 8)}
+        assert by_kind[(3, 8)][0] == np.inf
+        for kind in ((3, 2), (4, 8)):
+            bound, unfound = by_kind[kind]
+            assert np.isfinite(bound) and unfound > 0
 
 
 _COORD = st.floats(-10, 10, allow_nan=False, allow_infinity=False)
