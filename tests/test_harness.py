@@ -1300,6 +1300,36 @@ GOLDEN_FIXTURES = {
 }
 
 
+# single-flow runs: their density_final and field_final bytes pin the CIC
+# deposit, the kernel build, the grid solve and the grid sidecar writer.
+# A 15^3 grid on a 9.0 edge gives the non-dyadic cell size 0.6
+SIMULATE_FIXTURES = {
+    "simulate-grid": dict(
+        scenario="gaussian-blob",
+        n_particles=256,
+        grid_dims=15,
+        box_edge=9.0,
+        dt=0.05,
+        t_final=0.25,
+        snapshot_stride=5,
+        seed=105,
+    ),
+    "simulate-direct": dict(
+        scenario="two-blob",
+        epsilon=-1,
+        field_mode="direct",
+        n_particles=128,
+        grid_dims=16,
+        box_edge=10.0,
+        sigma_x=0.35,
+        dt=0.05,
+        t_final=0.25,
+        snapshot_stride=5,
+        seed=106,
+    ),
+}
+
+
 def manifest_diff(got, want):
     """Which files of two manifests differ in sha256 or bytes, and the config."""
     got_files = {f["name"]: f for f in got["files"]}
@@ -1324,4 +1354,17 @@ class TestGoldenFixtures:
         manifest_path = harness.emit_twin(cfg, tmp_path / name)
         got = json.load(open(manifest_path))
         want = json.load(open(golden_path))
+        assert got == want, manifest_diff(got, want)
+
+    @pytest.mark.parametrize("name", sorted(SIMULATE_FIXTURES))
+    def test_simulation_manifest_matches_golden(self, name, tmp_path):
+        import pathlib
+
+        golden_path = pathlib.Path(__file__).parent / "golden" / f"{name}.json"
+        cfg = ScenarioConfig(**SIMULATE_FIXTURES[name]).validate()
+        manifest_path = harness.emit_simulation(cfg, tmp_path / name)
+        got = json.load(open(manifest_path))
+        want = json.load(open(golden_path))
+        names = {f["name"] for f in got["files"]}
+        assert {"density_final.bin", "field_final.bin", "field_final.json"} <= names
         assert got == want, manifest_diff(got, want)
