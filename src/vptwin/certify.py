@@ -24,7 +24,7 @@ import numpy as np
 
 # nothing here calls solve_field_grid; the import stays because
 # perfbench/tracer.py wraps certify.solve_field_grid by name
-from .fields import GridDensity, field_l2_diff, solve_field_grid
+from .fields import solve_field_grid
 from .transport import coupling_cost, ordered_sum, squared_norms
 
 E = math.e
@@ -65,8 +65,11 @@ class StabilityRecord:
 
 
 RECORD_COLUMNS = [f.name for f in dc_fields(StabilityRecord)]
-# written with W2_rho on every exact-OT row (harness._TwinObserver._stride_extras)
-OT_ROW_COLUMNS = ("W2_phase", "Q_sub", "S_sub", "field_l2_diff", "prop31_rhs")
+# what certify_records reads on every exact-OT row besides W2_rho; the
+# harness writes them all there (sup_rho1 and sup_rho2 on every row)
+OT_ROW_COLUMNS = (
+    "W2_phase", "Q_sub", "S_sub", "field_l2_diff", "prop31_rhs", "sup_rho1", "sup_rho2"
+)
 
 
 # --------------------------------------------------------------------------
@@ -115,12 +118,11 @@ def compute_T1_T2(ens_a, ens_b, fa_at_a, fb_at_b, field_b):
 # field stability check
 
 
-def prop31_sides(rho1: GridDensity, rho2: GridDensity, diff_field, w2):
-    """(lhs, rhs) of the field-stability estimate: lhs = ||diff_field||_L2
-    over the box, where diff_field = grad Psi_1 - grad Psi_2 is the solve
-    of DensityDifference(rho1, rho2), and rhs = max(sup rho1, sup rho2)^{1/2}
-    * w2."""
-    return field_l2_diff(diff_field), math.sqrt(max(rho1.sup_norm, rho2.sup_norm)) * w2
+def prop31_rhs(sup_rho1, sup_rho2, w2):
+    """The right side of the field-stability estimate,
+    max(sup rho1, sup rho2)^{1/2} * w2. Its left side is
+    fields.field_l2_diff of the solve of DensityDifference(rho1, rho2)."""
+    return math.sqrt(max(sup_rho1, sup_rho2)) * w2
 
 
 def prop31_ratio(lhs, rhs):
@@ -310,6 +312,9 @@ def certify_records(records) -> CertificationResult:
 
     A row with W2_rho set is an exact-OT row and must carry every column in
     OT_ROW_COLUMNS, else ValueError names the step and the missing columns.
+    Prop. 3.1 is judged on prop31_rhs recomputed from sup_rho1, sup_rho2
+    and W2_rho; a stored prop31_rhs that differs raises ValueError naming
+    the step, so an edited cell cannot turn a FAIL into a PASS.
     The feasible-plan checks (W2_rho^2 <= S_sub, W2_rho^2 <= 2 Q_sub,
     W2_phase^2 <= 2 Q_sub) compare the exact-OT columns against the paired
     costs of the same subsample, so they are exact inequalities up to
@@ -324,6 +329,12 @@ def certify_records(records) -> CertificationResult:
         if missing:
             raise ValueError(
                 f"step {r.step}: exact-OT row (W2_rho set) lacks {', '.join(missing)}"
+            )
+        rhs = prop31_rhs(r.sup_rho1, r.sup_rho2, r.W2_rho)
+        if r.prop31_rhs != rhs:
+            raise ValueError(
+                f"step {r.step}: prop31_rhs {r.prop31_rhs!r} differs from "
+                f"sqrt(max(sup_rho1, sup_rho2)) * W2_rho = {rhs!r}"
             )
     prop_ratio = 0.0
     lemma_excess = -np.inf

@@ -82,27 +82,27 @@ class ZeroFieldEvaluator:
 class GridFieldEvaluator:
     """Deposit -> free-space grid solve -> trilinear force interpolation."""
 
-    def __init__(self, spec: GridSpec, softening=None):
+    def __init__(self, spec: GridSpec, softening):
         self.spec = spec
-        self.softening = fields.resolve_softening(spec, softening)
+        self.softening = softening
         self.density = None
         self.field = None
 
     def refresh(self, ensemble):
         self.density = deposit(ensemble, self.spec)
-        self.field = fields.solve_field_grid(self.density, softening=self.softening)
+        self.field = fields.solve_field_grid(self.density, self.softening)
 
     def accel(self, points):
         return self.field.interpolate(points)
 
 
 class DirectSumEvaluator:
-    """Softened pairwise summation over the ensemble itself (no mesh)."""
+    """Softened pairwise summation over the ensemble itself (no mesh). The
+    length is positive (ScenarioConfig.validate); with zero softening the
+    first self-field raises SingularityError."""
 
     def __init__(self, softening):
-        self.softening = fields.check_softening(softening)
-        if self.softening == 0.0:
-            raise ValueError("direct self-field needs positive softening")
+        self.softening = softening
         self._sources = None
         self._weights = None
         self._epsilon = 1
@@ -256,10 +256,10 @@ def cell_velocity_dispersion(ensemble: ParticleEnsemble, spec: GridSpec) -> floa
     Nearest-grid-point binning; a cold (monokinetic) flow stays near zero
     until particle crossing, when cells pick up both streams.
     """
-    dims = np.asarray(spec.dims)
-    u = np.clip(np.rint((ensemble.x - spec.lo) / spec.h - 0.5).astype(np.int64), 0, dims - 1)
+    n = spec.n
+    u = np.clip(np.rint((ensemble.x - spec.lo) / spec.h - 0.5).astype(np.int64), 0, n - 1)
     flat = np.ravel_multi_index((u[:, 0], u[:, 1], u[:, 2]), spec.dims)
-    ncell = int(np.prod(spec.dims))
+    ncell = n**3
     msum = np.bincount(flat, weights=ensemble.w, minlength=ncell)
     occupied = msum > 0
     var = np.zeros(ncell)
@@ -282,7 +282,7 @@ class CrossingDetector:
     Heuristic: it reports, it does not stop the run.
     """
 
-    def __init__(self, spec: GridSpec, threshold_factor=0.3):
+    def __init__(self, spec: GridSpec, threshold_factor):
         self.spec = spec
         self.threshold_factor = threshold_factor
         self.crossing_time = None

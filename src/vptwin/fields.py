@@ -58,49 +58,47 @@ class TruncationWarning(UserWarning):
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Uniform Cartesian grid of cell centers.
+    """Uniform cubic grid of n^3 cell centers.
 
-    The box spans [center - edge/2, center + edge/2] per axis with ``dims``
-    cells; grid values live at cell centers lo + (i + 1/2) h.
+    The box spans [center - edge/2, center + edge/2] on each axis with n
+    cells of size h = edge / n; grid values live at cell centers
+    lo + (i + 1/2) h.
     """
 
     center: tuple
-    edge: tuple
-    dims: tuple
+    edge: float
+    n: int
 
     def __post_init__(self):
         center = tuple(float(c) for c in np.atleast_1d(self.center))
-        edge = np.atleast_1d(self.edge)
-        if edge.size == 1:
-            edge = np.repeat(edge, 3)
-        edge = tuple(float(e) for e in edge)
-        dims = np.atleast_1d(self.dims)
-        if dims.size == 1:
-            dims = np.repeat(dims, 3)
-        dims = tuple(int(n) for n in dims)
-        if len(center) != 3 or len(edge) != 3 or len(dims) != 3:
-            raise ValueError("GridSpec is 3-d: center, edge, dims must have length 3")
-        if any(e <= 0 for e in edge) or any(n < 2 for n in dims):
-            raise ValueError("edge lengths must be positive and dims >= 2")
+        if len(center) != 3 or np.ndim(self.edge) or np.ndim(self.n):
+            raise ValueError("GridSpec is an n^3 cube: a 3-d center, one edge and one n")
+        if not (self.edge > 0 and self.n >= 2):
+            raise ValueError("edge must be positive and n >= 2")
         object.__setattr__(self, "center", center)
-        object.__setattr__(self, "edge", edge)
-        object.__setattr__(self, "dims", dims)
+        object.__setattr__(self, "edge", float(self.edge))
+        object.__setattr__(self, "n", int(self.n))
 
     @property
     def h(self):
-        return np.asarray(self.edge) / np.asarray(self.dims)
+        return self.edge / self.n
+
+    @property
+    def dims(self):
+        """The array shape (n, n, n)."""
+        return (self.n,) * 3
 
     @property
     def lo(self):
-        return np.asarray(self.center) - 0.5 * np.asarray(self.edge)
+        return np.asarray(self.center) - 0.5 * self.edge
 
     @property
     def hi(self):
-        return np.asarray(self.center) + 0.5 * np.asarray(self.edge)
+        return np.asarray(self.center) + 0.5 * self.edge
 
     @property
     def cell_volume(self):
-        return float(np.prod(self.h))
+        return self.h * self.h * self.h
 
 
 @dataclass(frozen=True)
@@ -200,37 +198,17 @@ class GridField:
 
 
 # --------------------------------------------------------------------------
-# Plummer softening |x-y|^2 -> |x-y|^2 + s^2; s = 0 is the exact kernel
-
-
-def check_softening(length):
-    """``length`` as a float; ValueError unless it is finite and >= 0."""
-    length = float(length)
-    if not (math.isfinite(length) and length >= 0.0):
-        raise ValueError(f"softening length must be finite and >= 0, got {length!r}")
-    return length
-
-
-def resolve_softening(spec, softening=None):
-    """The softening length on ``spec``: half its smallest cell size (the
-    deposition scale) when ``softening`` is None, else check_softening."""
-    if softening is None:
-        return 0.5 * float(np.min(spec.h))
-    return check_softening(softening)
-
-
-# --------------------------------------------------------------------------
 # cloud-in-cell deposition
 
 
 def _cic_coords(points, spec):
     """Lower corner index, fractional offset and out-of-box rows for CIC."""
-    dims = np.asarray(spec.dims)
+    n = spec.n
     u = (points - spec.lo) / spec.h - 0.5
     outside = np.nonzero(
-        np.any((u < -1e-12) | (u > dims - 1 + 1e-12), axis=1)
+        np.any((u < -1e-12) | (u > n - 1 + 1e-12), axis=1)
     )[0]
-    i0 = np.clip(np.floor(u).astype(np.int64), 0, dims - 2)
+    i0 = np.clip(np.floor(u).astype(np.int64), 0, n - 2)
     frac = np.clip(u - i0, 0.0, 1.0)
     return i0, frac, outside
 
@@ -246,15 +224,15 @@ def check_in_box(points, spec):
 def _cic_corners(idx, frac, spec):
     """The 8 CIC corners of each point, x-major: for each, the flat C-order
     cell index and the three per-axis weights (wx, wy, wz)."""
-    _, ny, nz = spec.dims
-    base = (idx[:, 0] * ny + idx[:, 1]) * nz + idx[:, 2]
+    n = spec.n
+    base = (idx[:, 0] * n + idx[:, 1]) * n + idx[:, 2]
     for cx in (0, 1):
         wx = (1.0 - frac[:, 0]) if cx == 0 else frac[:, 0]
         for cy in (0, 1):
             wy = (1.0 - frac[:, 1]) if cy == 0 else frac[:, 1]
             for cz in (0, 1):
                 wz = (1.0 - frac[:, 2]) if cz == 0 else frac[:, 2]
-                yield base + ((cx * ny + cy) * nz + cz), wx, wy, wz
+                yield base + ((cx * n + cy) * n + cz), wx, wy, wz
 
 
 def deposit_cic(points, weights, spec):
@@ -298,7 +276,7 @@ def solve_field_direct(points, weights, targets, softening=0.0, epsilon_sign=1):
     blocking does not change it. With zero softening a target sitting
     exactly on a source raises SingularityError.
     """
-    s2 = check_softening(softening) ** 2
+    s2 = float(softening) ** 2
     points = np.atleast_2d(np.asarray(points, dtype=np.float64))
     weights = np.asarray(weights, dtype=np.float64)
     targets = np.atleast_2d(np.asarray(targets, dtype=np.float64))
@@ -360,7 +338,7 @@ def _kernel_fft(spec, softening_length):
     """The cached kernel spectra for (grid, softening). Built once: a thread
     that asks while another builds waits for that build, and builds of
     different kernels never overlap, so only one build's scratch is live."""
-    key = (spec.dims, tuple(spec.h.tolist()), float(softening_length))
+    key = (spec.n, spec.h, float(softening_length))
     with _KERNEL_LOCK:
         kfft = _KERNEL_CACHE.get(key)
         if kfft is None:
@@ -370,14 +348,13 @@ def _kernel_fft(spec, softening_length):
 
 def _build_kernel(spec, softening_length):
     """The three rfftn spectra of the doubled-domain softened kernel."""
-    pad = tuple(2 * n for n in spec.dims)
-    coords = []
-    for a in range(3):
-        k = np.arange(pad[a])
-        c = np.where(k <= spec.dims[a], k, k - pad[a]).astype(np.float64)
-        c[spec.dims[a]] = 0.0  # ambiguous +-n offset never reaches the cropped region
-        coords.append(c * spec.h[a])
-    rx, ry, rz = np.meshgrid(*coords, indexing="ij", sparse=True)
+    n = spec.n
+    pad = (2 * n,) * 3
+    k = np.arange(2 * n)
+    c = np.where(k <= n, k, k - 2 * n).astype(np.float64)
+    c[n] = 0.0  # ambiguous +-n offset never reaches the cropped region
+    c *= spec.h
+    rx, ry, rz = np.meshgrid(c, c, c, indexing="ij", sparse=True)
     r2 = rx**2 + ry**2 + rz**2 + softening_length**2
     denom = FOUR_PI * r2
     denom *= np.sqrt(r2)
@@ -392,14 +369,15 @@ def _build_kernel(spec, softening_length):
     return kfft
 
 
-def solve_field_grid(rho, softening=None) -> GridField:
+def solve_field_grid(rho, softening) -> GridField:
     """grad Psi from a grid charge via zero-padded kernel convolution.
 
     ``rho`` is a GridDensity, or the signed DensityDifference of two; the
     solve is linear, so the latter's field is the difference of theirs.
-    The softening is resolve_softening(rho.spec, softening), by default
-    half the smallest cell size. Free-space boundaries; if the density
-    support touches the outer cell layer a TruncationWarning is issued.
+    ``softening`` is the resolved length, from the run plan
+    (harness.ScenarioConfig.field_solves). Free-space boundaries; if the
+    density support touches the outer cell layer a TruncationWarning is
+    issued.
 
     The doubled-domain convolution runs one axis at a time and skips the
     zero half on input and the cropped half on output. The axis order is
@@ -409,7 +387,7 @@ def solve_field_grid(rho, softening=None) -> GridField:
     rfftn/irfftn.
 
     Every transform writes with out= into this thread's workspace for the
-    grid shape, 2 (2nx)(2ny)(nz+1) x 16 bytes kept mapped between calls
+    grid shape, 2 (2n)^2 (n+1) x 16 bytes kept mapped between calls
     (4.4 MB at 32^3, 35 MB at 64^3): fresh buffers re-fault every page on
     every call, which took about as long as the transforms. A call
     allocates only the scaled mass and the field, 32 n^3 bytes (and a
@@ -417,7 +395,6 @@ def solve_field_grid(rho, softening=None) -> GridField:
     never shares memory with the workspace.
     """
     spec = rho.spec
-    softening = resolve_softening(spec, softening)
     if rho.touches_boundary():
         warnings.warn(
             "density support touches the box boundary; free-space truncation "
@@ -428,27 +405,27 @@ def solve_field_grid(rho, softening=None) -> GridField:
     # fetch (on a first call, build) the kernel before the workspace: built
     # with this call's buffers live, it left peak RSS ~3 MB higher
     kfft = _kernel_fft(spec, softening)
-    nx, ny, nz = spec.dims
-    mf, prod = _workspace(spec.dims)
-    # forward, in place in mf: only the nx*ny lines of the mass are non-zero
-    # along axis 2, only nx*(nz+1) along axis 1 after that
-    np.fft.rfft(rho.values * spec.cell_volume, 2 * nz, axis=2, out=mf[:nx, :ny])
-    mf[:nx, ny:] = 0
-    np.fft.fft(mf[:nx], axis=1, out=mf[:nx])
-    mf[nx:] = 0
+    n = spec.n
+    mf, prod = _workspace(n)
+    # forward, in place in mf: only the n^2 lines of the mass are non-zero
+    # along axis 2, only n(n+1) along axis 1 after that
+    np.fft.rfft(rho.values * spec.cell_volume, 2 * n, axis=2, out=mf[:n, :n])
+    mf[:n, n:] = 0
+    np.fft.fft(mf[:n], axis=1, out=mf[:n])
+    mf[n:] = 0
     np.fft.fft(mf, axis=0, out=mf)
     # the last inverse writes its real lines into the half of prod that
     # the axis-0 crop leaves unused
-    real = prod[nx:].view(np.float64)[:, :ny, : 2 * nz]
+    real = prod[n:].view(np.float64)[:, :n, : 2 * n]
     values = np.empty(spec.dims + (3,))
     for c, kf in enumerate(kfft):
         # inverse, in place in prod: crop after each axis, so later axes
         # transform only the lines that survive into the physical box
         np.multiply(mf, kf, out=prod)
         np.fft.ifft(prod, axis=0, out=prod)
-        np.fft.ifft(prod[:nx], axis=1, out=prod[:nx])
-        np.fft.irfft(prod[:nx, :ny], 2 * nz, axis=2, out=real)
-        values[..., c] = real[..., :nz]
+        np.fft.ifft(prod[:n], axis=1, out=prod[:n])
+        np.fft.irfft(prod[:n, :n], 2 * n, axis=2, out=real)
+        values[..., c] = real[..., :n]
     values *= rho.epsilon_sign
     return GridField(spec, values)
 
@@ -456,18 +433,17 @@ def solve_field_grid(rho, softening=None) -> GridField:
 _WORKSPACES = threading.local()
 
 
-def _workspace(dims):
-    """This thread's two complex doubled-domain spectra (mf, prod) for a
-    grid of ``dims``, kept between solves so that each solve writes into
-    pages already mapped instead of faulting in fresh ones."""
-    by_dims = getattr(_WORKSPACES, "by_dims", None)
-    if by_dims is None:
-        by_dims = _WORKSPACES.by_dims = {}
-    buffers = by_dims.get(dims)
+def _workspace(n):
+    """This thread's two complex doubled-domain spectra (mf, prod) for an
+    n^3 grid, kept between solves so that each solve writes into pages
+    already mapped instead of faulting in fresh ones."""
+    by_n = getattr(_WORKSPACES, "by_n", None)
+    if by_n is None:
+        by_n = _WORKSPACES.by_n = {}
+    buffers = by_n.get(n)
     if buffers is None:
-        nx, ny, nz = dims
-        shape = (2 * nx, 2 * ny, nz + 1)
-        buffers = by_dims[dims] = (np.empty(shape, complex), np.empty(shape, complex))
+        shape = (2 * n, 2 * n, n + 1)
+        buffers = by_n[n] = (np.empty(shape, complex), np.empty(shape, complex))
     return buffers
 
 
@@ -487,7 +463,7 @@ LOGLIP_SEPARATIONS = 16
 LOGLIP_PAIRS = 32  # sampled pairs per separation
 
 
-def loglip_modulus(evaluate, region_lo, region_hi, s_min, seed=0):
+def loglip_modulus(evaluate, region_lo, region_hi, s_min, seed):
     """Empirical sup of |F(x)-F(y)| / (|x-y| log(1/|x-y|)) over sampled pairs.
 
     LOGLIP_SEPARATIONS separations are log-spaced in [s_min, LOGLIP_S_MAX];
@@ -534,8 +510,8 @@ def save_grid(obj, basepath):
         "kind": kind,
         "dims": list(obj.spec.dims),
         "box_center": list(obj.spec.center),
-        "box_edge": list(obj.spec.edge),
-        "h": obj.spec.h.tolist(),
+        "box_edge": [obj.spec.edge] * 3,
+        "h": [obj.spec.h] * 3,
         "components": comps,
         **extra,
     }

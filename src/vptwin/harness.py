@@ -158,14 +158,14 @@ class ScenarioConfig:
 
     def field_solves(self):
         """The (spec, softening) of flow A's, flow B's and the Prop. 3.1
-        diagnostics' field solves; the one place that picks B's from
-        twin_kind. "auto" is h/2 on the solve's grid, and the diagnostics
-        use it on grid_dims whatever the flows use. An explicit length is
-        returned unchecked, for validate to name."""
+        diagnostics' field solves; the one place that picks a solve's grid
+        and softening, and B's from twin_kind. "auto" is h/2 on the
+        solve's grid (the deposition scale), and the diagnostics use it on
+        grid_dims whatever the flows use. An explicit length is returned
+        unchecked, for validate to name."""
 
         def solve(spec, softening=self.softening):
-            auto = softening == "auto"
-            return spec, fields.resolve_softening(spec) if auto else float(softening)
+            return spec, 0.5 * spec.h if softening == "auto" else float(softening)
 
         a = solve(self.grid_spec)
         b = a
@@ -203,7 +203,7 @@ class ScenarioConfig:
 
         a, b, diag = self.field_solves()
         solves = [a, b, diag] if self.field_mode == "grid" else [diag]
-        kernels = {(spec.dims[0], softening) for spec, softening in solves}
+        kernels = {(spec.n, softening) for spec, softening in solves}
         shapes = {n for n, _ in kernels}
         kept = 176 if self.field_mode == "direct" else 152
         keep = sum(3 * spectrum(n) for n, _ in kernels) + sum(
@@ -353,7 +353,7 @@ def _make_evaluator(mode, spec, softening):
         return dynamics.ZeroFieldEvaluator()
     if mode == "direct":
         return dynamics.DirectSumEvaluator(softening)
-    return dynamics.GridFieldEvaluator(spec, softening=softening)
+    return dynamics.GridFieldEvaluator(spec, softening)
 
 
 @dataclass
@@ -450,9 +450,8 @@ class _TwinObserver:
         (rec.W2_rho, rec.loglip_C), (rec.W2_phase, diff_field) = dynamics.run_pair(
             positions, phases
         )
-        rec.field_l2_diff, rec.prop31_rhs = certify.prop31_sides(
-            rho_a, rho_b, diff_field, rec.W2_rho
-        )
+        rec.field_l2_diff = fields.field_l2_diff(diff_field)
+        rec.prop31_rhs = certify.prop31_rhs(rec.sup_rho1, rec.sup_rho2, rec.W2_rho)
 
     def _loglip(self, flow_a, rho_a):
         """loglip_modulus of flow A's field, the accel it steps with, on
@@ -478,7 +477,7 @@ class _TwinObserver:
                 evaluate,
                 self.spec.lo + 0.5 * h,
                 self.spec.hi - 0.5 * h,
-                s_min=float(np.min(h)),
+                s_min=h,
                 seed=self.cfg.seed,
             )
         except ValueError:
@@ -581,7 +580,7 @@ def emit_simulation(cfg: ScenarioConfig, outdir) -> str:
     fields.save_grid(rho, os.path.join(outdir, "density_final"))
     written += ["density_final.bin", "density_final.json"]
     if cfg.field_mode != "none":
-        grid_field = fields.solve_field_grid(rho, softening=softening)
+        grid_field = fields.solve_field_grid(rho, softening)
         fields.save_grid(grid_field, os.path.join(outdir, "field_final"))
         written += ["field_final.bin", "field_final.json"]
     return write_manifest(outdir, cfg, written)

@@ -21,14 +21,14 @@ SCENARIO_NAMES = (
 )
 
 
-def _uniform_ball(rng, n, radius, center=(0.0, 0.0, 0.0)):
+def _uniform_ball(rng, n, radius):
     u = rng.random(n)
     r = radius * u ** (1.0 / 3.0)
     d = rng.normal(size=(n, 3))
     # the one norm left to numpy's order: another order would move every
     # uniform-ball and hubble trajectory (tests/test_layout.py allows it)
     d /= np.linalg.norm(d, axis=1, keepdims=True)
-    return np.asarray(center) + r[:, None] * d
+    return r[:, None] * d
 
 
 def sample_initial(cfg) -> ParticleEnsemble:

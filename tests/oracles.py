@@ -76,7 +76,7 @@ def grid_mass(rho: GridDensity) -> float:
 
 def grid_points(spec: GridSpec):
     """Cell-center coordinates of ``spec``, shape dims + (3,)."""
-    ax = [spec.lo[a] + (np.arange(spec.dims[a]) + 0.5) * spec.h[a] for a in range(3)]
+    ax = [spec.lo[a] + (np.arange(spec.n) + 0.5) * spec.h for a in range(3)]
     return np.stack(np.meshgrid(*ax, indexing="ij"), axis=-1)
 
 
@@ -105,7 +105,8 @@ def load_grid(basepath):
     basepath = str(basepath)
     with open(basepath + ".json") as fh:
         side = json.load(fh)
-    spec = GridSpec(tuple(side["box_center"]), tuple(side["box_edge"]), tuple(side["dims"]))
+    (edge,), (n,) = set(side["box_edge"]), set(side["dims"])  # a cube's three equal values
+    spec = GridSpec(tuple(side["box_center"]), edge, n)
     raw = np.fromfile(basepath + ".bin", dtype="<f8")
     if side["kind"] == "density":
         return GridDensity(spec, raw.reshape(spec.dims), side["epsilon_sign"])
@@ -190,7 +191,7 @@ def geodesic_linf_check(plan, thetas, spec, smoothing_cells=1.5, tolerance=0.10)
     coarse = [_smoothed_sup(c, spec, smoothing_cells) for c in ends]
     end_sup = max(coarse)
     ratio = float(sups.max() / end_sup)
-    fine = GridSpec(spec.center, spec.edge, tuple(2 * n for n in spec.dims))
+    fine = GridSpec(spec.center, spec.edge, 2 * spec.n)
     stable = all(
         abs(_smoothed_sup(c, fine, smoothing_cells) - sup) <= STABILITY_RTOL * sup
         for c, sup in zip(ends, coarse)

@@ -93,7 +93,7 @@ class TestAcceptance:
 
         # block fixture: two disjoint uniform blocks translated onto each other
         spec = GridSpec((0, 0, 0), 8.0, 64)
-        h = spec.h[0]
+        h = spec.h
         ax = np.arange(-1.5 + h / 4, -0.5, h / 2)
         ay = np.arange(-1.0 + h / 4, 0.0, h / 2)
         g = np.meshgrid(ax, ay, ay, indexing="ij")
@@ -245,7 +245,7 @@ class TestAcceptance:
         w = np.full(len(pts), 1.0 / len(pts))
         spec = GridSpec((0, 0, 0), 6.0, 64)
         rho = GridDensity(spec, deposit_cic(pts, w, spec), epsilon_sign=-1)
-        f = fields.solve_field_grid(rho)
+        f = fields.solve_field_grid(rho, 0.5 * spec.h)
         ball_err = 0.0
         for t in ([0.35, 0, 0], [0, -0.6, 0], [0, 0, 0.5]):
             t = np.asarray(t)
@@ -320,7 +320,7 @@ class TestAcceptance:
             np.full(512, 1.0 / 512),
         )
         spec = GridSpec((0, 0, 0), 12.0, 16)
-        evaluator = GridFieldEvaluator(spec)
+        evaluator = GridFieldEvaluator(spec, 0.5 * spec.h)
         bflow = FlowState(blob, evaluator, dt=0.02)
         mass_err = abs(grid_mass(evaluator.density) - 1.0)
         for _ in range(50):

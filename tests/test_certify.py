@@ -23,7 +23,7 @@ from vptwin.certify import (
     osgood_contain,
     osgood_envelope,
     prop31_ratio,
-    prop31_sides,
+    prop31_rhs,
 )
 from vptwin.dynamics import DirectSumEvaluator, ParticleEnsemble
 from vptwin.fields import (
@@ -31,6 +31,7 @@ from vptwin.fields import (
     GridDensity,
     GridSpec,
     deposit_cic,
+    field_l2_diff,
     solve_field_grid,
 )
 from vptwin.transport import WeightedCloud, coupling_cost, squared_norms, w2_exact
@@ -129,8 +130,8 @@ class TestT1T2:
         w = np.full(n, 1.0 / n)
         rho1 = GridDensity(spec, deposit_cic(x1, w, spec))
         rho2 = GridDensity(spec, deposit_cic(x2, w, spec))
-        f1 = solve_field_grid(rho1)
-        f2 = solve_field_grid(rho2)
+        f1 = solve_field_grid(rho1, 0.5 * spec.h)
+        f2 = solve_field_grid(rho2, 0.5 * spec.h)
         ens1 = ParticleEnsemble(x1, np.zeros_like(x1), w)
         ens2 = ParticleEnsemble(x2, np.zeros_like(x2), w)
         _, t2 = compute_T1_T2(
@@ -155,8 +156,8 @@ class TestT1T2:
         rng = np.random.default_rng(RNG_SEED)
         a, b = paired_ensembles(rng, n=256)
         spec = GridSpec((0, 0, 0), 10.0, 16)
-        fa = solve_field_grid(GridDensity(spec, deposit_cic(a.x, a.w, spec)))
-        fb = solve_field_grid(GridDensity(spec, deposit_cic(b.x, b.w, spec)))
+        fa = solve_field_grid(GridDensity(spec, deposit_cic(a.x, a.w, spec)), 0.5 * spec.h)
+        fb = solve_field_grid(GridDensity(spec, deposit_cic(b.x, b.w, spec)), 0.5 * spec.h)
         got = compute_T1_T2(a, b, fa.interpolate(a.x), fb.interpolate(b.x), fb.interpolate)
         assert got == self.three_evaluations(a, b, fa.interpolate, fb.interpolate)
         assert got[0] > 0.0 and got[1] > 0.0
@@ -174,9 +175,9 @@ class TestT1T2:
 
 
 class TestProp31:
-    """prop31_sides and prop31_ratio, the two functionals the twin ledger
-    and certify_records apply, over the field of a density difference
-    solved from known densities."""
+    """field_l2_diff, prop31_rhs and prop31_ratio, the functionals the twin
+    ledger and certify_records apply, over the field of a density
+    difference solved from known densities."""
 
     def ball_cloud(self, rng, n=2048):
         u = rng.random(n)
@@ -191,8 +192,8 @@ class TestProp31:
 
     @staticmethod
     def sides(rho1, rho2, w2):
-        diff = solve_field_grid(DensityDifference(rho1, rho2))
-        return prop31_sides(rho1, rho2, diff, w2)
+        diff = solve_field_grid(DensityDifference(rho1, rho2), 0.5 * rho1.spec.h)
+        return field_l2_diff(diff), prop31_rhs(rho1.sup_norm, rho2.sup_norm, w2)
 
     def test_identical_densities(self):
         rng = np.random.default_rng(RNG_SEED)
@@ -231,7 +232,8 @@ class TestProp31:
         rho1 = self.density(c, spec)
         rho2 = self.density(WeightedCloud(c.points * 1.1, c.weights), spec)
         lhs, _ = self.sides(rho1, rho2, 0.1)
-        d = solve_field_grid(rho1).values - solve_field_grid(rho2).values
+        soft = 0.5 * spec.h
+        d = solve_field_grid(rho1, soft).values - solve_field_grid(rho2, soft).values
         assert lhs == pytest.approx(math.sqrt(np.sum(d * d) * spec.cell_volume), rel=1e-12)
 
     def test_zero_rhs_with_nonzero_lhs_flagged(self):
@@ -240,10 +242,11 @@ class TestProp31:
         assert prop31_ratio(certify.PROP31_ZERO_TOL, 0.0) == 0.0
         assert prop31_ratio(2 * certify.PROP31_ZERO_TOL, 0.0) == math.inf
         recs = free_streaming_records(1e-3)
-        for r, diff, rhs in ((recs[0], 1e-3, 0.0), (recs[10], 0.1, 0.2)):
+        for r, diff in ((recs[0], 1e-3), (recs[10], 0.0)):
             r.W2_rho, r.W2_phase = 0.0, 0.0
             r.Q_sub, r.S_sub = r.Q, r.S
-            r.field_l2_diff, r.prop31_rhs = diff, rhs
+            r.sup_rho1, r.sup_rho2 = 1.0, 1.0
+            r.field_l2_diff, r.prop31_rhs = diff, 0.0
         result = certify.certify_records(recs)
         assert result.prop31_max_ratio == math.inf
         assert result.verdicts["prop31"] is False and not result.passed
@@ -266,7 +269,7 @@ def ledger_row(ens_a, ens_b, step=0, t=0.0):
     q, s, _ = compute_gaps(ens_a, ens_b)
     return StabilityRecord(
         step=step, t=t, Q=q, S=s, W2_rho=w2_rho, W2_phase=w2_phase, Q_sub=q, S_sub=s,
-        field_l2_diff=0.0, prop31_rhs=0.0,
+        sup_rho1=0.0, sup_rho2=0.0, field_l2_diff=0.0, prop31_rhs=0.0,
     )
 
 
@@ -550,6 +553,7 @@ class TestCertifyRecords:
         recs = free_streaming_records(1e-3)
         r = recs[2]
         r.W2_rho, r.W2_phase, r.Q_sub, r.S_sub = 0.4, 1.0, 1.0, 0.25
+        r.sup_rho1, r.sup_rho2 = 0.25, 0.125
         r.field_l2_diff, r.prop31_rhs = 0.1, 0.2
         lines = certify.certify_records(recs).summary_lines
         assert lines[:4] == [
@@ -567,7 +571,22 @@ class TestCertifyRecords:
         r = recs[0]
         r.W2_rho, r.W2_phase = 0.0, 1e-3
         r.Q_sub, r.S_sub = r.Q, r.S
+        r.sup_rho1, r.sup_rho2 = 1.0, 1.0
         r.field_l2_diff, r.prop31_rhs = 0.0, 0.0
         setattr(r, column, None)
         with pytest.raises(ValueError, match=f"step 0: exact-OT row .* {column}"):
             certify.certify_records(recs)
+
+    @pytest.mark.parametrize("stored", [0.4, 0.2 * (1 + 2**-52), 0.0])
+    def test_ot_row_stored_prop31_rhs_must_equal_its_recomputation(self, stored):
+        # the verdict reads sqrt(max(sup_rho1, sup_rho2)) * W2_rho, never the
+        # stored cell: a cell off by one ulp is refused too
+        recs = free_streaming_records(1e-3)
+        r = recs[2]
+        r.W2_rho, r.W2_phase, r.Q_sub, r.S_sub = 0.4, 1.0, 1.0, 0.25
+        r.sup_rho1, r.sup_rho2 = 0.125, 0.25
+        r.field_l2_diff, r.prop31_rhs = 0.3, stored
+        with pytest.raises(ValueError, match=r"step 2: prop31_rhs .* = 0\.2$"):
+            certify.certify_records(recs)
+        r.prop31_rhs = 0.2
+        assert certify.certify_records(recs).verdicts["prop31"] is False

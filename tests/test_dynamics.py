@@ -232,7 +232,7 @@ class TestDispersionAndCrossing:
         ens = sample_initial(cfg)
         spec = cfg.grid_spec
         det = CrossingDetector(spec, threshold_factor=0.3)
-        flow = FlowState(ens, GridFieldEvaluator(spec), dt=dt)
+        flow = FlowState(ens, GridFieldEvaluator(spec, 0.5 * spec.h), dt=dt)
         det.observe(flow.ensemble)
         while flow.ensemble.t < cfg.t_final - 1e-12 and det.crossing_time is None:
             step_leapfrog(flow)
@@ -278,7 +278,7 @@ class TestTwinRuns:
         sample = random_ensemble(rng, n=128)
         spec = GridSpec((0, 0, 0), 12.0, 16)
         fa, fb = run_twin(
-            sample, sample.copy(), GridFieldEvaluator(spec), GridFieldEvaluator(spec), 0.02, 20
+            sample, sample.copy(), GridFieldEvaluator(spec, 0.5 * spec.h), GridFieldEvaluator(spec, 0.5 * spec.h), 0.02, 20
         )
         np.testing.assert_array_equal(fa.ensemble.x, fb.ensemble.x)
         np.testing.assert_array_equal(fa.ensemble.v, fb.ensemble.v)
@@ -319,7 +319,7 @@ class TestTwinRuns:
         spec = GridSpec((0, 0, 0), 1.0, 4)  # box too small: branch A escapes
         with pytest.raises(TwinError) as exc:
             run_twin(
-                sample, sample.copy(), GridFieldEvaluator(spec), ZeroFieldEvaluator(), 0.05, 10
+                sample, sample.copy(), GridFieldEvaluator(spec, 0.5 * spec.h), ZeroFieldEvaluator(), 0.05, 10
             )
         assert exc.value.branch == "A"
         assert isinstance(exc.value.cause, EscapeError)
@@ -331,7 +331,7 @@ class TestTwinRuns:
             spec = GridSpec((0, 0, 0), 12.0, 16)
             fa, _ = run_twin(
                 sample, sample.copy(),
-                GridFieldEvaluator(spec), GridFieldEvaluator(spec), 0.02, 15,
+                GridFieldEvaluator(spec, 0.5 * spec.h), GridFieldEvaluator(spec, 0.5 * spec.h), 0.02, 15,
             )
             return fa.ensemble.x.copy(), fa.ensemble.v.copy()
 

@@ -159,6 +159,7 @@ class TestConfigParsing:
             "box_edge = inf",
             "softening = nan",
             "softening = inf",
+            "softening = -inf",
             "t_final = inf",
             "snapshot_stride = -3",
             "sup_rho_ceiling = -1",
@@ -308,7 +309,8 @@ class TestConfigParsing:
         cfg = small_config(**overrides)
         run_twin_config(cfg)
         _, kernels = cfg._grid_memory()
-        assert {(dims[0], length) for dims, _, length in cache} == kernels
+        # the cache key is (n, h, softening)
+        assert {(n, length) for n, _, length in cache} == kernels
         assert len(cache) == len(kernels)
 
     def test_field_solves_pick_each_flows_grid_and_softening(self):
@@ -630,7 +632,7 @@ class TestTwinRuns:
         assert per_step == {k: per_ot_row if k in ot_rows else 0 for k in range(6)}
         # loglip_modulus is called on every OT row; it fills loglip_C where
         # its separations fit, h < 1/2
-        fits = float(np.min(cfg.grid_spec.h)) < 0.5
+        fits = cfg.grid_spec.h < 0.5
         assert [r.loglip_C is not None for r in records if r.step in ot_rows] == [fits] * 4
 
     @pytest.mark.parametrize(
@@ -720,10 +722,11 @@ class TestLedgerConsistency:
             w2_phase, _ = transport.w2_exact(sub_a.phase_cloud(), sub_b.phase_cloud())
             assert (r.W2_rho, r.W2_phase) == (w2_rho, w2_phase)
             rho_a, rho_b = (dynamics.deposit(e, cfg.grid_spec) for e in (ens_a, ens_b))
-            diff = fields.solve_field_grid(fields.DensityDifference(rho_a, rho_b))
-            assert (r.field_l2_diff, r.prop31_rhs) == certify.prop31_sides(
-                rho_a, rho_b, diff, w2_rho
+            diff = fields.solve_field_grid(
+                fields.DensityDifference(rho_a, rho_b), cfg.field_solves()[2][1]
             )
+            assert r.field_l2_diff == fields.field_l2_diff(diff)
+            assert r.prop31_rhs == certify.prop31_rhs(rho_a.sup_norm, rho_b.sup_norm, w2_rho)
 
     @pytest.mark.parametrize(
         "overrides",
@@ -755,7 +758,7 @@ class TestLedgerConsistency:
             evaluator.refresh(ens_a)
             want = fields.loglip_modulus(
                 evaluator.accel, spec.lo + 0.5 * spec.h, spec.hi - 0.5 * spec.h,
-                s_min=float(np.min(spec.h)), seed=cfg.seed,
+                s_min=spec.h, seed=cfg.seed,
             )
             assert result.records[step].loglip_C == want
             if cfg.field_mode == "none":
@@ -823,7 +826,7 @@ class TestEmission:
             seed=3,
         ).validate()
         spec = cfg.grid_spec
-        half_lattice = 0.5 * (np.asarray(spec.edge) - spec.h)
+        half_lattice = 0.5 * (spec.edge - spec.h)
         inside_after = []
         real_step = dynamics.step_leapfrog
 
@@ -1089,10 +1092,10 @@ class TestCLI:
         assert "step 0: exact-OT row" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("cell", ["nan", "inf"])
-    def test_certify_non_finite_cell_exits_usage(self, tmp_path, capsys, cell):
-        # free streaming with one complete exact-OT row; a nan in W2_rho and
-        # field_l2_diff there used to drop out of every max() and PASS
+    @staticmethod
+    def one_ot_row_records(path):
+        """A passing free-streaming records file with one complete exact-OT
+        row, step 10 on line 12 (Prop. 3.1 ratio 1/2)."""
         delta = 1e-2
         recs = []
         for k in range(21):
@@ -1102,9 +1105,16 @@ class TestCLI:
         r = recs[10]
         r.Q_sub, r.S_sub = r.Q, r.S
         r.W2_rho, r.W2_phase = 0.9 * math.sqrt(r.S), 0.9 * math.sqrt(2 * r.Q)
-        r.field_l2_diff, r.prop31_rhs = 0.1, 0.2
+        r.sup_rho1, r.sup_rho2 = 4.0, 1.0
+        r.field_l2_diff, r.prop31_rhs = r.W2_rho, 2.0 * r.W2_rho
+        write_records(path, recs)
+
+    @pytest.mark.parametrize("cell", ["nan", "inf"])
+    def test_certify_non_finite_cell_exits_usage(self, tmp_path, capsys, cell):
+        # a nan in W2_rho and field_l2_diff on the exact-OT row used to drop
+        # out of every max() and PASS
         p = tmp_path / "records.csv"
-        write_records(p, recs)
+        self.one_ot_row_records(p)
         assert cli.main(["certify", str(p), "--out", str(tmp_path / "ok")]) == cli.EXIT_PASS
         lines = p.read_text().splitlines()
         cells = lines[11].split(",")
@@ -1117,6 +1127,28 @@ class TestCLI:
         assert cli.main(["certify", str(p), "--out", str(out)]) == cli.EXIT_USAGE
         err = capsys.readouterr().err
         assert f"line 12: column W2_rho: non-finite value '{cell}'" in err
+        assert not out.exists()
+
+    def test_certify_tampered_prop31_rhs_exits_usage(self, tmp_path, capsys):
+        # certify recomputes the Prop. 3.1 right side from sup_rho1, sup_rho2
+        # and W2_rho: a larger stored value would turn the FAIL of a field
+        # difference 1.5 times the true bound into a PASS
+        p = tmp_path / "records.csv"
+        self.one_ot_row_records(p)
+        lines = p.read_text().splitlines()
+        cells = lines[11].split(",")
+        stored = float(cells[RECORD_COLUMNS.index("prop31_rhs")])
+        cells[RECORD_COLUMNS.index("field_l2_diff")] = repr(1.5 * stored)
+        honest = lines[:11] + [",".join(cells)] + lines[12:]
+        p.write_text("\n".join(honest) + "\n")
+        assert cli.main(["certify", str(p), "--out", str(tmp_path / "fail")]) == cli.EXIT_CHECK
+        cells[RECORD_COLUMNS.index("prop31_rhs")] = repr(2.0 * stored)
+        p.write_text("\n".join(lines[:11] + [",".join(cells)] + lines[12:]) + "\n")
+        out = tmp_path / "c"
+        capsys.readouterr()
+        assert cli.main(["certify", str(p), "--out", str(out)]) == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "step 10: prop31_rhs" in err and "sqrt(max(sup_rho1, sup_rho2)) * W2_rho" in err
         assert not out.exists()
 
     def test_ot_identical_and_fixture(self, tmp_path, capsys):

@@ -10,6 +10,9 @@ transport.ordered_sum, per-row norms through transport.squared_norms.
 
 Every FFT in src/vptwin is numpy.fft: the kernel spectra and the pruned
 solve must run the same transforms for the solve to equal the full one.
+
+Only the run plan, harness.ScenarioConfig, builds a GridSpec: the grid
+(and with it the "auto" softening) of every solve comes from one place.
 """
 
 import ast
@@ -163,3 +166,63 @@ def test_fft_guard_sees_every_form():
         "from scipy import signal\n"
     )
     assert [line for line, _ in _fft_imports(ast.parse(source))] == [1, 2, 3, 4, 5]
+
+
+def _grid_spec_uses(tree):
+    """(enclosing class, line) of every use of the name GridSpec as a value
+    (a call, or an alias that could be called later); annotations, imports
+    and the class definition itself are not uses."""
+    found = []
+
+    def visit(node, where):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            return
+        if isinstance(node, ast.ClassDef):
+            where = node.name
+        named = (isinstance(node, ast.Name) and node.id == "GridSpec") or (
+            isinstance(node, ast.Attribute) and node.attr == "GridSpec"
+        )
+        if named:
+            found.append((where, node.lineno))
+            return
+        for field, value in ast.iter_fields(node):
+            if field in ("annotation", "returns"):
+                continue
+            for child in value if isinstance(value, list) else [value]:
+                if isinstance(child, ast.AST):
+                    visit(child, where)
+
+    visit(tree, None)
+    return found
+
+
+def test_only_the_run_plan_builds_a_grid():
+    uses = {
+        path.name: _grid_spec_uses(ast.parse(path.read_text()))
+        for path in sorted(PACKAGE.glob("*.py"))
+    }
+    bad = [
+        f"{name}:{line} in {where or 'module scope'}"
+        for name, found in uses.items()
+        for where, line in found
+        if (name, where) != ("harness.py", "ScenarioConfig")
+    ]
+    assert not bad, "GridSpec built outside ScenarioConfig: " + "; ".join(bad)
+    assert uses["harness.py"], "the run plan builds no GridSpec"
+
+
+def test_grid_guard_sees_every_form():
+    source = (
+        "from .fields import GridSpec\n"
+        "import vptwin.fields as f\n"
+        "class GridSpec:\n"
+        "    edge: float\n"
+        "def a(spec: GridSpec) -> GridSpec:\n"
+        "    x: GridSpec = spec\n"
+        "    return GridSpec((0, 0, 0), 1.0, 8)\n"
+        "class ScenarioConfig:\n"
+        "    def grid(self):\n"
+        "        return f.GridSpec((0, 0, 0), 1.0, 8)\n"
+        "make = f.GridSpec\n"
+    )
+    assert _grid_spec_uses(ast.parse(source)) == [(None, 7), ("ScenarioConfig", 10), (None, 11)]
