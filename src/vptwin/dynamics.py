@@ -249,6 +249,8 @@ def run_twin(
 # --------------------------------------------------------------------------
 # cold-flow diagnostics
 
+CROSSING_THRESHOLD = 0.3  # the per-cell dispersion, over the rms speed, that flags crossing
+
 
 def cell_velocity_dispersion(ensemble: ParticleEnsemble, spec: GridSpec) -> float:
     """Max over cells of the mass-weighted velocity standard deviation.
@@ -275,16 +277,15 @@ class CrossingDetector:
     """Reports the first time cold-flow particle crossing is seen.
 
     Crossing is flagged when the max per-cell velocity dispersion exceeds
-    threshold_factor times the current rms speed. Both are taken of the
+    CROSSING_THRESHOLD times the current rms speed. Both are taken of the
     velocities about the mass-weighted mean velocity, so a uniform shift
     of every velocity changes neither; a per-cell E[v^2] - E[v]^2 of a
     cold flow with a bulk velocity would otherwise be rounding noise.
     Heuristic: it reports, it does not stop the run.
     """
 
-    def __init__(self, spec: GridSpec, threshold_factor):
+    def __init__(self, spec: GridSpec):
         self.spec = spec
-        self.threshold_factor = threshold_factor
         self.crossing_time = None
         self._first = True
         self._disabled = False
@@ -297,7 +298,7 @@ class CrossingDetector:
         relative = ParticleEnsemble(ensemble.x, ensemble.v - mean, w, ensemble.t)
         disp = cell_velocity_dispersion(relative, self.spec)
         rms = float(np.sqrt(coupling_cost(w, relative.v) / mass))
-        triggered = rms > 0 and disp > self.threshold_factor * rms
+        triggered = rms > 0 and disp > CROSSING_THRESHOLD * rms
         if self._first:
             self._first = False
             if triggered:

@@ -25,15 +25,7 @@ from .errors import ConfigError, EscapeError, TwinError
 
 MAX_STEPS = 1_000_000  # t_final / dt beyond this is a config error, not a run
 MAX_GRID_SOLVE_BYTES = 1 << 30  # the same for a run's grid solves, and for its particles
-
-
-def _parse_vec3(s):
-    parts = [float(p) for p in str(s).replace(",", " ").split()]
-    if len(parts) == 1:
-        parts = parts * 3
-    if len(parts) != 3:
-        raise ValueError("expected 1 or 3 numbers")
-    return tuple(parts)
+BOX_CENTER = (0.0, 0.0, 0.0)  # every sampler draws about the origin
 
 
 def _parse_softening(s):
@@ -47,7 +39,6 @@ class ScenarioConfig:
     epsilon: int = 1
     n_particles: int = 4096
     grid_dims: int = 32
-    box_center: tuple = (0.0, 0.0, 0.0)
     box_edge: float = 8.0
     dt: float = 0.02
     t_final: float = 2.0
@@ -60,8 +51,6 @@ class ScenarioConfig:
     ot_stride: int = 10  # 0 disables exact-OT columns
     ot_subsample: int = 512
     snapshot_stride: int = 0  # twin: steps 0, s, 2s, ... (0: none); simulate adds both ends
-    crossing_threshold: float = 0.3
-    sup_rho_ceiling: float = 0.0  # 0 disables the bounded-density flag
     sigma_x: float = 0.6
     sigma_v: float = 0.3
     ball_radius: float = 1.0
@@ -73,8 +62,7 @@ class ScenarioConfig:
     def validate(self):
         for f in dc_fields(self):
             v = getattr(self, f.name)
-            if any(isinstance(c, float) and not math.isfinite(c)
-                   for c in (v if isinstance(v, tuple) else (v,))):
+            if isinstance(v, float) and not math.isfinite(v):
                 raise ConfigError(f"{f.name} must be finite")
         if self.scenario not in scenarios.SCENARIO_NAMES:
             raise ConfigError(f"unknown scenario {self.scenario!r}")
@@ -94,8 +82,7 @@ class ScenarioConfig:
             raise ConfigError("field_mode must be grid, direct or none")
         if self.twin_kind not in ("none", "velocity-shift", "resolution", "softening"):
             raise ConfigError(f"unknown twin_kind {self.twin_kind!r}")
-        for name in ("snapshot_stride", "sup_rho_ceiling", "sigma_x", "sigma_v",
-                     "ball_radius"):
+        for name in ("seed", "snapshot_stride", "sigma_x", "sigma_v", "ball_radius"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be >= 0")
         # one rule for the softening of both flows. B's differs from A's only
@@ -122,8 +109,6 @@ class ScenarioConfig:
                 + (", twin_delta = 0" if self.twin_kind == "velocity-shift" else "")
                 + ": the two flows cannot differ (twin_kind = none is the identical twin)"
             )
-        if self.crossing_threshold <= 0:
-            raise ConfigError("crossing_threshold must be positive")
         if self.ot_stride < 0 or self.ot_subsample < 1:
             raise ConfigError("ot_stride must be >= 0 and ot_subsample >= 1")
         side = min(self.ot_subsample, self.n_particles)
@@ -170,7 +155,7 @@ class ScenarioConfig:
         a = solve(self.grid_spec)
         b = a
         if self.twin_kind == "resolution":
-            b = solve(fields.GridSpec(self.box_center, self.box_edge, self.twin_grid_dims_b))
+            b = solve(fields.GridSpec(BOX_CENTER, self.box_edge, self.twin_grid_dims_b))
         elif self.twin_kind == "softening":
             b = solve(self.grid_spec, self.twin_delta)
         return a, b, solve(self.grid_spec, "auto")
@@ -228,7 +213,7 @@ class ScenarioConfig:
 
     @property
     def grid_spec(self):
-        return fields.GridSpec(self.box_center, self.box_edge, self.grid_dims)
+        return fields.GridSpec(BOX_CENTER, self.box_edge, self.grid_dims)
 
     @property
     def n_steps(self):
@@ -237,7 +222,7 @@ class ScenarioConfig:
 
 # one parser per config key, read off the ScenarioConfig annotations
 # (strings under `from __future__ import annotations`)
-_PARSERS = {"int": int, "float": float, "str": str, "tuple": _parse_vec3}
+_PARSERS = {"int": int, "float": float, "str": str}
 _SCHEMA = {
     f.name: _parse_softening if f.name == "softening" else _PARSERS[f.type]
     for f in dc_fields(ScenarioConfig)
@@ -281,9 +266,7 @@ def serialize_config(cfg: ScenarioConfig) -> str:
     lines = []
     for f in dc_fields(cfg):
         v = getattr(cfg, f.name)
-        if isinstance(v, tuple):
-            v = " ".join(f"{c:.17g}" for c in v)
-        elif isinstance(v, float):
+        if isinstance(v, float):
             v = f"{v:.17g}"
         lines.append(f"{f.name} = {v}")
     return "\n".join(lines) + "\n"
@@ -362,7 +345,6 @@ class TwinResult:
     snapshots: dict  # step -> (ensemble A copy, ensemble B copy)
     crossing_time_a: float
     crossing_time_b: float
-    sup_rho_flagged: bool
 
 
 class _TwinObserver:
@@ -373,9 +355,8 @@ class _TwinObserver:
         self.spec, self.softening = cfg.field_solves()[2]  # the diagnostics'
         self.records = []
         self.snapshots = {}
-        self.sup_rho_flagged = False
-        self.crossing_a = dynamics.CrossingDetector(self.spec, cfg.crossing_threshold)
-        self.crossing_b = dynamics.CrossingDetector(self.spec, cfg.crossing_threshold)
+        self.crossing_a = dynamics.CrossingDetector(self.spec)
+        self.crossing_b = dynamics.CrossingDetector(self.spec)
         n = cfg.n_particles
         m = min(cfg.ot_subsample, n)
         self.sub_idx = np.linspace(0, n - 1, m).astype(np.int64)
@@ -391,8 +372,6 @@ class _TwinObserver:
         rho_b = self._density(flow_b, "B")
         rec.sup_rho1 = rho_a.sup_norm
         rec.sup_rho2 = rho_b.sup_norm
-        if cfg.sup_rho_ceiling > 0 and max(rec.sup_rho1, rec.sup_rho2) > cfg.sup_rho_ceiling:
-            self.sup_rho_flagged = True
 
         if cfg.field_mode != "none":
             rec.T1, rec.T2 = certify.compute_T1_T2(
@@ -497,11 +476,7 @@ def run_twin_config(cfg: ScenarioConfig) -> TwinResult:
     dynamics.run_twin(ens_a, ens_b, eval_a, eval_b, cfg.dt, cfg.n_steps, observer=obs)
     certify.fill_dQdt(obs.records)
     return TwinResult(
-        obs.records,
-        obs.snapshots,
-        obs.crossing_a.crossing_time,
-        obs.crossing_b.crossing_time,
-        obs.sup_rho_flagged,
+        obs.records, obs.snapshots, obs.crossing_a.crossing_time, obs.crossing_b.crossing_time
     )
 
 
@@ -601,7 +576,6 @@ def emit_twin(cfg: ScenarioConfig, outdir) -> str:
     notes = {
         "crossing_time_a": result.crossing_time_a,
         "crossing_time_b": result.crossing_time_b,
-        "sup_rho_flagged": result.sup_rho_flagged,
     }
     with open(os.path.join(outdir, "run_notes.json"), "w") as fh:
         json.dump(notes, fh, sort_keys=True, indent=1)

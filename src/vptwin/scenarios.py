@@ -38,7 +38,7 @@ def sample_initial(cfg) -> ParticleEnsemble:
     w = np.full(n, 1.0 / n)
     eps = cfg.epsilon
     name = cfg.scenario
-    if name == "gaussian-blob":
+    if name in ("gaussian-blob", "free-streaming"):  # one sample; presets differ in field_mode
         x = rng.normal(scale=cfg.sigma_x, size=(n, 3))
         v = rng.normal(scale=cfg.sigma_v, size=(n, 3))
     elif name == "uniform-ball":
@@ -53,9 +53,6 @@ def sample_initial(cfg) -> ParticleEnsemble:
         v = np.zeros((n, 3))  # cold merger, optional approach drift
         v[:half, 0] += cfg.approach_speed
         v[half:, 0] -= cfg.approach_speed
-    elif name == "free-streaming":
-        x = rng.normal(scale=cfg.sigma_x, size=(n, 3))
-        v = rng.normal(scale=cfg.sigma_v, size=(n, 3))
     elif name == "hubble":
         x = _uniform_ball(rng, n, cfg.ball_radius)
         v = cfg.hubble_rate * x  # monokinetic: one velocity per position

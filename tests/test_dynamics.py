@@ -203,11 +203,12 @@ class TestDispersionAndCrossing:
         spec = GridSpec((0, 0, 0), 8.0, 4)
         assert cell_velocity_dispersion(ens, spec) == pytest.approx(0.7, rel=1e-12)
 
-    def test_warm_flow_disarms_detector(self):
+    def test_warm_flow_disarms_detector(self, monkeypatch):
+        monkeypatch.setattr(dynamics, "CROSSING_THRESHOLD", 0.1)
         rng = np.random.default_rng(RNG_SEED)
         ens = random_ensemble(rng, n=500)
         spec = GridSpec((0, 0, 0), 8.0, 8)
-        det = CrossingDetector(spec, threshold_factor=0.1)
+        det = CrossingDetector(spec)
         for _ in range(5):
             det.observe(ens)
         assert det.crossing_time is None
@@ -231,7 +232,7 @@ class TestDispersionAndCrossing:
         )
         ens = sample_initial(cfg)
         spec = cfg.grid_spec
-        det = CrossingDetector(spec, threshold_factor=0.3)
+        det = CrossingDetector(spec)
         flow = FlowState(ens, GridFieldEvaluator(spec, 0.5 * spec.h), dt=dt)
         det.observe(flow.ensemble)
         while flow.ensemble.t < cfg.t_final - 1e-12 and det.crossing_time is None:
