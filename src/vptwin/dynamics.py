@@ -1,10 +1,11 @@
 """Characteristic flow of the Vlasov-Poisson system.
 
-Particles follow dX/dt = xi, dxi/dt = grad Psi(t, X) with a kick-drift-kick
-leapfrog; the field is refreshed from a cloud-in-cell deposit after each
-drift (grid mode), from softened direct summation (direct mode), or held
-at zero for control runs. Twin runs advance the two ensembles
-they are handed, branch B on a helper thread beside branch A.
+Particles follow dX/dt = xi, dxi/dt = epsilon grad Psi(t, X) with
+Delta Psi = rho and a kick-drift-kick leapfrog; each evaluator applies the
+run's sign epsilon. The field is refreshed from a cloud-in-cell deposit
+after each drift (grid mode), from softened direct summation (direct
+mode), or held at zero for control runs. Twin runs advance the two
+ensembles they are handed, branch B on a helper thread beside branch A.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ class ParticleEnsemble:
     v: np.ndarray  # (N, 3) velocities
     w: np.ndarray  # (N,) weights
     t: float = 0.0
-    epsilon_sign: int = 1
 
     def __post_init__(self):
         self.x = np.ascontiguousarray(self.x, dtype=np.float64)
@@ -50,7 +50,7 @@ class ParticleEnsemble:
     def copy(self):
         """New x and v arrays; the weights are shared, since nothing writes
         w after sampling."""
-        return ParticleEnsemble(self.x.copy(), self.v.copy(), self.w, self.t, self.epsilon_sign)
+        return ParticleEnsemble(self.x.copy(), self.v.copy(), self.w, self.t)
 
     def position_cloud(self) -> WeightedCloud:
         return WeightedCloud(self.x, self.w)
@@ -62,7 +62,7 @@ class ParticleEnsemble:
 def deposit(ensemble: ParticleEnsemble, spec: GridSpec) -> GridDensity:
     """CIC deposit of the ensemble; realizes the position push-forward of f0."""
     values = deposit_cic(ensemble.x, ensemble.w, spec)
-    return GridDensity(spec, values, ensemble.epsilon_sign)
+    return GridDensity(spec, values)
 
 
 # --------------------------------------------------------------------------
@@ -80,11 +80,12 @@ class ZeroFieldEvaluator:
 
 
 class GridFieldEvaluator:
-    """Deposit -> free-space grid solve -> trilinear force interpolation."""
+    """Deposit -> free-space grid solve -> trilinear interpolation, times epsilon."""
 
-    def __init__(self, spec: GridSpec, softening):
+    def __init__(self, spec: GridSpec, softening, epsilon):
         self.spec = spec
         self.softening = softening
+        self.epsilon = epsilon
         self.density = None
         self.field = None
 
@@ -93,33 +94,27 @@ class GridFieldEvaluator:
         self.field = fields.solve_field_grid(self.density, self.softening)
 
     def accel(self, points):
-        return self.field.interpolate(points)
+        return self.epsilon * self.field.interpolate(points)
 
 
 class DirectSumEvaluator:
-    """Softened pairwise summation over the ensemble itself (no mesh). The
-    length is positive (ScenarioConfig.validate); with zero softening the
-    first self-field raises SingularityError."""
+    """Softened pairwise summation over the ensemble itself (no mesh), times
+    epsilon. The length is positive (ScenarioConfig.validate); with zero
+    softening the first self-field raises SingularityError."""
 
-    def __init__(self, softening):
+    def __init__(self, softening, epsilon):
         self.softening = softening
+        self.epsilon = epsilon
         self._sources = None
         self._weights = None
-        self._epsilon = 1
 
     def refresh(self, ensemble):
         self._sources = ensemble.x.copy()
         self._weights = ensemble.w
-        self._epsilon = ensemble.epsilon_sign
 
     def accel(self, points):
-        return fields.solve_field_direct(
-            self._sources,
-            self._weights,
-            points,
-            softening=self.softening,
-            epsilon_sign=self._epsilon,
-        )
+        field = fields.solve_field_direct(self._sources, self._weights, points, self.softening)
+        return self.epsilon * field
 
 
 # --------------------------------------------------------------------------
@@ -212,7 +207,7 @@ def run_twin(
     evaluator_b,
     dt: float,
     n_steps: int,
-    observer=None,
+    observer,
 ):
     """Advance the two ensembles in place, flow A from ens_a and flow B
     from ens_b; they must share no array.
@@ -234,15 +229,13 @@ def run_twin(
         lambda: _in_branch("A", FlowState, ens_a, evaluator_a, dt),
         lambda: _in_branch("B", FlowState, ens_b, evaluator_b, dt),
     )
-    if observer is not None:
-        observer(0, *flows)
+    observer(0, *flows)
     for k in range(1, n_steps + 1):
         run_pair(
             lambda: _in_branch("A", step_leapfrog, flows[0]),
             lambda: _in_branch("B", step_leapfrog, flows[1]),
         )
-        if observer is not None:
-            observer(k, *flows)
+        observer(k, *flows)
     return flows
 
 
@@ -281,29 +274,29 @@ class CrossingDetector:
     velocities about the mass-weighted mean velocity, so a uniform shift
     of every velocity changes neither; a per-cell E[v^2] - E[v]^2 of a
     cold flow with a bulk velocity would otherwise be rounding noise.
+    The start is not read: one step from rest gives v ~ a dt, whose ratio
+    is the field's variation within a cell. A flow dispersed at its first
+    step's reading is taken as warm (or already past crossing): no report.
     Heuristic: it reports, it does not stop the run.
     """
 
     def __init__(self, spec: GridSpec):
         self.spec = spec
         self.crossing_time = None
-        self._first = True
+        self._readings = 0
         self._disabled = False
 
     def observe(self, ensemble: ParticleEnsemble):
-        if self._disabled or self.crossing_time is not None:
+        self._readings += 1
+        if self._readings == 1 or self._disabled or self.crossing_time is not None:
             return
         w, mass = ensemble.w, ensemble.total_mass
         mean = [ordered_sum(w * ensemble.v[:, c]) / mass for c in range(3)]
         relative = ParticleEnsemble(ensemble.x, ensemble.v - mean, w, ensemble.t)
         disp = cell_velocity_dispersion(relative, self.spec)
         rms = float(np.sqrt(coupling_cost(w, relative.v) / mass))
-        triggered = rms > 0 and disp > CROSSING_THRESHOLD * rms
-        if self._first:
-            self._first = False
-            if triggered:
-                # already dispersed at start: not a cold flow, nothing to report
-                self._disabled = True
-            return
-        if triggered:
-            self.crossing_time = ensemble.t
+        if rms > 0 and disp > CROSSING_THRESHOLD * rms:
+            if self._readings == 2:
+                self._disabled = True  # not a cold flow after its first step
+            else:
+                self.crossing_time = ensemble.t

@@ -1,12 +1,12 @@
 """Free-space Poisson fields on uniform 3-d grids.
 
-The potential convention is Delta Psi = epsilon * rho, i.e.
+The solvers take no sign: they solve Delta Psi = rho, i.e.
 
-    grad Psi(x) = epsilon * sum_j w_j (x - y_j) / (4 pi (|x - y_j|^2 + s^2)^{3/2})
+    grad Psi(x) = sum_j w_j (x - y_j) / (4 pi (|x - y_j|^2 + s^2)^{3/2})
 
-with Plummer softening length s. epsilon = +1 is the repulsive
-(electrostatic) sign, epsilon = -1 the attractive (gravitational) one.
-The grid solver convolves cell masses with the same kernel using
+with Plummer softening length s; the field evaluators of dynamics apply
+the run's force-law sign epsilon (+1 repulsive, -1 attractive). The grid
+solver convolves cell masses with the same kernel using
 zero-padded (domain-doubled) FFTs, so boundaries are free-space. The
 doubled-domain transforms are pruned axis by axis (Hockney & Eastwood,
 Computer Simulation Using Particles, 1988, sec. 6-5): no 1-D line that is
@@ -58,24 +58,20 @@ class TruncationWarning(UserWarning):
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Uniform cubic grid of n^3 cell centers.
+    """Uniform cubic grid of n^3 cell centers about the origin.
 
-    The box spans [center - edge/2, center + edge/2] on each axis with n
-    cells of size h = edge / n; grid values live at cell centers
-    lo + (i + 1/2) h.
+    The box spans [-edge/2, edge/2] on each axis with n cells of size
+    h = edge / n; grid values live at cell centers lo + (i + 1/2) h.
     """
 
-    center: tuple
     edge: float
     n: int
 
     def __post_init__(self):
-        center = tuple(float(c) for c in np.atleast_1d(self.center))
-        if len(center) != 3 or np.ndim(self.edge) or np.ndim(self.n):
-            raise ValueError("GridSpec is an n^3 cube: a 3-d center, one edge and one n")
+        if np.ndim(self.edge) or np.ndim(self.n):
+            raise ValueError("GridSpec is an n^3 cube: one edge and one n")
         if not (self.edge > 0 and self.n >= 2):
             raise ValueError("edge must be positive and n >= 2")
-        object.__setattr__(self, "center", center)
         object.__setattr__(self, "edge", float(self.edge))
         object.__setattr__(self, "n", int(self.n))
 
@@ -90,11 +86,11 @@ class GridSpec:
 
     @property
     def lo(self):
-        return np.asarray(self.center) - 0.5 * self.edge
+        return np.full(3, -0.5 * self.edge)
 
     @property
     def hi(self):
-        return np.asarray(self.center) + 0.5 * self.edge
+        return np.full(3, 0.5 * self.edge)
 
     @property
     def cell_volume(self):
@@ -107,7 +103,6 @@ class GridDensity:
 
     spec: GridSpec
     values: np.ndarray
-    epsilon_sign: int = 1
 
     def __post_init__(self):
         values = np.ascontiguousarray(self.values, dtype=np.float64)
@@ -115,8 +110,6 @@ class GridDensity:
             raise ValueError(f"values shape {values.shape} != dims {self.spec.dims}")
         if np.any(values < 0) or not np.all(np.isfinite(values)):
             raise ValueError("density values must be finite and nonnegative")
-        if self.epsilon_sign not in (1, -1):
-            raise ValueError("epsilon_sign must be +1 or -1")
         object.__setattr__(self, "values", values)
 
     @property
@@ -150,16 +143,10 @@ class DensityDifference:
     def __post_init__(self):
         if self.rho1.spec != self.rho2.spec:
             raise ValueError("densities on grids of different geometry")
-        if self.rho1.epsilon_sign != self.rho2.epsilon_sign:
-            raise ValueError("densities of opposite epsilon_sign")
 
     @property
     def spec(self):
         return self.rho1.spec
-
-    @property
-    def epsilon_sign(self):
-        return self.rho1.epsilon_sign
 
     @property
     def values(self):
@@ -267,7 +254,7 @@ def deposit_cic(points, weights, spec):
 # direct-sum solver
 
 
-def solve_field_direct(points, weights, targets, softening=0.0, epsilon_sign=1):
+def solve_field_direct(points, weights, targets, softening=0.0):
     """Exact pairwise grad Psi at target points (no mesh error).
 
     The order of every sum is fixed: r^2 = (dx dx + dz dz) + dy dy + s^2
@@ -323,7 +310,6 @@ def solve_field_direct(points, weights, targets, softening=0.0, epsilon_sign=1):
             else:
                 # one column would reduce pairwise; accumulate is sequential
                 out[a, k] = np.add.accumulate(np.concatenate(([0.0], d[:, 0])))[-1]
-    out *= epsilon_sign
     return out
 
 
@@ -426,7 +412,6 @@ def solve_field_grid(rho, softening) -> GridField:
         np.fft.ifft(prod[:n], axis=1, out=prod[:n])
         np.fft.irfft(prod[:n, :n], 2 * n, axis=2, out=real)
         values[..., c] = real[..., :n]
-    values *= rho.epsilon_sign
     return GridField(spec, values)
 
 
@@ -497,11 +482,12 @@ def loglip_modulus(evaluate, region_lo, region_hi, s_min, seed):
 # grid I/O: flat little-endian float64 binary + JSON sidecar
 
 
-def save_grid(obj, basepath):
-    """Write <basepath>.bin (little-endian float64, C order) and <basepath>.json."""
+def save_grid(obj, basepath, epsilon_sign=None):
+    """Write <basepath>.bin (little-endian float64, C order) and <basepath>.json;
+    a density's sidecar records the run's epsilon_sign, which it does not hold."""
     basepath = str(basepath)
     if isinstance(obj, GridDensity):
-        kind, comps, extra = "density", 1, {"epsilon_sign": obj.epsilon_sign}
+        kind, comps, extra = "density", 1, {"epsilon_sign": epsilon_sign}
     elif isinstance(obj, GridField):
         kind, comps, extra = "field", 3, {}
     else:
@@ -509,7 +495,7 @@ def save_grid(obj, basepath):
     sidecar = {
         "kind": kind,
         "dims": list(obj.spec.dims),
-        "box_center": list(obj.spec.center),
+        "box_center": [0.0] * 3,
         "box_edge": [obj.spec.edge] * 3,
         "h": [obj.spec.h] * 3,
         "components": comps,

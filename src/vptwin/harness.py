@@ -25,7 +25,6 @@ from .errors import ConfigError, EscapeError, TwinError
 
 MAX_STEPS = 1_000_000  # t_final / dt beyond this is a config error, not a run
 MAX_GRID_SOLVE_BYTES = 1 << 30  # the same for a run's grid solves, and for its particles
-BOX_CENTER = (0.0, 0.0, 0.0)  # every sampler draws about the origin
 
 
 def _parse_softening(s):
@@ -74,8 +73,8 @@ class ScenarioConfig:
             raise ConfigError("grid_dims must be >= 2")
         if self.twin_kind == "resolution" and self.twin_grid_dims_b < 2:
             raise ConfigError("twin_grid_dims_b must be >= 2 with twin_kind = resolution")
-        if self.dt <= 0 or self.t_final <= 0 or not self.dt < self.t_final:
-            raise ConfigError("need 0 < dt < t_final")
+        if self.dt <= 0 or self.t_final <= 0:
+            raise ConfigError("dt and t_final must be positive")
         if self.box_edge <= 0:
             raise ConfigError("box_edge must be positive")
         if self.field_mode not in ("grid", "direct", "none"):
@@ -122,6 +121,8 @@ class ScenarioConfig:
             raise ConfigError(
                 f"t_final / dt = {self.t_final / self.dt:.3g} steps, more than {MAX_STEPS}"
             )
+        if self.n_steps < 2:  # certify needs three records: steps 0, 1 and 2
+            raise ConfigError(f"t_final / dt rounds to {self.n_steps} step(s), fewer than 2")
         grid, kernels = self._grid_memory()
         grid_keys = ["grid_dims"]
         if self.twin_kind == "resolution":
@@ -155,7 +156,7 @@ class ScenarioConfig:
         a = solve(self.grid_spec)
         b = a
         if self.twin_kind == "resolution":
-            b = solve(fields.GridSpec(BOX_CENTER, self.box_edge, self.twin_grid_dims_b))
+            b = solve(fields.GridSpec(self.box_edge, self.twin_grid_dims_b))
         elif self.twin_kind == "softening":
             b = solve(self.grid_spec, self.twin_delta)
         return a, b, solve(self.grid_spec, "auto")
@@ -213,7 +214,7 @@ class ScenarioConfig:
 
     @property
     def grid_spec(self):
-        return fields.GridSpec(BOX_CENTER, self.box_edge, self.grid_dims)
+        return fields.GridSpec(self.box_edge, self.grid_dims)
 
     @property
     def n_steps(self):
@@ -330,13 +331,13 @@ def read_records(path):
 # evaluators and twin observer
 
 
-def _make_evaluator(mode, spec, softening):
-    """The field of one flow, from its field_solves entry."""
-    if mode == "none":
+def _make_evaluator(cfg, spec, softening):
+    """The field of one flow, from its field_solves entry and the run's sign."""
+    if cfg.field_mode == "none":
         return dynamics.ZeroFieldEvaluator()
-    if mode == "direct":
-        return dynamics.DirectSumEvaluator(softening)
-    return dynamics.GridFieldEvaluator(spec, softening)
+    if cfg.field_mode == "direct":
+        return dynamics.DirectSumEvaluator(softening, cfg.epsilon)
+    return dynamics.GridFieldEvaluator(spec, softening, cfg.epsilon)
 
 
 @dataclass
@@ -404,7 +405,7 @@ class _TwinObserver:
         """The flow's OT subsample, its weights scaled to keep the mass M."""
         idx = self.sub_idx
         return dynamics.ParticleEnsemble(
-            ens.x[idx], ens.v[idx], ens.w[idx] * self.sub_scale, ens.t, ens.epsilon_sign
+            ens.x[idx], ens.v[idx], ens.w[idx] * self.sub_scale, ens.t
         )
 
     def _stride_extras(self, rec, flow_a, flow_b, rho_a, rho_b):
@@ -471,9 +472,9 @@ def run_twin_config(cfg: ScenarioConfig) -> TwinResult:
     ens_b = ens_a.copy()
     if cfg.twin_kind == "velocity-shift":
         ens_b.v += (cfg.twin_delta, 0.0, 0.0)
-    eval_a, eval_b = (_make_evaluator(cfg.field_mode, *s) for s in cfg.field_solves()[:2])
+    eval_a, eval_b = (_make_evaluator(cfg, *s) for s in cfg.field_solves()[:2])
     obs = _TwinObserver(cfg)
-    dynamics.run_twin(ens_a, ens_b, eval_a, eval_b, cfg.dt, cfg.n_steps, observer=obs)
+    dynamics.run_twin(ens_a, ens_b, eval_a, eval_b, cfg.dt, cfg.n_steps, obs)
     certify.fill_dQdt(obs.records)
     return TwinResult(
         obs.records, obs.snapshots, obs.crossing_a.crossing_time, obs.crossing_b.crossing_time
@@ -497,7 +498,7 @@ def run_simulation(cfg: ScenarioConfig) -> SimResult:
     cfg.validate()
     spec, softening = cfg.field_solves()[0]
     ens = scenarios.sample_initial(cfg)
-    evaluator = _make_evaluator(cfg.field_mode, spec, softening)
+    evaluator = _make_evaluator(cfg, spec, softening)
     flow = dynamics.FlowState(ens, evaluator, cfg.dt)
     fields.check_in_box(ens.x, spec)
     snapshots = {0: ens.copy()}
@@ -552,10 +553,11 @@ def emit_simulation(cfg: ScenarioConfig, outdir) -> str:
         _save_snapshot(outdir, "", step, result.snapshots[step], written)
     spec, softening = cfg.field_solves()[0]
     rho = dynamics.deposit(result.ensemble, spec)
-    fields.save_grid(rho, os.path.join(outdir, "density_final"))
+    fields.save_grid(rho, os.path.join(outdir, "density_final"), epsilon_sign=cfg.epsilon)
     written += ["density_final.bin", "density_final.json"]
     if cfg.field_mode != "none":
-        grid_field = fields.solve_field_grid(rho, softening)
+        field = fields.solve_field_grid(rho, softening).values  # Delta Psi = rho: apply epsilon
+        grid_field = fields.GridField(spec, cfg.epsilon * field)
         fields.save_grid(grid_field, os.path.join(outdir, "field_final"))
         written += ["field_final.bin", "field_final.json"]
     return write_manifest(outdir, cfg, written)
@@ -632,21 +634,32 @@ def _read_manifest(path):
     return manifest
 
 
+def _listed_file(srcdir, entries, name):
+    """The path of ``name`` next to the manifest if the manifest lists it,
+    else None; ValueError if its size or sha256 differs from that entry."""
+    entry = entries.get(name)
+    if entry is None:
+        return None
+    path = os.path.join(srcdir, name)
+    if os.path.getsize(path) != entry["bytes"] or _sha256(path) != entry["sha256"]:
+        raise ValueError(f"{path}: size or sha256 differs from its manifest entry")
+    return path
+
+
 def emit_report(manifest_path, outdir):
     """cli report: consolidated text report + plot-ready CSV tables. The
-    records.csv next to the manifest is certified only if the manifest
-    lists it, and only if its size and sha256 match that entry."""
+    records.csv and run_notes.json next to the manifest are read only if
+    the manifest lists them, and only if their size and sha256 match
+    those entries."""
     manifest = _read_manifest(manifest_path)
     srcdir = os.path.dirname(os.path.abspath(manifest_path))
     lines = ["consolidated run report", "", "config:", manifest["config"], "files:"]
     for entry in manifest["files"]:
         lines.append(f"  {entry['name']}  {entry['bytes']} B  sha256 {entry['sha256']}")
-    entry = {e["name"]: e for e in manifest["files"]}.get("records.csv")
+    entries = {e["name"]: e for e in manifest["files"]}
     table = None
-    if entry is not None:
-        rec_path = os.path.join(srcdir, "records.csv")
-        if os.path.getsize(rec_path) != entry["bytes"] or _sha256(rec_path) != entry["sha256"]:
-            raise ValueError(f"{rec_path}: size or sha256 differs from its manifest entry")
+    rec_path = _listed_file(srcdir, entries, "records.csv")
+    if rec_path is not None:
         records = read_records(rec_path)
         result = certify.certify_records(records)
         lines += ["", "certification:"] + ["  " + ln for ln in result.summary_lines]
@@ -654,6 +667,17 @@ def emit_report(manifest_path, outdir):
             ",".join(_fmt(v) for v in (r.t, r.Q, r.T1, r.T2, r.W2_rho, r.W2_phase))
             for r in records
         ]
+    notes_path = _listed_file(srcdir, entries, "run_notes.json")
+    if notes_path is not None:
+        with open(notes_path) as fh:
+            notes = json.load(fh)
+        lines += ["", "cold-flow crossing:"]
+        for branch in "AB":
+            key = f"crossing_time_{branch.lower()}"
+            t = notes.get(key, "") if isinstance(notes, dict) else ""
+            if t is not None and not isinstance(t, float):
+                raise ValueError(f"{notes_path}: {key} is neither a time nor null")
+            lines.append(f"  branch {branch}: " + ("none seen" if t is None else f"t = {t!r}"))
     os.makedirs(outdir, exist_ok=True)
     if table is not None:
         with open(os.path.join(outdir, "q_table.csv"), "w") as fh:

@@ -36,7 +36,6 @@ def sample_initial(cfg) -> ParticleEnsemble:
     rng = np.random.default_rng(cfg.seed)
     n = cfg.n_particles
     w = np.full(n, 1.0 / n)
-    eps = cfg.epsilon
     name = cfg.scenario
     if name in ("gaussian-blob", "free-streaming"):  # one sample; presets differ in field_mode
         x = rng.normal(scale=cfg.sigma_x, size=(n, 3))
@@ -64,4 +63,4 @@ def sample_initial(cfg) -> ParticleEnsemble:
         v[half:, 0] -= cfg.beam_speed
     else:
         raise ValueError(f"unknown scenario {name!r}")
-    return ParticleEnsemble(x, v, w, 0.0, eps)
+    return ParticleEnsemble(x, v, w)

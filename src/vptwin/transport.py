@@ -104,23 +104,18 @@ def ordered_sum(terms):
     return float(np.add.accumulate(flat, out=flat)[-1])
 
 
-def squared_norms(*gaps):
-    """Per row sum_k |d_k,i|^2 over one or more (n, d) gap arrays: each
-    gap's row adds its squares in column order, and the gaps add in
-    argument order. The products after each gap's first column all go
-    through one buffer, so no column allocates a temporary."""
-    sq = prod = None
-    for gap in gaps:
-        row = gap[:, 0] * gap[:, 0]
-        if prod is None:
-            prod = np.empty_like(row)
-        for k in range(1, gap.shape[1]):
-            row += np.multiply(gap[:, k], gap[:, k], out=prod)
-        sq = row if sq is None else sq + row
+def squared_norms(gap):
+    """Per row sum_k |d_k,i|^2 of an (n, d) gap array, the squares added in
+    column order. The products after the first column all go through one
+    buffer, so no column allocates a temporary."""
+    sq = gap[:, 0] * gap[:, 0]
+    prod = np.empty_like(sq)
+    for k in range(1, gap.shape[1]):
+        sq += np.multiply(gap[:, k], gap[:, k], out=prod)
     return sq
 
 
-def coupling_cost(weights, *gaps):
+def coupling_cost(weights, gap):
     """Quadratic cost sum_i w_i sum_k |d_k,i|^2 of a coupling, summed by
     ordered_sum.
 
@@ -128,7 +123,7 @@ def coupling_cost(weights, *gaps):
     crossing detector's rms; Q and S of a twin pairing sum the same
     terms (certify.compute_gaps).
     """
-    sq = squared_norms(*gaps)
+    sq = squared_norms(gap)
     sq *= weights
     return ordered_sum(sq)
 

@@ -106,10 +106,11 @@ def load_grid(basepath):
     with open(basepath + ".json") as fh:
         side = json.load(fh)
     (edge,), (n,) = set(side["box_edge"]), set(side["dims"])  # a cube's three equal values
-    spec = GridSpec(tuple(side["box_center"]), edge, n)
+    assert side["box_center"] == [0.0] * 3  # every grid is origin-centred
+    spec = GridSpec(edge, n)
     raw = np.fromfile(basepath + ".bin", dtype="<f8")
     if side["kind"] == "density":
-        return GridDensity(spec, raw.reshape(spec.dims), side["epsilon_sign"])
+        return GridDensity(spec, raw.reshape(spec.dims))
     return GridField(spec, raw.reshape(spec.dims + (3,)))
 
 
@@ -126,10 +127,10 @@ class FrozenFieldEvaluator:
         return np.asarray(self.fn(np.atleast_2d(points)), dtype=np.float64)
 
 
-def potential_energy_direct(ensemble, softening) -> float:
+def potential_energy_direct(ensemble, softening, epsilon) -> float:
     """Pairwise softened interaction energy consistent with DirectSumEvaluator.
 
-    U = (eps/2) sum_{i != j} w_i w_j / (4 pi sqrt(r_ij^2 + s^2)); the total
+    U = (epsilon/2) sum_{i != j} w_i w_j / (4 pi sqrt(r_ij^2 + s^2)); the total
     H = kinetic + U is conserved by the softened direct-sum dynamics.
     """
     x = ensemble.x
@@ -138,7 +139,7 @@ def potential_energy_direct(ensemble, softening) -> float:
     r2 = np.einsum("ijk,ijk->ij", diff, diff) + softening**2
     inv = 1.0 / (FOUR_PI * np.sqrt(r2))
     np.fill_diagonal(inv, 0.0)
-    return 0.5 * ensemble.epsilon_sign * float(w @ inv @ w)
+    return 0.5 * epsilon * float(w @ inv @ w)
 
 
 def displacement_interpolate(plan: TransportPlan, theta: float) -> WeightedCloud:
@@ -191,7 +192,7 @@ def geodesic_linf_check(plan, thetas, spec, smoothing_cells=1.5, tolerance=0.10)
     coarse = [_smoothed_sup(c, spec, smoothing_cells) for c in ends]
     end_sup = max(coarse)
     ratio = float(sups.max() / end_sup)
-    fine = GridSpec(spec.center, spec.edge, 2 * spec.n)
+    fine = GridSpec(spec.edge, 2 * spec.n)
     stable = all(
         abs(_smoothed_sup(c, fine, smoothing_cells) - sup) <= STABILITY_RTOL * sup
         for c, sup in zip(ends, coarse)

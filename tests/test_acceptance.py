@@ -22,7 +22,13 @@ import numpy as np
 
 from vptwin import fields, harness, presets, transport
 from vptwin.certify import check_gronwall, osgood_contain, osgood_envelope
-from vptwin.dynamics import FlowState, GridFieldEvaluator, ParticleEnsemble, step_leapfrog
+from vptwin.dynamics import (
+    DirectSumEvaluator,
+    FlowState,
+    GridFieldEvaluator,
+    ParticleEnsemble,
+    step_leapfrog,
+)
 from vptwin.fields import FOUR_PI, GridDensity, GridSpec, deposit_cic
 from vptwin.harness import run_twin_config
 from vptwin.transport import TransportPlan, WeightedCloud, coupling_cost
@@ -92,7 +98,7 @@ class TestAcceptance:
         thetas = np.linspace(1.0, 2.0, 11)
 
         # block fixture: two disjoint uniform blocks translated onto each other
-        spec = GridSpec((0, 0, 0), 8.0, 64)
+        spec = GridSpec(8.0, 64)
         h = spec.h
         ax = np.arange(-1.5 + h / 4, -0.5, h / 2)
         ay = np.arange(-1.0 + h / 4, 0.0, h / 2)
@@ -110,7 +116,7 @@ class TestAcceptance:
         energy_rel = 0.0
         for name, cloud, shift, grid in (
             ("block", block, np.array([1.7, 0.9, 0.6]), spec),
-            ("blob", blob, np.array([2.0, 0.0, 0.0]), GridSpec((0, 0, 0), 16.0, 64)),
+            ("blob", blob, np.array([2.0, 0.0, 0.0]), GridSpec(16.0, 64)),
         ):
             # a translation is the optimal map, so the identity matching is
             # an optimal plan and W2^2 = M |shift|^2
@@ -224,15 +230,17 @@ class TestAcceptance:
         )
 
     def test_criterion_08_field_validation(self):
-        # point-mass kernel at the six unit-axis targets
-        src = np.zeros((1, 3))
+        # point-mass kernel at the six unit-axis targets, with either sign
+        src = ParticleEnsemble(np.zeros((1, 3)), np.zeros((1, 3)), np.ones(1))
         targets = np.array(
             [[1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0], [0, 0, 1], [0, 0, -1]],
             dtype=float,
         )
         kern_err = 0.0
         for eps in (1, -1):
-            got = fields.solve_field_direct(src, [1.0], targets, epsilon_sign=eps)
+            direct = DirectSumEvaluator(0.0, eps)
+            direct.refresh(src)
+            got = direct.accel(targets)
             want = eps * targets / FOUR_PI
             kern_err = max(kern_err, float(np.abs(got - want).max()))
 
@@ -243,14 +251,14 @@ class TestAcceptance:
         pts = np.stack([c.ravel() for c in g], axis=1)
         pts = pts[np.einsum("ij,ij->i", pts, pts) <= 1.0]
         w = np.full(len(pts), 1.0 / len(pts))
-        spec = GridSpec((0, 0, 0), 6.0, 64)
-        rho = GridDensity(spec, deposit_cic(pts, w, spec), epsilon_sign=-1)
+        spec = GridSpec(6.0, 64)
+        rho = GridDensity(spec, deposit_cic(pts, w, spec))
         f = fields.solve_field_grid(rho, 0.5 * spec.h)
         ball_err = 0.0
         for t in ([0.35, 0, 0], [0, -0.6, 0], [0, 0, 0.5]):
             t = np.asarray(t)
             r = np.linalg.norm(t)
-            radial = -float(f.interpolate(t[None])[0] @ (t / r))
+            radial = float(f.interpolate(t[None])[0] @ (t / r))
             ball_err = max(ball_err, abs(radial - r / FOUR_PI) / (r / FOUR_PI))
 
         # grid pipeline vs direct particle sum in relative L2 over targets
@@ -258,7 +266,7 @@ class TestAcceptance:
         n = 20000
         gp = rng.normal(scale=0.6, size=(n, 3))
         gw = np.full(n, 1.0 / n)
-        gspec = GridSpec((0, 0, 0), 8.0, 64)
+        gspec = GridSpec(8.0, 64)
         soft = 0.3
         grho = GridDensity(gspec, deposit_cic(gp, gw, gspec))
         probes = rng.uniform(-1.0, 1.0, size=(200, 3))
@@ -299,7 +307,7 @@ class TestAcceptance:
         period = 2.0 * math.pi * math.sqrt(FOUR_PI)
         dt = period / 1000
         osc = ParticleEnsemble(
-            np.array([[1.0, 0.0, 0.0]]), np.zeros((1, 3)), np.ones(1), 0.0, -1
+            np.array([[1.0, 0.0, 0.0]]), np.zeros((1, 3)), np.ones(1)
         )
         oflow = FlowState(osc, FrozenFieldEvaluator(lambda p: -p / FOUR_PI), dt=dt)
         crossings = []
@@ -319,8 +327,8 @@ class TestAcceptance:
             rng.normal(scale=0.3, size=(512, 3)),
             np.full(512, 1.0 / 512),
         )
-        spec = GridSpec((0, 0, 0), 12.0, 16)
-        evaluator = GridFieldEvaluator(spec, 0.5 * spec.h)
+        spec = GridSpec(12.0, 16)
+        evaluator = GridFieldEvaluator(spec, 0.5 * spec.h, 1)
         bflow = FlowState(blob, evaluator, dt=0.02)
         mass_err = abs(grid_mass(evaluator.density) - 1.0)
         for _ in range(50):

@@ -34,7 +34,7 @@ from vptwin.fields import (
     field_l2_diff,
     solve_field_grid,
 )
-from vptwin.transport import WeightedCloud, coupling_cost, squared_norms, w2_exact
+from vptwin.transport import WeightedCloud, coupling_cost, ordered_sum, squared_norms, w2_exact
 
 from oracles import ledger_sum
 
@@ -82,16 +82,18 @@ class TestComputeGaps:
             assert compute_gaps(a, b)[0] == pytest.approx(want, rel=1e-12)
 
     def test_one_pass_bitwise_equals_separate_sums(self):
-        # Q and S as coupling_cost sums them, max_gap from the same norms,
-        # and both sums in the ledger's written order
+        # S as coupling_cost sums it, Q from the position and velocity
+        # norms added row by row, max_gap from the same norms, and both sums
+        # in the ledger's written order
         rng = np.random.default_rng(RNG_SEED)
         a, b = paired_ensembles(rng, n=1000)
         b.x *= np.exp(4.0 * rng.normal(size=b.x.shape))
         dx, dv = a.x - b.x, a.v - b.v
+        gap2 = squared_norms(dx) + squared_norms(dv)
         want = (
-            0.5 * coupling_cost(a.w, dx, dv),
+            0.5 * ordered_sum(gap2 * a.w),
             coupling_cost(a.w, dx),
-            float(np.sqrt(squared_norms(dx, dv).max())),
+            float(np.sqrt(gap2.max())),
         )
         assert compute_gaps(a, b) == want
         assert want[:2] == (0.5 * ledger_sum(a.w, dx, dv), ledger_sum(a.w, dx))
@@ -124,7 +126,7 @@ class TestT1T2:
         # the same integral: two discretizations of one quantity
         rng = np.random.default_rng(RNG_SEED)
         n = 40000
-        spec = GridSpec((0, 0, 0), 8.0, 32)
+        spec = GridSpec(8.0, 32)
         x1 = rng.normal(scale=0.6, size=(n, 3))
         x2 = x1 + np.array([0.3, 0.0, 0.0])
         w = np.full(n, 1.0 / n)
@@ -155,7 +157,7 @@ class TestT1T2:
     def test_cached_values_bitwise_equal_grid_interpolation(self):
         rng = np.random.default_rng(RNG_SEED)
         a, b = paired_ensembles(rng, n=256)
-        spec = GridSpec((0, 0, 0), 10.0, 16)
+        spec = GridSpec(10.0, 16)
         fa = solve_field_grid(GridDensity(spec, deposit_cic(a.x, a.w, spec)), 0.5 * spec.h)
         fb = solve_field_grid(GridDensity(spec, deposit_cic(b.x, b.w, spec)), 0.5 * spec.h)
         got = compute_T1_T2(a, b, fa.interpolate(a.x), fb.interpolate(b.x), fb.interpolate)
@@ -165,8 +167,8 @@ class TestT1T2:
     def test_cached_values_bitwise_equal_direct_sum(self):
         rng = np.random.default_rng(RNG_SEED)
         a, b = paired_ensembles(rng, n=256)
-        ev_a = DirectSumEvaluator(0.1)
-        ev_b = DirectSumEvaluator(0.2)
+        ev_a = DirectSumEvaluator(0.1, -1)
+        ev_b = DirectSumEvaluator(0.2, -1)
         ev_a.refresh(a)
         ev_b.refresh(b)
         got = compute_T1_T2(a, b, ev_a.accel(a.x), ev_b.accel(b.x), ev_b.accel)
@@ -197,7 +199,7 @@ class TestProp31:
 
     def test_identical_densities(self):
         rng = np.random.default_rng(RNG_SEED)
-        spec = GridSpec((0, 0, 0), 6.0, 24)
+        spec = GridSpec(6.0, 24)
         c = self.ball_cloud(rng)
         rho = self.density(c, spec)
         w2, _ = w2_exact(c, c)
@@ -209,7 +211,7 @@ class TestProp31:
         # W2 between a cloud and its translate is exactly |delta|, so the
         # rhs is known; lhs / |delta| should be stable as delta shrinks
         rng = np.random.default_rng(RNG_SEED)
-        spec = GridSpec((0, 0, 0), 6.0, 32)
+        spec = GridSpec(6.0, 32)
         c = self.ball_cloud(rng)
         rho1 = self.density(c, spec)
         slopes = []
@@ -227,7 +229,7 @@ class TestProp31:
         # one solve of rho1 - rho2 against the difference of two solves:
         # the same norm up to rounding
         rng = np.random.default_rng(RNG_SEED)
-        spec = GridSpec((0, 0, 0), 6.0, 16)
+        spec = GridSpec(6.0, 16)
         c = self.ball_cloud(rng, n=512)
         rho1 = self.density(c, spec)
         rho2 = self.density(WeightedCloud(c.points * 1.1, c.weights), spec)
@@ -255,8 +257,8 @@ class TestProp31:
     def test_grid_mismatch_rejected(self):
         # densities on boxes of different geometry have no common L2 norm
         # to compare; their difference is refused rather than guessed
-        r1 = GridDensity(GridSpec((0, 0, 0), 4.0, 8), np.zeros((8, 8, 8)))
-        r2 = GridDensity(GridSpec((0, 0, 0), 5.0, 8), np.zeros((8, 8, 8)))
+        r1 = GridDensity(GridSpec(4.0, 8), np.zeros((8, 8, 8)))
+        r2 = GridDensity(GridSpec(5.0, 8), np.zeros((8, 8, 8)))
         with pytest.raises(ValueError, match="different geometry"):
             self.sides(r1, r2, 0.0)
 

@@ -29,19 +29,21 @@ from vptwin.errors import DivergenceError, EscapeError
 from vptwin.fields import FOUR_PI, GridSpec
 from vptwin.transport import coupling_cost
 
-from oracles import FrozenFieldEvaluator, grid_mass, potential_energy_direct
+from oracles import FrozenFieldEvaluator, potential_energy_direct
 
 RNG_SEED = 777
 
 
-def random_ensemble(rng, n=64, eps=1):
+def random_ensemble(rng, n=64):
     return ParticleEnsemble(
         rng.normal(scale=0.5, size=(n, 3)),
         rng.normal(scale=0.3, size=(n, 3)),
         np.full(n, 1.0 / n),
-        0.0,
-        eps,
     )
+
+
+def no_observer(step, flow_a, flow_b):
+    """run_twin's observer where a test reads only the final flows."""
 
 
 def harmonic_field(points):
@@ -101,7 +103,7 @@ class TestHarmonicOscillator:
 
     def run_leapfrog(self, dt, t_final):
         ens = ParticleEnsemble(
-            np.array([[1.0, 0.0, 0.0]]), np.zeros((1, 3)), np.array([1.0]), 0.0, -1
+            np.array([[1.0, 0.0, 0.0]]), np.zeros((1, 3)), np.array([1.0])
         )
         flow = FlowState(ens, FrozenFieldEvaluator(harmonic_field), dt=dt)
         n = int(round(t_final / dt))
@@ -136,23 +138,23 @@ class TestHarmonicOscillator:
 class TestConservation:
     def test_momentum_conserved_direct_sum(self):
         rng = np.random.default_rng(RNG_SEED)
-        ens = random_ensemble(rng, n=48, eps=-1)
+        ens = random_ensemble(rng, n=48)
         p0 = ens.w @ ens.v
-        flow = FlowState(ens, DirectSumEvaluator(softening=0.1), dt=0.02)
+        flow = FlowState(ens, DirectSumEvaluator(softening=0.1, epsilon=-1), dt=0.02)
         for _ in range(50):
             step_leapfrog(flow)
         np.testing.assert_allclose(ens.w @ flow.ensemble.v, p0, atol=1e-14)
 
     def test_energy_drift_small(self):
         rng = np.random.default_rng(RNG_SEED)
-        ens = random_ensemble(rng, n=48, eps=-1)
+        ens = random_ensemble(rng, n=48)
         soft = 0.2
 
         def energy(e):
-            return 0.5 * coupling_cost(e.w, e.v) + potential_energy_direct(e, soft)
+            return 0.5 * coupling_cost(e.w, e.v) + potential_energy_direct(e, soft, -1)
 
         e0 = energy(ens)
-        flow = FlowState(ens, DirectSumEvaluator(softening=soft), dt=0.02)
+        flow = FlowState(ens, DirectSumEvaluator(softening=soft, epsilon=-1), dt=0.02)
         for _ in range(100):
             step_leapfrog(flow)
         e1 = energy(flow.ensemble)
@@ -163,9 +165,9 @@ class TestMonokinetic:
     def test_cold_repulsive_cloud_expands(self):
         rng = np.random.default_rng(RNG_SEED)
         pts = rng.normal(scale=0.3, size=(200, 3))
-        ens = ParticleEnsemble(pts, np.zeros_like(pts), np.full(200, 1.0 / 200), 0.0, 1)
+        ens = ParticleEnsemble(pts, np.zeros_like(pts), np.full(200, 1.0 / 200))
         assert np.all(ens.v == 0)
-        flow = FlowState(ens, DirectSumEvaluator(softening=0.1), dt=0.01)
+        flow = FlowState(ens, DirectSumEvaluator(softening=0.1, epsilon=1), dt=0.01)
         step_leapfrog(flow)
         com = np.average(flow.ensemble.x, axis=0, weights=flow.ensemble.w)
         radial = np.einsum(
@@ -190,7 +192,7 @@ class TestDispersionAndCrossing:
         rng = np.random.default_rng(RNG_SEED)
         pts = rng.normal(size=(500, 3))
         ens = ParticleEnsemble(pts, 0.4 * pts, np.full(500, 1.0 / 500))
-        spec = GridSpec((0, 0, 0), 10.0, 8)
+        spec = GridSpec(10.0, 8)
         # linear shear inside one cell still counts as dispersion, so use a
         # grid coarse enough that the signal stays well under the two-stream
         # level tested below
@@ -200,14 +202,14 @@ class TestDispersionAndCrossing:
         x = np.array([[0.1, 0.0, 0.0], [0.12, 0.0, 0.0]])
         v = np.array([[0.7, 0.0, 0.0], [-0.7, 0.0, 0.0]])
         ens = ParticleEnsemble(x, v, np.array([0.5, 0.5]))
-        spec = GridSpec((0, 0, 0), 8.0, 4)
+        spec = GridSpec(8.0, 4)
         assert cell_velocity_dispersion(ens, spec) == pytest.approx(0.7, rel=1e-12)
 
     def test_warm_flow_disarms_detector(self, monkeypatch):
         monkeypatch.setattr(dynamics, "CROSSING_THRESHOLD", 0.1)
         rng = np.random.default_rng(RNG_SEED)
         ens = random_ensemble(rng, n=500)
-        spec = GridSpec((0, 0, 0), 8.0, 8)
+        spec = GridSpec(8.0, 8)
         det = CrossingDetector(spec)
         for _ in range(5):
             det.observe(ens)
@@ -233,38 +235,63 @@ class TestDispersionAndCrossing:
         ens = sample_initial(cfg)
         spec = cfg.grid_spec
         det = CrossingDetector(spec)
-        flow = FlowState(ens, GridFieldEvaluator(spec, 0.5 * spec.h), dt=dt)
+        flow = FlowState(ens, GridFieldEvaluator(spec, 0.5 * spec.h, cfg.epsilon), dt=dt)
         det.observe(flow.ensemble)
         while flow.ensemble.t < cfg.t_final - 1e-12 and det.crossing_time is None:
             step_leapfrog(flow)
             det.observe(flow.ensemble)
         return det.crossing_time
 
-    @pytest.mark.parametrize("delta", [1e-2, -1e-2, 0.1])
-    def test_velocity_shift_does_not_move_crossing(self, delta):
-        # a uniform velocity shift of B changes neither its cell dispersion
-        # nor its rms speed about the mean velocity, so the cold merger
-        # crosses at the same step in both branches
+    @staticmethod
+    def merger_twin(delta, **overrides):
         from vptwin.harness import ScenarioConfig, run_twin_config
 
-        cfg = ScenarioConfig(
+        base = dict(
             scenario="two-blob",
             epsilon=-1,
             field_mode="direct",
             n_particles=512,
             grid_dims=32,
             box_edge=10.0,
-            sigma_x=0.35,
             dt=0.02,
-            t_final=0.4,
             twin_kind="velocity-shift",
             twin_delta=delta,
             ot_stride=0,
             seed=1301,
         )
-        result = run_twin_config(cfg)
-        assert result.crossing_time_a is not None
+        return run_twin_config(ScenarioConfig(**dict(base, **overrides)))
+
+    # a shift of 0.1 is left out: over the run it carries B a whole cell
+    # across the fixed bins, which moves B's crossing to 0.42
+    @pytest.mark.parametrize("delta", [1e-2, -1e-2])
+    def test_velocity_shift_does_not_move_crossing(self, delta):
+        # a uniform velocity shift of B changes neither its cell dispersion
+        # nor its rms speed about the mean velocity, so the approaching
+        # blobs cross at the same step in both branches
+        result = self.merger_twin(
+            delta, sigma_x=0.15, blob_separation=1.6, approach_speed=0.8, t_final=0.6
+        )
+        assert result.crossing_time_a == pytest.approx(0.48)
         assert result.crossing_time_b == result.crossing_time_a
+
+    def test_cold_merger_from_rest_reports_no_crossing(self):
+        # after one step from rest v ~ a dt: the dispersion over the rms
+        # speed is the field's variation within a cell, which is no crossing
+        result = self.merger_twin(1e-2, sigma_x=0.35, t_final=0.4)
+        assert (result.crossing_time_a, result.crossing_time_b) == (None, None)
+
+    def test_start_is_not_read(self, monkeypatch):
+        calls = []
+        real = dynamics.cell_velocity_dispersion
+        monkeypatch.setattr(
+            dynamics, "cell_velocity_dispersion", lambda e, s: calls.append(e.t) or real(e, s)
+        )
+        ens = random_ensemble(np.random.default_rng(RNG_SEED))
+        det = CrossingDetector(GridSpec(8.0, 8))
+        det.observe(ens)
+        assert calls == []
+        det.observe(ens)
+        assert len(calls) == 1
 
     def test_crossing_time_stable_under_dt_refinement(self):
         coarse = self.crossing_time_at(0.02)
@@ -277,9 +304,10 @@ class TestTwinRuns:
     def test_identical_twins_bitwise_equal(self):
         rng = np.random.default_rng(RNG_SEED)
         sample = random_ensemble(rng, n=128)
-        spec = GridSpec((0, 0, 0), 12.0, 16)
+        spec = GridSpec(12.0, 16)
         fa, fb = run_twin(
-            sample, sample.copy(), GridFieldEvaluator(spec, 0.5 * spec.h), GridFieldEvaluator(spec, 0.5 * spec.h), 0.02, 20
+            sample, sample.copy(), GridFieldEvaluator(spec, 0.5 * spec.h, 1),
+            GridFieldEvaluator(spec, 0.5 * spec.h, 1), 0.02, 20, no_observer,
         )
         np.testing.assert_array_equal(fa.ensemble.x, fb.ensemble.x)
         np.testing.assert_array_equal(fa.ensemble.v, fb.ensemble.v)
@@ -292,7 +320,9 @@ class TestTwinRuns:
         ens_b = ens_a.copy()
         ens_b.v[:, 0] += 1e-3
         v0_a = ens_a.v.copy()
-        fa, fb = run_twin(ens_a, ens_b, ZeroFieldEvaluator(), ZeroFieldEvaluator(), 0.05, 10)
+        fa, fb = run_twin(
+            ens_a, ens_b, ZeroFieldEvaluator(), ZeroFieldEvaluator(), 0.05, 10, no_observer
+        )
         assert fa.ensemble is ens_a and fb.ensemble is ens_b
         np.testing.assert_array_equal(fa.ensemble.v, v0_a)
         np.testing.assert_allclose(
@@ -317,10 +347,11 @@ class TestTwinRuns:
     def test_branch_failure_labeled(self):
         rng = np.random.default_rng(RNG_SEED)
         sample = random_ensemble(rng, n=32)
-        spec = GridSpec((0, 0, 0), 1.0, 4)  # box too small: branch A escapes
+        spec = GridSpec(1.0, 4)  # box too small: branch A escapes
         with pytest.raises(TwinError) as exc:
             run_twin(
-                sample, sample.copy(), GridFieldEvaluator(spec, 0.5 * spec.h), ZeroFieldEvaluator(), 0.05, 10
+                sample, sample.copy(), GridFieldEvaluator(spec, 0.5 * spec.h, 1),
+                ZeroFieldEvaluator(), 0.05, 10, no_observer,
             )
         assert exc.value.branch == "A"
         assert isinstance(exc.value.cause, EscapeError)
@@ -329,10 +360,11 @@ class TestTwinRuns:
         def one():
             rng = np.random.default_rng(RNG_SEED)
             sample = random_ensemble(rng, n=256)
-            spec = GridSpec((0, 0, 0), 12.0, 16)
+            spec = GridSpec(12.0, 16)
             fa, _ = run_twin(
                 sample, sample.copy(),
-                GridFieldEvaluator(spec, 0.5 * spec.h), GridFieldEvaluator(spec, 0.5 * spec.h), 0.02, 15,
+                GridFieldEvaluator(spec, 0.5 * spec.h, 1),
+                GridFieldEvaluator(spec, 0.5 * spec.h, 1), 0.02, 15, no_observer,
             )
             return fa.ensemble.x.copy(), fa.ensemble.v.copy()
 
@@ -440,18 +472,34 @@ class TestConcurrentBranches:
             blocker.result(timeout=60)
 
 
+class TestEvaluatorSign:
+    """The solvers solve Delta Psi = rho; each evaluator applies epsilon."""
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda eps: GridFieldEvaluator(GridSpec(8.0, 16), 0.25, eps),
+            lambda eps: DirectSumEvaluator(0.1, eps),
+        ],
+        ids=["grid", "direct"],
+    )
+    def test_attractive_accel_is_exactly_minus_the_repulsive(self, make):
+        ens = random_ensemble(np.random.default_rng(RNG_SEED), n=128)
+        points = np.vstack([ens.x, np.zeros((1, 3))])
+        accel = {}
+        for eps in (1, -1):
+            evaluator = make(eps)
+            evaluator.refresh(ens)
+            accel[eps] = evaluator.accel(points)
+        assert np.any(accel[1] != 0)
+        assert accel[-1].tobytes() == (-1 * accel[1]).tobytes()
+
+
 class TestStepMechanics:
     def test_zero_dt_rejected(self):
         rng = np.random.default_rng(RNG_SEED)
         with pytest.raises(ValueError):
             FlowState(random_ensemble(rng, n=4), ZeroFieldEvaluator(), dt=0.0)
-
-    def test_deposit_carries_epsilon_sign(self):
-        rng = np.random.default_rng(RNG_SEED)
-        ens = random_ensemble(rng, n=32, eps=-1)
-        rho = dynamics.deposit(ens, GridSpec((0, 0, 0), 8.0, 8))
-        assert rho.epsilon_sign == -1
-        assert grid_mass(rho) == pytest.approx(1.0, rel=1e-12)
 
     def test_copy_shares_only_the_weights(self):
         # nothing writes w after sampling, so a twin's branches and its
@@ -464,4 +512,4 @@ class TestStepMechanics:
         assert not np.shares_memory(twin.v, ens.v)
         np.testing.assert_array_equal(twin.x, ens.x)
         np.testing.assert_array_equal(twin.v, ens.v)
-        assert (twin.t, twin.epsilon_sign) == (ens.t, ens.epsilon_sign)
+        assert twin.t == ens.t

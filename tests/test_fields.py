@@ -37,11 +37,11 @@ from oracles import grid_points, load_grid, loop_sum
 RNG_SEED = 424242
 
 
-def kernel_oracle(source, weight, target, eps=1):
+def kernel_oracle(source, weight, target):
     """Single-source field from the closed-form kernel."""
     d = np.asarray(target, dtype=float) - np.asarray(source, dtype=float)
     r = np.linalg.norm(d)
-    return eps * weight * d / (FOUR_PI * r**3)
+    return weight * d / (FOUR_PI * r**3)
 
 
 def ball_field_quadrature(r_target, n_quad=96):
@@ -73,7 +73,7 @@ def ball_field_quadrature(r_target, n_quad=96):
     return total
 
 
-def direct_sum_loop(points, weights, targets, softening, eps):
+def direct_sum_loop(points, weights, targets, softening):
     """solve_field_direct in its documented order, one target at a time:
     r^2 = (dx dx + dz dz) + dy dy + s^2, then each component summed from
     +0.0 over the sources in source order."""
@@ -86,7 +86,7 @@ def direct_sum_loop(points, weights, targets, softening, eps):
             acc = 0.0
             for term in (inv * d[:, k]).tolist():
                 acc += term
-            out[i, k] = eps * acc
+            out[i, k] = acc
     return out
 
 
@@ -140,7 +140,7 @@ def reordering_probe(n=3001):
     points exactly on cell centers and points on the last cell-center
     plane of each axis."""
     rng = np.random.default_rng(RNG_SEED)
-    spec = GridSpec((0.1, -0.2, 0.3), 2.7, 9)
+    spec = GridSpec(2.7, 9)
     first, last = spec.lo + 0.5 * spec.h, spec.hi - 0.5 * spec.h
     pts = rng.uniform(first, last, size=(n, 3))
     on_center = rng.integers(0, spec.dims, size=(200, 3))
@@ -159,10 +159,9 @@ class TestDirectSum:
             [[1, 0, 0], [-2, 0, 0], [0, 0.5, 0], [0, -1, 0], [0, 0, 3], [0, 0, -0.25]],
             dtype=float,
         )
-        for eps in (1, -1):
-            got = solve_field_direct(src, w, targets, epsilon_sign=eps)
-            want = np.array([kernel_oracle(src[0], w[0], t, eps) for t in targets])
-            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-15)
+        got = solve_field_direct(src, w, targets)
+        want = np.array([kernel_oracle(src[0], w[0], t) for t in targets])
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-15)
 
     def test_linearity_in_weights(self):
         rng = np.random.default_rng(RNG_SEED)
@@ -218,9 +217,9 @@ class TestDirectSum:
         src = rng.normal(size=(n_sources, 3))
         w = rng.random(n_sources) / 7.0
         t = rng.normal(size=(401, 3))
-        want = solve_field_direct(src, w, t, softening=0.05, epsilon_sign=-1)
+        want = solve_field_direct(src, w, t, softening=0.05)
         monkeypatch.setattr(fields, "DIRECT_PAIRS", pairs)
-        got = solve_field_direct(src, w, t, softening=0.05, epsilon_sign=-1)
+        got = solve_field_direct(src, w, t, softening=0.05)
         assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("n_sources", [1, 3, 300])
@@ -237,10 +236,10 @@ class TestDirectSum:
         t[2, 1] = -0.0
         w = rng.random(n_sources) / 3.0
         monkeypatch.setattr(fields, "DIRECT_PAIRS", pairs)
-        got = solve_field_direct(src, w, t, softening=0.05, epsilon_sign=-1)
-        want = direct_sum_loop(src, w, t, 0.05, -1)
+        got = solve_field_direct(src, w, t, softening=0.05)
+        want = direct_sum_loop(src, w, t, 0.05)
         assert got.tobytes() == want.tobytes()
-        assert np.all(np.signbit(got[:2, 0]))  # -(+0.0) under epsilon = -1
+        assert not np.any(np.signbit(got[:2, 0]))  # +0.0, not -0.0
 
     @pytest.mark.parametrize("pairs", [7, 1 << 15])
     def test_singularity_in_last_block_raises(self, monkeypatch, pairs):
@@ -260,18 +259,18 @@ class TestBallInterior:
     def test_lattice_ball_matches_quadrature(self):
         pts, w = ball_lattice(0.05)
         targets = np.array([[0.2, 0, 0], [0, 0.5, 0], [0, 0, 0.8]])
-        got = solve_field_direct(pts, w, targets, epsilon_sign=-1)
+        got = solve_field_direct(pts, w, targets)
         for t, f in zip(targets, got):
             r = np.linalg.norm(t)
-            radial = -float(f @ (t / r))  # attractive: field points inward
+            radial = float(f @ (t / r))  # grad Psi of Delta Psi = rho points outward
             assert radial == pytest.approx(ball_field_quadrature(r), rel=0.02)
             # transverse component vanishes by symmetry
-            assert np.linalg.norm(f + radial * t / r) <= 0.02 * abs(radial)
+            assert np.linalg.norm(f - radial * t / r) <= 0.02 * abs(radial)
 
 
 class TestDeposit:
     def test_point_at_cell_center(self):
-        spec = GridSpec((0, 0, 0), 4.0, 8)
+        spec = GridSpec(4.0, 8)
         p = spec.lo + (np.array([3, 4, 5]) + 0.5) * spec.h
         vals = deposit_cic(p[None, :], [1.0], spec)
         assert vals[3, 4, 5] == pytest.approx(1.0 / spec.cell_volume, rel=1e-12)
@@ -279,7 +278,7 @@ class TestDeposit:
 
     def test_mass_conservation(self):
         rng = np.random.default_rng(RNG_SEED)
-        spec = GridSpec((0, 0, 0), 6.0, 12)
+        spec = GridSpec(6.0, 12)
         pts = rng.uniform(-2, 2, size=(500, 3))
         w = rng.random(500) + 0.1
         vals = deposit_cic(pts, w, spec)
@@ -287,7 +286,7 @@ class TestDeposit:
 
     def test_uniform_subbox_mean_density(self):
         rng = np.random.default_rng(RNG_SEED)
-        spec = GridSpec((0, 0, 0), 8.0, 16)
+        spec = GridSpec(8.0, 16)
         n = 1_000_000
         pts = rng.uniform(-2, 2, size=(n, 3))
         w = np.full(n, 1.0 / n)
@@ -297,7 +296,7 @@ class TestDeposit:
         np.testing.assert_allclose(interior, 1.0 / 64.0, rtol=0.05)
 
     def test_escape_reports_indices(self):
-        spec = GridSpec((0, 0, 0), 2.0, 4)
+        spec = GridSpec(2.0, 4)
         pts = np.array([[0.0, 0.0, 0.0], [5.0, 0.0, 0.0], [0.0, -9.0, 0.0]])
         with pytest.raises(fields.EscapeError) as exc:
             deposit_cic(pts, np.ones(3), spec)
@@ -313,7 +312,7 @@ class TestDeposit:
     def test_scratch_per_particle(self):
         # the 8 corners' cells and shares (128 B) and the cell coordinates
         # they are built from: harness._particle_memory counts 224 B
-        spec = GridSpec((0, 0, 0), 10.0, 16)
+        spec = GridSpec(10.0, 16)
         n = 50_000
         pts = np.random.default_rng(RNG_SEED).uniform(-4, 4, size=(n, 3))
         w = np.full(n, 1.0 / n)
@@ -340,7 +339,7 @@ class TestDeposit:
 
 class TestGridSolver:
     def test_zero_density_zero_field(self):
-        spec = GridSpec((0, 0, 0), 4.0, 16)
+        spec = GridSpec(4.0, 16)
         f = solve_auto(GridDensity(spec, np.zeros(spec.dims)))
         np.testing.assert_array_equal(f.values, 0.0)
 
@@ -348,7 +347,7 @@ class TestGridSolver:
         # same kernel, same softening: the FFT convolution is exact at
         # cell centers up to roundoff
         rng = np.random.default_rng(RNG_SEED)
-        spec = GridSpec((0, 0, 0), 6.0, 12)
+        spec = GridSpec(6.0, 12)
         pts = rng.uniform(-1.5, 1.5, size=(300, 3))
         w = rng.random(300) + 0.1
         rho = GridDensity(spec, deposit_cic(pts, w, spec))
@@ -362,15 +361,15 @@ class TestGridSolver:
         np.testing.assert_allclose(grid_f.values.reshape(-1, 3), direct, atol=1e-12 * scale)
 
     def test_ball_interior_against_analytic(self):
-        spec = GridSpec((0, 0, 0), 6.0, 64)
+        spec = GridSpec(6.0, 64)
         pts, w = ball_lattice(0.04)
-        rho = GridDensity(spec, deposit_cic(pts, w, spec), epsilon_sign=-1)
+        rho = GridDensity(spec, deposit_cic(pts, w, spec))
         f = solve_auto(rho)
         targets = np.array([[0.35, 0, 0], [0, -0.6, 0], [0, 0, 0.5]])
         got = f.interpolate(targets)
         for t, g in zip(targets, got):
             r = np.linalg.norm(t)
-            radial = -float(g @ (t / r))
+            radial = float(g @ (t / r))
             assert radial == pytest.approx(r / FOUR_PI, rel=0.03)
 
     def test_refinement_convergence(self):
@@ -384,7 +383,7 @@ class TestGridSolver:
         soft = 0.3
         errs = []
         for dims in (16, 32, 64):
-            spec = GridSpec((0, 0, 0), 8.0, dims)
+            spec = GridSpec(8.0, dims)
             rho = GridDensity(spec, deposit_cic(pts, w, spec))
             got = solve_field_grid(rho, soft).interpolate(targets)
             want = solve_field_direct(pts, w, targets, softening=soft)
@@ -394,15 +393,14 @@ class TestGridSolver:
 
     # odd and even n, non-dyadic cell sizes 0.3, 7/12 and 6/33
     @pytest.mark.parametrize("edge, n", [(2.7, 9), (7.0, 12), (6.0, 33)])
-    @pytest.mark.parametrize("eps", [1, -1])
     @pytest.mark.parametrize("half_cells", [0.0, 0.5])
-    def test_pruned_solve_bitwise_equals_full_domain_transform(self, edge, n, eps, half_cells):
+    def test_pruned_solve_bitwise_equals_full_domain_transform(self, edge, n, half_cells):
         rng = np.random.default_rng(RNG_SEED)
-        spec = GridSpec((0, 0, 0), edge, n)
+        spec = GridSpec(edge, n)
         soft = half_cells * spec.h
         vals = np.zeros(spec.dims)
         vals[1:-1, 1:-1, 1:-1] = rng.random((n - 2,) * 3)
-        rho = GridDensity(spec, vals, epsilon_sign=eps)
+        rho = GridDensity(spec, vals)
         before = rho.values.copy()
         got = solve_field_grid(rho, soft).values
         np.testing.assert_array_equal(rho.values, before)
@@ -415,14 +413,14 @@ class TestGridSolver:
             np.fft.irfftn(mf * kf, s=pad, axes=(0, 1, 2))[:n, :n, :n]
             for kf in fields._kernel_fft(spec, soft)
         ]
-        want = eps * np.stack(comps, axis=-1)
+        want = np.stack(comps, axis=-1)
         assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("softening", [0.0, 0.15625, 0.3])
     def test_kernel_spectra_bitwise_equal_full_array_formula(self, softening):
         # softening 0 leaves denom = 0 where every offset is 0 (the origin
         # and the zeroed +-n offsets), and the kernel is 0 there
-        spec = GridSpec((0, 0, 0), 5.0, 32)
+        spec = GridSpec(5.0, 32)
         fields._KERNEL_CACHE.clear()
         got = fields._kernel_fft(spec, softening)
         fields._KERNEL_CACHE.clear()
@@ -447,7 +445,7 @@ class TestGridSolver:
             assert np.array_equal(g, np.fft.rfftn(k))
 
     def test_truncation_warning_on_boundary_support(self):
-        spec = GridSpec((0, 0, 0), 2.0, 8)
+        spec = GridSpec(2.0, 8)
         vals = np.zeros(spec.dims)
         vals[0, 4, 4] = 1.0
         with pytest.warns(TruncationWarning):
@@ -456,7 +454,7 @@ class TestGridSolver:
     def test_interior_support_no_warning(self):
         import warnings
 
-        spec = GridSpec((0, 0, 0), 2.0, 8)
+        spec = GridSpec(2.0, 8)
         vals = np.zeros(spec.dims)
         vals[4, 4, 4] = 1.0
         with warnings.catch_warnings():
@@ -475,8 +473,8 @@ class TestSolveWorkspace:
     """solve_field_grid reuses one set of transform buffers per thread and
     grid shape; no result may depend on, or share memory with, them."""
 
-    CUBE = GridSpec((0, 0, 0), 4.0, 32)
-    ODD = GridSpec((0.5, 0, -0.5), 2.7, 9)  # odd n, non-dyadic h
+    CUBE = GridSpec(4.0, 32)
+    ODD = GridSpec(2.7, 9)  # odd n, non-dyadic h
 
     def test_warm_solve_allocates_only_the_mass_and_the_field(self):
         # every transform writes into the workspace: a warm 32^3 solve
@@ -584,7 +582,7 @@ class TestSignedSolve:
     @pytest.mark.parametrize("softening", ["auto", 0.3])
     def test_equals_difference_of_two_solves(self, n, softening):
         # the solve is linear; the two routes differ in rounding only
-        spec = GridSpec((0.2, 0, -0.1), 5.0, n)
+        spec = GridSpec(5.0, n)
         if softening == "auto":
             softening = 0.5 * spec.h
         rho1, rho2 = signed_pair(spec, n)
@@ -595,28 +593,19 @@ class TestSignedSolve:
         assert scale > 0
         assert np.sqrt(np.sum((got.values - want) ** 2)) <= 1e-12 * scale
 
-    def test_sign_and_epsilon_follow_the_densities(self):
-        spec = GridSpec((0, 0, 0), 4.0, 12)
+    def test_sign_follows_the_order_of_the_densities(self):
+        spec = GridSpec(4.0, 12)
         rho1, rho2 = signed_pair(spec, 3)
         ab = solve_auto(fields.DensityDifference(rho1, rho2)).values
         ba = solve_auto(fields.DensityDifference(rho2, rho1)).values
         assert np.array_equal(ab, -ba)
-        neg = [GridDensity(spec, r.values, epsilon_sign=-1) for r in (rho1, rho2)]
-        assert np.array_equal(solve_auto(fields.DensityDifference(*neg)).values, -ab)
-
-    def test_sign_mismatch_rejected(self):
-        # geometry mismatches: TestProp31.test_grid_mismatch_rejected
-        rho = interior_density(GridSpec((0, 0, 0), 4.0, 8), 1)
-        flipped = GridDensity(rho.spec, rho.values, epsilon_sign=-1)
-        with pytest.raises(ValueError, match="epsilon_sign"):
-            fields.DensityDifference(rho, flipped)
 
 
 class TestSignedSolveTruncation:
     """The difference's solve warns where either density touches the outer
     cell layer, even where the two cancel there."""
 
-    SPEC = GridSpec((0, 0, 0), 2.0, 8)
+    SPEC = GridSpec(2.0, 8)
 
     def density(self, *cells):
         vals = np.zeros(self.SPEC.dims)
@@ -655,7 +644,7 @@ class TestFieldL2:
     """field_l2_diff, the norm of one difference field."""
 
     def test_known_constant_field(self):
-        spec = GridSpec((0, 0, 0), 4.0, 8)
+        spec = GridSpec(4.0, 8)
         vals = np.zeros(spec.dims + (3,))
         vals[..., 0] = 2.0
         # |d| = 2 everywhere over volume 64: sqrt(4 * 64) = 16
@@ -664,7 +653,7 @@ class TestFieldL2:
     def test_summed_in_c_order(self):
         # the squares add left to right in C order (cells x-major, then
         # the three components)
-        spec = GridSpec((0, 0, 0), 10.0, 8)
+        spec = GridSpec(10.0, 8)
         rng = np.random.default_rng(0)
         d = rng.standard_normal(spec.dims + (3,)) * np.exp(
             6.0 * rng.standard_normal(spec.dims + (3,)))
@@ -673,7 +662,7 @@ class TestFieldL2:
         assert field_l2_diff(GridField(spec, -d)) == want
 
     def test_leaves_the_field_alone(self):
-        spec = GridSpec((0, 0, 0), 4.0, 8)
+        spec = GridSpec(4.0, 8)
         f = GridField(spec, np.random.default_rng(RNG_SEED).normal(size=spec.dims + (3,)))
         kept = f.values.copy()
         field_l2_diff(f)
@@ -682,7 +671,7 @@ class TestFieldL2:
     def test_no_per_element_list(self):
         # a float list of the terms alone takes 4x the field's bytes (an
         # 8-byte pointer and a 24-byte float per element)
-        spec = GridSpec((0, 0, 0), 8.0, 32)
+        spec = GridSpec(8.0, 32)
         f = GridField(spec, np.random.default_rng(RNG_SEED).normal(size=spec.dims + (3,)))
         tracemalloc.start()
         try:
@@ -696,7 +685,7 @@ class TestFieldL2:
 class TestInterpolation:
     def test_exact_at_cell_centers(self):
         rng = np.random.default_rng(RNG_SEED)
-        spec = GridSpec((0, 0, 0), 4.0, 8)
+        spec = GridSpec(4.0, 8)
         f = GridField(spec, rng.normal(size=spec.dims + (3,)))
         centers = grid_points(spec).reshape(-1, 3)
         np.testing.assert_allclose(
@@ -705,7 +694,7 @@ class TestInterpolation:
 
     def test_linear_field_reproduced(self):
         # trilinear interpolation is exact for affine fields
-        spec = GridSpec((0, 0, 0), 4.0, 8)
+        spec = GridSpec(4.0, 8)
         centers = grid_points(spec)
         vals = np.stack(
             [2.0 * centers[..., 0] - 1.0, centers[..., 1], -centers[..., 2]], axis=-1
@@ -717,7 +706,7 @@ class TestInterpolation:
         np.testing.assert_allclose(f.interpolate(pts), want, atol=1e-12)
 
     def test_outside_hull_raises(self):
-        spec = GridSpec((0, 0, 0), 4.0, 8)
+        spec = GridSpec(4.0, 8)
         f = GridField(spec, np.zeros(spec.dims + (3,)))
         with pytest.raises(OutOfDomainError):
             f.interpolate([[2.1, 0.0, 0.0]])
@@ -762,17 +751,19 @@ class TestGridIO:
     @pytest.mark.parametrize("edge, n", [(2.7, 9), (7.0, 12)])
     def test_density_roundtrip(self, tmp_path, edge, n):
         rng = np.random.default_rng(RNG_SEED)
-        spec = GridSpec((0.5, -1.0, 2.0), edge, n)
-        rho = GridDensity(spec, rng.random(spec.dims), epsilon_sign=-1)
-        fields.save_grid(rho, tmp_path / "rho")
+        spec = GridSpec(edge, n)
+        rho = GridDensity(spec, rng.random(spec.dims))
+        # the density holds no sign: the run's epsilon is handed to the writer
+        fields.save_grid(rho, tmp_path / "rho", epsilon_sign=-1)
         got = load_grid(tmp_path / "rho")
         assert got.spec == spec
-        assert got.epsilon_sign == -1
+        with open(tmp_path / "rho.json") as fh:
+            assert json.load(fh)["epsilon_sign"] == -1
         np.testing.assert_array_equal(got.values, rho.values)
 
     def test_field_roundtrip(self, tmp_path):
         rng = np.random.default_rng(RNG_SEED)
-        spec = GridSpec((0, 0, 0), 6.0, 33)
+        spec = GridSpec(6.0, 33)
         f = GridField(spec, rng.normal(size=spec.dims + (3,)))
         fields.save_grid(f, tmp_path / "f")
         got = load_grid(tmp_path / "f")
@@ -780,22 +771,24 @@ class TestGridIO:
         np.testing.assert_array_equal(got.values, f.values)
 
     def test_sidecar_keeps_per_axis_lists(self, tmp_path):
-        # readers of the sidecar format take dims, box_edge and h as
-        # three-element lists
-        spec = GridSpec((0.5, -1.0, 2.0), 2.7, 9)
+        # readers of the sidecar format take dims, box_center, box_edge and
+        # h as three-element lists; every box is centred on the origin
+        spec = GridSpec(2.7, 9)
         fields.save_grid(GridDensity(spec, np.zeros(spec.dims)), tmp_path / "rho")
         with open(tmp_path / "rho.json") as fh:
             side = json.load(fh)
         assert side["dims"] == [9, 9, 9]
+        assert side["box_center"] == [0.0, 0.0, 0.0]
         assert side["box_edge"] == [2.7, 2.7, 2.7]
         assert side["h"] == [2.7 / 9] * 3 == [0.30000000000000004] * 3
 
 
 class TestGridSpecValidation:
     def test_cube_of_one_cell_size(self):
-        spec = GridSpec((0, 0, 0), 2.7, 9)
+        spec = GridSpec(2.7, 9)
         assert (spec.edge, spec.n, spec.dims) == (2.7, 9, (9, 9, 9))
         assert spec.h == 2.7 / 9
+        np.testing.assert_array_equal(spec.lo, [-1.35, -1.35, -1.35])
         # h * h * h: the bits of the product over three equal cell sizes
         assert spec.cell_volume == float(np.prod(np.full(3, spec.h)))
         np.testing.assert_array_equal(spec.hi - spec.lo, [2.7, 2.7, 2.7])
@@ -807,16 +800,16 @@ class TestGridSpecValidation:
     )
     def test_per_axis_edge_or_n_refused(self, edge, n):
         with pytest.raises(ValueError, match="n\\^3 cube"):
-            GridSpec((0, 0, 0), edge, n)
+            GridSpec(edge, n)
 
     def test_bad_dims_rejected(self):
         with pytest.raises(ValueError):
-            GridSpec((0, 0, 0), 4.0, 1)
+            GridSpec(4.0, 1)
         with pytest.raises(ValueError):
-            GridSpec((0, 0, 0), -4.0, 8)
+            GridSpec(-4.0, 8)
 
     def test_density_negative_rejected(self):
-        spec = GridSpec((0, 0, 0), 4.0, 4)
+        spec = GridSpec(4.0, 4)
         vals = np.zeros(spec.dims)
         vals[0, 0, 0] = -1e-12
         with pytest.raises(ValueError):

@@ -28,7 +28,7 @@ from vptwin.harness import (
     write_records,
 )
 
-from oracles import load_plan
+from oracles import load_grid, load_plan
 
 
 def small_config(**overrides):
@@ -148,6 +148,15 @@ class TestConfigParsing:
             ScenarioConfig(epsilon=2).validate()
         with pytest.raises(ConfigError):
             ScenarioConfig(n_particles=1).validate()
+
+    @pytest.mark.parametrize("dt, t_final, steps", [(0.4, 0.5, 1), (0.5, 0.5, 1), (2.0, 1.0, 0)])
+    def test_fewer_than_two_steps_refused(self, dt, t_final, steps):
+        # certify needs the three records of steps 0, 1 and 2
+        with pytest.raises(ConfigError, match=rf"t_final / dt rounds to {steps} step\(s\)"):
+            ScenarioConfig(dt=dt, t_final=t_final).validate()
+
+    def test_two_steps_admitted(self):
+        assert small_config(dt=0.25, t_final=0.5).n_steps == 2
 
     @pytest.mark.parametrize(
         "line",
@@ -316,7 +325,7 @@ class TestConfigParsing:
         # 16^3 cells of 0.625: auto is 0.3125, which the diagnostics use
         # whatever the flows use
         spec = small_config().grid_spec
-        spec_b = fields.GridSpec(spec.center, spec.edge, 20)
+        spec_b = fields.GridSpec(spec.edge, 20)
         diag = (spec, 0.3125)
         assert small_config().field_solves() == (diag, diag, diag)
         assert small_config(twin_kind="resolution", twin_grid_dims_b=20).field_solves() == (
@@ -753,15 +762,18 @@ class TestLedgerConsistency:
         # the probe samples the field flow A steps with: loglip_C equals the
         # probe of a fresh evaluator of A's kind refreshed on the snapshot,
         # bit for bit, on the diagnostics grid's cell-center hull (h < 1/2);
-        # a direct-sum flow's stands in as the diagnostics' grid solve
+        # a direct-sum flow's stands in as the diagnostics' grid solve, which
+        # runs unsigned: the modulus is the same bits under either sign
         cfg = small_config(n_particles=128, box_edge=6.0, t_final=0.5, ot_stride=5,
                            ot_subsample=64, snapshot_stride=5, **overrides)
         solve_a, _, diag = cfg.field_solves()
         spec = diag[0]
-        mode, solve = ("grid", diag) if cfg.field_mode == "direct" else (cfg.field_mode, solve_a)
+        plan, solve = cfg, solve_a
+        if cfg.field_mode == "direct":
+            plan, solve = replace(cfg, field_mode="grid"), diag
         result = run_twin_config(cfg)
         for step, (ens_a, _) in result.snapshots.items():
-            evaluator = harness._make_evaluator(mode, *solve)
+            evaluator = harness._make_evaluator(plan, *solve)
             evaluator.refresh(ens_a)
             want = fields.loglip_modulus(
                 evaluator.accel, spec.lo + 0.5 * spec.h, spec.hi - 0.5 * spec.h,
@@ -773,6 +785,18 @@ class TestLedgerConsistency:
 
 
 class TestEmission:
+    def test_simulation_field_carries_the_run_sign(self, tmp_path):
+        # the solve is of Delta Psi = rho: emit_simulation writes epsilon
+        # grad Psi, and the run's epsilon beside the density
+        cfg = small_config(epsilon=-1, t_final=0.1)
+        harness.emit_simulation(cfg, tmp_path / "sim")
+        rho = load_grid(tmp_path / "sim" / "density_final")
+        got = load_grid(tmp_path / "sim" / "field_final")
+        want = -1 * fields.solve_field_grid(rho, cfg.field_solves()[0][1]).values
+        assert got.values.tobytes() == want.tobytes()
+        with open(tmp_path / "sim" / "density_final.json") as fh:
+            assert json.load(fh)["epsilon_sign"] == -1
+
     def test_simulation_emits_manifested_files(self, tmp_path):
         cfg = small_config(snapshot_stride=2)
         manifest_path = harness.emit_simulation(cfg, tmp_path / "sim")
@@ -839,7 +863,7 @@ class TestEmission:
 
         def counting_step(state):
             real_step(state)
-            offset = np.abs(state.ensemble.x - np.asarray(spec.center))
+            offset = np.abs(state.ensemble.x)  # the box is centred on the origin
             inside_after.append(bool(np.all(offset <= half_lattice)))
             return state
 
@@ -1238,6 +1262,75 @@ class TestCLI:
             cli.EXIT_USAGE
         )
         assert "records.csv: size or sha256 differs" in capsys.readouterr().err
+        assert not rep_out.exists()
+
+    def test_one_step_twin_exits_usage_before_writing(self, tmp_path, capsys):
+        # one step leaves two records, and certify needs three
+        text = self.FREE_TWIN.replace("dt = 0.05\nt_final = 0.25", "dt = 0.4\nt_final = 0.5")
+        out = tmp_path / "o"
+        assert cli.main(["twin", self.write_cfg(tmp_path, text), "--out", str(out)]) == (
+            cli.EXIT_USAGE
+        )
+        assert "t_final / dt rounds to 1 step(s)" in capsys.readouterr().err
+        assert not out.exists()
+
+    @staticmethod
+    def rewrite_notes(out, text):
+        """Replace run_notes.json and re-hash the manifest over it."""
+        (out / "run_notes.json").write_text(text)
+        manifest = json.loads((out / "manifest.json").read_text())
+        names = [e["name"] for e in manifest["files"] if e["name"] != "manifest.json"]
+        harness.write_manifest(str(out), parse_config(manifest["config"]), names)
+
+    def test_report_shows_each_branch_crossing(self, tmp_path):
+        cfg = self.write_cfg(tmp_path, self.FREE_TWIN)
+        out = tmp_path / "twin"
+        assert cli.main(["twin", cfg, "--out", str(out)]) == cli.EXIT_PASS
+
+        def report():
+            rep_out = tmp_path / "rep"
+            assert cli.main(["report", str(out / "manifest.json"), "--out", str(rep_out)]) == (
+                cli.EXIT_PASS
+            )
+            text = (rep_out / "report.txt").read_text()
+            return text[text.index("cold-flow crossing:"):].splitlines()
+
+        # free streaming never crosses
+        assert report() == ["cold-flow crossing:", "  branch A: none seen", "  branch B: none seen"]
+        self.rewrite_notes(out, '{"crossing_time_a": 0.48, "crossing_time_b": null}\n')
+        assert report() == ["cold-flow crossing:", "  branch A: t = 0.48", "  branch B: none seen"]
+
+    @pytest.mark.parametrize(
+        "change, named",
+        [
+            ("append", "run_notes.json: size or sha256 differs"),
+            ("edit", "run_notes.json: size or sha256 differs"),
+            ("string", "crossing_time_a is neither a time nor null"),
+            ("list", "crossing_time_a is neither a time nor null"),
+        ],
+    )
+    def test_report_refuses_notes_unlike_its_manifest_or_malformed(
+        self, tmp_path, capsys, change, named
+    ):
+        cfg = self.write_cfg(tmp_path, self.FREE_TWIN)
+        out = tmp_path / "twin"
+        assert cli.main(["twin", cfg, "--out", str(out)]) == cli.EXIT_PASS
+        notes = out / "run_notes.json"
+        if change == "append":
+            with open(notes, "ab") as fh:
+                fh.write(b"\n")
+        elif change == "edit":
+            # a time of the same size: only the sha256 tells
+            notes.write_text(notes.read_text().replace("null", "1e-1", 1))
+        elif change == "string":
+            self.rewrite_notes(out, '{"crossing_time_a": "0.48", "crossing_time_b": null}\n')
+        else:
+            self.rewrite_notes(out, "[]\n")
+        rep_out = tmp_path / "rep"
+        assert cli.main(["report", str(out / "manifest.json"), "--out", str(rep_out)]) == (
+            cli.EXIT_USAGE
+        )
+        assert named in capsys.readouterr().err
         assert not rep_out.exists()
 
     def test_preset_names_resolve(self):

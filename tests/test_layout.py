@@ -13,11 +13,15 @@ solve must run the same transforms for the solve to equal the full one.
 
 Only the run plan, harness.ScenarioConfig, builds a GridSpec: the grid
 (and with it the "auto" softening) of every solve comes from one place.
+
+The CI workflow runs the Tier-1 command that ROADMAP.md states.
 """
 
 import ast
 import re
 from pathlib import Path
+
+import pytest
 
 import vptwin
 
@@ -219,10 +223,24 @@ def test_grid_guard_sees_every_form():
         "    edge: float\n"
         "def a(spec: GridSpec) -> GridSpec:\n"
         "    x: GridSpec = spec\n"
-        "    return GridSpec((0, 0, 0), 1.0, 8)\n"
+        "    return GridSpec(1.0, 8)\n"
         "class ScenarioConfig:\n"
         "    def grid(self):\n"
-        "        return f.GridSpec((0, 0, 0), 1.0, 8)\n"
+        "        return f.GridSpec(1.0, 8)\n"
         "make = f.GridSpec\n"
     )
     assert _grid_spec_uses(ast.parse(source)) == [(None, 7), ("ScenarioConfig", 10), (None, 11)]
+
+
+def test_ci_runs_the_tier1_command_and_the_benchmark_tests():
+    # the workflow parses, and its steps run ROADMAP.md's Tier-1 command and
+    # perfbench/test_perfbench.py on Python 3.11
+    yaml = pytest.importorskip("yaml")
+    root = Path(__file__).resolve().parents[1]
+    workflow = yaml.safe_load((root / ".github" / "workflows" / "tests.yml").read_text())
+    tier1 = re.search(r"\*\*Tier-1 verify:\*\* `([^`]+)`", (root / "ROADMAP.md").read_text())
+    steps = [step for job in workflow["jobs"].values() for step in job["steps"]]
+    runs = [step.get("run", "") for step in steps]
+    assert tier1 and tier1.group(1) in runs
+    assert any(run.endswith("pytest -q perfbench/test_perfbench.py") for run in runs)
+    assert {"python-version": "3.11"} in [step.get("with") for step in steps]

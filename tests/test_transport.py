@@ -73,26 +73,24 @@ class TestSquaredNorms:
         gap[::5, 0] = -0.0
         assert squared_norms(gap).tobytes() == row_sum_loop(gap).tobytes()
 
-    def test_gaps_add_in_argument_order(self):
-        rng = np.random.default_rng(RNG_SEED)
-        x, v = rng.normal(size=(2, 50, 3)) * np.exp(6.0 * rng.normal(size=(2, 50, 3)))
-        want = row_sum_loop(x) + row_sum_loop(v)
-        assert squared_norms(x, v).tobytes() == want.tobytes()
-        assert squared_norms(x, v).tobytes() == row_sum_loop(x, v).tobytes()
-
     @pytest.mark.parametrize("columns", range(1, 7))
-    @pytest.mark.parametrize("gaps", [1, 2, 3])
-    def test_reused_buffers_keep_the_per_column_bits(self, columns, gaps):
-        # gaps of columns, columns - 1, ... columns (at least 1), every
-        # product after a gap's first column in one shared buffer
-        rng = np.random.default_rng(RNG_SEED + 10 * columns + gaps)
-        shapes = [(40, max(1, columns - g)) for g in range(gaps)]
-        args = [rng.normal(size=s) * np.exp(6.0 * rng.normal(size=s)) for s in shapes]
-        before = [arg.copy() for arg in args]
-        got = squared_norms(*args)
-        assert got.tobytes() == row_sum_loop(*args).tobytes()
-        assert all(np.array_equal(arg, old) for arg, old in zip(args, before))
-        assert not any(np.shares_memory(got, arg) for arg in args)
+    @pytest.mark.parametrize("layout", ["c", "f", "view"])
+    def test_reused_buffers_keep_the_per_column_bits(self, columns, layout):
+        # every product after the first column goes through one shared
+        # buffer, whatever the gap's memory layout: C order, Fortran order,
+        # or a strided view into a wider array
+        rng = np.random.default_rng(RNG_SEED + columns)
+        wide = rng.normal(size=(40, 2 * columns)) * np.exp(6.0 * rng.normal(size=(40, 2 * columns)))
+        gap = {
+            "c": np.ascontiguousarray(wide[:, :columns]),
+            "f": np.asfortranarray(wide[:, :columns]),
+            "view": wide[:, ::2],
+        }[layout]
+        before = gap.copy()
+        got = squared_norms(gap)
+        assert got.tobytes() == row_sum_loop(gap).tobytes()
+        assert np.array_equal(gap, before)
+        assert not np.shares_memory(got, gap)
 
 
 class TestOrderedSum:
@@ -145,7 +143,7 @@ class TestOrderedSum:
         keep = cloud.weights.copy()
         assert cloud.total_mass == loop_sum(w)
         assert np.array_equal(cloud.weights, keep)
-        assert coupling_cost(w, x, 2.0 * x) == ledger_sum(w, x, 2.0 * x)
+        assert coupling_cost(w, x) == ledger_sum(w, x)
 
 
 class TestW2Exact:
@@ -842,7 +840,7 @@ class TestGeodesicLinf:
         rng = np.random.default_rng(RNG_SEED)
         a = random_cloud(rng, 500, mass=1.0)
         _, plan = w2_exact(a, a)
-        spec = fields.GridSpec((0, 0, 0), 8.0, 16)
+        spec = fields.GridSpec(8.0, 16)
         rep = geodesic_linf_check(plan, np.linspace(1, 2, 11), spec)
         assert rep.ratio == pytest.approx(1.0, abs=1e-12)
 
@@ -851,7 +849,7 @@ class TestGeodesicLinf:
         a = random_cloud(rng, 30)
         b = WeightedCloud(rng.normal(size=(30, 3)), a.weights)
         _, plan = w2_exact(a, b)
-        spec = fields.GridSpec((0, 0, 0), 10.0, 24)
+        spec = fields.GridSpec(10.0, 24)
         rep = geodesic_linf_check(plan, np.linspace(1, 2, 5), spec, smoothing_cells=0.5)
         assert rep.status == "inconclusive"
 
