@@ -414,21 +414,21 @@ class _TwinObserver:
         sub_a, sub_b = self._subsample(flow_a.ensemble), self._subsample(flow_b.ensemble)
         rec.Q_sub, rec.S_sub, _ = certify.compute_gaps(sub_a, sub_b)
 
-        def positions():
-            w2, _ = transport.w2_exact(sub_a.position_cloud(), sub_b.position_cloud())
-            return w2, self._loglip(flow_a, rho_a)
+        def transports():
+            w2_rho, _ = transport.w2_exact(sub_a.position_cloud(), sub_b.position_cloud())
+            w2_phase, _ = transport.w2_exact(sub_a.phase_cloud(), sub_b.phase_cloud())
+            return w2_rho, w2_phase, self._loglip(flow_a, rho_a)
 
-        def phases():
-            w2, _ = transport.w2_exact(sub_a.phase_cloud(), sub_b.phase_cloud())
+        def difference():
             diff = fields.DensityDifference(rho_a, rho_b)
-            return w2, fields.solve_field_grid(diff, self.softening)
+            return fields.solve_field_grid(diff, self.softening)
 
         # side by side (perfbench's tracer keeps one span stack: only these
-        # two and the branch steps may overlap): W2_rho and the probe of
-        # flow A's field, and W2_phase and the one solve of Prop. 3.1's
-        # left side
-        (rec.W2_rho, rec.loglip_C), (rec.W2_phase, diff_field) = dynamics.run_pair(
-            positions, phases
+        # two and the branch steps may overlap): the one solve of Prop.
+        # 3.1's left side, the longest single work, on the helper, and both
+        # W2 problems and the probe of flow A's field on this thread
+        (rec.W2_rho, rec.W2_phase, rec.loglip_C), diff_field = dynamics.run_pair(
+            transports, difference
         )
         rec.field_l2_diff = fields.field_l2_diff(diff_field)
         rec.prop31_rhs = certify.prop31_rhs(rec.sup_rho1, rec.sup_rho2, rec.W2_rho)

@@ -5,8 +5,10 @@ and uniform weights, and a transportation LP (HiGHS) otherwise. The
 assignment path has three tiers, each returning the permutation
 linear_sum_assignment would return (see w2_exact):
 
-- nearest: every source point's strict nearest target, when these form a
-  permutation (certified by the duals u_i = c_{i sigma(i)}, v = 0);
+- nearest: every source point's strict nearest target once the source is
+  moved by the barycentre gap, when these form a permutation whose margin
+  the dense solve resolves (certified by the duals of the translated
+  problem, which differs from C by a row and a column term);
 - sparse: a min-weight matching on the k-nearest-target graph, certified
   optimal over all n^2 pairs by column duals and one lifted KD-tree query,
   and unique by a strong-component test on the near-tight edges;
@@ -14,10 +16,11 @@ linear_sum_assignment would return (see w2_exact):
 
 The first two build no n x n cost matrix. Their certificate queries search
 only as far as the certificate reads: the nearest tier to just past the
-largest index-pairing gap, which every source point's nearest target lies
-within, and the lifted query to max(u) + 2 theta in squared distance,
-beyond which no pair is near-tight or violating. Both radii keep every
-decision of the unbounded queries (see w2_exact).
+largest index-pairing gap after the translation, which every translated
+source point's nearest target lies within, and the lifted query to
+max(u) + 2 theta in squared distance, beyond which no pair is near-tight
+or violating. Both radii keep every decision of the unbounded queries
+(see w2_exact).
 """
 
 from __future__ import annotations
@@ -42,7 +45,8 @@ MAX_LP_ENTRIES = 400_000  # n*m guard for the general transportation LP
 MASS_RTOL = 1e-9
 MARGINAL_RTOL = 1e-9  # plan marginal error allowed, relative to the total mass
 # nearest-neighbour shortcut of w2_exact: relative margin between first and
-# second squared neighbour distance, and the floor of the second one
+# second squared neighbour distance (also the relative slack of its query
+# radius), and the floor of the second one
 NN_MARGIN = 1e-9
 NN_FLOOR = 1e-300
 # sparse tier of w2_exact: candidate targets per source point (also the
@@ -183,12 +187,19 @@ class TransportPlan:
 # exact solver
 
 
-def _check_mass(a, b):
+def _check_pair(a, b):
     ma, mb = a.total_mass, b.total_mass
     if abs(ma - mb) > MASS_RTOL * max(ma, mb):
         raise MassMismatchError(f"total masses differ: {ma!r} vs {mb!r}")
     if a.d != b.d:
         raise TransportError(f"dimension mismatch: {a.d} vs {b.d}")
+    # no squared cost |x - y|^2 <= 4 d top^2, and no sum of n of them or
+    # of n coordinates (a plan cost, a barycentre), may overflow
+    top = max(float(np.abs(a.points).max()), float(np.abs(b.points).max()))
+    if not math.isfinite(4.0 * a.d * max(a.n, b.n) * top * top):
+        raise TransportError(
+            f"coordinates up to {top:.3g} in magnitude would overflow the squared costs"
+        )
 
 
 def _uniform_equal_weights(a, b):
@@ -201,23 +212,41 @@ def _uniform_equal_weights(a, b):
 
 
 def _nearest_neighbour_permutation(a, b, tree):
-    """The strict nearest-neighbour map of a into b (tree over b.points) if
-    it is a permutation.
+    """The strict nearest-neighbour map of a + c into b (tree over
+    b.points), c the barycentre gap, if it is a permutation that the dense
+    solve on the untranslated costs returns too.
 
     Returns the target index of every source point, or None when some
-    source point has no clear nearest target (second neighbour within the
-    margin) or two source points share their nearest target. The query
-    stops at squared distance (1 + 2 NN_MARGIN) times the largest squared
-    index-pairing gap or NN_FLOOR, whichever is larger (see w2_exact).
+    translated source point has no clear nearest target (second neighbour
+    within the margin, or within theta of the first once the rounding of
+    the translation is allowed for) or two source points share their
+    nearest target. The query stops just past the largest translated
+    index-pairing gap, by 2 t + sqrt(theta) (see w2_exact).
     """
-    reach = (1.0 + 2.0 * NN_MARGIN) * max(squared_norms(b.points - a.points).max(), NN_FLOOR)
-    dist, idx = tree.query(a.points, k=2, distance_upper_bound=math.sqrt(reach))
+    n, eps = a.n, np.finfo(np.float64).eps
+    c = np.array([ordered_sum(gap) for gap in (b.points - a.points).T]) / n
+    z = a.points + c
+    g = squared_norms(b.points - z).max()
+    t = eps * math.sqrt(squared_norms(z).max())
+    proj = sum(b.points[:, k] * c[k] for k in range(a.d))  # c.y_j, in column order
+    scale = (math.hypot(*c) + math.sqrt(g)) ** 2 + 4.0 * (proj.max() - proj.min())
+    theta = 2 * n * ETA_ULPS * n * eps * scale
+    reach = (1.0 + 2.0 * NN_MARGIN) * (math.sqrt(max(g, NN_FLOOR)) + 2.0 * t + math.sqrt(theta))
+    dist, idx = tree.query(z, k=2, distance_upper_bound=reach)
     # a second neighbour beyond reach, or missing from a one-point target,
-    # reports inf, which clears the margin and the floor
+    # reports inf, which clears every test below
+    kappa = (a.d + 2) * eps
+    lo = dist[:, 1] * (1.0 - kappa) - t
+    hi = dist[:, 0] * (1.0 + kappa) + t
     sq = dist * dist
+    clear = np.all(
+        (sq[:, 0] * (1.0 + NN_MARGIN) < sq[:, 1])
+        & (sq[:, 1] >= NN_FLOOR)
+        & (lo > hi)
+        & ((lo - hi) * (lo + hi) > theta)
+    )
     nearest = idx[:, 0]
-    clear = np.all((sq[:, 0] * (1.0 + NN_MARGIN) < sq[:, 1]) & (sq[:, 1] >= NN_FLOOR))
-    if clear and np.unique(nearest).size == a.n:
+    if clear and np.bincount(nearest).max() == 1:
         return nearest
     return None
 
@@ -335,36 +364,55 @@ def w2_exact(a: WeightedCloud, b: WeightedCloud):
     all return the permutation linear_sum_assignment returns on the cdist
     matrix C, so plan and cost are bitwise the dense path's.
 
-    nearest: a KD-tree gives the two nearest targets of every source
-    point. If each nearest target is strictly nearer than the second one,
-    by a relative margin NN_MARGIN on squared distance, and the nearest
-    targets are pairwise distinct, the nearest-neighbour map sigma is
-    returned. Every row of C then has its strict minimum at sigma(i), so
-    sigma is its unique optimal assignment, certified by the feasible
-    duals u_i = c_{i sigma(i)}, v_j = 0 (c_ij - u_i - v_j >= 0, with
-    equality on the plan), and it is the permutation linear_sum_assignment
-    returns. The margin covers the rounding gap between KD-tree and cdist
-    squared distances, at most about (d + 2) eps relative, i.e. below
-    1e-14 for d <= 6; NN_FLOOR keeps the second distance clear of
-    underflow, where relative bounds fail. The KD-tree query stops at R,
-    R^2 = (1 + 2 NN_MARGIN) max(g, NN_FLOOR), where g = max_i |y_i - x_i|^2
-    is the largest index-pairing gap. Each source point's own partner lies
-    within R, so its nearest target is always found. A found second
-    neighbour is the second-nearest of all targets, at the distance an
-    unbounded query reports. An unfound one reports inf, which passes both
-    tests, and it passes them unbounded too: its squared distance is at
-    least R^2 up to rounding, which exceeds (1 + NN_MARGIN) times every
-    first distance (each at most g or below NN_FLOOR) and NN_FLOOR itself
-    by a relative NN_MARGIN. The rounding against that margin: scipy
-    squares R again internally (within 2 ulps of R^2), keeps a neighbour
-    only when its squared distance is strictly below that (inclusive
-    would move the edge by one ulp), and its squared distances are within
-    (d + 2) eps of cdist's, all below 1e-14 against 1e-9. The margin
-    multiplies the floor too, so an unfound second neighbour clears
-    NN_FLOOR by the same margin. With R^2 = NN_FLOOR alone it would clear
-    it only if scipy's square of sqrt(NN_FLOOR) rounds back to no less
-    than NN_FLOOR, true for 1e-300 but not for every floor. So the bounded
-    query gives the same sigma or the same refusal as an unbounded one.
+    nearest: the quadratic assignment is translation-covariant. For any
+    vector c, |x_i + c - y_j|^2 = c_ij + (2 c.x_i + |c|^2) - 2 c.y_j, a row
+    term plus a column term, so the translated problem C' has the optimal
+    permutations of C, and C' - u' - v' with duals u', v' is C - u - v with
+    u_i = u'_i - 2 c.x_i - |c|^2 + K and v_j = v'_j + 2 c.y_j - K. The tier
+    takes c as the barycentre gap, the mean of y_i - x_i, and gives a
+    KD-tree the two nearest targets of every z_i = fl(x_i + c), at
+    distances d1 <= d2 as the tree computes them. sigma(i) is the first.
+    It is returned when the nearest targets are pairwise distinct and every
+    row passes three tests:
+    (1) d2^2 >= NN_FLOOR and d1^2 (1 + NN_MARGIN) < d2^2. The floor keeps
+    the second distance clear of underflow, where relative bounds fail;
+    the margin keeps every row's order far from the tree's rounding.
+    (2) lo > hi and (3) lo^2 - hi^2 > theta, with hi = d1 (1 + kappa) + t
+    and lo = d2 (1 - kappa) - t. Here kappa = (d + 2) eps bounds the
+    tree's relative rounding of a distance, and t = eps max_i |z_i| bounds
+    the translation's rounding: |fl(x_i + c) - (x_i + c)| <= u |x_i + c|
+    per coordinate (u = eps / 2), so at most eps |z_i| in norm. In exact
+    arithmetic x_i + c then lies within hi of y_sigma(i) and at least lo
+    from every other target. So with u'_i = c'_{i sigma(i)}, v' = 0 and
+    K = max_j 2 c.y_j, the duals of C satisfy v <= 0, are tight on sigma,
+    and leave every pair off sigma a reduced cost above lo^2 - hi^2 >
+    theta. sigma is then C's unique optimal permutation, and every other
+    permutation costs at least 2 theta more. theta = 2 n eta, with eta =
+    ETA_ULPS n eps s, is the sparse tier's, at the untranslated cost scale
+    s = (|c| + sqrt(g))^2 + 4 (max_j c.y_j - min_j c.y_j), where g = max_i
+    |y_i - z_i|^2 is the largest translated index-pairing gap. s bounds
+    max(u) + max(-v) of these duals: each c_{i sigma(i)} <= (|c| + d1)^2,
+    d1 <= sqrt(g), and max(-v) = 2 (max_j c.y_j - min_j c.y_j). By the
+    sparse tier's argument below, linear_sum_assignment on C cannot miss a
+    gap that size, so it returns sigma. Test (3) is what ties the tier to
+    the dense solve's bits: on a cloud moved by 1e8 with 1e-6 jitter, C's
+    entries near 1e16 carry rounding of order 1, and the tier refuses.
+    The KD-tree query stops at R = (1 + 2 NN_MARGIN) (sqrt(max(g,
+    NN_FLOOR)) + 2 t + sqrt(theta)). Each z_i's own partner lies within R,
+    so its nearest target is always found. A found second neighbour is the
+    second-nearest of all targets, at the distance an unbounded query
+    reports. An unfound one reports inf, which passes every test, and it
+    passes them unbounded too. Its distance is at least R up to scipy's
+    rounding: scipy squares R again internally (within 2 ulps of R^2) and
+    keeps a neighbour only when its squared distance is strictly below
+    that. So d2^2 exceeds (1 + NN_MARGIN) d1^2 (d1^2 is at most g up to
+    rounding, or below NN_FLOOR) and NN_FLOOR itself, and lo - hi >= R (1
+    - kappa - 2 eps) - sqrt(g) (1 + kappa)^2 - 2 t > sqrt(theta), where
+    the factor 1 + 2 NN_MARGIN leaves room for every rounding of
+    order kappa; so lo^2 - hi^2 > theta. The margin multiplies the floor
+    too, so an unfound second neighbour clears NN_FLOOR by the same
+    margin. So the bounded query gives the same sigma or the same refusal
+    as an unbounded one.
 
     sparse: the candidate graph holds the SPARSE_NEIGHBOURS nearest targets
     of every source point plus the index pairing i -> i; it is used only
@@ -415,7 +463,7 @@ def w2_exact(a: WeightedCloud, b: WeightedCloud):
     take the transportation LP. Minimality on every path is also checked
     against brute-force enumeration in the tests.
     """
-    _check_mass(a, b)
+    _check_pair(a, b)
     if _uniform_equal_weights(a, b):
         plan = _assignment_plan(a, b)
     else:

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from scipy.spatial import cKDTree
 
 from vptwin import certify, cli, dynamics, errors, fields, harness, presets, scenarios, transport
 from vptwin.certify import RECORD_COLUMNS, StabilityRecord
@@ -582,6 +583,31 @@ class TestTwinRuns:
         for r in strided:
             assert r.W2_phase**2 <= 2.0 * r.Q_sub + 1e-9
             assert r.W2_rho**2 <= r.S_sub + 1e-9
+
+    def test_boosted_twin_keeps_every_w2_on_the_nearest_tier(self, monkeypatch):
+        # a velocity-shift twin streams rigidly apart: by the end B's
+        # positions sit delta t past A's, more than half the closest-pair
+        # spacing, yet every W2 is served by the translated nearest tier
+        calls = []
+        w2_exact = transport.w2_exact
+
+        def recording(a, b):
+            got = w2_exact(a, b)
+            calls.append((a, b, got[1].solver))
+            return got
+
+        monkeypatch.setattr(transport, "w2_exact", recording)
+        cfg = small_config(scenario="free-streaming", field_mode="none", box_edge=16.0,
+                           t_final=0.5, twin_kind="velocity-shift", twin_delta=0.1,
+                           ot_stride=1, ot_subsample=256)
+        run_twin_config(cfg)
+        assert len(calls) == 2 * (cfg.n_steps + 1)
+        assert {solver for _, _, solver in calls} == {"nearest"}
+        x = calls[0][0].points
+        spacing = cKDTree(x).query(x, k=2)[0][:, 1].min()
+        a, b, _ = calls[-2]
+        assert a.d == 3
+        assert math.hypot(*(b.points - a.points).mean(axis=0)) > 0.5 * spacing
 
     def test_observer_reuses_flow_fields_and_densities(self, monkeypatch):
         # per recorded step: each flow solves and deposits once, and T1/T2
@@ -1211,6 +1237,23 @@ class TestCLI:
         transport.save_cloud(transport.WeightedCloud([[0, 0, 0], [1, 0, 0]], [0.5, 0.6]), pb)
         assert cli.main(["ot", str(pa), str(pb)]) == cli.EXIT_USAGE
         assert "total masses differ" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("top", [1e308, 1e160])
+    def test_ot_refuses_overflowing_coordinates(self, tmp_path, capsys, top):
+        # each cloud sums and squares to a finite number, but a squared
+        # cost |x - y|^2 would not: refused before any tier runs, with no
+        # numpy overflow warning
+        p = tmp_path / "c.txt"
+        transport.save_cloud(
+            transport.WeightedCloud([[top, -top, 0], [-top, top, 0]], [0.5, 0.5]), p
+        )
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert cli.main(["ot", str(p), str(p)]) == cli.EXIT_USAGE
+        assert caught == []
+        assert capsys.readouterr().err == (
+            f"error: coordinates up to {top:.3g} in magnitude would overflow the squared costs\n"
+        )
 
     @pytest.mark.parametrize("text", ["0 2\n0.5\n0.5\n", "3 0\n", "3 -1\n"],
                              ids=["no-dimension", "no-points", "negative-count"])

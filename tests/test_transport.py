@@ -289,6 +289,20 @@ def lsa_calls(monkeypatch):
     return calls
 
 
+# sources 0 and 1 share their nearest target before and after the move by
+# the barycentre gap; the sorted pairing is the unique optimal plan
+COLLIDING_X = [[0, 0, 0], [1, 0, 0], [10, 0, 0]]
+COLLIDING_Y = [[0.9, 0, 0], [5, 0, 0], [10, 0, 0]]
+
+
+# two sources whose index pairing is optimal by a margin below the rounding
+# of their translates a million units from the origin
+ROUNDED_X = [[1000005.7815820737, 1000003.8649541371, 0.0],
+             [1000005.7716226762, 1000003.8476102506, 0.0]]
+ROUNDED_Y = [[1000006.3172284394, 1000004.7908961577, 0.0],
+             [1000006.334572326, 1000004.7809367601, 0.0]]
+
+
 def uniform(points):
     points = np.asarray(points, dtype=np.float64)
     return WeightedCloud(points, np.full(points.shape[0], 1.0 / points.shape[0]))
@@ -312,11 +326,62 @@ class TestNearestNeighbourShortcut:
             assert not np.array_equal(got[1].tgt, np.arange(n))
         assert_same_bits(got, dense_w2(a, b))
 
+    @pytest.mark.parametrize("d", [3, 6])
+    @pytest.mark.parametrize("shuffle", [False, True])
+    def test_rigid_translation_past_half_the_spacing(self, lsa_calls, d, shuffle):
+        # moved by many closest-pair spacings, the nearest-target map is no
+        # permutation; moved back by the barycentre gap, it is the pairing
+        rng = np.random.default_rng(RNG_SEED + d)
+        n = 2048
+        x = rng.normal(size=(n, d))
+        shift = 0.2 * rng.normal(size=d)
+        y = x + shift
+        spacing = cKDTree(x).query(x, k=2)[0][:, 1].min()
+        assert math.hypot(*shift) > 0.5 * spacing
+        assert np.unique(cKDTree(y).query(x)[1]).size < n
+        if shuffle:
+            y = y[rng.permutation(n)]
+        a, b = uniform(x), uniform(y)
+        got = w2_exact(a, b)
+        assert lsa_calls == []
+        assert got[1].solver == "nearest"
+        assert_same_bits(got, dense_w2(a, b))
+
+    @pytest.mark.parametrize("shift", [1e3, 1e8, 1e12])
+    def test_far_translation_is_served_bitwise_or_refused(self, shift):
+        # moved back by the barycentre gap, every source point is nearest
+        # its own partner, but C's entries near 3 shift^2 carry rounding
+        # the 1e-6 jitter cannot beat: past 1e8 the dense solve returns
+        # another permutation, which the tier must not contradict
+        rng = np.random.default_rng(RNG_SEED)
+        x = rng.normal(size=(512, 3))
+        a, b = uniform(x), uniform(x + shift + 1e-6 * rng.normal(size=x.shape))
+        dense = dense_w2(a, b)
+        if shift >= 1e8:
+            assert not np.array_equal(dense[1].tgt, np.arange(512))
+        sigma = transport._nearest_neighbour_permutation(a, b, cKDTree(b.points))
+        assert sigma is None or np.array_equal(sigma, dense[1].tgt)
+        got = w2_exact(a, b)
+        assert (got[1].solver == "nearest") == (sigma is not None)
+        assert_same_bits(got, dense)
+
+    def test_translation_rounding_is_allowed_for(self):
+        # a pair a million units out, turned almost square to its targets:
+        # x_i + c rounds by up to 6e-11 per coordinate there, more than the
+        # margin, and both rounded translates land nearest the other target
+        a, b = uniform(ROUNDED_X), uniform(ROUNDED_Y)
+        dense = dense_w2(a, b)
+        moved = a.points + (b.points - a.points).sum(axis=0) / 2
+        assert np.array_equal(cKDTree(b.points).query(moved)[1], 1 - dense[1].tgt)
+        assert transport._nearest_neighbour_permutation(a, b, cKDTree(b.points)) is None
+        assert_same_bits(w2_exact(a, b), dense)
+
     def test_colliding_nearest_neighbours_fall_back(self, lsa_calls):
-        # both source points are nearest to target 0; the optimum is unique,
-        # so the sparse tier serves it
-        a = uniform([[0, 0, 0], [1, 0, 0]])
-        b = uniform([[0.9, 0, 0], [5, 0, 0]])
+        # the far pair adds no gap, so the barycentre gap (1.633, 0, 0)
+        # moves sources 0 and 1 to 1.633 and 2.633, both nearest target 0;
+        # the optimum is unique, so the sparse tier serves it
+        a = uniform(COLLIDING_X)
+        b = uniform(COLLIDING_Y)
         got = w2_exact(a, b)
         assert got[1].solver == "sparse"
         assert lsa_calls == []
@@ -324,29 +389,34 @@ class TestNearestNeighbourShortcut:
         assert got[0] == pytest.approx(brute_force_w2(a, b), rel=1e-12)
 
     def test_exact_tie_falls_back(self, lsa_calls):
-        # every interior point of the line is equidistant from two targets,
-        # but the translation is the unique optimal plan
+        # targets 0-4 sit half a spacing past their sources, target 5 three
+        # and a half: the barycentre gap is exactly 1, so each translated
+        # source but the last lies halfway between two targets. On a line
+        # the sorted pairing is the unique optimal plan
         line = np.zeros((6, 3))
         line[:, 0] = np.arange(6)
-        a = uniform(line)
-        b = WeightedCloud(a.points + [0.5, 0, 0], a.weights)
+        moved = line.copy()
+        moved[:, 0] += [0.5, 0.5, 0.5, 0.5, 0.5, 3.5]
+        a, b = uniform(line), uniform(moved)
         got = w2_exact(a, b)
         assert got[1].solver == "sparse"
         assert lsa_calls == []
         assert np.array_equal(got[1].tgt, np.arange(6))
         assert_same_bits(got, dense_w2(a, b))
-        assert got[0] == pytest.approx(0.5, rel=1e-12)
+        assert got[0] == pytest.approx(math.sqrt(5 / 6 * 0.25 + 3.5**2 / 6), rel=1e-12)
 
     @pytest.mark.parametrize(
         "gap, dense_calls, solver", [(1e-12, [], "sparse"), (1e-6, [], "nearest")]
     )
     def test_near_tie_inside_margin_falls_back(self, lsa_calls, gap, dense_calls, solver):
-        # source 0 is nearest to target 0, target 1 only `gap` farther; the
-        # map is a permutation either way, the margin alone decides whether
-        # the shortcut serves it (the optimum is unique, so the sparse tier
-        # serves it otherwise)
+        # the target pair is turned almost square to the source pair, so no
+        # translation separates them: moved by the barycentre gap, source 0
+        # is nearest to target 0, target 1 only 2 `gap` farther in squared
+        # distance. The map is a permutation either way, the margin alone
+        # decides whether the shortcut serves it (the optimum is unique, so
+        # the sparse tier serves it otherwise)
         a = uniform([[0, 0, 0], [1, 0, 0]])
-        b = uniform([[-0.4, 0, 0], [0.4 + gap, 0, 0]])
+        b = uniform([[-gap, 0.4, 0], [gap, -0.4, 0]])
         got = w2_exact(a, b)
         assert got[1].solver == solver
         assert lsa_calls == dense_calls
@@ -484,29 +554,33 @@ class TestSparseTier:
         assert got[1].solver == "dense"
 
     def test_non_optimal_candidate_is_refused(self, monkeypatch, lsa_calls):
-        # a matching solver returning the worse pairing: its duals have a
+        # a matching solver returning a worse pairing: its duals have a
         # negative cycle, so the certificate fails
         monkeypatch.setattr(
-            transport, "min_weight_full_bipartite_matching", lambda g: (np.arange(2), np.array([1, 0]))
+            transport, "min_weight_full_bipartite_matching",
+            lambda g: (np.arange(3), np.array([1, 0, 2])),
         )
-        a = uniform([[0, 0, 0], [1, 0, 0]])
-        b = uniform([[0.9, 0, 0], [5, 0, 0]])
+        a, b = uniform(COLLIDING_X), uniform(COLLIDING_Y)
         got = w2_exact(a, b)
-        assert lsa_calls == [(2, 2)]
+        assert lsa_calls == [(3, 3)]
         assert got[1].solver == "dense"
-        assert np.array_equal(got[1].tgt, [0, 1])
+        assert np.array_equal(got[1].tgt, [0, 1, 2])
 
     def test_more_near_tight_targets_than_neighbours_refuses(self, monkeypatch, lsa_calls):
         # source 0 sits at the centre of 12 unit-sphere targets, its own
-        # 2e-13 nearer; sources 1-11 sit on theirs. The optimum is unique,
-        # but row 0 has 11 near-tight pairs and the lifted query sees 8:
-        # the k-th neighbour refusal, inside the bound, sends it to dense
+        # 2e-13 nearer; sources 1-11 sit on theirs, and a far source 12
+        # carries the opposite gap, so the barycentre gap is zero to
+        # rounding. The optimum is unique, but row 0 has 11 near-tight
+        # pairs and the lifted query sees 8: the k-th neighbour refusal,
+        # inside the bound, sends it to dense
         rng = np.random.default_rng(RNG_SEED)
-        y = rng.normal(size=(12, 3))
+        y = rng.normal(size=(13, 3))
         y /= np.sqrt(squared_norms(y))[:, None]
         y[0] *= 1 - 1e-13
+        y[12] = [8.0, 0.0, 0.0]
         x = y.copy()
         x[0] = 0.0
+        x[12] = y[12] + y[0]
         solves, duals = [], []
         column_duals = transport._column_duals
 
@@ -527,19 +601,19 @@ class TestSparseTier:
         a, b = uniform(x), uniform(y)
         got = w2_exact(a, b)
         assert len(solves) == 1 and duals[0] is not None
-        assert lsa_calls == [(12, 12)]
+        assert lsa_calls == [(13, 13)]
         assert got[1].solver == "dense"
-        assert np.array_equal(got[1].tgt, np.arange(12))
+        assert np.array_equal(got[1].tgt, np.arange(13))
         assert_same_bits(got, dense_w2(a, b))
 
     def test_infeasible_duals_are_refused(self, monkeypatch, lsa_calls):
-        # zero column duals are feasible only for the nearest-neighbour map;
-        # the lifted check finds the violated pair in both rounds
+        # zero column duals are feasible only for the nearest-neighbour map
+        # of the untranslated clouds, here not a permutation; the lifted
+        # check finds the violated pair in both rounds
         monkeypatch.setattr(transport, "_column_duals", lambda src, dst, weight, n: np.zeros(n))
-        a = uniform([[0, 0, 0], [1, 0, 0]])
-        b = uniform([[0.9, 0, 0], [5, 0, 0]])
+        a, b = uniform(COLLIDING_X), uniform(COLLIDING_Y)
         got = w2_exact(a, b)
-        assert lsa_calls == [(2, 2)]
+        assert lsa_calls == [(3, 3)]
         assert got[1].solver == "dense"
 
 
@@ -570,13 +644,14 @@ def assert_bound_changes_nothing(a, b):
 def index_aligned_pairs(draw):
     """Twin-shaped pairs, y_i a shifted and jittered x_i, for d = 3 and 6
     and n from 1 to 1024 (2048 is seeded below); zero shift and jitter is a
-    twin's step 0, and a shuffle leaves the index pairing meaningless, so
-    the radius is large."""
+    twin's step 0, a shift of 3 leaves no source point near its partner
+    until the nearest tier moves it by the barycentre gap, and a shuffle
+    leaves the index pairing meaningless, so the radius is large."""
     d = draw(st.sampled_from([3, 6]))
     n = draw(st.sampled_from([1, 2, 3, 8, 9, 64, 256, 1024]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     x = rng.normal(size=(n, d))
-    shift = draw(st.sampled_from([0.0, 1e-3, 0.3])) * rng.normal(size=d)
+    shift = draw(st.sampled_from([0.0, 1e-3, 0.3, 3.0])) * rng.normal(size=d)
     y = x + shift + draw(st.sampled_from([0.0, 1e-5, 1e-3, 1e-2, 0.1])) * rng.normal(size=(n, d))
     if draw(st.booleans()):
         y = y[rng.permutation(n)]
@@ -604,24 +679,54 @@ class TestBoundedCertificateQueries:
     @pytest.mark.parametrize("scale", [1.0, 1e-150, 1e-151])
     @pytest.mark.parametrize("ratio", [1 - 1e-3, 1 + 1e-3, 2 - 1e-3, 2.0, 2 + 1e-3, 3.0])
     def test_near_ties_at_the_margin(self, scale, ratio):
-        # source 0's partner lies at squared distance scale^2, its second
-        # target at (1 + ratio NN_MARGIN) scale^2: the margin test reads it
-        # at ratio 1, the radius leaves it unfound above ratio 2; at scale
-        # 1e-151 the floor sets the radius instead
+        # the two gaps, scale and -scale, cancel, so the barycentre gap is
+        # exactly zero. Each source's partner lies at squared distance
+        # scale^2, its second target at (1 + ratio NN_MARGIN) scale^2: the
+        # margin test reads it at ratio 1; at scale 1e-151 the floor refuses
         second = -scale * math.sqrt(1 + ratio * transport.NN_MARGIN)
-        a = uniform([[0, 0, 0], [second - 1e-3 * scale, 0, 0]])
+        a = uniform([[0, 0, 0], [second + scale, 0, 0]])
         b = uniform([[scale, 0, 0], [second, 0, 0]])
+        assert_bound_changes_nothing(a, b)
+
+    @pytest.mark.parametrize(
+        "offset", [-0.5, -0.2, -1e-3, -1e-9, -1e-12, 0.0, 1e-12, 1e-9, 1e-3, 0.5]
+    )
+    def test_second_targets_at_the_radius(self, tree_queries, offset):
+        # a rigid move by c, except that sources 0 and 2 carry opposite 1e-6
+        # jitters; target 1 sits r = (1 + offset) R from source 0 once it is
+        # moved, R the radius of the nearest-tier query, and source 1 sits
+        # on target 1 once moved. Neither R nor the barycentre gap depends
+        # on r, and below R the margin test against theta refuses
+        c, jitter = np.array([0.5, 0.0, 0.0]), np.array([1e-6, 0.0, 0.0])
+
+        def pair(r):
+            x = np.array([[0.0, 0.0, 0.0], [0.0, r, 0.0], [100.0, 0.0, 0.0]])
+            y = x + c + [jitter, [0.0, 0.0, 0.0], -jitter]
+            y[1] = x[0] + c + [0.0, r, 0.0]
+            x[1] = y[1] - c
+            return uniform(x), uniform(y)
+
+        def nearest_tier_radius(a, b):
+            tree_queries.clear()
+            transport._nearest_neighbour_permutation(a, b, transport.cKDTree(b.points))
+            return tree_queries[0][2]
+
+        radius = nearest_tier_radius(*pair(1.0))
+        a, b = pair((1 + offset) * radius)
+        assert nearest_tier_radius(a, b) == radius
         assert_bound_changes_nothing(a, b)
 
     @pytest.mark.parametrize("ulps", range(-3, 4))
     @pytest.mark.parametrize("gap", [0.0, 1e-160, 0.5 * math.sqrt(transport.NN_FLOOR)])
     def test_gaps_at_the_floor_scale(self, ulps, gap):
         # source 0's second target lies ulps steps from sqrt(NN_FLOOR) away,
-        # where the floor test flips; its pairing gap is below the floor
+        # where the floor test flips; its pairing gap is below the floor,
+        # and a third pair far off carries the opposite gap, so the
+        # barycentre gap is exactly zero
         r = math.sqrt(transport.NN_FLOOR)
         r += ulps * np.spacing(r)
-        a = uniform([[0, 0, 0], [-r, 0, 0]])
-        b = uniform([[gap, 0, 0], [-r, 0, 0]])
+        a = uniform([[0, 0, 0], [-r, 0, 0], [0, 100 * r, 0]])
+        b = uniform([[gap, 0, 0], [-r, 0, 0], [-gap, 100 * r, 0]])
         assert_bound_changes_nothing(a, b)
 
     def test_both_queries_carry_a_finite_bound(self, tree_queries):
