@@ -1382,6 +1382,13 @@ class TestCLI:
         with pytest.raises(KeyError):
             presets.bundled("not-a-preset")
 
+    def test_preset_configs_match_golden(self):
+        # every preset, key by key, in the canonical text form
+        want = json.loads((Path(__file__).parent / "golden" / "presets.json").read_text())
+        assert sorted(want) == sorted(presets.PRESET_NAMES)
+        for name in presets.PRESET_NAMES:
+            assert serialize_config(presets.bundled(name)) == want[name], name
+
 
 # two-blob twins whose flows differ in the field itself, not in a velocity
 # shift: the unproved form dQ/dt <= Q + sqrt(Q (T1 + T2)) is broken at all
@@ -1527,6 +1534,25 @@ class TestGoldenFixtures:
         golden_path = pathlib.Path(__file__).parent / "golden" / f"{name}.json"
         cfg = ScenarioConfig(**GOLDEN_FIXTURES[name]).validate()
         manifest_path = harness.emit_twin(cfg, tmp_path / name)
+        got = json.load(open(manifest_path))
+        want = json.load(open(golden_path))
+        assert got == want, manifest_diff(got, want)
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_FIXTURES))
+    def test_certification_matches_golden(self, name, tmp_path):
+        # the verdict's own bytes: certification.csv and summary.txt as
+        # emit_certification writes them from the fixture's records, in a
+        # manifest of the certify directory (identity has no exact-OT rows)
+        import pathlib
+
+        golden_path = pathlib.Path(__file__).parent / "golden" / f"{name}-certify.json"
+        cfg = ScenarioConfig(**GOLDEN_FIXTURES[name]).validate()
+        harness.emit_twin(cfg, tmp_path / "twin")
+        records = read_records(tmp_path / "twin" / "records.csv")
+        harness.emit_certification(records, tmp_path / "cert")
+        manifest_path = harness.write_manifest(
+            tmp_path / "cert", cfg, ["certification.csv", "summary.txt"]
+        )
         got = json.load(open(manifest_path))
         want = json.load(open(golden_path))
         assert got == want, manifest_diff(got, want)
