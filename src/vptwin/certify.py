@@ -11,8 +11,10 @@ Checks, per recorded step of a twin run:
     solution  y(t) = exp(1 - (1 - log Q0) e^{-Ct}),  the uniqueness
     witness (y -> 0 pointwise as Q0 -> 0).
 
-osgood_envelope is the one evaluation of that envelope: the containment
-check and the envelope column of the certification file both call it.
+certify_records returns one row per check, in summary order, each named
+by its summary.txt label; osgood_contain evaluates the envelope once over
+all record times, and that array is the certification file's envelope
+column.
 """
 
 from __future__ import annotations
@@ -138,8 +140,6 @@ def prop31_ratio(lhs, rhs):
 
 def fill_dQdt(records):
     """Centered-difference dQ/dt (one-sided at the ends), in place."""
-    if len(records) < 2:
-        return records
     t = np.array([r.t for r in records])
     q = np.array([r.Q for r in records])
     dq = np.gradient(q, t)
@@ -164,15 +164,13 @@ def _fd_tolerance(t, q):
 
 @dataclass
 class GronwallReport:
-    n_steps: int
     n_checked: int
     n_satisfied: int
     fraction_satisfied: float
     window: tuple  # (t_start, t_end) where max_gap <= 1/e, or None
     C_T1: float  # smallest C with T1 <= (C/4) S log^2 S on the window
     C_final: float  # smallest C with dQ/dt <= C Q (1 + log(1/Q))
-    per_step_ok: list
-    skipped_steps: list
+    per_step_ok: list  # per record: bool, or None where Q = 0 (not checked)
 
 
 def check_gronwall(records) -> GronwallReport:
@@ -186,9 +184,9 @@ def check_gronwall(records) -> GronwallReport:
     and Minkowski bound the second term by sqrt(2Q) (sqrt(T1) + sqrt(T2)).
 
     Requires records uniformly spaced in strictly increasing time. Steps
-    with Q = 0 are skipped and listed. The validity window is where the max
-    particle gap stays <= 1/e (the smallness regime of the concavity step);
-    constants are fitted there.
+    with Q = 0 are skipped (None in per_step_ok). The validity window is
+    where the max particle gap stays <= 1/e (the smallness regime of the
+    concavity step); constants are fitted there.
     """
     if len(records) < 3:
         raise ValueError("need at least 3 uniformly spaced records")
@@ -202,12 +200,10 @@ def check_gronwall(records) -> GronwallReport:
     q = np.array([r.Q for r in records])
     tol = _fd_tolerance(t, q)
     per_ok = []
-    skipped = []
     n_sat = 0
     n_checked = 0
     for i, r in enumerate(records):
         if r.Q <= 0.0:
-            skipped.append(r.step)
             per_ok.append(None)
             continue
         bound = r.Q + math.sqrt(2.0 * r.Q) * (math.sqrt(r.T1) + math.sqrt(r.T2)) + tol[i]
@@ -233,9 +229,7 @@ def check_gronwall(records) -> GronwallReport:
         if r.Q <= 1.0 / E and r.dQdt is not None and r.dQdt > 0:
             c_final = max(c_final, r.dQdt / (r.Q * (1.0 + math.log(1.0 / r.Q))))
     frac = n_sat / n_checked if n_checked else 1.0
-    return GronwallReport(
-        len(records), n_checked, n_sat, frac, window, c_t1, c_final, per_ok, skipped
-    )
+    return GronwallReport(n_checked, n_sat, frac, window, c_t1, c_final, per_ok)
 
 
 # --------------------------------------------------------------------------
@@ -265,30 +259,26 @@ def osgood_envelope(C, Q0, t):
 class OsgoodContainReport:
     C: float
     Q0: float
-    t0: float
     n_checked: int
     n_contained: int
     passed: bool
     max_excess: float  # max over steps of Q / y - 1
+    envelope: list  # y at every record time, or None per record if Q = 0 throughout
 
 
 def osgood_contain(records, C) -> OsgoodContainReport:
     """Check measured Q(t) <= y(t) for the envelope anchored at the first
     positive-Q record. Comparison-principle containment: if the fitted C
     dominates dQ/dt / (Q (1 + log 1/Q)) pointwise, Q stays under y."""
-    pos = [r for r in records if r.Q > 0.0]
-    if not pos:
-        return OsgoodContainReport(C, 0.0, 0.0, 0, 0, True, 0.0)
-    t0 = pos[0].t
-    q0 = pos[0].Q
-    n_ok = 0
-    max_excess = -np.inf
-    for r in pos:
-        y = float(osgood_envelope(C, q0, r.t - t0))
-        excess = r.Q / y - 1.0
-        max_excess = max(max_excess, excess)
-        n_ok += excess <= CONTAIN_RTOL
-    return OsgoodContainReport(C, q0, t0, len(pos), n_ok, n_ok == len(pos), max_excess)
+    q = np.array([r.Q for r in records])
+    pos = q > 0.0
+    if not pos.any():
+        return OsgoodContainReport(C, 0.0, 0, 0, True, 0.0, [None] * len(records))
+    first = records[int(np.argmax(pos))]
+    y = osgood_envelope(C, first.Q, np.array([r.t for r in records]) - first.t)
+    excess = q[pos] / y[pos] - 1.0
+    n, n_ok = int(np.count_nonzero(pos)), int(np.count_nonzero(excess <= CONTAIN_RTOL))
+    return OsgoodContainReport(C, first.Q, n, n_ok, n_ok == n, float(excess.max()), list(y))
 
 
 # --------------------------------------------------------------------------
@@ -296,13 +286,23 @@ def osgood_contain(records, C) -> OsgoodContainReport:
 
 
 @dataclass
+class Check:
+    """One row of the verdict: the check, named by its summary.txt label;
+    the statistic it compares with its threshold; the outcome; the summary
+    text between label and outcome; and the lines printed after it."""
+
+    name: str
+    statistic: float
+    passed: bool
+    text: str
+    notes: tuple = ()
+
+
+@dataclass
 class CertificationResult:
-    verdicts: dict  # check name -> bool (or None if not applicable)
+    checks: list  # Check rows in summary order; no transport rows without exact-OT rows
     gronwall: GronwallReport
     containment: OsgoodContainReport
-    prop31_max_ratio: float
-    lemma_max_w2rho_excess: float
-    remark_max_w2phase_excess: float
     summary_lines: list
     passed: bool
 
@@ -320,10 +320,10 @@ def certify_records(records) -> CertificationResult:
     costs of the same subsample, so they are exact inequalities up to
     solver round-off.
     """
-    verdicts = {}
-    lines = []
-
+    checks = []
     ot_rows = [r for r in records if r.W2_rho is not None]
+    prop_ratio = 0.0
+    lemma_excess = remark_excess = -np.inf
     for r in ot_rows:
         missing = [c for c in OT_ROW_COLUMNS if getattr(r, c) is None]
         if missing:
@@ -336,69 +336,41 @@ def certify_records(records) -> CertificationResult:
                 f"step {r.step}: prop31_rhs {r.prop31_rhs!r} differs from "
                 f"sqrt(max(sup_rho1, sup_rho2)) * W2_rho = {rhs!r}"
             )
-    prop_ratio = 0.0
-    lemma_excess = -np.inf
-    remark_excess = -np.inf
-    for r in ot_rows:
         q2 = 2.0 * r.Q_sub
         lemma_excess = max(lemma_excess, r.W2_rho**2 - r.S_sub, r.W2_rho**2 - q2)
         remark_excess = max(remark_excess, r.W2_phase**2 - q2)
-        prop_ratio = max(prop_ratio, prop31_ratio(r.field_l2_diff, r.prop31_rhs))
+        prop_ratio = max(prop_ratio, prop31_ratio(r.field_l2_diff, rhs))
     if ot_rows:
-        verdicts["lemma_w2"] = bool(lemma_excess <= INEQ_TOL)
-        verdicts["remark_phase"] = bool(remark_excess <= INEQ_TOL)
-        verdicts["prop31"] = bool(prop_ratio <= 1.0 + PROP31_TOL)
-        lines.append(
-            f"lemma_w2: W2_rho^2 - min(S_sub, 2Q_sub) max excess {lemma_excess:.3e} "
-            f"-> {'PASS' if verdicts['lemma_w2'] else 'FAIL'}"
-        )
-        lines.append(
-            f"remark_phase: W2_phase^2 - 2Q_sub max excess {remark_excess:.3e} "
-            f"-> {'PASS' if verdicts['remark_phase'] else 'FAIL'}"
-        )
-        lines.append(
-            f"prop31: max ratio {prop_ratio:.4f} (tol 1 + {PROP31_TOL}) "
-            f"-> {'PASS' if verdicts['prop31'] else 'FAIL'}"
-        )
-    else:
-        verdicts["lemma_w2"] = verdicts["remark_phase"] = verdicts["prop31"] = None
-        lines.append("no exact-OT rows recorded; transport checks skipped")
+        checks += [
+            Check("lemma_w2", lemma_excess, bool(lemma_excess <= INEQ_TOL),
+                  f"W2_rho^2 - min(S_sub, 2Q_sub) max excess {lemma_excess:.3e}"),
+            Check("remark_phase", remark_excess, bool(remark_excess <= INEQ_TOL),
+                  f"W2_phase^2 - 2Q_sub max excess {remark_excess:.3e}"),
+            Check("prop31", prop_ratio, bool(prop_ratio <= 1.0 + PROP31_TOL),
+                  f"max ratio {prop_ratio:.4f} (tol 1 + {PROP31_TOL})"),
+        ]
 
     gron = check_gronwall(records)
-    verdicts["gronwall"] = bool(gron.fraction_satisfied >= GRONWALL_MIN_FRACTION)
-    lines.append(
-        f"gronwall: dQ/dt <= Q + sqrt(2Q)(sqrt(T1)+sqrt(T2)) at "
-        f"{gron.n_satisfied}/{gron.n_checked} checked steps "
-        f"({100 * gron.fraction_satisfied:.1f}%, need >= {100 * GRONWALL_MIN_FRACTION:.0f}%) "
-        f"-> {'PASS' if verdicts['gronwall'] else 'FAIL'}"
-    )
-    lines.append(
-        f"fitted constants: C_T1 = {gron.C_T1:.4g}, C_final = {gron.C_final:.4g}; "
-        f"small-gap window = {gron.window}"
-    )
-
+    frac = gron.fraction_satisfied
+    checks.append(Check(
+        "gronwall", frac, bool(frac >= GRONWALL_MIN_FRACTION),
+        f"dQ/dt <= Q + sqrt(2Q)(sqrt(T1)+sqrt(T2)) at {gron.n_satisfied}/{gron.n_checked} "
+        f"checked steps ({100 * frac:.1f}%, need >= {100 * GRONWALL_MIN_FRACTION:.0f}%)",
+        (f"fitted constants: C_T1 = {gron.C_T1:.4g}, C_final = {gron.C_final:.4g}; "
+         f"small-gap window = {gron.window}",),
+    ))
     contain = osgood_contain(records, max(gron.C_final, 1e-12))
-    verdicts["osgood_containment"] = contain.passed
-    lines.append(
-        f"osgood: Q(t) <= envelope(C = {contain.C:.4g}, Q0 = {contain.Q0:.3e}) at "
-        f"{contain.n_contained}/{contain.n_checked} steps "
-        f"-> {'PASS' if contain.passed else 'FAIL'}"
-    )
+    checks.append(Check(
+        "osgood", contain.max_excess, contain.passed,
+        f"Q(t) <= envelope(C = {contain.C:.4g}, Q0 = {contain.Q0:.3e}) at "
+        f"{contain.n_contained}/{contain.n_checked} steps",
+        ("identical twins (Q = 0 throughout): chain trivially satisfied",)
+        if all(r.Q == 0.0 for r in records) else (),
+    ))
 
-    all_q_zero = all(r.Q == 0.0 for r in records)
-    if all_q_zero:
-        lines.append("identical twins (Q = 0 throughout): chain trivially satisfied")
-
-    applicable = [v for v in verdicts.values() if v is not None]
-    passed = all(applicable)
+    lines = [] if ot_rows else ["no exact-OT rows recorded; transport checks skipped"]
+    for c in checks:
+        lines += [f"{c.name}: {c.text} -> {'PASS' if c.passed else 'FAIL'}", *c.notes]
+    passed = all(c.passed for c in checks)
     lines.append(f"overall: {'PASS' if passed else 'FAIL'}")
-    return CertificationResult(
-        verdicts,
-        gron,
-        contain,
-        prop_ratio,
-        lemma_excess if ot_rows else 0.0,
-        remark_excess if ot_rows else 0.0,
-        lines,
-        passed,
-    )
+    return CertificationResult(checks, gron, contain, lines, passed)

@@ -590,21 +590,17 @@ def emit_certification(records, outdir):
     """cli certify: certification CSV (records + flags) and summary text.
 
     The verdict depends on the records alone: the Prop. 3.1 threshold is
-    certify.PROP31_TOL and every record is certified."""
+    certify.PROP31_TOL and every record is certified. The gronwall_ok and
+    envelope columns are certify's per-record results, written as given."""
     result = certify.certify_records(records)
-    contain = result.containment
     os.makedirs(outdir, exist_ok=True)
     cert_path = os.path.join(outdir, "certification.csv")
     with open(cert_path, "w") as fh:
         fh.write(",".join(RECORD_COLUMNS + ["gronwall_ok", "envelope"]) + "\n")
-        for r, ok in zip(records, result.gronwall.per_step_ok):
-            y = ""
-            if contain.Q0 > 0:
-                env = certify.osgood_envelope(contain.C, contain.Q0, r.t - contain.t0)
-                y = _fmt(float(env))
+        for r, ok, y in zip(records, result.gronwall.per_step_ok, result.containment.envelope):
             fh.write(
                 ",".join(_fmt(getattr(r, col)) for col in RECORD_COLUMNS)
-                + f",{'' if ok is None else int(ok)},{y}\n"
+                + f",{'' if ok is None else int(ok)},{_fmt(y)}\n"
             )
     summary_path = os.path.join(outdir, "summary.txt")
     with open(summary_path, "w") as fh:

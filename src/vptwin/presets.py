@@ -10,88 +10,18 @@ from __future__ import annotations
 
 from .harness import ScenarioConfig
 
+# what every preset shares; each preset below names only what it changes
+# from this base and the ScenarioConfig defaults
+_BASE = dict(box_edge=10.0, twin_kind="velocity-shift", twin_delta=1e-2)
+
 _PRESETS = {
-    "gaussian-blob": dict(
-        scenario="gaussian-blob",
-        epsilon=1,
-        n_particles=4096,
-        grid_dims=32,
-        box_edge=10.0,
-        sigma_x=0.6,
-        sigma_v=0.3,
-        dt=0.02,
-        t_final=2.0,
-        twin_kind="velocity-shift",
-        twin_delta=1e-2,
-        ot_stride=10,
-        ot_subsample=512,
-        seed=11,
-    ),
-    "uniform-ball": dict(
-        scenario="uniform-ball",
-        epsilon=1,
-        n_particles=4096,
-        grid_dims=32,
-        box_edge=10.0,
-        ball_radius=1.0,
-        sigma_v=0.2,
-        dt=0.02,
-        t_final=2.0,
-        twin_kind="velocity-shift",
-        twin_delta=1e-2,
-        ot_stride=10,
-        ot_subsample=512,
-        seed=12,
-    ),
-    "two-blob": dict(
-        scenario="two-blob",
-        epsilon=-1,
-        n_particles=4096,
-        grid_dims=32,
-        box_edge=10.0,
-        sigma_x=0.35,
-        blob_separation=2.0,
-        dt=0.02,
-        t_final=2.0,
-        twin_kind="velocity-shift",
-        twin_delta=1e-2,
-        ot_stride=10,
-        ot_subsample=512,
-        seed=13,
-    ),
+    "gaussian-blob": dict(scenario="gaussian-blob", seed=11),
+    "uniform-ball": dict(scenario="uniform-ball", sigma_v=0.2, seed=12),
+    "two-blob": dict(scenario="two-blob", epsilon=-1, sigma_x=0.35, seed=13),
     "free-streaming": dict(
-        scenario="free-streaming",
-        epsilon=1,
-        field_mode="none",
-        n_particles=2048,
-        grid_dims=32,
-        box_edge=16.0,
-        sigma_x=0.6,
-        sigma_v=0.3,
-        dt=0.02,
-        t_final=2.0,
-        twin_kind="velocity-shift",
-        twin_delta=1e-2,
-        ot_stride=10,
-        ot_subsample=512,
-        seed=14,
+        scenario="free-streaming", field_mode="none", n_particles=2048, box_edge=16.0, seed=14
     ),
-    "hubble": dict(
-        scenario="hubble",
-        epsilon=1,
-        n_particles=4096,
-        grid_dims=32,
-        box_edge=12.0,
-        ball_radius=1.0,
-        hubble_rate=0.3,
-        dt=0.02,
-        t_final=2.0,
-        twin_kind="velocity-shift",
-        twin_delta=1e-2,
-        ot_stride=10,
-        ot_subsample=512,
-        seed=15,
-    ),
+    "hubble": dict(scenario="hubble", box_edge=12.0, seed=15),
 }
 
 PRESET_NAMES = tuple(_PRESETS)
@@ -100,4 +30,4 @@ PRESET_NAMES = tuple(_PRESETS)
 def bundled(name: str) -> ScenarioConfig:
     if name not in _PRESETS:
         raise KeyError(f"unknown preset {name!r}; available: {', '.join(PRESET_NAMES)}")
-    return ScenarioConfig(**_PRESETS[name]).validate()
+    return ScenarioConfig(**{**_BASE, **_PRESETS[name]}).validate()

@@ -250,9 +250,10 @@ class TestProp31:
             r.sup_rho1, r.sup_rho2 = 1.0, 1.0
             r.field_l2_diff, r.prop31_rhs = diff, 0.0
         result = certify.certify_records(recs)
-        assert result.prop31_max_ratio == math.inf
-        assert result.verdicts["prop31"] is False and not result.passed
-        assert result.verdicts["lemma_w2"] and result.verdicts["gronwall"]
+        checks = rows(result)
+        assert checks["prop31"].statistic == math.inf
+        assert checks["prop31"].passed is False and not result.passed
+        assert checks["lemma_w2"].passed and checks["gronwall"].passed
 
     def test_grid_mismatch_rejected(self):
         # densities on boxes of different geometry have no common L2 norm
@@ -261,6 +262,11 @@ class TestProp31:
         r2 = GridDensity(GridSpec(5.0, 8), np.zeros((8, 8, 8)))
         with pytest.raises(ValueError, match="different geometry"):
             self.sides(r1, r2, 0.0)
+
+
+def rows(result):
+    """certify_records' rows by name."""
+    return {c.name: c for c in result.checks}
 
 
 def ledger_row(ens_a, ens_b, step=0, t=0.0):
@@ -291,8 +297,9 @@ class TestLemmaW2:
         a, _ = paired_ensembles(rng)
         row, result = certify_pair(a, a.copy())
         assert row.W2_rho == 0.0 and row.S == 0.0 and row.Q == 0.0
-        assert result.verdicts["lemma_w2"] and result.verdicts["remark_phase"]
-        assert result.lemma_max_w2rho_excess == 0.0
+        checks = rows(result)
+        assert checks["lemma_w2"].passed and checks["remark_phase"].passed
+        assert checks["lemma_w2"].statistic == 0.0
 
     def test_swapped_pair_strict_inequality(self):
         # twins swap two particles: the identity pairing pays the swap cost
@@ -303,15 +310,17 @@ class TestLemmaW2:
         row, result = certify_pair(a, b)
         assert row.W2_rho == pytest.approx(0.0, abs=1e-12)
         assert row.S == pytest.approx(1.0, rel=1e-12)
-        assert result.verdicts["lemma_w2"] and result.verdicts["remark_phase"]
-        assert result.lemma_max_w2rho_excess == pytest.approx(-1.0, rel=1e-12)
+        checks = rows(result)
+        assert checks["lemma_w2"].passed and checks["remark_phase"].passed
+        assert checks["lemma_w2"].statistic == pytest.approx(-1.0, rel=1e-12)
 
     def test_random_snapshot(self):
         rng = np.random.default_rng(RNG_SEED)
         a, b = paired_ensembles(rng, n=256)
         row, result = certify_pair(a, b)
-        assert result.verdicts["lemma_w2"] and result.verdicts["remark_phase"]
-        assert result.lemma_max_w2rho_excess == row.W2_rho**2 - row.S < 0.0
+        checks = rows(result)
+        assert checks["lemma_w2"].passed and checks["remark_phase"].passed
+        assert checks["lemma_w2"].statistic == row.W2_rho**2 - row.S < 0.0
 
 
 def free_streaming_records(delta, t_final=2.0, dt=0.05, mass=1.0):
@@ -333,8 +342,9 @@ def free_streaming_records(delta, t_final=2.0, dt=0.05, mass=1.0):
 class TestGronwall:
     def test_free_streaming_inequality_holds(self):
         # dQ/dt = M d^2 t <= Q = 1/2 M d^2 (1 + t^2) since (t - 1)^2 >= 0
-        rep = check_gronwall(free_streaming_records(1e-2))
-        assert rep.n_checked == rep.n_steps
+        recs = free_streaming_records(1e-2)
+        rep = check_gronwall(recs)
+        assert rep.n_checked == len(recs)
         assert rep.fraction_satisfied == 1.0
 
     def test_uniform_field_difference_within_proved_bound(self):
@@ -359,7 +369,7 @@ class TestGronwall:
         recs = [StabilityRecord(step=k, t=0.05 * k, Q=0.0) for k in range(10)]
         rep = check_gronwall(recs)
         assert rep.n_checked == 0
-        assert rep.skipped_steps == list(range(10))
+        assert rep.per_step_ok == [None] * 10
         assert rep.fraction_satisfied == 1.0
 
     @pytest.mark.parametrize(
@@ -538,11 +548,12 @@ class TestCertifyRecords:
         recs = free_streaming_records(1e-3)
         result = certify.certify_records(recs)
         assert result.passed
-        assert result.verdicts["gronwall"] is True
-        assert result.verdicts["osgood_containment"] is True
-        # no exact-OT columns in the analytic series
-        assert result.verdicts["prop31"] is None
-        assert any("overall: PASS" in line for line in result.summary_lines)
+        # no exact-OT columns in the analytic series: no transport rows
+        assert [(c.name, c.passed) for c in result.checks] == [
+            ("gronwall", True), ("osgood", True)
+        ]
+        assert result.summary_lines[0] == "no exact-OT rows recorded; transport checks skipped"
+        assert result.summary_lines[-1] == "overall: PASS"
 
     def test_identical_twin_series_passes(self):
         recs = [StabilityRecord(step=k, t=0.05 * k, Q=0.0) for k in range(10)]
@@ -564,6 +575,47 @@ class TestCertifyRecords:
             "prop31: max ratio 0.5000 (tol 1 + 0.05) -> PASS",
             "gronwall: dQ/dt <= Q + sqrt(2Q)(sqrt(T1)+sqrt(T2)) at 41/41 checked steps "
             "(100.0%, need >= 99%) -> PASS",
+        ]
+
+    def test_one_row_per_check_in_summary_order(self):
+        # each check is one row named by its summary label; the statistic is
+        # the number its line prints, and the overall verdict is their AND
+        recs = free_streaming_records(1e-3)
+        r = recs[2]
+        r.W2_rho, r.W2_phase, r.Q_sub, r.S_sub = 0.4, 1.0, 1.0, 0.25
+        r.sup_rho1, r.sup_rho2 = 0.25, 0.125
+        r.field_l2_diff, r.prop31_rhs = 0.1, 0.2
+        result = certify.certify_records(recs)
+        names = [c.name for c in result.checks]
+        assert names == ["lemma_w2", "remark_phase", "prop31", "gronwall", "osgood"]
+        verdict_lines = [ln for ln in result.summary_lines if ln.endswith(("-> PASS", "-> FAIL"))]
+        assert [ln.split(":")[0] for ln in verdict_lines] == names
+        checks = rows(result)
+        assert checks["lemma_w2"].statistic == 0.4**2 - 0.25
+        assert checks["remark_phase"].statistic == 1.0 - 2.0
+        assert checks["prop31"].statistic == 0.5
+        assert checks["gronwall"].statistic == result.gronwall.fraction_satisfied == 1.0
+        assert checks["osgood"].statistic == result.containment.max_excess <= 0.0
+        assert result.passed is all(c.passed for c in result.checks) is True
+        assert result.summary_lines[4] == (
+            f"fitted constants: C_T1 = 0, C_final = {result.gronwall.C_final:.4g}; "
+            f"small-gap window = (0.0, 2.0)"
+        )
+
+    def test_no_transport_rows_without_exact_ot_rows(self):
+        # identical twins: no W2 column anywhere, Q = 0 throughout
+        recs = [StabilityRecord(step=k, t=0.05 * k, Q=0.0) for k in range(10)]
+        result = certify.certify_records(recs)
+        assert [c.name for c in result.checks] == ["gronwall", "osgood"]
+        assert result.containment.envelope == [None] * 10
+        assert result.summary_lines == [
+            "no exact-OT rows recorded; transport checks skipped",
+            "gronwall: dQ/dt <= Q + sqrt(2Q)(sqrt(T1)+sqrt(T2)) at 0/0 checked steps "
+            "(100.0%, need >= 99%) -> PASS",
+            "fitted constants: C_T1 = 0, C_final = 0; small-gap window = (0.0, 0.45)",
+            "osgood: Q(t) <= envelope(C = 1e-12, Q0 = 0.000e+00) at 0/0 steps -> PASS",
+            "identical twins (Q = 0 throughout): chain trivially satisfied",
+            "overall: PASS",
         ]
 
     @pytest.mark.parametrize("column", certify.OT_ROW_COLUMNS)
@@ -591,4 +643,4 @@ class TestCertifyRecords:
         with pytest.raises(ValueError, match=r"step 2: prop31_rhs .* = 0\.2$"):
             certify.certify_records(recs)
         r.prop31_rhs = 0.2
-        assert certify.certify_records(recs).verdicts["prop31"] is False
+        assert rows(certify.certify_records(recs))["prop31"].passed is False

@@ -570,6 +570,26 @@ class TestTwinRuns:
         assert (tmp_path / "cert" / "summary.txt").exists()
         assert json.load(open(manifest))["files"]
 
+    def test_envelope_column_is_the_per_row_envelope(self, tmp_path):
+        # certify evaluates the envelope once over all record times; the
+        # column must equal, bit for bit, the envelope anchored at the first
+        # positive-Q record and evaluated row by row, rows before it included
+        dt, delta = 1e-3, 1e-2
+        records = []
+        for k in range(20001):
+            t = k * dt
+            q = 0.5 * delta**2 * (1.0 + t * t) if k > 2 else 0.0
+            records.append(StabilityRecord(step=k, t=t, Q=q, S=(delta * t) ** 2, max_gap=delta))
+        result, cert_path, _ = harness.emit_certification(records, tmp_path / "cert")
+        contain = result.containment
+        first = records[3]
+        assert contain.Q0 == first.Q and contain.C > 0.0
+        with open(cert_path) as fh:
+            column = [line.rstrip("\n").split(",")[-1] for line in fh][1:]
+        assert len(column) == len(records)
+        for r, cell in zip(records, column):
+            assert float(cell) == float(certify.osgood_envelope(contain.C, first.Q, r.t - first.t))
+
     def test_ot_stride_populates_exact_columns(self):
         cfg = small_config(
             twin_kind="velocity-shift",

@@ -236,7 +236,8 @@ def test_ci_runs_the_tier1_command_and_the_benchmark_tests():
     # the workflow parses, and its steps run ROADMAP.md's Tier-1 command and
     # perfbench/test_perfbench.py on Python 3.11, with the numpy and scipy
     # the goldens were made with and the pytest and hypothesis whose
-    # derandomized examples the property tests were written against
+    # derandomized examples the property tests were written against, and
+    # the pyyaml this check parses the workflow with
     yaml = pytest.importorskip("yaml")
     root = Path(__file__).resolve().parents[1]
     workflow = yaml.safe_load((root / ".github" / "workflows" / "tests.yml").read_text())
@@ -246,6 +247,8 @@ def test_ci_runs_the_tier1_command_and_the_benchmark_tests():
     assert tier1 and tier1.group(1) in runs
     assert any(run.endswith("pytest -q perfbench/test_perfbench.py") for run in runs)
     assert {"python-version": "3.11"} in [step.get("with") for step in steps]
-    pins = ("numpy==2.4.6", "scipy==1.17.1", "pytest==9.0.3", "hypothesis==6.155.2")
+    pins = (
+        "numpy==2.4.6", "scipy==1.17.1", "pytest==9.0.3", "hypothesis==6.155.2", "pyyaml==6.0.3"
+    )
     assert any(run.startswith("python -m pip install") and set(pins) <= set(run.split())
                for run in runs)
