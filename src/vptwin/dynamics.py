@@ -192,6 +192,25 @@ def run_pair(work_a, work_b):
     return a, future.result()
 
 
+def evaluate_in_halves(evaluate, points):
+    """evaluate(points), the first half of the rows on this thread and the
+    second on the helper (run_pair), joined in order.
+
+    Both field evaluators compute each row on its own (solve_field_direct
+    sums a target in source order whatever its block, and interpolation
+    is per point), so every bit is that of the whole call. If a half
+    raises, the whole call is made again, so the error is the one it
+    raises and names all the rows at fault. Not for use inside work run
+    by run_pair: the one helper would wait on itself.
+    """
+    mid = len(points) // 2
+    try:
+        lo, hi = run_pair(lambda: evaluate(points[:mid]), lambda: evaluate(points[mid:]))
+    except Exception:
+        return evaluate(points)
+    return np.concatenate((lo, hi))
+
+
 def _in_branch(branch, work, *args):
     """work(*args), a package error re-raised as TwinError naming branch."""
     try:

@@ -207,7 +207,11 @@ class ScenarioConfig:
         of two threads a step's half-kick velocity (24 B) and CIC deposit
         scratch (224 B under tracemalloc: the 8 corners' cells and shares,
         128 B, and the cell coordinates they are built from); 96 B per kept
-        snapshot of both ensembles' x and v, which share the weights too. A
+        snapshot of both ensembles' x and v, which share the weights too.
+        The observer runs once both steps are done and holds less than
+        their scratch: T1/T2, with its cross field in two halves and their
+        concatenation (48 B), peaks under 200 B under tracemalloc, beside
+        a direct sum's fixed-size block planes on each thread. A
         simulation holds less."""
         kept = self.n_steps // self.snapshot_stride + 1 if self.snapshot_stride else 0
         return self.n_particles * (152 + 2 * 248 + 96 * kept), kept
@@ -283,12 +287,25 @@ def _fmt(v):
     return f"{v:.17g}" if isinstance(v, float) else str(v)
 
 
+def _bad_cell(col, v):
+    """Why v cannot stand in ledger column col, or None. A nan would slip
+    past the verdict's max(), and every column but dQdt is a time, count,
+    norm or sum of squares: a negative Q would skip every dQ/dt step and
+    pass the verdict on none checked. -0.0 is zero."""
+    if not math.isfinite(v):
+        return "non-finite value"
+    if v < 0 and col != "dQdt":
+        return "negative value"
+    return None
+
+
 def write_records(path, records):
     for r in records:
         for col in RECORD_COLUMNS:
             v = getattr(r, col)
-            if v is not None and not np.isfinite(v):
-                raise ValueError(f"non-finite value in column {col} at step {r.step}")
+            bad = None if v is None else _bad_cell(col, v)
+            if bad:
+                raise ValueError(f"{bad} in column {col} at step {r.step}")
     with open(path, "w") as fh:
         fh.write(",".join(RECORD_COLUMNS) + "\n")
         for r in records:
@@ -296,8 +313,8 @@ def write_records(path, records):
 
 
 def read_records(path):
-    """The records of a write_records CSV; a malformed or non-finite cell
-    raises ValueError naming its line and column."""
+    """The records of a write_records CSV; a malformed cell, or one that
+    write_records refuses, raises ValueError naming its line and column."""
     with open(path) as fh:
         header = fh.readline().strip().split(",")
         if header != RECORD_COLUMNS:
@@ -314,13 +331,11 @@ def read_records(path):
                 try:
                     if cell == "":
                         kwargs[col] = None
-                    elif col == "step":
-                        kwargs[col] = int(cell)
                     else:
-                        kwargs[col] = float(cell)
-                        # a nan would slip past the verdict's max()
-                        if not math.isfinite(kwargs[col]):
-                            raise ValueError(f"non-finite value {cell!r}")
+                        kwargs[col] = int(cell) if col == "step" else float(cell)
+                        bad = _bad_cell(col, kwargs[col])
+                        if bad:
+                            raise ValueError(f"{bad} {cell!r}")
                 except ValueError as err:
                     raise ValueError(f"{path}: line {lineno}: column {col}: {err}") from err
             records.append(StabilityRecord(**kwargs))
@@ -375,8 +390,10 @@ class _TwinObserver:
         rec.sup_rho2 = rho_b.sup_norm
 
         if cfg.field_mode != "none":
+            # T1/T2's cross field F_B(X_A), in two row halves on the two threads
             rec.T1, rec.T2 = certify.compute_T1_T2(
-                ens_a, ens_b, flow_a.accel, flow_b.accel, flow_b.evaluator.accel
+                ens_a, ens_b, flow_a.accel, flow_b.accel,
+                lambda x: dynamics.evaluate_in_halves(flow_b.evaluator.accel, x),
             )
 
         stride = cfg.ot_stride
@@ -424,9 +441,10 @@ class _TwinObserver:
             return fields.solve_field_grid(diff, self.softening)
 
         # side by side (perfbench's tracer keeps one span stack: only these
-        # two and the branch steps may overlap): the one solve of Prop.
-        # 3.1's left side, the longest single work, on the helper, and both
-        # W2 problems and the probe of flow A's field on this thread
+        # two, the branch steps and the two halves of T1/T2's cross field
+        # may overlap): the one solve of Prop. 3.1's left side, the longest
+        # single work, on the helper, and both W2 problems and the probe of
+        # flow A's field on this thread
         (rec.W2_rho, rec.W2_phase, rec.loglip_C), diff_field = dynamics.run_pair(
             transports, difference
         )

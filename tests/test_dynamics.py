@@ -25,7 +25,7 @@ from vptwin.dynamics import (
     run_twin,
     step_leapfrog,
 )
-from vptwin.errors import DivergenceError, EscapeError
+from vptwin.errors import DivergenceError, EscapeError, OutOfDomainError, SingularityError
 from vptwin.fields import FOUR_PI, GridSpec
 from vptwin.transport import coupling_cost
 
@@ -470,6 +470,57 @@ class TestConcurrentBranches:
         finally:
             release.set()
             blocker.result(timeout=60)
+
+
+class TestEvaluateInHalves:
+    """The cross field in two row halves, one per thread, is the whole call."""
+
+    def evaluator(self, kind, softening=0.2):
+        # 100 sources: a direct-sum block of 327 targets, so a second half
+        # starting at row 2048 starts mid-block of the whole call
+        sources = random_ensemble(np.random.default_rng(RNG_SEED), n=100)
+        if kind == "direct":
+            evaluator = DirectSumEvaluator(softening, -1)
+        else:
+            evaluator = GridFieldEvaluator(GridSpec(6.0, 16), softening, 1)
+        evaluator.refresh(sources)
+        return evaluator, sources
+
+    @pytest.mark.parametrize("n", [2, 3, 257, 4097])
+    @pytest.mark.parametrize("kind", ["direct", "grid"])
+    def test_bitwise_equal_to_the_whole_call(self, kind, n):
+        # n = 2: each half is one target, solve_field_direct's accumulate
+        # branch, where the whole call reduces a two-column plane
+        evaluator, _ = self.evaluator(kind)
+        targets = np.random.default_rng(n).normal(scale=0.6, size=(n, 3))
+        whole = evaluator.accel(targets)
+        halves = dynamics.evaluate_in_halves(evaluator.accel, targets)
+        assert halves.shape == whole.shape == (n, 3)
+        assert halves.tobytes() == whole.tobytes()
+
+    @pytest.mark.parametrize("rows", [(1, 6), (6,), (1,)], ids=["both", "second", "first"])
+    def test_out_of_box_error_is_the_whole_calls(self, rows):
+        # a half would name only its own points
+        evaluator, _ = self.evaluator("grid")
+        targets = np.random.default_rng(RNG_SEED).normal(scale=0.5, size=(8, 3))
+        targets[list(rows)] += 10.0
+        with pytest.raises(OutOfDomainError) as whole:
+            evaluator.accel(targets)
+        with pytest.raises(OutOfDomainError) as split:
+            dynamics.evaluate_in_halves(evaluator.accel, targets)
+        assert str(split.value) == str(whole.value)
+        assert split.value.points == whole.value.points == targets[list(rows)].tolist()
+
+    def test_singular_target_error_is_the_whole_calls(self):
+        # unsoftened: two targets on sources in each half, four in the whole
+        evaluator, sources = self.evaluator("direct", softening=0.0)
+        targets = sources.x[[0, 1, 2, 3]]
+        with pytest.raises(SingularityError) as whole:
+            evaluator.accel(targets)
+        with pytest.raises(SingularityError) as split:
+            dynamics.evaluate_in_halves(evaluator.accel, targets)
+        assert str(split.value) == str(whole.value)
+        assert str(whole.value) == "4 target(s) coincide with unsoftened sources"
 
 
 class TestEvaluatorSign:

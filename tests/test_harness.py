@@ -7,6 +7,7 @@ against an analytic oracle.
 
 import json
 import math
+import threading
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -92,14 +93,17 @@ VALID_CONFIGS = st.builds(
     approach_speed=_REAL,
 ).filter(_validates)
 
-_OPTIONAL = st.one_of(st.none(), _REAL)
+# every ledger column but dQdt is non-negative (write_records refuses the rest)
 RECORD_LISTS = st.lists(
     st.builds(
         StabilityRecord,
         step=st.integers(0, 10**6),
-        t=_REAL,
-        Q=_REAL,
-        **{col: _OPTIONAL for col in RECORD_COLUMNS[3:]},
+        t=_NON_NEGATIVE,
+        Q=_NON_NEGATIVE,
+        **{
+            col: st.one_of(st.none(), _REAL if col == "dQdt" else _NON_NEGATIVE)
+            for col in RECORD_COLUMNS[3:]
+        },
     ),
     max_size=5,
 )
@@ -505,6 +509,32 @@ class TestRecordsCSV:
         with pytest.raises(ValueError, match=r"records\.csv: line 3: column Q: non-finite"):
             read_records(p)
 
+    @pytest.mark.parametrize("col", [c for c in RECORD_COLUMNS if c != "dQdt"])
+    def test_negative_cell_rejected(self, tmp_path, col):
+        # no twin run writes one: a negative Q would skip every dQ/dt step
+        recs = self.make_records()
+        setattr(recs[1], col, -1)
+        with pytest.raises(ValueError, match=f"negative value in column {col} at step"):
+            write_records(tmp_path / "bad.csv", recs)
+        p = tmp_path / "records.csv"
+        write_records(p, self.make_records())
+        lines = p.read_text().splitlines()
+        cells = lines[2].split(",")
+        cells[RECORD_COLUMNS.index(col)] = "-1" if col == "step" else "-1e-300"
+        lines[2] = ",".join(cells)
+        p.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=rf"records\.csv: line 3: column {col}: negative"):
+            read_records(p)
+
+    def test_negative_dqdt_and_negative_zero_are_read(self, tmp_path):
+        recs = self.make_records()
+        recs[0].dQdt, recs[1].Q, recs[1].T1 = -2.5, -0.0, -0.0
+        p = tmp_path / "records.csv"
+        write_records(p, recs)
+        got = read_records(p)
+        assert got[0].dQdt == -2.5
+        assert (got[1].Q, got[1].T1) == (0.0, 0.0)
+
     def test_wrong_header_rejected(self, tmp_path):
         p = tmp_path / "weird.csv"
         p.write_text("a,b,c\n1,2,3\n")
@@ -630,28 +660,32 @@ class TestTwinRuns:
         assert math.hypot(*(b.points - a.points).mean(axis=0)) > 0.5 * spacing
 
     def test_observer_reuses_flow_fields_and_densities(self, monkeypatch):
-        # per recorded step: each flow solves and deposits once, and T1/T2
-        # adds the one cross evaluation F_B(X_A); nothing else re-solves
-        counts = {"solve": 0, "deposit": 0}
+        # per recorded step: each flow solves its n target rows and
+        # deposits once, and T1/T2 adds the cross field F_B(X_A) at the n
+        # rows of X_A (in two halves); nothing else re-solves. Counted in
+        # target rows and deposits, since the halves are two calls
+        counts = {"rows": 0, "deposit": 0}
+        solve, deposit = fields.solve_field_direct, dynamics.deposit
+        lock = threading.Lock()
 
-        def counting(name, fn):
-            def wrapper(*args, **kwargs):
-                counts[name] += 1
-                return fn(*args, **kwargs)
+        def counting_solve(points, weights, targets, *args, **kwargs):
+            with lock:
+                counts["rows"] += len(targets)
+            return solve(points, weights, targets, *args, **kwargs)
 
-            return wrapper
+        def counting_deposit(*args, **kwargs):
+            counts["deposit"] += 1
+            return deposit(*args, **kwargs)
 
-        monkeypatch.setattr(
-            fields, "solve_field_direct", counting("solve", fields.solve_field_direct)
-        )
-        monkeypatch.setattr(dynamics, "deposit", counting("deposit", dynamics.deposit))
+        monkeypatch.setattr(fields, "solve_field_direct", counting_solve)
+        monkeypatch.setattr(dynamics, "deposit", counting_deposit)
         cfg = small_config(
             field_mode="direct", n_particles=64, twin_kind="velocity-shift", twin_delta=1e-2
         )
         result = run_twin_config(cfg)
         steps = len(result.records)
         assert steps == cfg.n_steps + 1
-        assert counts == {"solve": 3 * steps, "deposit": 2 * steps}
+        assert counts == {"rows": 3 * cfg.n_particles * steps, "deposit": 2 * steps}
         assert all(r.T1 > 0.0 for r in result.records[1:])
 
     @pytest.mark.parametrize(
@@ -706,18 +740,20 @@ class TestTwinRuns:
         [
             dict(box_edge=6.0),
             dict(box_edge=6.0, softening=0.2),
+            # B on its own grid: the cross field interpolates a finer field
+            dict(box_edge=6.0, twin_kind="resolution", twin_grid_dims_b=24),
             dict(scenario="two-blob", epsilon=-1, field_mode="direct", sigma_x=0.35,
                  box_edge=6.0),
             dict(scenario="free-streaming", field_mode="none", box_edge=16.0),
         ],
-        ids=["grid", "grid-own-softening", "direct", "none"],
+        ids=["grid", "grid-own-softening", "resolution", "direct", "none"],
     )
     def test_records_do_not_depend_on_the_helper_thread(self, monkeypatch, tmp_path,
                                                         overrides):
         # both works of every run_pair on the calling thread, one after the
         # other: the same records.csv bytes
-        cfg = small_config(n_particles=128, twin_kind="velocity-shift", twin_delta=1e-2,
-                           ot_stride=2, ot_subsample=64, **overrides)
+        twin = dict(twin_kind="velocity-shift", twin_delta=1e-2) | overrides
+        cfg = small_config(n_particles=128, ot_stride=2, ot_subsample=64, **twin)
         harness.emit_twin(cfg, tmp_path / "threaded")
         monkeypatch.setattr(dynamics, "run_pair", lambda work_a, work_b: (work_a(), work_b()))
         harness.emit_twin(cfg, tmp_path / "serial")
@@ -1204,6 +1240,25 @@ class TestCLI:
         assert cli.main(["certify", str(p), "--out", str(out)]) == cli.EXIT_USAGE
         err = capsys.readouterr().err
         assert f"line 12: column W2_rho: non-finite value '{cell}'" in err
+        assert not out.exists()
+
+    def test_certify_negated_q_exits_usage(self, tmp_path, capsys):
+        # a twin's records with every Q negated used to skip every dQ/dt
+        # step and certify PASS on none checked
+        cfg = self.write_cfg(tmp_path, self.FREE_TWIN)
+        assert cli.main(["twin", cfg, "--out", str(tmp_path / "twin")]) == cli.EXIT_PASS
+        p = tmp_path / "twin" / "records.csv"
+        col = RECORD_COLUMNS.index("Q")
+        lines = p.read_text().splitlines()
+        for k in range(1, len(lines)):
+            cells = lines[k].split(",")
+            cells[col] = "-" + cells[col]
+            lines[k] = ",".join(cells)
+        p.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "c"
+        capsys.readouterr()
+        assert cli.main(["certify", str(p), "--out", str(out)]) == cli.EXIT_USAGE
+        assert "line 2: column Q: negative value" in capsys.readouterr().err
         assert not out.exists()
 
     def test_certify_tampered_prop31_rhs_exits_usage(self, tmp_path, capsys):
