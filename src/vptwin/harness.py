@@ -290,8 +290,8 @@ def _fmt(v):
 def _bad_cell(col, v):
     """Why v cannot stand in ledger column col, or None. A nan would slip
     past the verdict's max(), and every column but dQdt is a time, count,
-    norm or sum of squares: a negative Q would skip every dQ/dt step and
-    pass the verdict on none checked. -0.0 is zero."""
+    norm or sum of squares: a negative Q has no excess over the one-step
+    bound and would pass the gronwall check unseen. -0.0 is zero."""
     if not math.isfinite(v):
         return "non-finite value"
     if v < 0 and col != "dQdt":
@@ -609,7 +609,9 @@ def emit_certification(records, outdir):
 
     The verdict depends on the records alone: the Prop. 3.1 threshold is
     certify.PROP31_TOL and every record is certified. The gronwall_ok and
-    envelope columns are certify's per-record results, written as given."""
+    envelope columns are certify's per-record results, written as given:
+    gronwall_ok is empty on the first record and, on every other, 1 or 0
+    as the leapfrog step into that record keeps the one-step bound on Q."""
     result = certify.certify_records(records)
     os.makedirs(outdir, exist_ok=True)
     cert_path = os.path.join(outdir, "certification.csv")

@@ -10,11 +10,12 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from vptwin import certify
+from vptwin import certify, cli, harness
 from vptwin.certify import (
     StabilityRecord,
     check_gronwall,
@@ -37,6 +38,7 @@ from vptwin.fields import (
 from vptwin.transport import WeightedCloud, coupling_cost, ordered_sum, squared_norms, w2_exact
 
 from oracles import ledger_sum
+from test_harness import GOLDEN_FIXTURES
 
 RNG_SEED = 90210
 E = math.e
@@ -341,17 +343,20 @@ def free_streaming_records(delta, t_final=2.0, dt=0.05, mass=1.0):
 
 class TestGronwall:
     def test_free_streaming_inequality_holds(self):
-        # dQ/dt = M d^2 t <= Q = 1/2 M d^2 (1 + t^2) since (t - 1)^2 >= 0
+        # a rigid twin without a field: the one-step bound d^2 (t dt +
+        # dt^2 / 2) is Q_n+1 - Q_n exactly, so only round-off is left
         recs = free_streaming_records(1e-2)
         rep = check_gronwall(recs)
-        assert rep.n_checked == len(recs)
-        assert rep.fraction_satisfied == 1.0
+        assert rep.per_step_ok == [None] + [True] * (len(recs) - 1)
+        assert abs(rep.max_excess) <= certify.ROUNDOFF_RTOL / 10
 
     def test_uniform_field_difference_within_proved_bound(self):
         # F_A - F_B = c everywhere, F_B uniform: dv = c t, dx = c t^2 / 2,
-        # T1 = 0 and T2 = M |c|^2. Early on dQ/dt ~ sqrt(2Q) sqrt(T2), the
-        # equality case of Cauchy-Schwarz: the bound cannot be any tighter,
-        # and the unproved form Q + sqrt(Q (T1 + T2)) fails here
+        # T1 = 0 and T2 = M |c|^2, which the leapfrog follows exactly. Every
+        # gap stays parallel to c, the equality case of Cauchy-Schwarz: the
+        # bound's only slack is (dt^2 / 8) G_n^2 from bounding the first
+        # half kick by V_h G_n, and the largest excess is that slack over
+        # the last Q. The unproved form Q + sqrt(Q (T1 + T2)) fails here
         c2, dt = 1e-4, 0.05
         recs = []
         for k in range(41):
@@ -361,16 +366,16 @@ class TestGronwall:
                 S=c2 * t**4 / 4, max_gap=math.sqrt(c2) * t * math.hypot(1, t / 2),
             ))
         rep = check_gronwall(recs)
-        assert rep.n_checked == 40 and rep.fraction_satisfied == 1.0
+        assert rep.per_step_ok == [None] + [True] * 40
+        assert rep.max_excess == pytest.approx(-dt**2 * c2 / 8 / recs[-1].Q, rel=1e-9)
         # every centered difference breaks it (the last, one-sided, does not)
         assert not any(r.dQdt <= r.Q + math.sqrt(r.Q * r.T2) for r in recs[1:-1])
 
-    def test_identical_twins_all_skipped(self):
+    def test_identical_twins_have_no_excess(self):
         recs = [StabilityRecord(step=k, t=0.05 * k, Q=0.0) for k in range(10)]
         rep = check_gronwall(recs)
-        assert rep.n_checked == 0
-        assert rep.per_step_ok == [None] * 10
-        assert rep.fraction_satisfied == 1.0
+        assert rep.max_excess == 0.0
+        assert rep.per_step_ok == [None] + [True] * 9
 
     @pytest.mark.parametrize(
         "times, message",
@@ -378,14 +383,18 @@ class TestGronwall:
             ("perturbed", "not uniformly spaced"),
             ("equal", "do not strictly increase"),
             ("reversed", "do not strictly increase"),
+            ("thinned", "not consecutive steps"),
         ],
-        ids=["perturbed", "equal", "reversed"],
+        ids=["perturbed", "equal", "reversed", "thinned"],
     )
     def test_non_uniform_spacing_rejected(self, times, message):
         # equal times once divided by zero into C_final = inf, and reversed
-        # ones passed on the window (0.5, 0.0)
+        # ones passed on the window (0.5, 0.0); a ledger thinned to every
+        # other step is uniformly spaced, but the bound is for one step
         recs = free_streaming_records(1e-2)
-        if times == "perturbed":
+        if times == "thinned":
+            recs = recs[::2]
+        elif times == "perturbed":
             recs[3].t += 0.01
         elif times == "equal":
             for r in recs:
@@ -568,13 +577,14 @@ class TestCertifyRecords:
         r.W2_rho, r.W2_phase, r.Q_sub, r.S_sub = 0.4, 1.0, 1.0, 0.25
         r.sup_rho1, r.sup_rho2 = 0.25, 0.125
         r.field_l2_diff, r.prop31_rhs = 0.1, 0.2
-        lines = certify.certify_records(recs).summary_lines
+        result = certify.certify_records(recs)
+        lines = result.summary_lines
         assert lines[:4] == [
             "lemma_w2: W2_rho^2 - min(S_sub, 2Q_sub) max excess -9.000e-02 -> PASS",
             "remark_phase: W2_phase^2 - 2Q_sub max excess -1.000e+00 -> PASS",
             "prop31: max ratio 0.5000 (tol 1 + 0.05) -> PASS",
-            "gronwall: dQ/dt <= Q + sqrt(2Q)(sqrt(T1)+sqrt(T2)) at 41/41 checked steps "
-            "(100.0%, need >= 99%) -> PASS",
+            "gronwall: Q_n+1 - Q_n <= leapfrog bound at every step: max excess "
+            f"{result.gronwall.max_excess:.3e} Q (tol 1e-12 Q) -> PASS",
         ]
 
     def test_one_row_per_check_in_summary_order(self):
@@ -594,7 +604,8 @@ class TestCertifyRecords:
         assert checks["lemma_w2"].statistic == 0.4**2 - 0.25
         assert checks["remark_phase"].statistic == 1.0 - 2.0
         assert checks["prop31"].statistic == 0.5
-        assert checks["gronwall"].statistic == result.gronwall.fraction_satisfied == 1.0
+        assert checks["gronwall"].statistic == result.gronwall.max_excess
+        assert abs(result.gronwall.max_excess) <= certify.ROUNDOFF_RTOL
         assert checks["osgood"].statistic == result.containment.max_excess <= 0.0
         assert result.passed is all(c.passed for c in result.checks) is True
         assert result.summary_lines[4] == (
@@ -610,8 +621,8 @@ class TestCertifyRecords:
         assert result.containment.envelope == [None] * 10
         assert result.summary_lines == [
             "no exact-OT rows recorded; transport checks skipped",
-            "gronwall: dQ/dt <= Q + sqrt(2Q)(sqrt(T1)+sqrt(T2)) at 0/0 checked steps "
-            "(100.0%, need >= 99%) -> PASS",
+            "gronwall: Q_n+1 - Q_n <= leapfrog bound at every step: max excess "
+            "0.000e+00 Q (tol 1e-12 Q) -> PASS",
             "fitted constants: C_T1 = 0, C_final = 0; small-gap window = (0.0, 0.45)",
             "osgood: Q(t) <= envelope(C = 1e-12, Q0 = 0.000e+00) at 0/0 steps -> PASS",
             "identical twins (Q = 0 throughout): chain trivially satisfied",
@@ -644,3 +655,54 @@ class TestCertifyRecords:
             certify.certify_records(recs)
         r.prop31_rhs = 0.2
         assert rows(certify.certify_records(recs))["prop31"].passed is False
+
+
+_LEDGERS = {}
+
+
+def fixture_ledger(name):
+    """A fresh copy of the records of the golden twin fixture ``name``,
+    which is run once per session."""
+    if name not in _LEDGERS:
+        cfg = harness.ScenarioConfig(**GOLDEN_FIXTURES[name]).validate()
+        _LEDGERS[name] = harness.run_twin_config(cfg).records
+    return [replace(r) for r in _LEDGERS[name]]
+
+
+class TestSingleStepDefects:
+    """Q scaled at one interior step of a real twin ledger: the one-step
+    bound fails the step into or out of it, whatever the field."""
+
+    @pytest.mark.parametrize("factor", [1.1, 0.9])
+    @pytest.mark.parametrize("name", ["free-streaming", "blob", "direct"])
+    def test_scaled_q_fails_gronwall(self, name, factor):
+        recs = fixture_ledger(name)
+        assert certify.certify_records(recs).passed
+        recs[5].Q *= factor
+        result = certify.certify_records(recs)
+        assert rows(result)["gronwall"].passed is False and not result.passed
+        # a larger Q_5 breaks the step into it, a smaller one the step out
+        failed = [k for k, ok in enumerate(result.gronwall.per_step_ok) if ok is False]
+        assert failed == ([5] if factor > 1 else [6])
+        gronwall = next(ln for ln in result.summary_lines if ln.startswith("gronwall: "))
+        assert gronwall.endswith("-> FAIL")
+        assert result.summary_lines[-1] == "overall: FAIL"
+
+    def test_edited_records_csv_exits_check(self, tmp_path, capsys):
+        recs = fixture_ledger("blob")
+        recs[5].Q *= 1.1
+        p = tmp_path / "records.csv"
+        harness.write_records(p, recs)
+        code = cli.main(["certify", str(p), "--out", str(tmp_path / "cert")])
+        assert code == cli.EXIT_CHECK == 1
+        out = capsys.readouterr().out
+        assert "overall: FAIL" in out
+        assert "-> FAIL" in next(ln for ln in out.splitlines() if ln.startswith("gronwall: "))
+
+    def test_rigid_twin_round_off_within_allowance(self):
+        # free streaming of a velocity-shift twin is an equality of the
+        # bound in exact arithmetic; its round-off must sit well inside
+        # the allowance
+        result = certify.certify_records(fixture_ledger("free-streaming"))
+        assert result.passed
+        assert abs(result.gronwall.max_excess) <= certify.ROUNDOFF_RTOL / 10

@@ -511,7 +511,8 @@ class TestRecordsCSV:
 
     @pytest.mark.parametrize("col", [c for c in RECORD_COLUMNS if c != "dQdt"])
     def test_negative_cell_rejected(self, tmp_path, col):
-        # no twin run writes one: a negative Q would skip every dQ/dt step
+        # no twin run writes one: a negative Q has no excess over the
+        # one-step bound, so it would pass the gronwall check unseen
         recs = self.make_records()
         setattr(recs[1], col, -1)
         with pytest.raises(ValueError, match=f"negative value in column {col} at step"):
@@ -1467,7 +1468,7 @@ class TestCLI:
 
 # two-blob twins whose flows differ in the field itself, not in a velocity
 # shift: the unproved form dQ/dt <= Q + sqrt(Q (T1 + T2)) is broken at all
-# 50 steps with Q > 0, the proved bound holds at all 50
+# 50 steps with Q > 0, the one-step leapfrog bound holds at all 50
 FIELD_TWINS = {
     "resolution": dict(
         twin_kind="resolution", n_particles=512, grid_dims=16, twin_grid_dims_b=24
@@ -1483,7 +1484,7 @@ class TestProvedGronwallBound:
         harness.emit_twin(cfg, tmp_path / "twin")
         records = str(tmp_path / "twin" / "records.csv")
         assert cli.main(["certify", records, "--out", str(tmp_path / "cert")]) == cli.EXIT_PASS
-        assert "gronwall: dQ/dt <= Q + sqrt(2Q)(sqrt(T1)+sqrt(T2)) at 50/50 " in (
+        assert "gronwall: Q_n+1 - Q_n <= leapfrog bound at every step: " in (
             capsys.readouterr().out
         )
         assert not any(
