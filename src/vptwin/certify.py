@@ -35,12 +35,18 @@ E = math.e
 PROP31_TOL = 0.05  # Prop. 3.1 passes while lhs <= (1 + PROP31_TOL) rhs
 PROP31_ZERO_TOL = 1e-12  # a field difference above this with W2 = 0 is inconsistent
 INEQ_TOL = 1e-9  # solver round-off allowed in the W2 <= feasible-plan checks
-# round-off allowed in the one-step bound on Q, as a share of Q: a rigid
-# twin without a field is an equality in exact arithmetic, and its recorded
-# step exceeds the bound by at most 8.7e-14 of Q (stream-ot, seeds 0-7).
-# Q's sum and the bound's terms round relative to Q itself, while the step
-# Q_n+1 - Q_n vanishes at t = 0, so the allowance scales with Q
-ROUNDOFF_RTOL = 1e-12
+# round-off allowed in the one-step bound on Q, as a share of max(Q_n, Q_n+1).
+# A rigid twin without a field meets the bound with equality in exact
+# arithmetic, so its excess is round-off, from two sources held to half each:
+# the left-to-right sums over n particles (4 n 2^-53 of Q, 7.4e-10 at the
+# memory cap's 1,657,008; measured 8.7e-14 on stream-ot, 1.1e-12 at 32768),
+# and the drift's rounding of positions, up to 1.5 2^-53 box_edge a
+# coordinate: 6 sqrt(3) 2^-53 box_edge / |twin_delta| of Q for a velocity
+# shift, so the config refuses shifts below MIN_SHIFT_PER_EDGE box_edge
+# (measured: 2e-10 Q at a shift of 1e-8 on a 16-unit box). A field twin's
+# kicks round its velocities too, inside the bound's own slack
+ROUNDOFF_RTOL = 1e-7
+MIN_SHIFT_PER_EDGE = 2.0**-48 / ROUNDOFF_RTOL
 SPACING_RTOL = 1e-9  # relative spread of record time steps still called uniform
 CONTAIN_RTOL = 1e-9  # Q / y - 1 still counted as contained by the envelope
 
@@ -74,6 +80,7 @@ class StabilityRecord:
 
 
 RECORD_COLUMNS = [f.name for f in dc_fields(StabilityRecord)]
+GRONWALL_COLUMNS = ("step", "t", "Q", "S", "T1", "T2", "max_gap")  # read on every row
 # what certify_records reads on every exact-OT row besides W2_rho; the
 # harness writes them all there (sup_rho1 and sup_rho2 on every row)
 OT_ROW_COLUMNS = (
@@ -180,12 +187,20 @@ def check_gronwall(records) -> GronwallReport:
     Q_n+1); a step between two zero gaps has no excess.
 
     Requires records of consecutive steps, uniformly spaced in strictly
-    increasing time. The validity window is where the max particle gap
+    increasing time, each with every GRONWALL_COLUMNS cell and S <= 2Q
+    (compute_gaps sums 2Q from terms no smaller than S's), else ValueError
+    names the step. The validity window is where the max particle gap
     stays <= 1/e (the smallness regime of the concavity step); constants
     are fitted there on the finite-difference dQ/dt (fill_dQdt).
     """
     if len(records) < 3:
         raise ValueError("need at least 3 uniformly spaced records")
+    for r in records:
+        missing = [c for c in GRONWALL_COLUMNS if getattr(r, c) is None]
+        if missing or r.S > 2.0 * r.Q:
+            raise ValueError(f"step {r.step}: " + (
+                f"lacks {', '.join(missing)}" if missing else f"S = {r.S!r} exceeds 2Q"
+            ))
     t = np.array([r.t for r in records])
     dts = np.diff(t)
     if not dts[0] > 0:
@@ -198,7 +213,7 @@ def check_gronwall(records) -> GronwallReport:
     q = np.array([r.Q for r in records])
     s = np.array([r.S for r in records])
     g = np.array([math.sqrt(r.T1) + math.sqrt(r.T2) for r in records])
-    v_h = np.sqrt(np.maximum(2.0 * q[:-1] - s[:-1], 0.0)) + 0.5 * dts * g[:-1]
+    v_h = np.sqrt(2.0 * q[:-1] - s[:-1]) + 0.5 * dts * g[:-1]
     bound = dts * (
         np.sqrt(s[:-1]) * v_h + 0.5 * dts * v_h**2
         + 0.5 * v_h * (g[:-1] + g[1:]) + 0.125 * dts * g[1:] ** 2

@@ -100,13 +100,18 @@ class ScenarioConfig:
         same_field = {
             "none": True, "direct": solve_a[1] == solve_b[1], "grid": solve_a == solve_b
         }
-        if (self.twin_kind == "velocity-shift" and self.twin_delta == 0) or (
-            self.twin_kind in ("resolution", "softening") and same_field[self.field_mode]
-        ):
+        if self.twin_kind in ("resolution", "softening") and same_field[self.field_mode]:
             raise ConfigError(
                 f"twin_kind = {self.twin_kind} with field_mode = {self.field_mode}"
-                + (", twin_delta = 0" if self.twin_kind == "velocity-shift" else "")
-                + ": the two flows cannot differ (twin_kind = none is the identical twin)"
+                ": the two flows cannot differ (twin_kind = none is the identical twin)"
+            )
+        # and a velocity shift must stand above the positions' round-off
+        # (certify.ROUNDOFF_RTOL states the rule), which also refuses zero
+        floor = certify.MIN_SHIFT_PER_EDGE * self.box_edge
+        if self.twin_kind == "velocity-shift" and abs(self.twin_delta) < floor:
+            raise ConfigError(
+                f"twin_delta = {self.twin_delta!r}: a velocity shift below {floor:.3g} "
+                f"({certify.MIN_SHIFT_PER_EDGE:.3g} box_edge) is lost in the positions' round-off"
             )
         if self.ot_stride < 0 or self.ot_subsample < 1:
             raise ConfigError("ot_stride must be >= 0 and ot_subsample >= 1")

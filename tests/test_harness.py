@@ -63,7 +63,8 @@ _SMALL_INT = st.integers(0, 1000)
 
 # valid configs over every key; the filter drops the draws validate
 # refuses (a negative softening twin_delta, zero softening in direct mode,
-# a twin whose two flows cannot differ).
+# a twin whose two flows cannot differ, a velocity shift below the
+# round-off floor).
 # n_particles <= 8192 and dt >= 0.01 (at most 1001 kept snapshots) keep
 # every draw inside the particle-memory cap
 VALID_CONFIGS = st.builds(
@@ -413,8 +414,6 @@ class TestConfigParsing:
             "field_mode = direct\nsoftening = 0.2\ntwin_kind = softening\ntwin_delta = 0.2\n",
             "twin_kind = resolution\ntwin_grid_dims_b = 32\n",
             "softening = 0.2\ntwin_kind = softening\ntwin_delta = 0.2\n",
-            "twin_kind = velocity-shift\n",
-            "field_mode = none\ntwin_kind = velocity-shift\ntwin_delta = -0.0\n",
         ],
     )
     def test_twin_whose_flows_cannot_differ_rejected(self, text):
@@ -429,9 +428,23 @@ class TestConfigParsing:
         # the identity control, and twins whose B field differs from A's
         for mode in ("grid", "direct", "none"):
             parse_config(f"field_mode = {mode}\ntwin_kind = none\n")
-            parse_config(f"field_mode = {mode}\ntwin_kind = velocity-shift\ntwin_delta = -1e-9\n")
+            parse_config(f"field_mode = {mode}\ntwin_kind = velocity-shift\ntwin_delta = -1e-6\n")
         parse_config("field_mode = direct\ntwin_kind = resolution\n")  # auto: h/2 on each grid
         parse_config("softening = 0.2\ntwin_kind = resolution\n")  # the grids differ
+
+    @pytest.mark.parametrize("mode", ["grid", "direct", "none"])
+    def test_velocity_shift_below_round_off_floor_rejected(self, mode):
+        # the smallest shift is a share of box_edge (8 by default), of
+        # either sign; it refuses the zero shift, whose flows cannot differ
+        floor = certify.MIN_SHIFT_PER_EDGE * 8.0
+        head = f"field_mode = {mode}\ntwin_kind = velocity-shift\n"
+        for delta in (floor, -floor):
+            parse_config(f"{head}twin_delta = {delta!r}\n")
+        for delta in (floor * (1 - 1e-12), -1e-8, 0.0, -0.0):
+            with pytest.raises(ConfigError, match=f"twin_delta = {delta!r}: a velocity shift"):
+                parse_config(f"{head}twin_delta = {delta!r}\n")
+        with pytest.raises(ConfigError, match="twin_delta = 0.0: a velocity shift"):
+            parse_config(head)
 
     def test_replaced_config_validates(self):
         cfg = small_config()
@@ -609,8 +622,8 @@ class TestTwinRuns:
         records = []
         for k in range(20001):
             t = k * dt
-            q = 0.5 * delta**2 * (1.0 + t * t) if k > 2 else 0.0
-            records.append(StabilityRecord(step=k, t=t, Q=q, S=(delta * t) ** 2, max_gap=delta))
+            q, s = (0.5 * delta**2 * (1.0 + t * t), (delta * t) ** 2) if k > 2 else (0.0, 0.0)
+            records.append(StabilityRecord(step=k, t=t, Q=q, S=s, max_gap=delta))
         result, cert_path, _ = harness.emit_certification(records, tmp_path / "cert")
         contain = result.containment
         first = records[3]
