@@ -195,7 +195,8 @@ def _cic_coords(points, spec):
     outside = np.nonzero(
         np.any((u < -1e-12) | (u > n - 1 + 1e-12), axis=1)
     )[0]
-    i0 = np.clip(np.floor(u).astype(np.int64), 0, n - 2)
+    # clipped before the cast, so a far escape casts no huge float
+    i0 = np.floor(np.clip(u, 0, n - 2)).astype(np.int64)
     frac = np.clip(u - i0, 0.0, 1.0)
     return i0, frac, outside
 

@@ -87,13 +87,30 @@ class ScenarioConfig:
         # one rule for the softening of both flows. B's differs from A's only
         # where twin_delta sets it (a softening twin) or where auto resolves
         # on B's grid, to a positive length
-        solve_a, solve_b, _ = self.field_solves()
+        solve_a, solve_b, solve_diag = self.field_solves()
         direct = self.field_mode == "direct"
         for name, length in (("softening", solve_a[1]), ("twin_delta", solve_b[1])):
             if length < 0 or (direct and length == 0):
                 raise ConfigError(
                     f"{name} = {length!r}: a softening length must be "
                     + ("> 0 with field_mode = direct" if direct else ">= 0")
+                )
+        # the solves divide by the cell volume h^3 and by the kernel's
+        # 4 pi r^3 at r^2 = 3 box_edge^2 + s^2 (the box diagonal, softened)
+        def finite(spec, s):
+            r2 = 3.0 * self.box_edge * self.box_edge + s * s
+            denom = fields.FOUR_PI * r2 * math.sqrt(r2)
+            return math.isfinite(spec.cell_volume) and math.isfinite(denom)
+
+        for name, (spec, length) in (
+            ("softening", solve_a), ("twin_delta", solve_b), ("box_edge", solve_diag)
+        ):
+            if not finite(spec, length):
+                if not finite(spec, 0.0):
+                    name, length = "box_edge", self.box_edge
+                raise ConfigError(
+                    f"{name} = {length!r}: a field solve's cell volume or kernel "
+                    "denominator 4 pi (3 box_edge^2 + s^2)^(3/2) overflows"
                 )
         # a twin whose two flows start equal and read the same field is the
         # identity control, which is twin_kind = none

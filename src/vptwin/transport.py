@@ -2,25 +2,19 @@
 
 Exact solve uses the assignment algorithm when both clouds have equal size
 and uniform weights, and a transportation LP (HiGHS) otherwise. The
-assignment path has three tiers, each returning the permutation
+assignment path has two tiers, each returning the permutation
 linear_sum_assignment would return (see w2_exact):
 
 - nearest: every source point's strict nearest target once the source is
   moved by the barycentre gap, when these form a permutation whose margin
   the dense solve resolves (certified by the duals of the translated
   problem, which differs from C by a row and a column term);
-- sparse: a min-weight matching on the k-nearest-target graph, certified
-  optimal over all n^2 pairs by column duals and one lifted KD-tree query,
-  and unique by a strong-component test on the near-tight edges;
-- dense: cdist + linear_sum_assignment, when neither certificate holds.
+- dense: cdist + linear_sum_assignment, when that certificate fails.
 
-The first two build no n x n cost matrix. Their certificate queries search
-only as far as the certificate reads: the nearest tier to just past the
-largest index-pairing gap after the translation, which every translated
-source point's nearest target lies within, and the lifted query to
-max(u) + 2 theta in squared distance, beyond which no pair is near-tight
-or violating. Both radii keep every decision of the unbounded queries
-(see w2_exact).
+The nearest tier builds no n x n cost matrix. Its certificate query
+searches only to just past the largest index-pairing gap after the
+translation, which every translated source point's nearest target lies
+within, and keeps every decision of the unbounded query (see w2_exact).
 """
 
 from __future__ import annotations
@@ -30,11 +24,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
-from scipy.sparse.csgraph import (
-    connected_components,
-    maximum_bipartite_matching,
-    min_weight_full_bipartite_matching,
-)
 from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist
 
@@ -44,15 +33,12 @@ MAX_ASSIGNMENT_SIDE = 4096  # dense n x n cost matrix guard
 MAX_LP_ENTRIES = 400_000  # n*m guard for the general transportation LP
 MASS_RTOL = 1e-9
 MARGINAL_RTOL = 1e-9  # plan marginal error allowed, relative to the total mass
-# nearest-neighbour shortcut of w2_exact: relative margin between first and
-# second squared neighbour distance (also the relative slack of its query
-# radius), and the floor of the second one
+# nearest tier of w2_exact: relative margin between first and second
+# squared neighbour distance (also the relative slack of its query radius),
+# the floor of the second one, and the rounding allowance eta in units of
+# n * eps * (cost scale); each row must clear theta = 2 n eta
 NN_MARGIN = 1e-9
 NN_FLOOR = 1e-300
-# sparse tier of w2_exact: candidate targets per source point (also the
-# lifted neighbours its dual check examines), and the dual tolerance eta in
-# units of n * eps * (dual scale)
-SPARSE_NEIGHBOURS = 8
 ETA_ULPS = 64
 
 
@@ -141,8 +127,8 @@ class TransportPlan:
     mass: np.ndarray
     source: WeightedCloud
     target: WeightedCloud
-    # the solver path that produced the plan: "nearest", "sparse", "dense"
-    # or "lp"; None for plans built or loaded by hand
+    # the solver path that produced the plan: "nearest", "dense" or "lp";
+    # None for plans built or loaded by hand
     solver: str | None = None
 
     def __post_init__(self):
@@ -251,108 +237,6 @@ def _nearest_neighbour_permutation(a, b, tree):
     return None
 
 
-def _pair_costs(x, y, rows, cols):
-    return squared_norms(x[rows] - y[cols])
-
-
-def _column_duals(src, dst, weight, n):
-    """Column duals v <= 0 by Bellman-Ford, or None on a negative cycle.
-
-    The source is virtual, joined to every column by a zero arc, and each
-    (src, dst, weight) is an arc between columns, so v_dst <= v_src +
-    weight on every arc. Relaxation still moving after n sweeps means a
-    negative cycle.
-    """
-    v = np.zeros(n)
-    for _ in range(n):
-        relaxed = v.copy()
-        np.minimum.at(relaxed, dst, v[src] + weight)
-        if np.array_equal(relaxed, v):
-            return v
-        v = relaxed
-    return None
-
-
-def _sparse_permutation(a, b, tree):
-    """The unique optimal permutation of a into b, certified without the n x n matrix.
-
-    Returns sigma, or None when any step of the certificate (see w2_exact)
-    fails: the neighbour edges admit no full matching, the duals do not
-    settle, the scale is below NN_FLOOR, a pair still violates dual
-    feasibility after the second round, a source point has more near-tight
-    targets than the lifted query sees, or the near-tight pairs close an
-    alternating cycle.
-    """
-    x, y, n = a.points, b.points, a.n
-    k = min(SPARSE_NEIGHBOURS, n)
-    idx = tree.query(x, k=k)[1].reshape(n, k)
-    knn = sparse.csr_matrix((np.ones(n * k), idx.ravel(), np.arange(0, n * k + 1, k)), (n, n))
-    if np.any(maximum_bipartite_matching(knn, perm_type="column") < 0):
-        return None
-    row_of = np.repeat(np.arange(n), k)  # source index of each of the k per row
-    own = np.flatnonzero(~np.any(idx == np.arange(n)[:, None], axis=1))
-    rows = np.concatenate([row_of, own])
-    cols = np.concatenate([idx.ravel(), own])
-    x_lift = np.column_stack([x, np.zeros(n)])
-    for second_round in (False, True):
-        cost = _pair_costs(x, y, rows, cols)
-        if not cost.max() > 0:
-            return None
-        # the matching runs on integer weights in [top, 2 top], so each of
-        # its sums of at most n weights is exact: on the float costs,
-        # scipy's LAPJVsp can cycle forever when two rows tie to within an
-        # ulp. The shift keeps weights nonzero and is common to all full
-        # matchings; sigma is only a candidate, certified below on the costs
-        top = math.floor(2.0**51 / n)
-        weight = np.rint(cost / cost.max() * top) + top
-        graph = sparse.csr_matrix((weight, (rows, cols)), (n, n))
-        sigma = min_weight_full_bipartite_matching(graph)[1]
-        # each candidate edge (i, j) off the plan is the column arc
-        # sigma(i) -> j of weight c_ij - c_{i sigma(i)}
-        on_plan = cols == sigma[rows]
-        plan_cost = np.empty(n)
-        plan_cost[rows[on_plan]] = cost[on_plan]
-        off = ~on_plan
-        v = _column_duals(sigma[rows[off]], cols[off], cost[off] - plan_cost[rows[off]], n)
-        if v is None:
-            return None
-        u = plan_cost - v[sigma]
-        scale = u.max() - v.min()
-        if scale < NN_FLOOR:
-            return None
-        eta = ETA_ULPS * n * np.finfo(np.float64).eps * scale
-        theta = 2 * n * eta
-        # |(x_i, 0) - (y_j, sqrt(-v_j))|^2 = c_ij - v_j: the k lifted
-        # neighbours of x_i are the pairs of least reduced cost c_ij - u_i - v_j.
-        # A pair beyond max(u) + 2 theta is neither tight nor violating, so
-        # the query stops there; what it leaves unfound gets reduced cost inf
-        lifted = cKDTree(np.column_stack([y, np.sqrt(-v)]))
-        dist, near = lifted.query(x_lift, k=k, distance_upper_bound=math.sqrt(u.max() + 2 * theta))
-        near = near.ravel()
-        beyond = np.isinf(dist.ravel())
-        near[beyond] = 0  # any valid index: its cost is overwritten below
-        reduced = _pair_costs(x, y, row_of, near) - u[row_of] - v[near]
-        reduced[beyond] = np.inf
-        if k < n and np.any(reduced.reshape(n, k)[:, -1] <= theta):
-            return None
-        bad = reduced < -eta
-        if not bad.any():
-            break
-        if second_round:
-            return None
-        rows = np.concatenate([rows, row_of[bad]])
-        cols = np.concatenate([cols, near[bad]])
-    tight = (reduced <= theta) & (near != sigma[row_of])
-    owner = np.empty(n, dtype=np.int64)
-    owner[sigma] = np.arange(n)
-    arcs = sparse.csr_matrix(
-        (np.ones(np.count_nonzero(tight)), (row_of[tight], owner[near[tight]])), (n, n)
-    )
-    if connected_components(arcs, directed=True, connection="strong")[0] != n:
-        return None
-    return sigma
-
-
 def w2_exact(a: WeightedCloud, b: WeightedCloud):
     """Exact Wasserstein-2 distance and optimal plan.
 
@@ -360,9 +244,9 @@ def w2_exact(a: WeightedCloud, b: WeightedCloud):
     names the path that ran. Raises MassMismatchError / TransportError
     instead of ever returning a silent approximation.
 
-    Equal-size uniform-weight clouds take the assignment path, whose tiers
-    all return the permutation linear_sum_assignment returns on the cdist
-    matrix C, so plan and cost are bitwise the dense path's.
+    Equal-size uniform-weight clouds take the assignment path, whose two
+    tiers both return the permutation linear_sum_assignment returns on the
+    cdist matrix C, so plan and cost are bitwise the dense path's.
 
     nearest: the quadratic assignment is translation-covariant. For any
     vector c, |x_i + c - y_j|^2 = c_ij + (2 c.x_i + |c|^2) - 2 c.y_j, a row
@@ -386,17 +270,24 @@ def w2_exact(a: WeightedCloud, b: WeightedCloud):
     from every other target. So with u'_i = c'_{i sigma(i)}, v' = 0 and
     K = max_j 2 c.y_j, the duals of C satisfy v <= 0, are tight on sigma,
     and leave every pair off sigma a reduced cost above lo^2 - hi^2 >
-    theta. sigma is then C's unique optimal permutation, and every other
-    permutation costs at least 2 theta more. theta = 2 n eta, with eta =
-    ETA_ULPS n eps s, is the sparse tier's, at the untranslated cost scale
-    s = (|c| + sqrt(g))^2 + 4 (max_j c.y_j - min_j c.y_j), where g = max_i
-    |y_i - z_i|^2 is the largest translated index-pairing gap. s bounds
-    max(u) + max(-v) of these duals: each c_{i sigma(i)} <= (|c| + d1)^2,
-    d1 <= sqrt(g), and max(-v) = 2 (max_j c.y_j - min_j c.y_j). By the
-    sparse tier's argument below, linear_sum_assignment on C cannot miss a
-    gap that size, so it returns sigma. Test (3) is what ties the tier to
-    the dense solve's bits: on a cloud moved by 1e8 with 1e-6 jitter, C's
-    entries near 1e16 carry rounding of order 1, and the tier refuses.
+    theta. Any other permutation tau differs from sigma on alternating
+    cycles of at least two pairs off sigma each, and the duals cancel over
+    both permutations, so on C cost(tau) - cost(sigma) > 2 theta: sigma is
+    C's unique optimal permutation. theta = 2 n eta, with eta = ETA_ULPS n
+    eps s at the untranslated cost scale s = (|c| + sqrt(g))^2 + 4 (max_j
+    c.y_j - min_j c.y_j), where g = max_i |y_i - z_i|^2 is the largest
+    translated index-pairing gap. s bounds max(u) + max(-v) of these duals,
+    and so u_i, -v_j and every c_ij whose reduced cost is near theta: each
+    c_{i sigma(i)} <= (|c| + d1)^2, d1 <= sqrt(g), and max(-v) = 2 (max_j
+    c.y_j - min_j c.y_j). The shortest augmenting paths of
+    linear_sum_assignment on C compare reduced costs of that size, so their
+    double-precision error is O(n^2 eps s) on the total cost, well inside a
+    gap of at least ETA_ULPS n^2 eps s, and they cannot return tau: they
+    return sigma. Ties and near-ties inside theta, duplicate points and a
+    second distance below NN_FLOOR therefore fall through to the dense
+    solve. Test (3) is what ties the tier to the dense solve's bits: on a
+    cloud moved by 1e8 with 1e-6 jitter, C's entries near 1e16 carry
+    rounding of order 1, and the tier refuses.
     The KD-tree query stops at R = (1 + 2 NN_MARGIN) (sqrt(max(g,
     NN_FLOOR)) + 2 t + sqrt(theta)). Each z_i's own partner lies within R,
     so its nearest target is always found. A found second neighbour is the
@@ -414,54 +305,10 @@ def w2_exact(a: WeightedCloud, b: WeightedCloud):
     margin. So the bounded query gives the same sigma or the same refusal
     as an unbounded one.
 
-    sparse: the candidate graph holds the SPARSE_NEIGHBOURS nearest targets
-    of every source point plus the index pairing i -> i; it is used only
-    if the neighbour edges alone admit a full matching (otherwise the
-    matching must run through long index-pairing edges, which is slower
-    than the dense solve). min_weight_full_bipartite_matching gives a
-    candidate sigma on the graph from the costs rounded to integers, whose
-    sums are exact (on float costs with rows tied to an ulp it can cycle
-    forever), Bellman-Ford the column duals v <= 0 on the true costs, and
-    u_i = c_{i sigma(i)} - v_{sigma(i)}. Dual feasibility c_ij - u_i - v_j
-    >= -eta is checked over all n^2 pairs by one KD-tree query in d + 1
-    dimensions against the lifted targets (y_j, sqrt(-v_j)), whose squared
-    distance to (x_i, 0) is c_ij - v_j; pairs that violate it join the
-    graph for one more round. sigma is accepted only if the near-tight
-    pairs off the plan (reduced cost <= theta) close no alternating cycle:
-    the arcs i -> sigma^-1(j) must have n singleton strong components.
-    Rounding: let s = max(u) + max(-v). It bounds u_i, -v_j and every
-    c_ij whose reduced cost is near theta, so with eta = ETA_ULPS n eps s
-    and theta = 2 n eta the rounding of the computed costs and of the
-    lifted distances, within (d + 3) eps s of exact, is far below eta
-    (the Bellman-Ford sums, up to n eps s, are why eta grows with n). Any
-    other permutation tau differs from sigma on alternating cycles; each
-    cycle holds a pair of reduced cost above theta, and every other pair
-    costs at least -eta. The duals cancel over both permutations, so on C
-    cost(tau) - cost(sigma) >= theta - n eta = ETA_ULPS n^2 eps s. The
-    shortest augmenting paths of linear_sum_assignment compare reduced
-    costs of that same size, so their double-precision error is
-    O(n^2 eps s) on the total cost, well inside that gap, and they cannot
-    return tau. Ties and near-ties inside theta, duplicate points and a
-    scale s below NN_FLOOR therefore fall through to the dense solve.
-    The lifted query stops at R, R^2 = max(u) + 2 theta. Every u_i >= 0
-    (plan costs are >= 0, v <= 0) and a pair's lifted squared distance is
-    its reduced cost plus u_i, so every near-tight (<= theta) or violating
-    (< -eta) pair lies below max(u) + theta. An unfound pair lies at
-    least R^2 away up to the rounding above plus scipy's (its squaring of
-    R and its strict comparison, 3 ulps of R^2), so its reduced cost is
-    above 2 theta - (d + 6) eps s > theta: neither tight nor violating, and
-    the tier gives it reduced cost inf. A row with all k neighbours found
-    reads the pairs and distances an unbounded query returns; a row with
-    fewer has every other unbounded neighbour above theta. The k-th
-    neighbour refusal, the second round and the strong-component test
-    therefore read the same pairs as unbounded. Only an exact tie in
-    lifted distance at the k-th place, at a reduced cost within rounding
-    of theta, could let traversal order pick another pair there; the plan
-    is the dense permutation either way.
-
-    dense: cdist + linear_sum_assignment. Unequal or non-uniform weights
-    take the transportation LP. Minimality on every path is also checked
-    against brute-force enumeration in the tests.
+    dense: cdist + linear_sum_assignment, when the nearest certificate
+    fails. Unequal or non-uniform weights take the transportation LP.
+    Minimality on every path is also checked against brute-force
+    enumeration in the tests.
     """
     _check_pair(a, b)
     if _uniform_equal_weights(a, b):
@@ -476,11 +323,8 @@ def _assignment_plan(a, b):
         raise TransportError(
             f"cloud sides {a.n} exceed the exact-solver guard {MAX_ASSIGNMENT_SIDE}"
         )
-    tree = cKDTree(b.points)
     rows = np.arange(a.n)
-    solver, cols = "nearest", _nearest_neighbour_permutation(a, b, tree)
-    if cols is None:
-        solver, cols = "sparse", _sparse_permutation(a, b, tree)
+    solver, cols = "nearest", _nearest_neighbour_permutation(a, b, cKDTree(b.points))
     if cols is None:
         # imported here: scipy.optimize holds about 9.5 MB of RSS, and most
         # runs never reach the dense or LP tier

@@ -13,6 +13,7 @@ import sys
 import threading
 import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -301,6 +302,15 @@ class TestDeposit:
         with pytest.raises(fields.EscapeError) as exc:
             deposit_cic(pts, np.ones(3), spec)
         assert exc.value.indices == [1, 2]
+
+    def test_far_escape_warns_nothing(self):
+        # the lattice coordinate of a point at 1e300 is far past int64
+        spec = GridSpec(2.0, 4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(fields.EscapeError) as exc:
+                deposit_cic(np.array([[0.0, 0.0, 0.0], [1e300, 0.0, 0.0]]), np.ones(2), spec)
+        assert exc.value.indices == [1]
 
     def test_bitwise_equals_one_scatter_add_per_corner(self):
         # non-dyadic weights round differently under any other summation

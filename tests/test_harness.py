@@ -1042,6 +1042,24 @@ class TestCLI:
         assert "softening length must be" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize(
+        "text, key",
+        [
+            ("softening = 1e200\n", "softening"),
+            ("field_mode = direct\nsoftening = 1e200\n", "softening"),
+            ("twin_kind = softening\ntwin_delta = 1e200\n", "twin_delta"),
+            ("box_edge = 1e160\n", "box_edge"),
+            ("box_edge = 1e110\n", "box_edge"),
+        ],
+    )
+    def test_overflowing_length_exits_usage_before_writing(self, tmp_path, capsys, text, key):
+        # a cell volume h^3 or a kernel denominator past the float range
+        cfg = self.write_cfg(tmp_path, text)
+        assert cli.main(["twin", cfg, "--out", str(tmp_path / "o")]) == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {key} = ") and "Traceback" not in err
+        assert not (tmp_path / "o").exists()
+
     def test_ot_parser_modes(self, tmp_path, capsys):
         # exact W2 is the only mode, so there is no switch to select it
         pa = tmp_path / "a.txt"

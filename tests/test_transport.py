@@ -20,7 +20,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.optimize import linear_sum_assignment
-from scipy.sparse.csgraph import min_weight_full_bipartite_matching
 from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist
 
@@ -378,13 +377,13 @@ class TestNearestNeighbourShortcut:
 
     def test_colliding_nearest_neighbours_fall_back(self, lsa_calls):
         # the far pair adds no gap, so the barycentre gap (1.633, 0, 0)
-        # moves sources 0 and 1 to 1.633 and 2.633, both nearest target 0;
-        # the optimum is unique, so the sparse tier serves it
+        # moves sources 0 and 1 to 1.633 and 2.633, both nearest target 0,
+        # so the dense solve serves it
         a = uniform(COLLIDING_X)
         b = uniform(COLLIDING_Y)
         got = w2_exact(a, b)
-        assert got[1].solver == "sparse"
-        assert lsa_calls == []
+        assert got[1].solver == "dense"
+        assert lsa_calls == [(3, 3)]
         assert_same_bits(got, dense_w2(a, b))
         assert got[0] == pytest.approx(brute_force_w2(a, b), rel=1e-12)
 
@@ -399,22 +398,21 @@ class TestNearestNeighbourShortcut:
         moved[:, 0] += [0.5, 0.5, 0.5, 0.5, 0.5, 3.5]
         a, b = uniform(line), uniform(moved)
         got = w2_exact(a, b)
-        assert got[1].solver == "sparse"
-        assert lsa_calls == []
+        assert got[1].solver == "dense"
+        assert lsa_calls == [(6, 6)]
         assert np.array_equal(got[1].tgt, np.arange(6))
         assert_same_bits(got, dense_w2(a, b))
         assert got[0] == pytest.approx(math.sqrt(5 / 6 * 0.25 + 3.5**2 / 6), rel=1e-12)
 
     @pytest.mark.parametrize(
-        "gap, dense_calls, solver", [(1e-12, [], "sparse"), (1e-6, [], "nearest")]
+        "gap, dense_calls, solver", [(1e-12, [(2, 2)], "dense"), (1e-6, [], "nearest")]
     )
     def test_near_tie_inside_margin_falls_back(self, lsa_calls, gap, dense_calls, solver):
         # the target pair is turned almost square to the source pair, so no
         # translation separates them: moved by the barycentre gap, source 0
         # is nearest to target 0, target 1 only 2 `gap` farther in squared
         # distance. The map is a permutation either way, the margin alone
-        # decides whether the shortcut serves it (the optimum is unique, so
-        # the sparse tier serves it otherwise)
+        # decides whether the shortcut serves it (the dense solve otherwise)
         a = uniform([[0, 0, 0], [1, 0, 0]])
         b = uniform([[-gap, 0.4, 0], [gap, -0.4, 0]])
         got = w2_exact(a, b)
@@ -464,8 +462,9 @@ class TestNearestNeighbourShortcut:
             w2_exact(a, WeightedCloud(a.points + [0.5, 0, 0], a.weights))
 
 
-class TestSparseTier:
-    """The certified sparse tier between the shortcut and the dense solve."""
+class TestTiesReachDense:
+    """Ties, near-ties and coincident points, which the nearest tier
+    refuses, go to the dense solve."""
 
     def test_exact_tie_reaches_dense(self, lsa_calls):
         # both pairings of these unit-square corners cost 2
@@ -504,118 +503,6 @@ class TestSparseTier:
         assert got[1].solver == "dense"
         assert got[0] == 0.0
 
-    def test_jittered_translation_builds_no_cost_matrix(self, monkeypatch, lsa_calls):
-        def no_cdist(*args, **kwargs):
-            raise AssertionError("n x n cost matrix built")
-
-        monkeypatch.setattr(transport, "cdist", no_cdist)
-        rng = np.random.default_rng(RNG_SEED)
-        n = 2048
-        x = rng.normal(size=(n, 3))
-        a, b = uniform(x), uniform(x + 0.01 * rng.normal(size=(n, 3)))
-        got = w2_exact(a, b)
-        assert got[1].solver == "sparse"
-        assert lsa_calls == []
-        monkeypatch.undo()
-        assert_same_bits(got, dense_w2(a, b))
-
-    def test_violated_pairs_join_a_second_round(self, monkeypatch, lsa_calls, tree_queries):
-        # an optimal pair outside the 8 nearest targets: the first round's
-        # duals violate it, the bounded lifted query still finds it, and the
-        # second round's graph holds it
-        solves = []
-
-        def counting(graph):
-            solves.append(graph.nnz)
-            return min_weight_full_bipartite_matching(graph)
-
-        monkeypatch.setattr(transport, "min_weight_full_bipartite_matching", counting)
-        rng = np.random.default_rng(162)
-        x = rng.normal(size=(24, 3))
-        a, b = uniform(x), uniform(x + 0.3 * rng.normal(size=(24, 3)))
-        got = w2_exact(a, b)
-        assert got[1].solver == "sparse"
-        assert len(solves) == 2 and solves[1] > solves[0]
-        lifted = [bound for dim, k, bound, _ in tree_queries if dim == 4]
-        assert len(lifted) == 2 and all(np.isfinite(lifted))
-        assert lsa_calls == []
-        assert_same_bits(got, dense_w2(a, b))
-
-    def test_no_full_matching_on_neighbours_reaches_dense(self, monkeypatch, lsa_calls):
-        # independent samples: the nearest-target graph has no full matching
-        def no_solve(graph):
-            raise AssertionError("sparse matching solved")
-
-        monkeypatch.setattr(transport, "min_weight_full_bipartite_matching", no_solve)
-        rng = np.random.default_rng(RNG_SEED)
-        a, b = uniform(rng.normal(size=(64, 3))), uniform(rng.normal(size=(64, 3)))
-        got = w2_exact(a, b)
-        assert lsa_calls == [(64, 64)]
-        assert got[1].solver == "dense"
-
-    def test_non_optimal_candidate_is_refused(self, monkeypatch, lsa_calls):
-        # a matching solver returning a worse pairing: its duals have a
-        # negative cycle, so the certificate fails
-        monkeypatch.setattr(
-            transport, "min_weight_full_bipartite_matching",
-            lambda g: (np.arange(3), np.array([1, 0, 2])),
-        )
-        a, b = uniform(COLLIDING_X), uniform(COLLIDING_Y)
-        got = w2_exact(a, b)
-        assert lsa_calls == [(3, 3)]
-        assert got[1].solver == "dense"
-        assert np.array_equal(got[1].tgt, [0, 1, 2])
-
-    def test_more_near_tight_targets_than_neighbours_refuses(self, monkeypatch, lsa_calls):
-        # source 0 sits at the centre of 12 unit-sphere targets, its own
-        # 2e-13 nearer; sources 1-11 sit on theirs, and a far source 12
-        # carries the opposite gap, so the barycentre gap is zero to
-        # rounding. The optimum is unique, but row 0 has 11 near-tight
-        # pairs and the lifted query sees 8: the k-th neighbour refusal,
-        # inside the bound, sends it to dense
-        rng = np.random.default_rng(RNG_SEED)
-        y = rng.normal(size=(13, 3))
-        y /= np.sqrt(squared_norms(y))[:, None]
-        y[0] *= 1 - 1e-13
-        y[12] = [8.0, 0.0, 0.0]
-        x = y.copy()
-        x[0] = 0.0
-        x[12] = y[12] + y[0]
-        solves, duals = [], []
-        column_duals = transport._column_duals
-
-        def counting(graph):
-            solves.append(graph.nnz)
-            return min_weight_full_bipartite_matching(graph)
-
-        def recording(*args):
-            duals.append(column_duals(*args))
-            return duals[-1]
-
-        def no_components(*args, **kwargs):
-            raise AssertionError("strong-component test reached")
-
-        monkeypatch.setattr(transport, "min_weight_full_bipartite_matching", counting)
-        monkeypatch.setattr(transport, "_column_duals", recording)
-        monkeypatch.setattr(transport, "connected_components", no_components)
-        a, b = uniform(x), uniform(y)
-        got = w2_exact(a, b)
-        assert len(solves) == 1 and duals[0] is not None
-        assert lsa_calls == [(13, 13)]
-        assert got[1].solver == "dense"
-        assert np.array_equal(got[1].tgt, np.arange(13))
-        assert_same_bits(got, dense_w2(a, b))
-
-    def test_infeasible_duals_are_refused(self, monkeypatch, lsa_calls):
-        # zero column duals are feasible only for the nearest-neighbour map
-        # of the untranslated clouds, here not a permutation; the lifted
-        # check finds the violated pair in both rounds
-        monkeypatch.setattr(transport, "_column_duals", lambda src, dst, weight, n: np.zeros(n))
-        a, b = uniform(COLLIDING_X), uniform(COLLIDING_Y)
-        got = w2_exact(a, b)
-        assert lsa_calls == [(3, 3)]
-        assert got[1].solver == "dense"
-
 
 def unbounded(call, *args):
     """call(*args) with every KD-tree that transport builds searched without
@@ -626,14 +513,14 @@ def unbounded(call, *args):
 
 
 def assert_bound_changes_nothing(a, b):
-    """Each certificate tier gives the same sigma, or the same refusal, with
-    its pruned queries as with unbounded ones; w2_exact names the same
-    solver either way, and both give the dense solve's bits."""
-    for tier in (transport._nearest_neighbour_permutation, transport._sparse_permutation):
-        got = tier(a, b, cKDTree(b.points))
-        want = unbounded(tier, a, b, UnboundedTree(b.points))
-        assert (got is None) == (want is None)
-        assert want is None or np.array_equal(got, want)
+    """The nearest tier gives the same sigma, or the same refusal, with its
+    pruned query as with an unbounded one; w2_exact names the same solver
+    either way, and both give the dense solve's bits."""
+    tier = transport._nearest_neighbour_permutation
+    got = tier(a, b, cKDTree(b.points))
+    want = unbounded(tier, a, b, UnboundedTree(b.points))
+    assert (got is None) == (want is None)
+    assert want is None or np.array_equal(got, want)
     got, want, dense = w2_exact(a, b), unbounded(w2_exact, a, b), dense_w2(a, b)
     assert got[1].solver == want[1].solver
     assert_same_bits(got, dense)
@@ -659,7 +546,7 @@ def index_aligned_pairs(draw):
 
 
 class TestBoundedCertificateQueries:
-    """The pruned nearest-tier and lifted queries decide as unbounded ones."""
+    """The pruned nearest-tier query decides as an unbounded one."""
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(index_aligned_pairs())
@@ -729,28 +616,18 @@ class TestBoundedCertificateQueries:
         b = uniform([[gap, 0, 0], [-r, 0, 0], [-gap, 100 * r, 0]])
         assert_bound_changes_nothing(a, b)
 
-    def test_both_queries_carry_a_finite_bound(self, tree_queries):
-        # a twin-shaped phase-space pair (nearest tier) and position pair
-        # (sparse tier): the nearest-tier and lifted queries are pruned and
-        # leave most far neighbours unfound; the candidate query is not
+    def test_nearest_query_carries_a_finite_bound(self, tree_queries):
+        # a twin-shaped phase-space pair: the nearest-tier query is pruned
+        # and leaves most far neighbours unfound
         rng = np.random.default_rng(RNG_SEED)
         n = 2048
         x = rng.normal(size=(n, 3))
-        a, b = uniform(x), uniform(x + 0.01 * rng.normal(size=(n, 3)))
         v, shift = 0.3 * rng.normal(size=(n, 3)), np.array([1e-2, 0.0, 0.0])
         phase_a = uniform(np.hstack([x + 0.5 * v, v]))
         phase_b = uniform(np.hstack([x + 0.5 * (v + shift), v + shift]))
         assert w2_exact(phase_a, phase_b)[1].solver == "nearest"
         assert tree_queries == [(6, 2, tree_queries[0][2], tree_queries[0][3])]
         assert np.isfinite(tree_queries[0][2]) and tree_queries[0][3] > 0.4
-        tree_queries.clear()
-        assert w2_exact(a, b)[1].solver == "sparse"
-        by_kind = {(dim, k): (bound, unfound) for dim, k, bound, unfound in tree_queries}
-        assert len(tree_queries) == 3 and set(by_kind) == {(3, 2), (3, 8), (4, 8)}
-        assert by_kind[(3, 8)][0] == np.inf
-        for kind in ((3, 2), (4, 8)):
-            bound, unfound = by_kind[kind]
-            assert np.isfinite(bound) and unfound > 0
 
 
 _COORD = st.floats(-10, 10, allow_nan=False, allow_infinity=False)
@@ -767,8 +644,7 @@ def jittered_pair(rng, n, d):
 @st.composite
 def equal_weight_pairs(draw):
     """Small pairs with hypothesis-drawn coordinates (brute force applies),
-    and pairs of 16-256 points, more than the sparse tier's neighbours,
-    drawn from a seeded generator."""
+    and pairs of 16-256 points drawn from a seeded generator."""
     d = draw(st.sampled_from([3, 6]))
     if draw(st.booleans()):
         n = draw(st.integers(1, 8))
@@ -776,7 +652,7 @@ def equal_weight_pairs(draw):
         kind = draw(st.sampled_from(["independent", "translate", "duplicates", "seeded"]))
         if kind == "seeded":
             # continuous draws, free of the simple floats' exact ties, so
-            # the nearest and sparse certificates get small inputs too
+            # the nearest certificate gets small inputs too
             rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
             x, y = jittered_pair(rng, n, d)
             return uniform(x), uniform(y)
@@ -818,8 +694,8 @@ class TestW2ExactProperties:
             assert got[0] == pytest.approx(brute_force_w2(a, b), rel=1e-12, abs=1e-12)
 
 
-# two coincident sources (rows 0 and 7): on the shifted float costs of the
-# sparse tier's complete 8-point graph, scipy's LAPJVsp once cycled forever
+# two coincident sources (rows 0 and 7): a tie the nearest tier refuses, so
+# the dense solve must end on it and return its own permutation
 TIED_ROWS_X = [
     [0.6823056332801525, -0.05178315946440964, 0.6983104279019247],
     [1.1775635949170362, -0.5806565709799528, -0.6225126752730572],
@@ -845,8 +721,8 @@ TIED_ROWS_Y = [
 class TestSmallPairs:
     @pytest.mark.parametrize("nudge", [False, True], ids=["coincident", "one-ulp-apart"])
     def test_tied_rows_end_the_matching(self, nudge):
-        # in a child process, so a matching that never returns fails the
-        # test at the timeout instead of stalling the suite
+        # in a child process, so a solve that never returns fails the test
+        # at the timeout instead of stalling the suite
         code = (
             "import numpy as np\n"
             "from vptwin.transport import WeightedCloud, w2_exact\n"
@@ -871,7 +747,7 @@ class TestSmallPairs:
 
     def test_seeded_sweep_reaches_every_tier(self):
         rng = np.random.default_rng(RNG_SEED)
-        served = {"nearest": 0, "sparse": 0, "dense": 0}
+        served = {"nearest": 0, "dense": 0}
         for k in range(120):
             n, d = int(rng.integers(1, 9)), int(rng.choice([3, 6]))
             x, y = jittered_pair(rng, n, d)
@@ -888,9 +764,11 @@ class TestSmallPairs:
 
 
 class TestLazyImports:
-    def test_cli_import_leaves_scipy_optimize_unloaded(self):
-        # only the dense and LP tiers need it, and it holds about 9.5 MB
-        code = "import sys, vptwin.cli; print('scipy.optimize' in sys.modules)"
+    # scipy.optimize holds about 9.5 MB, and only the dense and LP tiers
+    # need it; no tier runs a scipy.sparse.csgraph algorithm
+    @pytest.mark.parametrize("module", ["scipy.optimize", "scipy.sparse.csgraph"])
+    def test_cli_import_leaves_module_unloaded(self, module):
+        code = f"import sys, vptwin.cli; print({module!r} in sys.modules)"
         src = os.path.dirname(os.path.dirname(transport.__file__))
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         out = subprocess.run(
