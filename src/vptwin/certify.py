@@ -1,7 +1,7 @@
 """Numerical certification of the twin-stability inequality chain.
 
 Checks, per recorded step of a twin run:
-  - Q(t) = 1/2 sum_i w_i |Xi_1,i - Xi_2,i|^2 and its measured dQ/dt,
+  - Q(t) = 1/2 sum_i w_i |Xi_1,i - Xi_2,i|^2,
   - the field-stability estimate  ||grad Psi_1 - grad Psi_2||_L2
       <= max(sup rho_1, sup rho_2)^(1/2) * W2(rho_1, rho_2), up to the
       factor 1 + PROP31_TOL,
@@ -63,7 +63,6 @@ class StabilityRecord:
     step: int
     t: float
     Q: float
-    dQdt: float = None
     T1: float = 0.0
     T2: float = 0.0
     S: float = 0.0  # sum w |X1 - X2|^2 (position gap)
@@ -152,16 +151,6 @@ def prop31_ratio(lhs, rhs):
 # the Gronwall chain, one leapfrog step at a time
 
 
-def fill_dQdt(records):
-    """Centered-difference dQ/dt (one-sided at the ends), in place."""
-    t = np.array([r.t for r in records])
-    q = np.array([r.Q for r in records])
-    dq = np.gradient(q, t)
-    for r, v in zip(records, dq):
-        r.dQdt = float(v)
-    return records
-
-
 @dataclass
 class GronwallReport:
     max_excess: float  # largest (Q_n+1 - Q_n - bound) / max(Q_n, Q_n+1) over the steps
@@ -191,7 +180,8 @@ def check_gronwall(records) -> GronwallReport:
     (compute_gaps sums 2Q from terms no smaller than S's), else ValueError
     names the step. The validity window is where the max particle gap
     stays <= 1/e (the smallness regime of the concavity step); constants
-    are fitted there on the finite-difference dQ/dt (fill_dQdt).
+    are fitted there on the centred difference dQ/dt = np.gradient(Q, t)
+    (one-sided at the ends). The records are only read.
     """
     if len(records) < 3:
         raise ValueError("need at least 3 uniformly spaced records")
@@ -209,8 +199,8 @@ def check_gronwall(records) -> GronwallReport:
         raise ValueError("records are not uniformly spaced in time")
     if any(b.step != a.step + 1 for a, b in zip(records, records[1:])):
         raise ValueError("records are not consecutive steps")
-    fill_dQdt(records)
     q = np.array([r.Q for r in records])
+    dqdt = np.gradient(q, t).tolist()
     s = np.array([r.S for r in records])
     g = np.array([math.sqrt(r.T1) + math.sqrt(r.T2) for r in records])
     v_h = np.sqrt(2.0 * q[:-1] - s[:-1]) + 0.5 * dts * g[:-1]
@@ -236,8 +226,8 @@ def check_gronwall(records) -> GronwallReport:
             denom = r.S * math.log(r.S) ** 2
             if denom > 0:
                 c_t1 = max(c_t1, 4.0 * r.T1 / denom)
-        if r.Q <= 1.0 / E and r.dQdt is not None and r.dQdt > 0:
-            c_final = max(c_final, r.dQdt / (r.Q * (1.0 + math.log(1.0 / r.Q))))
+        if r.Q <= 1.0 / E and dqdt[i] > 0:
+            c_final = max(c_final, dqdt[i] / (r.Q * (1.0 + math.log(1.0 / r.Q))))
     return GronwallReport(float(excess.max()), window, c_t1, c_final, per_ok)
 
 

@@ -189,13 +189,16 @@ class GridField:
 
 
 def _cic_coords(points, spec):
-    """Lower corner index, fractional offset and out-of-box rows for CIC."""
+    """Lower corner index, fractional offset and out-of-box rows for CIC.
+    A row with a non-finite coordinate is out of the box; when any row is
+    out, the index and offset are None (every caller raises on it)."""
     n = spec.n
     u = (points - spec.lo) / spec.h - 0.5
     outside = np.nonzero(
-        np.any((u < -1e-12) | (u > n - 1 + 1e-12), axis=1)
+        ~np.all((u >= -1e-12) & (u <= n - 1 + 1e-12), axis=1)
     )[0]
-    # clipped before the cast, so a far escape casts no huge float
+    if outside.size:
+        return None, None, outside
     i0 = np.floor(np.clip(u, 0, n - 2)).astype(np.int64)
     frac = np.clip(u - i0, 0.0, 1.0)
     return i0, frac, outside

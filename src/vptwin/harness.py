@@ -309,14 +309,14 @@ def _fmt(v):
     return f"{v:.17g}" if isinstance(v, float) else str(v)
 
 
-def _bad_cell(col, v):
-    """Why v cannot stand in ledger column col, or None. A nan would slip
-    past the verdict's max(), and every column but dQdt is a time, count,
-    norm or sum of squares: a negative Q has no excess over the one-step
-    bound and would pass the gronwall check unseen. -0.0 is zero."""
+def _bad_cell(v):
+    """Why v cannot stand in a ledger cell, or None. A nan would slip past
+    the verdict's max(), and every column is a time, count, norm or sum of
+    squares: a negative Q has no excess over the one-step bound and would
+    pass the gronwall check unseen. -0.0 is zero."""
     if not math.isfinite(v):
         return "non-finite value"
-    if v < 0 and col != "dQdt":
+    if v < 0:
         return "negative value"
     return None
 
@@ -325,7 +325,7 @@ def write_records(path, records):
     for r in records:
         for col in RECORD_COLUMNS:
             v = getattr(r, col)
-            bad = None if v is None else _bad_cell(col, v)
+            bad = None if v is None else _bad_cell(v)
             if bad:
                 raise ValueError(f"{bad} in column {col} at step {r.step}")
     with open(path, "w") as fh:
@@ -355,7 +355,7 @@ def read_records(path):
                         kwargs[col] = None
                     else:
                         kwargs[col] = int(cell) if col == "step" else float(cell)
-                        bad = _bad_cell(col, kwargs[col])
+                        bad = _bad_cell(kwargs[col])
                         if bad:
                             raise ValueError(f"{bad} {cell!r}")
                 except ValueError as err:
@@ -506,7 +506,7 @@ class _TwinObserver:
 
 def run_twin_config(cfg: ScenarioConfig) -> TwinResult:
     """Sample f0 as branch A, copy it as branch B (shifted for a
-    velocity-shift twin), run both, and post-process dQ/dt."""
+    velocity-shift twin), and run both."""
     cfg.validate()
     ens_a = scenarios.sample_initial(cfg)
     ens_b = ens_a.copy()
@@ -515,7 +515,6 @@ def run_twin_config(cfg: ScenarioConfig) -> TwinResult:
     eval_a, eval_b = (_make_evaluator(cfg, *s) for s in cfg.field_solves()[:2])
     obs = _TwinObserver(cfg)
     dynamics.run_twin(ens_a, ens_b, eval_a, eval_b, cfg.dt, cfg.n_steps, obs)
-    certify.fill_dQdt(obs.records)
     return TwinResult(
         obs.records, obs.snapshots, obs.crossing_a.crossing_time, obs.crossing_b.crossing_time
     )

@@ -312,6 +312,24 @@ class TestDeposit:
                 deposit_cic(np.array([[0.0, 0.0, 0.0], [1e300, 0.0, 0.0]]), np.ones(2), spec)
         assert exc.value.indices == [1]
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_coordinate_is_outside(self, bad):
+        # every comparison with nan is false, so a nan row must be refused
+        # by what it fails to satisfy, not by what it exceeds
+        spec = GridSpec(2.0, 4)
+        pts = np.array([[0.0, 0.0, 0.0], [0.0, bad, 0.0]])
+        field = GridField(spec, np.zeros(spec.dims + (3,)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(fields.EscapeError) as dep:
+                deposit_cic(pts, np.ones(2), spec)
+            with pytest.raises(fields.EscapeError) as box:
+                fields.check_in_box(pts, spec)
+            with pytest.raises(OutOfDomainError) as interp:
+                field.interpolate(pts)
+        assert dep.value.indices == box.value.indices == [1]
+        assert len(interp.value.points) == 1
+
     def test_bitwise_equals_one_scatter_add_per_corner(self):
         # non-dyadic weights round differently under any other summation
         # order or weight grouping, and a wrong flat stride moves mass

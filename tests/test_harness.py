@@ -94,17 +94,14 @@ VALID_CONFIGS = st.builds(
     approach_speed=_REAL,
 ).filter(_validates)
 
-# every ledger column but dQdt is non-negative (write_records refuses the rest)
+# every ledger column is non-negative (write_records refuses the rest)
 RECORD_LISTS = st.lists(
     st.builds(
         StabilityRecord,
         step=st.integers(0, 10**6),
         t=_NON_NEGATIVE,
         Q=_NON_NEGATIVE,
-        **{
-            col: st.one_of(st.none(), _REAL if col == "dQdt" else _NON_NEGATIVE)
-            for col in RECORD_COLUMNS[3:]
-        },
+        **{col: st.one_of(st.none(), _NON_NEGATIVE) for col in RECORD_COLUMNS[3:]},
     ),
     max_size=5,
 )
@@ -456,7 +453,7 @@ class TestConfigParsing:
 class TestRecordsCSV:
     def make_records(self):
         return [
-            StabilityRecord(step=0, t=0.0, Q=0.5, dQdt=0.1, W2_rho=0.01, Q_sub=0.5),
+            StabilityRecord(step=0, t=0.0, Q=0.5, T1=0.1, W2_rho=0.01, Q_sub=0.5),
             StabilityRecord(step=1, t=0.05, Q=0.6),
         ]
 
@@ -499,16 +496,22 @@ class TestRecordsCSV:
             write_records(tmp_path / "bad.csv", recs)
 
     @pytest.mark.parametrize(
-        "row", ["0,0.0,1.5", "1,0.05,0.6" + "," * 15, "1,0.05,abc" + "," * 14]
+        "row, message",
+        [
+            ("0,0.0,1.5", "3 cells"),
+            ("1,0.05,0.6" + "," * (len(RECORD_COLUMNS) - 2), f"{len(RECORD_COLUMNS) + 1} cells"),
+            ("1,0.05,abc" + "," * (len(RECORD_COLUMNS) - 3), "column Q"),
+        ],
+        ids=["short", "long", "non-numeric"],
     )
-    def test_malformed_row_rejected(self, tmp_path, row):
+    def test_malformed_row_rejected(self, tmp_path, row, message):
         # a short, long or non-numeric row is never read as default values
         p = tmp_path / "records.csv"
         write_records(p, self.make_records())
         text = p.read_text().splitlines()
         text[2] = row
         p.write_text("\n".join(text) + "\n")
-        with pytest.raises(ValueError, match=r"records\.csv: line 3"):
+        with pytest.raises(ValueError, match=rf"records\.csv: line 3: {message}"):
             read_records(p)
 
     @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "NaN", "Infinity"])
@@ -522,7 +525,7 @@ class TestRecordsCSV:
         with pytest.raises(ValueError, match=r"records\.csv: line 3: column Q: non-finite"):
             read_records(p)
 
-    @pytest.mark.parametrize("col", [c for c in RECORD_COLUMNS if c != "dQdt"])
+    @pytest.mark.parametrize("col", RECORD_COLUMNS)
     def test_negative_cell_rejected(self, tmp_path, col):
         # no twin run writes one: a negative Q has no excess over the
         # one-step bound, so it would pass the gronwall check unseen
@@ -540,13 +543,12 @@ class TestRecordsCSV:
         with pytest.raises(ValueError, match=rf"records\.csv: line 3: column {col}: negative"):
             read_records(p)
 
-    def test_negative_dqdt_and_negative_zero_are_read(self, tmp_path):
+    def test_negative_zero_is_read(self, tmp_path):
         recs = self.make_records()
-        recs[0].dQdt, recs[1].Q, recs[1].T1 = -2.5, -0.0, -0.0
+        recs[1].Q, recs[1].T1 = -0.0, -0.0
         p = tmp_path / "records.csv"
         write_records(p, recs)
         got = read_records(p)
-        assert got[0].dQdt == -2.5
         assert (got[1].Q, got[1].T1) == (0.0, 0.0)
 
     def test_wrong_header_rejected(self, tmp_path):
@@ -1293,6 +1295,26 @@ class TestCLI:
         assert "line 2: column Q: negative value" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_certify_old_dqdt_ledger_exits_usage(self, tmp_path, capsys):
+        # the 17-column ledger of earlier releases carried a dQdt column as
+        # its 4th cell, which the verdict never read
+        p = tmp_path / "records.csv"
+        self.one_ot_row_records(p)
+        lines = p.read_text().splitlines()
+        old = []
+        for k, line in enumerate(lines):
+            cells = line.split(",")
+            cells.insert(3, "dQdt" if k == 0 else "0.5")
+            old.append(",".join(cells))
+        assert len(old[0].split(",")) == 17
+        p.write_text("\n".join(old) + "\n")
+        out = tmp_path / "c"
+        capsys.readouterr()
+        assert cli.main(["certify", str(p), "--out", str(out)]) == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "unexpected record columns" in err and "'dQdt'" in err
+        assert not out.exists()
+
     def test_certify_tampered_prop31_rhs_exits_usage(self, tmp_path, capsys):
         # certify recomputes the Prop. 3.1 right side from sup_rho1, sup_rho2
         # and W2_rho: a larger stored value would turn the FAIL of a field
@@ -1518,10 +1540,10 @@ class TestProvedGronwallBound:
         assert "gronwall: Q_n+1 - Q_n <= leapfrog bound at every step: " in (
             capsys.readouterr().out
         )
+        recs = read_records(records)
+        dqdt = np.gradient([r.Q for r in recs], [r.t for r in recs])
         assert not any(
-            r.dQdt <= r.Q + math.sqrt(r.Q * (r.T1 + r.T2))
-            for r in read_records(records)
-            if r.Q > 0
+            d <= r.Q + math.sqrt(r.Q * (r.T1 + r.T2)) for d, r in zip(dqdt, recs) if r.Q > 0
         )
 
 

@@ -15,6 +15,8 @@ Only the run plan, harness.ScenarioConfig, builds a GridSpec: the grid
 (and with it the "auto" softening) of every solve comes from one place.
 
 The CI workflow runs the Tier-1 command that ROADMAP.md states.
+
+README.md states the records.csv header that the code writes.
 """
 
 import ast
@@ -24,6 +26,7 @@ from pathlib import Path
 import pytest
 
 import vptwin
+from vptwin.certify import RECORD_COLUMNS
 
 PACKAGE = Path(vptwin.__file__).parent
 
@@ -252,3 +255,10 @@ def test_ci_runs_the_tier1_command_and_the_benchmark_tests():
     )
     assert any(run.startswith("python -m pip install") and set(pins) <= set(run.split())
                for run in runs)
+
+
+def test_readme_states_the_records_header():
+    # the column order is a frozen contract: its documented form is the code's
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    stated = re.findall(r"`(step,t,[^`]*)`", readme)
+    assert stated == [",".join(RECORD_COLUMNS)]
