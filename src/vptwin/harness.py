@@ -87,7 +87,7 @@ class ScenarioConfig:
         # one rule for the softening of both flows. B's differs from A's only
         # where twin_delta sets it (a softening twin) or where auto resolves
         # on B's grid, to a positive length
-        solve_a, solve_b, solve_diag = self.field_solves()
+        solve_a, solve_b = self.field_solves()
         direct = self.field_mode == "direct"
         for name, length in (("softening", solve_a[1]), ("twin_delta", solve_b[1])):
             if length < 0 or (direct and length == 0):
@@ -102,9 +102,7 @@ class ScenarioConfig:
             denom = fields.FOUR_PI * r2 * math.sqrt(r2)
             return math.isfinite(spec.cell_volume) and math.isfinite(denom)
 
-        for name, (spec, length) in (
-            ("softening", solve_a), ("twin_delta", solve_b), ("box_edge", solve_diag)
-        ):
+        for name, (spec, length) in (("softening", solve_a), ("twin_delta", solve_b)):
             if not finite(spec, length):
                 if not finite(spec, 0.0):
                     name, length = "box_edge", self.box_edge
@@ -165,12 +163,12 @@ class ScenarioConfig:
         return self
 
     def field_solves(self):
-        """The (spec, softening) of flow A's, flow B's and the Prop. 3.1
-        diagnostics' field solves; the one place that picks a solve's grid
-        and softening, and B's from twin_kind. "auto" is h/2 on the
-        solve's grid (the deposition scale), and the diagnostics use it on
-        grid_dims whatever the flows use. An explicit length is returned
-        unchecked, for validate to name."""
+        """The (spec, softening) of flow A's and flow B's field solves; the
+        one place that picks a solve's grid and softening, and B's from
+        twin_kind. "auto" is h/2 on the solve's grid (the deposition scale).
+        The diagnostics (densities, Prop. 3.1's difference, a direct-sum
+        probe's rho_A) solve with A's, the operator A steps with. An
+        explicit length is returned unchecked, for validate to name."""
 
         def solve(spec, softening=self.softening):
             return spec, 0.5 * spec.h if softening == "auto" else float(softening)
@@ -181,17 +179,17 @@ class ScenarioConfig:
             b = solve(fields.GridSpec(self.box_edge, self.twin_grid_dims_b))
         elif self.twin_kind == "softening":
             b = solve(self.grid_spec, self.twin_delta)
-        return a, b, solve(self.grid_spec, "auto")
+        return a, b
 
     def _grid_memory(self):
         """(bytes, kernels): the most a run holds for its grid solves, and
         the (n, softening) of each kernel it keeps.
 
         A kernel (fields._kernel_fft) is three (2n)^2 (n+1) complex spectra
-        per distinct (grid, softening), kept for the run; the diagnostic
-        solves use h/2 on grid_dims whatever the flows use. Per grid shape,
-        each of a twin's two threads keeps a workspace of two spectra and
-        has one solve in flight: the scaled mass (8 n^3 B) and the field
+        per distinct (grid, softening), kept for the run: both flows' on a
+        grid run, else flow A's, which the diagnostics solve with. Per grid
+        shape, each of a twin's two threads keeps a workspace of two spectra
+        and has one solve in flight: the scaled mass (8 n^3 B) and the field
         (24 n^3 B); every transform writes into the workspace (a density
         difference, 8 n^3 B, is gone once scaled). The run also keeps the
         two flows' fields and densities (64 n^3 B), the diagnostics'
@@ -209,8 +207,8 @@ class ScenarioConfig:
         def spectrum(n):
             return (2 * n) ** 2 * (n + 1) * 16
 
-        a, b, diag = self.field_solves()
-        solves = [a, b, diag] if self.field_mode == "grid" else [diag]
+        a, b = self.field_solves()
+        solves = [a, b] if self.field_mode == "grid" else [a]
         kernels = {(spec.n, softening) for spec, softening in solves}
         shapes = {n for n, _ in kernels}
         kept = 176 if self.field_mode == "direct" else 152
@@ -386,11 +384,12 @@ class TwinResult:
 
 
 class _TwinObserver:
-    """Assembles one StabilityRecord per step; exact-OT extras on a stride."""
+    """Assembles one StabilityRecord per step; exact-OT extras on a stride.
+    It deposits and solves with flow A's grid and softening (field_solves)."""
 
     def __init__(self, cfg: ScenarioConfig):
         self.cfg = cfg
-        self.spec, self.softening = cfg.field_solves()[2]  # the diagnostics'
+        (self.spec, self.softening), _ = cfg.field_solves()
         self.records = []
         self.snapshots = {}
         self.crossing_a = dynamics.CrossingDetector(self.spec)
@@ -429,8 +428,8 @@ class _TwinObserver:
         self.records.append(rec)
 
     def _density(self, flow, branch):
-        """The flow's density on the diagnostics grid: the evaluator's own
-        deposit of this step when it has one on that grid, else a new one.
+        """The flow's density on flow A's grid: the evaluator's own deposit
+        of this step when it has one on that grid, else a new one.
         A particle outside that grid fails the twin run in this branch."""
         rho = getattr(flow.evaluator, "density", None)
         if rho is not None and rho.spec == self.spec:
@@ -475,10 +474,10 @@ class _TwinObserver:
 
     def _loglip(self, flow_a, rho_a):
         """loglip_modulus of flow A's field, the accel it steps with, on
-        the cell-center hull of the diagnostics grid (a grid field's
-        trilinear interpolation is only defined there), or None where its
-        separations do not fit. On a direct-sum flow it reads the
-        diagnostics' solve of rho_A instead, made on the first evaluation
+        the cell-center hull of flow A's grid (a grid field's trilinear
+        interpolation is only defined there), or None where its separations
+        do not fit. On a direct-sum flow it reads a grid solve of rho_A with
+        A's softening instead, made on the first evaluation
         (loglip_modulus refuses before it evaluates, so a coarse grid never
         solves it): perfbench's layer table expects merger-direct to
         interpolate a grid field."""
@@ -512,7 +511,7 @@ def run_twin_config(cfg: ScenarioConfig) -> TwinResult:
     ens_b = ens_a.copy()
     if cfg.twin_kind == "velocity-shift":
         ens_b.v += (cfg.twin_delta, 0.0, 0.0)
-    eval_a, eval_b = (_make_evaluator(cfg, *s) for s in cfg.field_solves()[:2])
+    eval_a, eval_b = (_make_evaluator(cfg, *s) for s in cfg.field_solves())
     obs = _TwinObserver(cfg)
     dynamics.run_twin(ens_a, ens_b, eval_a, eval_b, cfg.dt, cfg.n_steps, obs)
     return TwinResult(

@@ -10,6 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from .dynamics import ParticleEnsemble
+from .transport import squared_norms
 
 SCENARIO_NAMES = (
     "gaussian-blob",
@@ -25,9 +26,7 @@ def _uniform_ball(rng, n, radius):
     u = rng.random(n)
     r = radius * u ** (1.0 / 3.0)
     d = rng.normal(size=(n, 3))
-    # the one norm left to numpy's order: another order would move every
-    # uniform-ball and hubble trajectory (tests/test_layout.py allows it)
-    d /= np.linalg.norm(d, axis=1, keepdims=True)
+    d /= np.sqrt(squared_norms(d))[:, None]
     return r[:, None] * d
 
 

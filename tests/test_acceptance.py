@@ -16,12 +16,19 @@ import os
 import subprocess
 import sys
 import time
+import warnings
 from dataclasses import replace
 
 import numpy as np
 
 from vptwin import fields, harness, presets, transport
-from vptwin.certify import check_gronwall, osgood_contain, osgood_envelope
+from vptwin.certify import (
+    PROP31_TOL,
+    check_gronwall,
+    osgood_contain,
+    osgood_envelope,
+    prop31_rhs,
+)
 from vptwin.dynamics import (
     DirectSumEvaluator,
     FlowState,
@@ -88,10 +95,29 @@ class TestAcceptance:
                     worst = max(worst, r.field_l2_diff / r.prop31_rhs)
                 elif r.field_l2_diff > 1e-12:
                     worst = math.inf
+
+        # near-tight fixture: a uniform slab of half-widths (0.5, 3, 3) on a
+        # lattice of spacing h/2 offset by h/4, displaced by 0.2 normal to its
+        # wide faces; a translation is optimal, so W2 = 0.2 at unit mass
+        spec, softening = harness.ScenarioConfig(box_edge=8.0, grid_dims=32).field_solves()[0]
+        h = spec.h
+        ax = np.arange(-0.5 + h / 4, 0.5, h / 2)
+        ayz = np.arange(-3.0 + h / 4, 3.0, h / 2)
+        g = np.meshgrid(ax, ayz, ayz, indexing="ij")
+        pts = np.stack([c.ravel() for c in g], axis=1)
+        w = np.full(len(pts), 1.0 / len(pts))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", fields.TruncationWarning)
+            rho1, rho2 = (
+                GridDensity(spec, deposit_cic(p, w, spec)) for p in (pts, pts + [0.2, 0.0, 0.0])
+            )
+            diff = fields.solve_field_grid(fields.DensityDifference(rho1, rho2), softening)
+        slab = fields.field_l2_diff(diff) / prop31_rhs(rho1.sup_norm, rho2.sup_norm, 0.2)
         report(
             "2 (field stability ratio over bundled suite)",
-            n_rows > 0 and worst <= 1.05,
-            f"max ratio {worst:.4f} over {n_rows} checked steps in {len(PRESET_NAMES)} scenarios",
+            n_rows > 0 and worst <= 1 + PROP31_TOL and 0.6 <= slab <= 1 + PROP31_TOL,
+            f"max ratio {worst:.4f} over {n_rows} checked steps in {len(PRESET_NAMES)} "
+            f"scenarios; displaced slab {slab:.4f}",
         )
 
     def test_criterion_03_geodesic_sup_norm(self):

@@ -244,37 +244,43 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match=f"{key} = {largest + 1}: .*about {mib}"):
             small_config(**overrides, **{key: largest + 1})
 
-    def test_grid_memory_guard_states_the_estimate(self):
-        # one kernel (auto softening: the flows' and the diagnostics' are the
-        # same); the first kernel build peaks with only its own spectra kept
-        def one_kernel(n, probe_solves_a=False):
-            return max(
-                3 * self.spectrum(n) + self.per_shape(n, probe_solves_a),
-                3 * self.spectrum(n) + self.scratch(n),
-            ) + self.arena(n)
+    def one_kernel(self, n, probe_solves_a=False):
+        # the first kernel build peaks with only its own spectra kept
+        return max(
+            3 * self.spectrum(n) + self.per_shape(n, probe_solves_a),
+            3 * self.spectrum(n) + self.scratch(n),
+        ) + self.arena(n)
 
-        # the kernel and both workspaces alone, 7 spectra, are 1156 MiB at
+    def test_grid_memory_guard_states_the_estimate(self):
+        # one kernel, flow A's, which B and the diagnostics solve with too.
+        # The kernel and both workspaces alone, 7 spectra, are 1156 MiB at
         # n = 139, the limit when one solve was counted
         assert 7 * self.spectrum(139) / 2**20 > 1155
-        self.assert_guard_boundary(one_kernel, "grid_dims", 118)
+        self.assert_guard_boundary(self.one_kernel, "grid_dims", 118)
         self.assert_guard_boundary(
-            one_kernel, "grid_dims", 118, twin_kind="velocity-shift", twin_delta=0.01
+            self.one_kernel, "grid_dims", 118, twin_kind="velocity-shift", twin_delta=0.01
         )
-        # a direct twin's one kernel is the diagnostics', and the probe
-        # solves field A with it
+        # a direct twin's one kernel is flow A's softening on grid_dims, and
+        # the probe solves field A with it
         self.assert_guard_boundary(
-            lambda n: one_kernel(n, True), "grid_dims", 117, field_mode="direct"
+            lambda n: self.one_kernel(n, True), "grid_dims", 117, field_mode="direct"
         )
 
     def test_grid_memory_guard_counts_every_kernel(self):
-        # a non-auto softening adds the diagnostics' h/2 kernel, and the
-        # later build's scratch comes on top of all the run keeps
+        # an explicit softening is the one kernel of both flows and of the
+        # diagnostics, whatever its length
+        self.assert_guard_boundary(self.one_kernel, "grid_dims", 118, softening=0.1)
+
+        # a softening twin keeps A's kernel and B's, and the later build's
+        # scratch comes on top of all the run keeps
         def two_kernels(n):
             return 6 * self.spectrum(n) + self.per_shape(n) + self.scratch(n) + self.arena(n)
 
-        self.assert_guard_boundary(two_kernels, "grid_dims", 100, softening=0.1)
         self.assert_guard_boundary(
             two_kernels, "grid_dims", 100, twin_kind="softening", twin_delta=0.1
+        )
+        self.assert_guard_boundary(
+            two_kernels, "grid_dims", 100, twin_kind="softening", softening=0.2, twin_delta=0.1
         )
 
         # a resolution twin keeps both grids' kernels, workspaces and arrays
@@ -325,25 +331,27 @@ class TestConfigParsing:
         assert len(cache) == len(kernels)
 
     def test_field_solves_pick_each_flows_grid_and_softening(self):
-        # 16^3 cells of 0.625: auto is 0.3125, which the diagnostics use
-        # whatever the flows use
+        # one (spec, softening) pair per flow; 16^3 cells of 0.625 make auto
+        # 0.3125 on A's grid and 0.25 on B's 20^3
         spec = small_config().grid_spec
         spec_b = fields.GridSpec(spec.edge, 20)
-        diag = (spec, 0.3125)
-        assert small_config().field_solves() == (diag, diag, diag)
+        auto = (spec, 0.3125)
+        assert small_config().field_solves() == (auto, auto)
+        assert small_config(softening=0.2).field_solves() == ((spec, 0.2), (spec, 0.2))
         assert small_config(twin_kind="resolution", twin_grid_dims_b=20).field_solves() == (
-            diag,
+            auto,
             (spec_b, 0.25),
-            diag,
         )
         assert small_config(
             twin_kind="resolution", twin_grid_dims_b=20, softening=0.2
-        ).field_solves() == ((spec, 0.2), (spec_b, 0.2), diag)
+        ).field_solves() == ((spec, 0.2), (spec_b, 0.2))
         assert small_config(twin_kind="softening", twin_delta=0.1).field_solves() == (
-            diag,
+            auto,
             (spec, 0.1),
-            diag,
         )
+        assert small_config(
+            twin_kind="softening", softening=0.2, twin_delta=0.1
+        ).field_solves() == ((spec, 0.2), (spec, 0.1))
 
     def test_particle_memory_guard_states_the_estimate(self):
         # 152 B kept and 2 x 248 B of step scratch per particle, plus 96 B
@@ -717,7 +725,7 @@ class TestTwinRuns:
                   twin_kind="velocity-shift", twin_delta=1e-2), 1),
             (dict(scenario="free-streaming", field_mode="none", box_edge=16.0,
                   twin_kind="velocity-shift", twin_delta=1e-2), 1),
-            # a direct-sum flow's probe solves rho_A on the diagnostics grid
+            # a direct-sum flow's probe solves rho_A with flow A's grid and softening
             (dict(scenario="two-blob", epsilon=-1, field_mode="direct", sigma_x=0.35,
                   box_edge=6.0, twin_kind="velocity-shift", twin_delta=1e-2), 2),
         ],
@@ -835,12 +843,35 @@ class TestLedgerConsistency:
             w2_rho, _ = transport.w2_exact(sub_a.position_cloud(), sub_b.position_cloud())
             w2_phase, _ = transport.w2_exact(sub_a.phase_cloud(), sub_b.phase_cloud())
             assert (r.W2_rho, r.W2_phase) == (w2_rho, w2_phase)
-            rho_a, rho_b = (dynamics.deposit(e, cfg.grid_spec) for e in (ens_a, ens_b))
-            diff = fields.solve_field_grid(
-                fields.DensityDifference(rho_a, rho_b), cfg.field_solves()[2][1]
-            )
+            # the diagnostics deposit and solve with flow A's pair
+            (spec, softening), _ = cfg.field_solves()
+            rho_a, rho_b = (dynamics.deposit(e, spec) for e in (ens_a, ens_b))
+            diff = fields.solve_field_grid(fields.DensityDifference(rho_a, rho_b), softening)
             assert r.field_l2_diff == fields.field_l2_diff(diff)
             assert r.prop31_rhs == certify.prop31_rhs(rho_a.sup_norm, rho_b.sup_norm, w2_rho)
+
+    def test_prop31_solves_with_the_softening_the_flows_step_with(self, monkeypatch):
+        # an explicit softening is the diagnostics' too: one kernel for the
+        # run, Prop. 3.1's difference under the operator both flows step
+        # with, and so Loeper's T2 step, T2 <= sup rho_A |grad Psi_A -
+        # grad Psi_B|_L2^2 (Jensen on the CIC weights the deposit and the
+        # interpolation share), up to round-off on every OT row
+        cache = {}
+        monkeypatch.setattr(fields, "_KERNEL_CACHE", cache)
+        cfg = small_config(
+            twin_kind="velocity-shift", twin_delta=0.1, softening=0.2, t_final=0.5,
+            ot_stride=5, ot_subsample=64, snapshot_stride=5,
+        )
+        result = run_twin_config(cfg)
+        assert [key[2] for key in cache] == [0.2]
+        rows = [r for r in result.records if r.field_l2_diff is not None]
+        assert [r.step for r in rows] == sorted(result.snapshots) == [0, 5, 10]
+        for r in rows:
+            ens_a, ens_b = result.snapshots[r.step]
+            rho_a, rho_b = (dynamics.deposit(e, cfg.grid_spec) for e in (ens_a, ens_b))
+            diff = fields.solve_field_grid(fields.DensityDifference(rho_a, rho_b), 0.2)
+            assert r.field_l2_diff == fields.field_l2_diff(diff)
+            assert r.T2 <= r.sup_rho1 * r.field_l2_diff**2 * (1 + 1e-9), f"step {r.step}"
 
     @pytest.mark.parametrize(
         "overrides",
@@ -849,29 +880,30 @@ class TestLedgerConsistency:
             dict(twin_kind="velocity-shift", twin_delta=1e-2, softening=0.2),
             dict(scenario="two-blob", epsilon=-1, field_mode="direct", sigma_x=0.35,
                  twin_kind="velocity-shift", twin_delta=1e-2),
+            dict(scenario="two-blob", epsilon=-1, field_mode="direct", sigma_x=0.35,
+                 softening=0.2, twin_kind="velocity-shift", twin_delta=1e-2),
             dict(twin_kind="resolution", twin_grid_dims_b=20),
             dict(twin_kind="softening", twin_delta=0.2),
             dict(scenario="free-streaming", field_mode="none", twin_kind="velocity-shift",
                  twin_delta=1e-2),
         ],
-        ids=["grid", "grid-own-softening", "direct", "resolution", "softening", "none"],
+        ids=["grid", "grid-own-softening", "direct", "direct-own-softening", "resolution",
+             "softening", "none"],
     )
     def test_loglip_is_the_probe_of_flow_a_field(self, overrides):
         # the probe samples the field flow A steps with: loglip_C equals the
         # probe of a fresh evaluator of A's kind refreshed on the snapshot,
-        # bit for bit, on the diagnostics grid's cell-center hull (h < 1/2);
-        # a direct-sum flow's stands in as the diagnostics' grid solve, which
-        # runs unsigned: the modulus is the same bits under either sign
+        # bit for bit, on the cell-center hull of A's grid (h < 1/2); a
+        # direct-sum flow's stands in as a grid solve with A's softening,
+        # which runs unsigned: the modulus is the same bits under either sign
         cfg = small_config(n_particles=128, box_edge=6.0, t_final=0.5, ot_stride=5,
                            ot_subsample=64, snapshot_stride=5, **overrides)
-        solve_a, _, diag = cfg.field_solves()
-        spec = diag[0]
-        plan, solve = cfg, solve_a
-        if cfg.field_mode == "direct":
-            plan, solve = replace(cfg, field_mode="grid"), diag
+        solve_a, _ = cfg.field_solves()
+        spec = solve_a[0]
+        plan = replace(cfg, field_mode="grid") if cfg.field_mode == "direct" else cfg
         result = run_twin_config(cfg)
         for step, (ens_a, _) in result.snapshots.items():
-            evaluator = harness._make_evaluator(plan, *solve)
+            evaluator = harness._make_evaluator(plan, *solve_a)
             evaluator.refresh(ens_a)
             want = fields.loglip_modulus(
                 evaluator.accel, spec.lo + 0.5 * spec.h, spec.hi - 0.5 * spec.h,

@@ -16,7 +16,8 @@ Only the run plan, harness.ScenarioConfig, builds a GridSpec: the grid
 
 The CI workflow runs the Tier-1 command that ROADMAP.md states.
 
-README.md states the records.csv header that the code writes.
+README.md states the records.csv header that the code writes, and the
+sizes the config's memory guards admit.
 """
 
 import ast
@@ -27,6 +28,8 @@ import pytest
 
 import vptwin
 from vptwin.certify import RECORD_COLUMNS
+from vptwin.errors import ConfigError
+from vptwin.harness import ScenarioConfig
 
 PACKAGE = Path(vptwin.__file__).parent
 
@@ -57,11 +60,6 @@ ALLOWED_REDUCTIONS = {
         "an axis-0 reduce of a C-order (source, target) plane adds row after "
         "row from +0.0, in source order; test_fields.py pins it bit for bit "
         "against direct_sum_loop"
-    ),
-    ("scenarios.py", "_uniform_ball", "linalg.norm"): (
-        "normalises the sampled directions: another order would move every "
-        "uniform-ball and hubble trajectory, and squared_norms would bring a "
-        "transport import back into scenarios"
     ),
 }
 
@@ -262,3 +260,60 @@ def test_readme_states_the_records_header():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     stated = re.findall(r"`(step,t,[^`]*)`", readme)
     assert stated == [",".join(RECORD_COLUMNS)]
+
+
+# each size the README's Configuration section says the memory guards
+# admit: the phrase that states it, the key it sizes, and the configs
+# (overrides of the ScenarioConfig defaults) whose largest admitted value
+# of that key it is
+README_CAPS = (
+    (r"`grid_dims` ≤ (\d+) whatever the softening", "grid_dims",
+     [{}, {"softening": 0.1},
+      {"softening": 0.5, "twin_kind": "velocity-shift", "twin_delta": 0.01}]),
+    (r"≤ (\d+) on a direct-sum run", "grid_dims", [{"field_mode": "direct"}]),
+    (r"≤ (\d+) in a softening twin", "grid_dims",
+     [{"twin_kind": "softening", "twin_delta": 0.1},
+      {"twin_kind": "softening", "softening": 0.2, "twin_delta": 0.1}]),
+    (r"`twin_grid_dims_b` ≤ (\d+) in a resolution twin on an 8³ grid", "twin_grid_dims_b",
+     [{"twin_kind": "resolution", "grid_dims": 8}]),
+    (r"admits up to ([\d,]+) particles", "n_particles", [{}]),
+)
+
+
+def _largest_admitted(key, overrides):
+    """The largest value of ``key`` that ScenarioConfig.validate admits,
+    by doubling from its default (a resolution twin refuses B's grid
+    equal to A's, so smaller values need not be admitted) to a refused
+    value and then bisecting."""
+
+    def admitted(value):
+        try:
+            ScenarioConfig(**overrides, **{key: value}).validate()
+        except ConfigError:
+            return False
+        return True
+
+    lo = getattr(ScenarioConfig(), key)
+    hi = 2 * lo
+    assert admitted(lo)
+    while admitted(hi):
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if admitted(mid) else (lo, mid)
+    return lo
+
+
+def test_readme_states_the_sizes_the_guards_admit():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = " ".join(readme.split("\n## Configuration\n", 1)[1].split("\n## ", 1)[0].split())
+    # every "≤ n" figure there is one of the cases below
+    caps = sum("≤" in phrase for phrase, _, _ in README_CAPS)
+    assert len(re.findall(r"≤ \d", section)) == caps
+    for phrase, key, cases in README_CAPS:
+        stated = re.findall(phrase, section)
+        assert len(stated) == 1, phrase
+        for overrides in cases:
+            assert _largest_admitted(key, overrides) == int(stated[0].replace(",", "")), (
+                phrase, overrides
+            )
