@@ -1,6 +1,6 @@
 """Command-line entry points.
 
-Subcommands: simulate, twin, ot (exact W2 only: an entropic solve has no
+Subcommands: twin, ot (exact W2 only: an entropic solve has no
 optimality certificate), certify, report. Exit codes: 0 = pass, 1 = a
 FAIL verdict from certify, 2 = usage/config error or bad input (an
 unknown option included), 3 = numerical failure. Every package error
@@ -26,13 +26,6 @@ def _load_config(arg):
         except KeyError as err:
             raise ConfigError(str(err)) from err
     return harness.load_config(arg)
-
-
-def _cmd_simulate(args):
-    cfg = _load_config(args.config)
-    manifest = harness.emit_simulation(cfg, args.out)
-    print(f"wrote {manifest}")
-    return EXIT_PASS
 
 
 def _cmd_twin(args):
@@ -74,11 +67,6 @@ def build_parser():
         "estimates via optimal transport",
     )
     sub = p.add_subparsers(dest="command", required=True)
-
-    ps = sub.add_parser("simulate", help="run one flow, dump snapshots and grids")
-    ps.add_argument("config", help="config path or preset:<name>")
-    ps.add_argument("--out", default="out_simulate")
-    ps.set_defaults(fn=_cmd_simulate)
 
     pt = sub.add_parser("twin", help="run a twin pair, emit the stability CSV")
     pt.add_argument("config", help="config path or preset:<name>")

@@ -33,7 +33,6 @@ manifest notes state what the output bits still depend on.
 
 from __future__ import annotations
 
-import json
 import math
 import threading
 import warnings
@@ -202,14 +201,6 @@ def _cic_coords(points, spec):
     i0 = np.floor(np.clip(u, 0, n - 2)).astype(np.int64)
     frac = np.clip(u - i0, 0.0, 1.0)
     return i0, frac, outside
-
-
-def check_in_box(points, spec):
-    """Raise EscapeError naming the rows of ``points`` that deposit_cic
-    would refuse: those outside the cell-center lattice of ``spec``."""
-    outside = _cic_coords(np.atleast_2d(points), spec)[2]
-    if outside.size:
-        raise EscapeError(outside.tolist())
 
 
 def _cic_corners(idx, frac, spec):
@@ -480,32 +471,3 @@ def loglip_modulus(evaluate, region_lo, region_hi, s_min, seed):
     if best < 0.0:
         raise ValueError("no valid sample pairs")
     return best
-
-
-# --------------------------------------------------------------------------
-# grid I/O: flat little-endian float64 binary + JSON sidecar
-
-
-def save_grid(obj, basepath, epsilon_sign=None):
-    """Write <basepath>.bin (little-endian float64, C order) and <basepath>.json;
-    a density's sidecar records the run's epsilon_sign, which it does not hold."""
-    basepath = str(basepath)
-    if isinstance(obj, GridDensity):
-        kind, comps, extra = "density", 1, {"epsilon_sign": epsilon_sign}
-    elif isinstance(obj, GridField):
-        kind, comps, extra = "field", 3, {}
-    else:
-        raise TypeError("save_grid expects GridDensity or GridField")
-    sidecar = {
-        "kind": kind,
-        "dims": list(obj.spec.dims),
-        "box_center": [0.0] * 3,
-        "box_edge": [obj.spec.edge] * 3,
-        "h": [obj.spec.h] * 3,
-        "components": comps,
-        **extra,
-    }
-    obj.values.astype("<f8").tofile(basepath + ".bin")
-    with open(basepath + ".json", "w") as fh:
-        json.dump(sidecar, fh, sort_keys=True, indent=1)
-        fh.write("\n")

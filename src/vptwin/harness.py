@@ -49,7 +49,7 @@ class ScenarioConfig:
     twin_grid_dims_b: int = 64
     ot_stride: int = 10  # 0 disables exact-OT columns
     ot_subsample: int = 512
-    snapshot_stride: int = 0  # twin: steps 0, s, 2s, ... (0: none); simulate adds both ends
+    snapshot_stride: int = 0  # twin: steps 0, s, 2s, ... (0: none)
     sigma_x: float = 0.6
     sigma_v: float = 0.3
     ball_radius: float = 1.0
@@ -201,7 +201,7 @@ class ScenarioConfig:
         later one (builds never overlap). On top, the malloc arena of a
         twin's second thread may keep freed blocks up to glibc's trim
         threshold, twice the largest block it has unmapped: two spectra of
-        the largest grid, at most 2 x 32 MiB. A simulation holds less.
+        the largest grid, at most 2 x 32 MiB.
         """
 
         def spectrum(n):
@@ -231,8 +231,7 @@ class ScenarioConfig:
         The observer runs once both steps are done and holds less than
         their scratch: T1/T2, with its cross field in two halves and their
         concatenation (48 B), peaks under 200 B under tracemalloc, beside
-        a direct sum's fixed-size block planes on each thread. A
-        simulation holds less."""
+        a direct sum's fixed-size block planes on each thread."""
         kept = self.n_steps // self.snapshot_stride + 1 if self.snapshot_stride else 0
         return self.n_particles * (152 + 2 * 248 + 96 * kept), kept
 
@@ -520,36 +519,6 @@ def run_twin_config(cfg: ScenarioConfig) -> TwinResult:
 
 
 # --------------------------------------------------------------------------
-# single-flow simulation
-
-
-@dataclass
-class SimResult:
-    ensemble: dynamics.ParticleEnsemble
-    snapshots: dict
-
-
-def run_simulation(cfg: ScenarioConfig) -> SimResult:
-    """Advance one flow. A particle that leaves the grid box raises
-    EscapeError at that step: the final density deposit could not take it,
-    and the direct and zero fields deposit nothing on their own."""
-    cfg.validate()
-    spec, softening = cfg.field_solves()[0]
-    ens = scenarios.sample_initial(cfg)
-    evaluator = _make_evaluator(cfg, spec, softening)
-    flow = dynamics.FlowState(ens, evaluator, cfg.dt)
-    fields.check_in_box(ens.x, spec)
-    snapshots = {0: ens.copy()}
-    for k in range(1, cfg.n_steps + 1):
-        dynamics.step_leapfrog(flow)
-        fields.check_in_box(ens.x, spec)
-        if cfg.snapshot_stride > 0 and k % cfg.snapshot_stride == 0:
-            snapshots[k] = ens.copy()
-    snapshots[cfg.n_steps] = ens.copy()
-    return SimResult(ens, snapshots)
-
-
-# --------------------------------------------------------------------------
 # output files and manifest
 
 
@@ -578,27 +547,6 @@ def _save_snapshot(outdir, tag, step, ens, written):
     name = f"snapshot_{tag}{step:06d}.txt"
     transport.save_cloud(ens.phase_cloud(), os.path.join(outdir, name))
     written.append(name)
-
-
-def emit_simulation(cfg: ScenarioConfig, outdir) -> str:
-    """cli simulate: snapshots plus final density/field dumps + manifest."""
-    result = run_simulation(cfg)
-    os.makedirs(outdir, exist_ok=True)
-    written = ["config.txt"]
-    with open(os.path.join(outdir, "config.txt"), "w") as fh:
-        fh.write(serialize_config(cfg))
-    for step in sorted(result.snapshots):
-        _save_snapshot(outdir, "", step, result.snapshots[step], written)
-    spec, softening = cfg.field_solves()[0]
-    rho = dynamics.deposit(result.ensemble, spec)
-    fields.save_grid(rho, os.path.join(outdir, "density_final"), epsilon_sign=cfg.epsilon)
-    written += ["density_final.bin", "density_final.json"]
-    if cfg.field_mode != "none":
-        field = fields.solve_field_grid(rho, softening).values  # Delta Psi = rho: apply epsilon
-        grid_field = fields.GridField(spec, cfg.epsilon * field)
-        fields.save_grid(grid_field, os.path.join(outdir, "field_final"))
-        written += ["field_final.bin", "field_final.json"]
-    return write_manifest(outdir, cfg, written)
 
 
 def emit_twin(cfg: ScenarioConfig, outdir) -> str:

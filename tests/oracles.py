@@ -1,7 +1,7 @@
 """Test-side readers and reference code that the package itself never calls.
 
-The package writes grids and plans but reads neither back, and it has no
-use for grid masses, cell-center grids, merged clouds, fixed external
+The package writes plans but does not read them back, and it has no use
+for grid masses, cell-center grids, merged clouds, fixed external
 fields, the pairwise potential energy or the displacement interpolant; the
 tests need them as oracles. The loop sums below add one Python float at a time, in
 the order that transport.ordered_sum and squared_norms write out. The
@@ -12,13 +12,12 @@ UnboundedTree is the reference for w2_exact's pruned certificate
 queries: the same KD-tree, searched without a radius.
 """
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial import cKDTree
 
-from vptwin.fields import FOUR_PI, GridDensity, GridField, GridSpec, deposit_cic
+from vptwin.fields import FOUR_PI, GridDensity, GridSpec, deposit_cic
 from vptwin.transport import TransportPlan, WeightedCloud, ordered_sum
 
 # geodesic_linf_check: an endpoint sup-norm moving by more than this
@@ -98,20 +97,6 @@ def load_plan(path, source: WeightedCloud, target: WeightedCloud) -> TransportPl
     return TransportPlan(
         data[:, 0].astype(np.int64), data[:, 1].astype(np.int64), data[:, 2], source, target
     )
-
-
-def load_grid(basepath):
-    """Read a fields.save_grid pair <basepath>.bin + <basepath>.json back."""
-    basepath = str(basepath)
-    with open(basepath + ".json") as fh:
-        side = json.load(fh)
-    (edge,), (n,) = set(side["box_edge"]), set(side["dims"])  # a cube's three equal values
-    assert side["box_center"] == [0.0] * 3  # every grid is origin-centred
-    spec = GridSpec(edge, n)
-    raw = np.fromfile(basepath + ".bin", dtype="<f8")
-    if side["kind"] == "density":
-        return GridDensity(spec, raw.reshape(spec.dims))
-    return GridField(spec, raw.reshape(spec.dims + (3,)))
 
 
 class FrozenFieldEvaluator:

@@ -7,7 +7,6 @@ pairwise sum as ground truth for the grid solver.
 """
 
 import itertools
-import json
 import math
 import sys
 import threading
@@ -33,7 +32,7 @@ from vptwin.fields import (
     solve_field_grid,
 )
 
-from oracles import grid_points, load_grid, loop_sum
+from oracles import grid_points, loop_sum
 
 RNG_SEED = 424242
 
@@ -297,11 +296,13 @@ class TestDeposit:
         np.testing.assert_allclose(interior, 1.0 / 64.0, rtol=0.05)
 
     def test_escape_reports_indices(self):
+        # the last row is on the box face, half a cell outside the lattice
+        # of cell centers that CIC needs
         spec = GridSpec(2.0, 4)
-        pts = np.array([[0.0, 0.0, 0.0], [5.0, 0.0, 0.0], [0.0, -9.0, 0.0]])
+        pts = np.array([[0.0, 0.0, 0.0], [5.0, 0.0, 0.0], [0.0, -9.0, 0.0], [0.0, 0.0, 1.0]])
         with pytest.raises(fields.EscapeError) as exc:
-            deposit_cic(pts, np.ones(3), spec)
-        assert exc.value.indices == [1, 2]
+            deposit_cic(pts, np.ones(4), spec)
+        assert exc.value.indices == [1, 2, 3]
 
     def test_far_escape_warns_nothing(self):
         # the lattice coordinate of a point at 1e300 is far past int64
@@ -323,12 +324,24 @@ class TestDeposit:
             warnings.simplefilter("error")
             with pytest.raises(fields.EscapeError) as dep:
                 deposit_cic(pts, np.ones(2), spec)
-            with pytest.raises(fields.EscapeError) as box:
-                fields.check_in_box(pts, spec)
             with pytest.raises(OutOfDomainError) as interp:
                 field.interpolate(pts)
-        assert dep.value.indices == box.value.indices == [1]
+        assert dep.value.indices == [1]
         assert len(interp.value.points) == 1
+
+    def test_deposit_and_interpolate_refuse_the_same_rows(self):
+        # row 7 moves one cell and stays on the lattice of cell centers;
+        # row 40 moves onto the box face, half a cell outside it
+        spec, pts, w = reordering_probe()
+        pts[[7, 40]] += spec.h
+        pts[40, 1] = spec.lo[1]
+        field = GridField(spec, np.zeros(spec.dims + (3,)))
+        with pytest.raises(fields.EscapeError) as dep:
+            deposit_cic(pts, w, spec)
+        with pytest.raises(OutOfDomainError) as interp:
+            field.interpolate(pts)
+        assert dep.value.indices == [40]
+        assert interp.value.points == pts[[40]].tolist()
 
     def test_bitwise_equals_one_scatter_add_per_corner(self):
         # non-dyadic weights round differently under any other summation
@@ -352,17 +365,6 @@ class TestDeposit:
         finally:
             tracemalloc.stop()
         assert peak - vals.nbytes <= 224 * n
-
-    def test_check_in_box_matches_deposit(self):
-        spec, pts, w = reordering_probe()
-        fields.check_in_box(pts, spec)
-        pts[[7, 40]] += spec.h
-        pts[40, 1] = spec.lo[1]
-        with pytest.raises(fields.EscapeError) as box:
-            fields.check_in_box(pts, spec)
-        with pytest.raises(fields.EscapeError) as dep:
-            deposit_cic(pts, w, spec)
-        assert box.value.indices == dep.value.indices != []
 
 
 class TestGridSolver:
@@ -773,42 +775,6 @@ class TestLoglip:
     def test_rejects_bad_separation_range(self):
         with pytest.raises(ValueError):
             loglip_modulus(lambda x: x, [-1, -1, -1], [1, 1, 1], s_min=0.6, seed=0)
-
-
-class TestGridIO:
-    @pytest.mark.parametrize("edge, n", [(2.7, 9), (7.0, 12)])
-    def test_density_roundtrip(self, tmp_path, edge, n):
-        rng = np.random.default_rng(RNG_SEED)
-        spec = GridSpec(edge, n)
-        rho = GridDensity(spec, rng.random(spec.dims))
-        # the density holds no sign: the run's epsilon is handed to the writer
-        fields.save_grid(rho, tmp_path / "rho", epsilon_sign=-1)
-        got = load_grid(tmp_path / "rho")
-        assert got.spec == spec
-        with open(tmp_path / "rho.json") as fh:
-            assert json.load(fh)["epsilon_sign"] == -1
-        np.testing.assert_array_equal(got.values, rho.values)
-
-    def test_field_roundtrip(self, tmp_path):
-        rng = np.random.default_rng(RNG_SEED)
-        spec = GridSpec(6.0, 33)
-        f = GridField(spec, rng.normal(size=spec.dims + (3,)))
-        fields.save_grid(f, tmp_path / "f")
-        got = load_grid(tmp_path / "f")
-        assert got.spec == spec
-        np.testing.assert_array_equal(got.values, f.values)
-
-    def test_sidecar_keeps_per_axis_lists(self, tmp_path):
-        # readers of the sidecar format take dims, box_center, box_edge and
-        # h as three-element lists; every box is centred on the origin
-        spec = GridSpec(2.7, 9)
-        fields.save_grid(GridDensity(spec, np.zeros(spec.dims)), tmp_path / "rho")
-        with open(tmp_path / "rho.json") as fh:
-            side = json.load(fh)
-        assert side["dims"] == [9, 9, 9]
-        assert side["box_center"] == [0.0, 0.0, 0.0]
-        assert side["box_edge"] == [2.7, 2.7, 2.7]
-        assert side["h"] == [2.7 / 9] * 3 == [0.30000000000000004] * 3
 
 
 class TestGridSpecValidation:

@@ -5,6 +5,7 @@ which pins the whole pipeline (sampling, twin alignment, records, CSV)
 against an analytic oracle.
 """
 
+import hashlib
 import json
 import math
 import threading
@@ -30,7 +31,7 @@ from vptwin.harness import (
     write_records,
 )
 
-from oracles import load_grid, load_plan
+from oracles import load_plan
 
 
 def small_config(**overrides):
@@ -915,28 +916,6 @@ class TestLedgerConsistency:
 
 
 class TestEmission:
-    def test_simulation_field_carries_the_run_sign(self, tmp_path):
-        # the solve is of Delta Psi = rho: emit_simulation writes epsilon
-        # grad Psi, and the run's epsilon beside the density
-        cfg = small_config(epsilon=-1, t_final=0.1)
-        harness.emit_simulation(cfg, tmp_path / "sim")
-        rho = load_grid(tmp_path / "sim" / "density_final")
-        got = load_grid(tmp_path / "sim" / "field_final")
-        want = -1 * fields.solve_field_grid(rho, cfg.field_solves()[0][1]).values
-        assert got.values.tobytes() == want.tobytes()
-        with open(tmp_path / "sim" / "density_final.json") as fh:
-            assert json.load(fh)["epsilon_sign"] == -1
-
-    def test_simulation_emits_manifested_files(self, tmp_path):
-        cfg = small_config(snapshot_stride=2)
-        manifest_path = harness.emit_simulation(cfg, tmp_path / "sim")
-        manifest = json.load(open(manifest_path))
-        names = {e["name"] for e in manifest["files"]}
-        assert "config.txt" in names
-        assert "density_final.bin" in names and "field_final.bin" in names
-        for entry in manifest["files"]:
-            assert len(entry["sha256"]) == 64
-
     def test_twin_keeps_snapshots_at_multiples_of_the_stride(self, tmp_path):
         # 10 steps: stride 0 keeps none, stride 3 keeps 0, 3, 6, 9 (not 10)
         for stride, steps in ((0, []), (3, [0, 3, 6, 9])):
@@ -954,6 +933,36 @@ class TestEmission:
         m2 = harness.emit_twin(cfg, tmp_path / "b")
         assert open(m1).read() == open(m2).read()
 
+    def test_manifest_lists_every_written_file(self, tmp_path):
+        cfg = small_config(snapshot_stride=2, twin_kind="velocity-shift", twin_delta=1e-2)
+        out = tmp_path / "run"
+        manifest = json.load(open(harness.emit_twin(cfg, out)))
+        written = sorted(p.name for p in out.iterdir() if p.name != "manifest.json")
+        assert [e["name"] for e in manifest["files"]] == written
+        for entry in manifest["files"]:
+            data = (out / entry["name"]).read_bytes()
+            assert entry["bytes"] == len(data)
+            assert entry["sha256"] == hashlib.sha256(data).hexdigest()
+        assert manifest["config"] == (out / "config.txt").read_text()
+
+    @pytest.mark.parametrize("mode", ["grid", "direct"])
+    def test_twin_steps_with_the_run_sign(self, mode):
+        # one kick-drift-kick step moves x by dt v + dt^2/2 a(x): the field
+        # part of the move changes sign with epsilon, the sample does not
+        moved = {}
+        for eps in (1, -1):
+            cfg = small_config(
+                field_mode=mode, softening=0.1, epsilon=eps, t_final=0.1, snapshot_stride=1
+            )
+            snapshots = run_twin_config(cfg).snapshots
+            start, end = snapshots[0][0], snapshots[1][0]
+            moved[eps] = (start.x, start.v, end.x - start.x - cfg.dt * start.v)
+        (x_rep, v_rep, kick_rep), (x_att, v_att, kick_att) = moved[1], moved[-1]
+        np.testing.assert_array_equal(x_rep, x_att)
+        np.testing.assert_array_equal(v_rep, v_att)
+        assert np.abs(kick_rep).max() > 1e-6
+        np.testing.assert_allclose(kick_att, -kick_rep, rtol=0, atol=1e-13)
+
     def test_free_streaming_single_particle_positions(self, tmp_path):
         cfg = ScenarioConfig(
             scenario="free-streaming",
@@ -963,19 +972,24 @@ class TestEmission:
             box_edge=16.0,
             dt=0.1,
             t_final=0.5,
+            snapshot_stride=5,
             seed=3,
         ).validate()
-        result = harness.run_simulation(cfg)
-        start = result.snapshots[0]
-        end = result.snapshots[cfg.n_steps]
+        result = run_twin_config(cfg)
+        start, _ = result.snapshots[0]
+        end, _ = result.snapshots[cfg.n_steps]
         np.testing.assert_allclose(end.x, start.x + 0.5 * start.v, atol=1e-14)
 
-    def test_direct_simulation_stops_at_the_escape_step(self, monkeypatch):
-        # fast counter-streaming beams leave the box part-way through; the
-        # direct field deposits nothing, so only the per-step check stops it
+    # the beams reach the box's edge cells the step before they leave
+    @pytest.mark.filterwarnings("ignore::vptwin.fields.TruncationWarning")
+    @pytest.mark.parametrize("mode", ["direct", "grid"])
+    def test_twin_stops_at_the_escape_step(self, mode, monkeypatch):
+        # fast counter-streaming beams leave the box part-way through; a
+        # grid flow's own deposit stops the run, and on the direct sum,
+        # which deposits nothing, the observer's deposit of each step does
         cfg = ScenarioConfig(
             scenario="two-stream",
-            field_mode="direct",
+            field_mode=mode,
             softening=0.1,
             n_particles=32,
             grid_dims=8,
@@ -988,20 +1002,32 @@ class TestEmission:
         ).validate()
         spec = cfg.grid_spec
         half_lattice = 0.5 * (spec.edge - spec.h)
-        inside_after = []
+        inside_after = {}  # per branch: the two branches step on two threads
         real_step = dynamics.step_leapfrog
 
         def counting_step(state):
-            real_step(state)
-            offset = np.abs(state.ensemble.x)  # the box is centred on the origin
-            inside_after.append(bool(np.all(offset <= half_lattice)))
-            return state
+            try:
+                return real_step(state)
+            finally:  # a grid flow raises after its drift
+                offset = np.abs(state.ensemble.x)  # the box is centred on the origin
+                inside = bool(np.all(offset <= half_lattice))
+                inside_after.setdefault(id(state), []).append(inside)
 
         monkeypatch.setattr(dynamics, "step_leapfrog", counting_step)
-        with pytest.raises(errors.EscapeError):
-            harness.run_simulation(cfg)
-        assert 1 < len(inside_after) < cfg.n_steps
-        assert all(inside_after[:-1]) and not inside_after[-1]
+        with pytest.raises(errors.TwinError) as exc:
+            run_twin_config(cfg)
+        assert isinstance(exc.value.cause, errors.EscapeError)
+        assert len(inside_after) == 2
+        runs = sorted(inside_after.values(), key=len)
+        escape = len(runs[-1])
+        assert 1 < escape < cfg.n_steps
+        # a grid branch raises in its own step, so the other branch's step
+        # of the escape may never start; on the direct sum both finish it
+        lengths = [len(steps) for steps in runs]
+        assert lengths == [escape, escape] or (mode == "grid" and lengths[0] == escape - 1)
+        for steps in runs:
+            assert steps[: escape - 1] == [True] * (escape - 1)
+            assert steps[escape - 1 :] in ([False], [])
 
 
 # every package error class, with the exit code and stderr prefix the CLI
@@ -1035,8 +1061,9 @@ class TestCLI:
 
     def test_bad_config_exits_usage(self, tmp_path, capsys):
         cfg = self.write_cfg(tmp_path, "bogus_key = 1\n")
-        assert cli.main(["simulate", cfg]) == cli.EXIT_USAGE
+        assert cli.main(["twin", cfg, "--out", str(tmp_path / "o")]) == cli.EXIT_USAGE
         assert "config error" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize(
         "text",
@@ -1112,18 +1139,30 @@ class TestCLI:
         assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
         assert not plan.exists()
 
+    def test_direct_twin_escape_exits_diverged(self, tmp_path, capsys):
+        # the direct sum has no box: the observer's deposit of a branch
+        # stops the run
+        cfg = self.write_cfg(
+            tmp_path,
+            "scenario = two-stream\nfield_mode = direct\nsoftening = 0.1\n"
+            "n_particles = 32\ngrid_dims = 8\nbox_edge = 4.0\nsigma_x = 0.2\n"
+            "beam_speed = 5.0\ndt = 0.05\nt_final = 1.0\nseed = 3\n",
+        )
+        out = tmp_path / "o"
+        assert cli.main(["twin", cfg, "--out", str(out)]) == cli.EXIT_DIVERGED
+        assert "outside the grid box" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_subcommand_exits_usage(self):
         assert cli.main([]) == cli.EXIT_USAGE
 
-    def test_escape_exits_diverged(self, tmp_path, capsys):
-        # box far smaller than the sampled blob: immediate escape
-        cfg = self.write_cfg(
-            tmp_path,
-            "scenario = gaussian-blob\nn_particles = 64\ngrid_dims = 8\n"
-            "box_edge = 0.5\ndt = 0.01\nt_final = 0.1\n",
-        )
-        assert cli.main(["simulate", cfg, "--out", str(tmp_path / "o")]) == cli.EXIT_DIVERGED
-        assert not (tmp_path / "o").exists()
+    def test_simulate_is_not_a_command(self, tmp_path, capsys):
+        # twin is the one run path: a single-flow run is an identity twin
+        cfg = self.write_cfg(tmp_path, self.FREE_TWIN)
+        out = tmp_path / "o"
+        assert cli.main(["simulate", cfg, "--out", str(out)]) == cli.EXIT_USAGE
+        assert "invalid choice: 'simulate'" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "text, named",
@@ -1643,32 +1682,52 @@ GOLDEN_FIXTURES = {
 }
 
 
-# single-flow runs: their density_final and field_final bytes pin the CIC
-# deposit, the kernel build, the grid solve and the grid sidecar writer.
-# A 15^3 grid on a 9.0 edge gives the non-dyadic cell size 0.6
-SIMULATE_FIXTURES = {
-    "simulate-grid": dict(
-        scenario="gaussian-blob",
-        n_particles=256,
-        grid_dims=15,
-        box_edge=9.0,
-        dt=0.05,
-        t_final=0.25,
-        snapshot_stride=5,
-        seed=105,
+# identity twins (twin_kind = none) whose branch A pins what no twin golden
+# does: the CIC deposit, the kernel build and the grid solve at a non-dyadic
+# cell size (a 15^3 grid on a 9.0 edge gives h = 0.6), and on the direct sum
+# (epsilon = -1) the sign the field is written with. Beside each config, the
+# sha256 of A's two snapshot files, of the <f8 bytes of the deposit of A's
+# last state on A's grid, and of epsilon times the grid solve of that
+# deposit with A's softening
+FLOW_A_FIXTURES = {
+    "grid": (
+        dict(
+            scenario="gaussian-blob",
+            n_particles=256,
+            grid_dims=15,
+            box_edge=9.0,
+            dt=0.05,
+            t_final=0.25,
+            snapshot_stride=5,
+            seed=105,
+        ),
+        {
+            "snapshot_a_000000.txt": "79da36188a48810ae86a60fe4654c3c78b3980456a851cb23e940ce9dab6e0fd",
+            "snapshot_a_000005.txt": "4494660de705a2b819623a8dd18e99155ac5606b88af3f80f74a3e8591802df1",
+            "density": "03cbcc46940cb7b20927063d63f88caec4d352241a9d819da961c4a0e5577379",
+            "field": "b494898593dbf4492c5a895d9c51727b6b09ddf8840dd0473d204b60db3e493a",
+        },
     ),
-    "simulate-direct": dict(
-        scenario="two-blob",
-        epsilon=-1,
-        field_mode="direct",
-        n_particles=128,
-        grid_dims=16,
-        box_edge=10.0,
-        sigma_x=0.35,
-        dt=0.05,
-        t_final=0.25,
-        snapshot_stride=5,
-        seed=106,
+    "direct": (
+        dict(
+            scenario="two-blob",
+            epsilon=-1,
+            field_mode="direct",
+            n_particles=128,
+            grid_dims=16,
+            box_edge=10.0,
+            sigma_x=0.35,
+            dt=0.05,
+            t_final=0.25,
+            snapshot_stride=5,
+            seed=106,
+        ),
+        {
+            "snapshot_a_000000.txt": "d1749e14bd7415a82d3ec52860bba21425ccc0050f753da5abae1df117c8bea6",
+            "snapshot_a_000005.txt": "0e5fb9d72f628a7e686017f83734fa1da6413ceab67eff496e2640861abf53e7",
+            "density": "5c0cb786a66dead2b4dbd6aa78800cc0486f0907f56bbbeb7f7624a847ef7977",
+            "field": "0cea3ad558056e82c90ac0a239423683b6048ac0bee2e86751d1d1b5c798f151",
+        },
     ),
 }
 
@@ -1718,15 +1777,21 @@ class TestGoldenFixtures:
         want = json.load(open(golden_path))
         assert got == want, manifest_diff(got, want)
 
-    @pytest.mark.parametrize("name", sorted(SIMULATE_FIXTURES))
-    def test_simulation_manifest_matches_golden(self, name, tmp_path):
-        import pathlib
-
-        golden_path = pathlib.Path(__file__).parent / "golden" / f"{name}.json"
-        cfg = ScenarioConfig(**SIMULATE_FIXTURES[name]).validate()
-        manifest_path = harness.emit_simulation(cfg, tmp_path / name)
-        got = json.load(open(manifest_path))
-        want = json.load(open(golden_path))
-        names = {f["name"] for f in got["files"]}
-        assert {"density_final.bin", "field_final.bin", "field_final.json"} <= names
-        assert got == want, manifest_diff(got, want)
+    @pytest.mark.parametrize("name", sorted(FLOW_A_FIXTURES))
+    def test_flow_a_matches_pinned_bytes(self, name, tmp_path):
+        fixture, pinned = FLOW_A_FIXTURES[name]
+        cfg = ScenarioConfig(**fixture).validate()
+        harness.emit_twin(cfg, tmp_path)
+        got = {
+            snap: hashlib.sha256((tmp_path / snap).read_bytes()).hexdigest()
+            for snap in ("snapshot_a_000000.txt", "snapshot_a_000005.txt")
+        }
+        # A's last state, read back from its last snapshot (%.17g round-trips)
+        last = transport.load_cloud(tmp_path / "snapshot_a_000005.txt")
+        ens = dynamics.ParticleEnsemble(last.points[:, :3], last.points[:, 3:], last.weights)
+        spec, softening = cfg.field_solves()[0]
+        rho = dynamics.deposit(ens, spec)
+        field = cfg.epsilon * fields.solve_field_grid(rho, softening).values
+        for key, values in (("density", rho.values), ("field", field)):
+            got[key] = hashlib.sha256(values.astype("<f8").tobytes()).hexdigest()
+        assert got == pinned

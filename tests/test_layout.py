@@ -16,8 +16,9 @@ Only the run plan, harness.ScenarioConfig, builds a GridSpec: the grid
 
 The CI workflow runs the Tier-1 command that ROADMAP.md states.
 
-README.md states the records.csv header that the code writes, and the
-sizes the config's memory guards admit.
+README.md states the records.csv header that the code writes, the
+subcommands the parser registers, and the sizes the config's memory
+guards admit.
 """
 
 import ast
@@ -27,6 +28,7 @@ from pathlib import Path
 import pytest
 
 import vptwin
+from vptwin import cli
 from vptwin.certify import RECORD_COLUMNS
 from vptwin.errors import ConfigError
 from vptwin.harness import ScenarioConfig
@@ -260,6 +262,15 @@ def test_readme_states_the_records_header():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     stated = re.findall(r"`(step,t,[^`]*)`", readme)
     assert stated == [",".join(RECORD_COLUMNS)]
+
+
+def test_readme_lists_the_parsers_commands():
+    # the Command line block names each subcommand the parser registers, once
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("\n## Command line\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    stated = [line.split()[1] for line in block.splitlines() if line.startswith("vptwin ")]
+    subparsers = next(a for a in cli.build_parser()._actions if a.dest == "command")
+    assert sorted(stated) == sorted(set(stated)) == sorted(subparsers.choices)
 
 
 # each size the README's Configuration section says the memory guards
