@@ -356,7 +356,7 @@ def solve_field_grid(rho, softening) -> GridField:
     ``rho`` is a GridDensity, or the signed DensityDifference of two; the
     solve is linear, so the latter's field is the difference of theirs.
     ``softening`` is the resolved length, from the run plan
-    (harness.ScenarioConfig.field_solves). Free-space boundaries; if the
+    (harness.ScenarioConfig.field_solve). Free-space boundaries; if the
     density support touches the outer cell layer a TruncationWarning is
     issued.
 

@@ -41,12 +41,11 @@ class ScenarioConfig:
     box_edge: float = 8.0
     dt: float = 0.02
     t_final: float = 2.0
-    softening: object = "auto"  # 'auto' -> h/2 (field_solves)
+    softening: object = "auto"  # 'auto' -> h/2 (field_solve)
     seed: int = 1
     field_mode: str = "grid"  # grid | direct | none
-    twin_kind: str = "none"  # none | velocity-shift | resolution | softening
-    twin_delta: float = 0.0
-    twin_grid_dims_b: int = 64
+    twin_kind: str = "none"  # none | velocity-shift
+    twin_delta: float = 0.0  # B's velocity shift along x
     ot_stride: int = 10  # 0 disables exact-OT columns
     ot_subsample: int = 512
     snapshot_stride: int = 0  # twin: steps 0, s, 2s, ... (0: none)
@@ -71,54 +70,43 @@ class ScenarioConfig:
             raise ConfigError("n_particles must be >= 2")
         if self.grid_dims < 2:
             raise ConfigError("grid_dims must be >= 2")
-        if self.twin_kind == "resolution" and self.twin_grid_dims_b < 2:
-            raise ConfigError("twin_grid_dims_b must be >= 2 with twin_kind = resolution")
         if self.dt <= 0 or self.t_final <= 0:
             raise ConfigError("dt and t_final must be positive")
         if self.box_edge <= 0:
             raise ConfigError("box_edge must be positive")
         if self.field_mode not in ("grid", "direct", "none"):
             raise ConfigError("field_mode must be grid, direct or none")
-        if self.twin_kind not in ("none", "velocity-shift", "resolution", "softening"):
+        if self.twin_kind not in ("none", "velocity-shift"):
             raise ConfigError(f"unknown twin_kind {self.twin_kind!r}")
         for name in ("seed", "snapshot_stride", "sigma_x", "sigma_v", "ball_radius"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be >= 0")
-        # one rule for the softening of both flows. B's differs from A's only
-        # where twin_delta sets it (a softening twin) or where auto resolves
-        # on B's grid, to a positive length
-        solve_a, solve_b = self.field_solves()
+        # the one softening of every solve of the run
+        spec, length = self.field_solve()
         direct = self.field_mode == "direct"
-        for name, length in (("softening", solve_a[1]), ("twin_delta", solve_b[1])):
-            if length < 0 or (direct and length == 0):
-                raise ConfigError(
-                    f"{name} = {length!r}: a softening length must be "
-                    + ("> 0 with field_mode = direct" if direct else ">= 0")
-                )
+        if length < 0 or (direct and length == 0):
+            raise ConfigError(
+                f"softening = {length!r}: a softening length must be "
+                + ("> 0 with field_mode = direct" if direct else ">= 0")
+            )
         # the solves divide by the cell volume h^3 and by the kernel's
         # 4 pi r^3 at r^2 = 3 box_edge^2 + s^2 (the box diagonal, softened)
-        def finite(spec, s):
+        def finite(s):
             r2 = 3.0 * self.box_edge * self.box_edge + s * s
             denom = fields.FOUR_PI * r2 * math.sqrt(r2)
             return math.isfinite(spec.cell_volume) and math.isfinite(denom)
 
-        for name, (spec, length) in (("softening", solve_a), ("twin_delta", solve_b)):
-            if not finite(spec, length):
-                if not finite(spec, 0.0):
-                    name, length = "box_edge", self.box_edge
-                raise ConfigError(
-                    f"{name} = {length!r}: a field solve's cell volume or kernel "
-                    "denominator 4 pi (3 box_edge^2 + s^2)^(3/2) overflows"
-                )
-        # a twin whose two flows start equal and read the same field is the
-        # identity control, which is twin_kind = none
-        same_field = {
-            "none": True, "direct": solve_a[1] == solve_b[1], "grid": solve_a == solve_b
-        }
-        if self.twin_kind in ("resolution", "softening") and same_field[self.field_mode]:
+        if not finite(length):
+            name, value = ("softening", length) if finite(0.0) else ("box_edge", self.box_edge)
             raise ConfigError(
-                f"twin_kind = {self.twin_kind} with field_mode = {self.field_mode}"
-                ": the two flows cannot differ (twin_kind = none is the identical twin)"
+                f"{name} = {value!r}: a field solve's cell volume or kernel "
+                "denominator 4 pi (3 box_edge^2 + s^2)^(3/2) overflows"
+            )
+        # twin_delta shifts B's velocities and nothing else
+        if self.twin_kind != "velocity-shift" and self.twin_delta != 0:
+            raise ConfigError(
+                f"twin_delta = {self.twin_delta!r}: a velocity shift needs "
+                f"twin_kind = velocity-shift, not {self.twin_kind}"
             )
         # and a velocity shift must stand above the positions' round-off
         # (certify.ROUNDOFF_RTOL states the rule), which also refuses zero
@@ -143,14 +131,10 @@ class ScenarioConfig:
             )
         if self.n_steps < 2:  # certify needs three records: steps 0, 1 and 2
             raise ConfigError(f"t_final / dt rounds to {self.n_steps} step(s), fewer than 2")
-        grid, kernels = self._grid_memory()
-        grid_keys = ["grid_dims"]
-        if self.twin_kind == "resolution":
-            grid_keys.append("twin_grid_dims_b")
         particles, kept = self._particle_memory()
         particle_keys = ["n_particles", "snapshot_stride"] if kept else ["n_particles"]
         for need, keys, what, detail in (
-            (grid, grid_keys, "grid solves", f"{len(kernels)} kernel(s) and two threads"),
+            (self._grid_memory(), ["grid_dims"], "grid solves", "one kernel and two threads"),
             (particles, particle_keys, "particle arrays", f"{kept} kept snapshot(s)"),
         ):
             if need > MAX_GRID_SOLVE_BYTES:
@@ -162,63 +146,40 @@ class ScenarioConfig:
                 )
         return self
 
-    def field_solves(self):
-        """The (spec, softening) of flow A's and flow B's field solves; the
-        one place that picks a solve's grid and softening, and B's from
-        twin_kind. "auto" is h/2 on the solve's grid (the deposition scale).
-        The diagnostics (densities, Prop. 3.1's difference, a direct-sum
-        probe's rho_A) solve with A's, the operator A steps with. An
-        explicit length is returned unchecked, for validate to name."""
-
-        def solve(spec, softening=self.softening):
-            return spec, 0.5 * spec.h if softening == "auto" else float(softening)
-
-        a = solve(self.grid_spec)
-        b = a
-        if self.twin_kind == "resolution":
-            b = solve(fields.GridSpec(self.box_edge, self.twin_grid_dims_b))
-        elif self.twin_kind == "softening":
-            b = solve(self.grid_spec, self.twin_delta)
-        return a, b
+    def field_solve(self):
+        """The (spec, softening) of every field solve of the run: both
+        flows step with it, and the diagnostics (densities, Prop. 3.1's
+        difference, a direct-sum probe's rho_A) solve with it; the one
+        place that picks a solve's grid and softening. "auto" is h/2 on
+        the grid (the deposition scale). An explicit length is returned
+        unchecked, for validate to name."""
+        spec = self.grid_spec
+        return spec, 0.5 * spec.h if self.softening == "auto" else float(self.softening)
 
     def _grid_memory(self):
-        """(bytes, kernels): the most a run holds for its grid solves, and
-        the (n, softening) of each kernel it keeps.
+        """The bytes a run holds at most for its grid solves.
 
-        A kernel (fields._kernel_fft) is three (2n)^2 (n+1) complex spectra
-        per distinct (grid, softening), kept for the run: both flows' on a
-        grid run, else flow A's, which the diagnostics solve with. Per grid
-        shape, each of a twin's two threads keeps a workspace of two spectra
-        and has one solve in flight: the scaled mass (8 n^3 B) and the field
+        The run's one kernel (fields._kernel_fft, for its field_solve) is
+        three (2n)^2 (n+1) complex spectra, kept for the run. Each of a
+        twin's two threads keeps a workspace of two spectra and has one
+        solve in flight: the scaled mass (8 n^3 B) and the field
         (24 n^3 B); every transform writes into the workspace (a density
         difference, 8 n^3 B, is gone once scaled). The run also keeps the
         two flows' fields and densities (64 n^3 B), the diagnostics'
         difference field (24 n^3 B), and on a direct-sum run the probe's
-        solve of rho_A (24 n^3 B). A kernel build's scratch, full (2n)^3
+        solve of rho_A (24 n^3 B). The kernel build's scratch, full (2n)^3
         arrays denom (float64), mask (bool) and one kernel (float64) plus
-        one spectrum's rfftn intermediate, adds to what the run keeps by
-        then: two spectra of its own for the first build, everything for a
-        later one (builds never overlap). On top, the malloc arena of a
-        twin's second thread may keep freed blocks up to glibc's trim
-        threshold, twice the largest block it has unmapped: two spectra of
-        the largest grid, at most 2 x 32 MiB.
+        one spectrum's rfftn intermediate, adds to the kernel's own
+        spectra. On top, the malloc arena of a twin's second thread may
+        keep freed blocks up to glibc's trim threshold, twice the largest
+        block it has unmapped: two spectra, at most 2 x 32 MiB.
         """
-
-        def spectrum(n):
-            return (2 * n) ** 2 * (n + 1) * 16
-
-        a, b = self.field_solves()
-        solves = [a, b] if self.field_mode == "grid" else [a]
-        kernels = {(spec.n, softening) for spec, softening in solves}
-        shapes = {n for n, _ in kernels}
-        kept = 176 if self.field_mode == "direct" else 152
-        keep = sum(3 * spectrum(n) for n, _ in kernels) + sum(
-            4 * spectrum(n) + kept * n**3 for n in shapes
-        )
-        scratch = max(17 * (2 * n) ** 3 + spectrum(n) for n, _ in kernels)
-        before = keep if len(kernels) > 1 else 3 * spectrum(self.grid_dims)
-        arena = 2 * min(spectrum(max(shapes)), 32 << 20)
-        return max(keep, before + scratch) + arena, kernels
+        n = self.grid_dims
+        spectrum = (2 * n) ** 2 * (n + 1) * 16
+        arrays = 176 if self.field_mode == "direct" else 152
+        keep = 7 * spectrum + arrays * n**3
+        build = 4 * spectrum + 17 * (2 * n) ** 3
+        return max(keep, build) + 2 * min(spectrum, 32 << 20)
 
     def _particle_memory(self):
         """(bytes, snapshots): the most a twin holds in per-particle arrays,
@@ -365,10 +326,11 @@ def read_records(path):
 # evaluators and twin observer
 
 
-def _make_evaluator(cfg, spec, softening):
-    """The field of one flow, from its field_solves entry and the run's sign."""
+def _make_evaluator(cfg):
+    """The field of one flow, from the run's field_solve and sign."""
     if cfg.field_mode == "none":
         return dynamics.ZeroFieldEvaluator()
+    spec, softening = cfg.field_solve()
     if cfg.field_mode == "direct":
         return dynamics.DirectSumEvaluator(softening, cfg.epsilon)
     return dynamics.GridFieldEvaluator(spec, softening, cfg.epsilon)
@@ -384,11 +346,11 @@ class TwinResult:
 
 class _TwinObserver:
     """Assembles one StabilityRecord per step; exact-OT extras on a stride.
-    It deposits and solves with flow A's grid and softening (field_solves)."""
+    It deposits and solves with the run's grid and softening (field_solve)."""
 
     def __init__(self, cfg: ScenarioConfig):
         self.cfg = cfg
-        (self.spec, self.softening), _ = cfg.field_solves()
+        self.spec, self.softening = cfg.field_solve()
         self.records = []
         self.snapshots = {}
         self.crossing_a = dynamics.CrossingDetector(self.spec)
@@ -427,11 +389,11 @@ class _TwinObserver:
         self.records.append(rec)
 
     def _density(self, flow, branch):
-        """The flow's density on flow A's grid: the evaluator's own deposit
-        of this step when it has one on that grid, else a new one.
+        """The flow's density on the run's grid: the evaluator's own
+        deposit of this step when it has one, else a new one.
         A particle outside that grid fails the twin run in this branch."""
         rho = getattr(flow.evaluator, "density", None)
-        if rho is not None and rho.spec == self.spec:
+        if rho is not None:
             return rho
         try:
             return dynamics.deposit(flow.ensemble, self.spec)
@@ -473,10 +435,10 @@ class _TwinObserver:
 
     def _loglip(self, flow_a, rho_a):
         """loglip_modulus of flow A's field, the accel it steps with, on
-        the cell-center hull of flow A's grid (a grid field's trilinear
+        the cell-center hull of the run's grid (a grid field's trilinear
         interpolation is only defined there), or None where its separations
         do not fit. On a direct-sum flow it reads a grid solve of rho_A with
-        A's softening instead, made on the first evaluation
+        the run's softening instead, made on the first evaluation
         (loglip_modulus refuses before it evaluates, so a coarse grid never
         solves it): perfbench's layer table expects merger-direct to
         interpolate a grid field."""
@@ -510,7 +472,7 @@ def run_twin_config(cfg: ScenarioConfig) -> TwinResult:
     ens_b = ens_a.copy()
     if cfg.twin_kind == "velocity-shift":
         ens_b.v += (cfg.twin_delta, 0.0, 0.0)
-    eval_a, eval_b = (_make_evaluator(cfg, *s) for s in cfg.field_solves())
+    eval_a, eval_b = _make_evaluator(cfg), _make_evaluator(cfg)
     obs = _TwinObserver(cfg)
     dynamics.run_twin(ens_a, ens_b, eval_a, eval_b, cfg.dt, cfg.n_steps, obs)
     return TwinResult(

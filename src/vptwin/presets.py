@@ -1,9 +1,9 @@
 """Bundled scenario configurations.
 
 Five desk-scale scenarios spanning repulsive/attractive signs, kinetic and
-monokinetic flows, and an analytic free-streaming control. All use the
-velocity-shift twin perturbation by default; resolution twins are built by
-overriding twin_kind.
+monokinetic flows, and an analytic free-streaming control. Each is a
+velocity-shift twin: two flows of one equation whose initial velocities
+differ by twin_delta along x.
 """
 
 from __future__ import annotations

@@ -99,7 +99,7 @@ class TestAcceptance:
         # near-tight fixture: a uniform slab of half-widths (0.5, 3, 3) on a
         # lattice of spacing h/2 offset by h/4, displaced by 0.2 normal to its
         # wide faces; a translation is optimal, so W2 = 0.2 at unit mass
-        spec, softening = harness.ScenarioConfig(box_edge=8.0, grid_dims=32).field_solves()[0]
+        spec, softening = harness.ScenarioConfig(box_edge=8.0, grid_dims=32).field_solve()
         h = spec.h
         ax = np.arange(-0.5 + h / 4, 0.5, h / 2)
         ayz = np.arange(-3.0 + h / 4, 3.0, h / 2)

@@ -17,12 +17,13 @@ Only the run plan, harness.ScenarioConfig, builds a GridSpec: the grid
 The CI workflow runs the Tier-1 command that ROADMAP.md states.
 
 README.md states the records.csv header that the code writes, the
-subcommands the parser registers, and the sizes the config's memory
-guards admit.
+subcommands the parser registers, the sizes the config's memory guards
+admit, and the values its example config's choice comments list.
 """
 
 import ast
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -31,7 +32,7 @@ import vptwin
 from vptwin import cli
 from vptwin.certify import RECORD_COLUMNS
 from vptwin.errors import ConfigError
-from vptwin.harness import ScenarioConfig
+from vptwin.harness import ScenarioConfig, parse_config
 
 PACKAGE = Path(vptwin.__file__).parent
 
@@ -282,20 +283,13 @@ README_CAPS = (
      [{}, {"softening": 0.1},
       {"softening": 0.5, "twin_kind": "velocity-shift", "twin_delta": 0.01}]),
     (r"≤ (\d+) on a direct-sum run", "grid_dims", [{"field_mode": "direct"}]),
-    (r"≤ (\d+) in a softening twin", "grid_dims",
-     [{"twin_kind": "softening", "twin_delta": 0.1},
-      {"twin_kind": "softening", "softening": 0.2, "twin_delta": 0.1}]),
-    (r"`twin_grid_dims_b` ≤ (\d+) in a resolution twin on an 8³ grid", "twin_grid_dims_b",
-     [{"twin_kind": "resolution", "grid_dims": 8}]),
     (r"admits up to ([\d,]+) particles", "n_particles", [{}]),
 )
 
 
 def _largest_admitted(key, overrides):
     """The largest value of ``key`` that ScenarioConfig.validate admits,
-    by doubling from its default (a resolution twin refuses B's grid
-    equal to A's, so smaller values need not be admitted) to a refused
-    value and then bisecting."""
+    by doubling from its default to a refused value and then bisecting."""
 
     def admitted(value):
         try:
@@ -328,3 +322,44 @@ def test_readme_states_the_sizes_the_guards_admit():
             assert _largest_admitted(key, overrides) == int(stated[0].replace(",", "")), (
                 phrase, overrides
             )
+
+
+def test_readme_example_lists_the_choices_validate_admits():
+    # each "a | b | ..." comment of the Configuration example lists exactly
+    # the values of its key that validate admits, on the example or on the
+    # defaults, among every string the package names
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    example = readme.split("\n## Configuration\n", 1)[1].split("```\n", 2)[1]
+    cfg = parse_config(example)
+    comments, key = {}, None
+    for line in example.splitlines():
+        text, _, comment = line.partition("#")
+        if text.strip():
+            key = text.split("=", 1)[0].strip()
+            comments[key] = comment
+        elif comment:
+            comments[key] += " " + comment
+    choices = {
+        key: [v.strip() for v in comment.split("|") if v.strip()]
+        for key, comment in comments.items() if "|" in comment
+    }
+    assert sorted(choices) == ["field_mode", "scenario", "twin_kind"]
+    strings = {
+        node.value
+        for path in PACKAGE.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Constant) and isinstance(node.value, str)
+    }
+
+    def admitted(key, value):
+        for base in (cfg, ScenarioConfig()):
+            try:
+                replace(base, **{key: value}).validate()
+            except ConfigError:
+                continue
+            return True
+        return False
+
+    for key, stated in choices.items():
+        assert len(stated) == len(set(stated)), key
+        assert set(stated) == {v for v in strings if admitted(key, v)}, key
